@@ -13,6 +13,11 @@ python -m pytest -x -q tests/core/test_resume_parity.py \
     tests/core/test_lightnas.py::TestTrajectoryValidLoss \
     tests/runtime/
 
+# Surrogate searches compile one α-step plan: plans on vs off bit-identity,
+# the 1-compile/N-2-replay counters, the frozen predictor, and resume and
+# jobs=4 parity with plans on.
+python -m pytest -x -q tests/core/test_surrogate_plan.py
+
 # The conv fast-path contract: gradient checks for every specialized kernel
 # plus the golden-trajectory test pinning the float64 engine bit-identical.
 python -m pytest -x -q tests/nn/test_conv_fast_paths.py \

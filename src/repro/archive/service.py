@@ -386,8 +386,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # One write per response.  end_headers() would send the header
+        # block alone and the body in a second write; on a kept-alive
+        # connection Nagle's algorithm then holds the body back until the
+        # client's delayed ACK, ~40 ms per response.  Queue the blank line
+        # and the body behind the headers so flush_headers() sends both.
+        if self.request_version == "HTTP/0.9":  # no header block at all
+            self.wfile.write(body)
+            return
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)

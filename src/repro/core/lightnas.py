@@ -109,9 +109,10 @@ class LightNASConfig:
     compute_dtype: str = "float64"
     #: when True, per-op wall time is profiled and journalled every epoch
     profile_ops: bool = False
-    #: compile supernet train/α/warmup steps into trace-once/replay-many
-    #: plans (bit-identical to the eager engine; ``False`` or the
-    #: ``repro.nn.plans(False)`` context falls back to eager execution)
+    #: compile train/α/warmup steps into trace-once/replay-many plans
+    #: (a surrogate search compiles one α-step plan; bit-identical to the
+    #: eager engine; ``False`` or the ``repro.nn.plans(False)`` context
+    #: runs the same step functions eagerly)
     use_plans: bool = True
     #: fuse replayed kernels (conv/BN folding, elementwise chain packing,
     #: stacked multi-path 1×1 convs) and compile whole epochs into chained
@@ -268,10 +269,10 @@ class LightNAS:
             with nn.dtype_scope(config.compute_dtype):
                 self.supernet = SuperNet(self.space, self.rng)
         # one plan cache covers all step kinds; keys are prefixed with the
-        # step family ("w" / "alpha" / "warmup") plus the sampled path and
-        # batch shape, so Gumbel samples re-hit their compiled plan
+        # step family ("w" / "alpha" / "warmup") plus, for supernet steps,
+        # the sampled path and batch shape, so Gumbel samples re-hit their
+        # compiled plan
         self.programs = nn.StepProgram("lightnas")
-        self._use_plans = config.use_plans and config.mode == "supernet"
 
     def _default_predictor(self) -> MLPPredictor:
         latency_model = LatencyModel(self.space)
@@ -490,7 +491,7 @@ class LightNAS:
             )
             if op_prof is not None:
                 epoch_fields["op_profile"] = op_prof.as_dict()
-            if self._use_plans:
+            if cfg.use_plans:
                 epoch_fields["plan_stats"] = self.programs.stats()
             journal.epoch(**epoch_fields)
             if verbose:
@@ -525,7 +526,7 @@ class LightNAS:
             wall_time_s=round(time.perf_counter() - run_start, 6),
             phase_timers=timers.as_dict(),
         )
-        if self._use_plans:
+        if cfg.use_plans:
             end_fields["plan_stats"] = self.programs.stats()
         journal.run_end(**end_fields)
         return result
@@ -536,7 +537,7 @@ class LightNAS:
         """One epoch of supernet weight training on the train fold."""
         cfg = self.config
         self.supernet.train(True)
-        if not self._use_plans:
+        if not cfg.use_plans:
             with nn.dtype_scope(cfg.compute_dtype):
                 for _ in range(cfg.steps_per_epoch):
                     batch = self.task.sample_batch(self.task.train,
@@ -629,114 +630,99 @@ class LightNAS:
         (previously the recorded series was a stale constant 0.0).
         """
         cfg = self.config
+        supernet = cfg.mode == "supernet"
         steps = 0
         loss_sum = 0.0
-        if not self._use_plans:
-            for _ in range(cfg.steps_per_epoch):
-                _, gates = sampler.sample_gates(alpha, epoch)
-                valid_loss = self._validation_loss(gates)
-                loss_sum += float(valid_loss.data)
-                # The latency term uses the *deterministic* binarisation of
-                # α: Eq. (4) defines the architecture encoded by α as the
-                # per-layer argmax, so LAT(α) is the latency of that
-                # architecture, not of the Gumbel sample.  (With the sampled
-                # gates, λ's equilibrium pins the *expected* sampled latency
-                # to T while the derived argmax architecture systematically
-                # undershoots.)
-                _, det_gates = sampler.sample_gates(alpha, epoch,
-                                                    deterministic=True)
-                loss, _ = self.objective.loss(valid_loss, det_gates,
-                                              lam.as_tensor())
-                alpha_opt.zero_grad()
-                lam.param.zero_grad()
-                loss.backward()
-                alpha_opt.step()
-                lam.ascend()
-                steps += 1
-            return steps, loss_sum / max(steps, 1)
-        # Plan path: the per-step randomness (Gumbel noise, validation
-        # batch) and the annealed 1/τ are hoisted out of the traced
-        # function and become plan *inputs*; the sampled single path —
-        # computed by the bit-exact raw-numpy signature helper — joins
-        # the plan key so a replay can never follow a stale selection.
-        # The deterministic-path STE (latency term) recomputes its
-        # argmax live on replay, so λ keeps seeing LAT(argmax α).
+
+        # The one α-step, run by ``self.programs`` as an eager step, a
+        # trace, or a replay (``use_plans=False`` → always eager).  The
+        # per-step randomness (Gumbel noise, validation batch) and the
+        # annealed 1/τ are plan *inputs*.  The latency term uses the
+        # *deterministic* binarisation of α: Eq. (4) defines the
+        # architecture encoded by α as the per-layer argmax, so LAT(α) is
+        # the latency of that architecture, not of the Gumbel sample (with
+        # the sampled gates, λ's equilibrium pins the *expected* sampled
+        # latency to T while the derived argmax systematically
+        # undershoots).  Its STE recomputes the argmax live on replay.
+        def fn(ts):
+            _, gates = sampler.sample_gates(
+                alpha, epoch, noise=ts["noise"], inv_tau=ts["inv_tau"])
+            if supernet:
+                logits = self.supernet.forward_single_path(ts["images"], gates)
+                valid_loss = F.cross_entropy(logits, targets=ts["targets"])
+            else:
+                valid_loss = self.oracle.differentiable_loss(gates)
+            _, det_gates = sampler.sample_gates(
+                alpha, epoch, deterministic=True, inv_tau=ts["inv_tau"])
+            loss, _ = self.objective.loss(valid_loss, det_gates,
+                                          lam.as_tensor())
+            return {"loss": loss, "valid_loss": valid_loss}
+
+        # Surrogate steps trace the same fixed L×K gate program whatever
+        # path is sampled, so one constant key replays on every step.  A
+        # supernet step's ops follow the sampled single path, so its key
+        # carries the bit-exact selection signature (a replay can never
+        # follow a stale selection) and the batch shape.
         #
-        # Unlike w-epochs, α moves every step, so the epoch's selection
-        # sequence cannot be predrawn.  The epoch plan is *optimistic*
-        # instead: it bakes the sequence observed when it was assembled,
-        # and each step verifies the live signature against the baked one
-        # — a mismatch invalidates the chain gracefully (counted, never
+        # Supernet α-epochs additionally chain into an *optimistic* epoch
+        # plan: α moves every step, so the selection sequence cannot be
+        # predrawn; the chain bakes the sequence observed when it was
+        # assembled and each step verifies the live signature against it —
+        # a mismatch invalidates the chain gracefully (counted, never
         # wrong) and the rest of the epoch runs per-step.
         epoch_key = ("alpha-epoch", cfg.batch_size)
-        ep = self.programs.epoch_plan(epoch_key)
-        if ep is not None and ep.stale():
-            self.programs.invalidate_epoch_plan(epoch_key)
-            ep = None
+        ep = None
+        if supernet and cfg.use_plans:
+            ep = self.programs.epoch_plan(epoch_key)
+            if ep is not None and ep.stale():
+                self.programs.invalidate_epoch_plan(epoch_key)
+                ep = None
         prof = nn.profiler.active_profile()
         chained = []
-        with nn.plan.fusion(cfg.use_fusion):
+        with (nullcontext() if cfg.use_plans else nn.plans(False)), \
+                nn.plan.fusion(cfg.use_fusion), \
+                (nn.dtype_scope(cfg.compute_dtype) if supernet
+                 else nullcontext()):
             for i in range(cfg.steps_per_epoch):
                 noise = sampler.draw_noise(alpha.shape)
-                sel = sampler.selection_signature(alpha.data, epoch, noise)
-                if ep is not None and sel != ep.sels[i]:
-                    self.programs.invalidate_epoch_plan(epoch_key)
-                    ep = None
-                self.supernet.train(True)
-                with nn.dtype_scope(cfg.compute_dtype):
+                inputs = {"noise": noise,
+                          "inv_tau": 1.0 / sampler.schedule.at(epoch)}
+                key = ("alpha",)
+                if supernet:
+                    sel = sampler.selection_signature(alpha.data, epoch, noise)
+                    if ep is not None and sel != ep.sels[i]:
+                        self.programs.invalidate_epoch_plan(epoch_key)
+                        ep = None
+                    self.supernet.train(True)
                     batch = self.task.sample_batch(self.task.valid,
                                                    cfg.batch_size)
-                    targets = F.one_hot(batch.labels,
-                                        self.space.macro.num_classes)
-                    inv_tau = 1.0 / sampler.schedule.at(epoch)
-                    if ep is not None:
-                        out = ep.step_plans[i].replay(
-                            {"images": batch.images, "targets": targets,
-                             "noise": noise, "inv_tau": inv_tau}, prof)
-                        self.programs.replays += 1
-                        alpha_opt.begin_step()
-                        for update in ep.updates[i]:
-                            update()
-                    else:
-                        def fn(ts):
-                            _, gates = sampler.sample_gates(
-                                alpha, epoch, noise=ts["noise"],
-                                inv_tau=ts["inv_tau"])
-                            logits = self.supernet.forward_single_path(
-                                ts["images"], gates)
-                            valid_loss = F.cross_entropy(
-                                logits, targets=ts["targets"])
-                            _, det_gates = sampler.sample_gates(
-                                alpha, epoch, deterministic=True,
-                                inv_tau=ts["inv_tau"])
-                            loss, _ = self.objective.loss(
-                                valid_loss, det_gates, lam.as_tensor())
-                            return {"loss": loss, "valid_loss": valid_loss}
-
-                        alpha_opt.zero_grad()
-                        lam.param.zero_grad()
-                        # eager lets stale gradients accumulate through α
-                        # steps on the supernet weights and the frozen
-                        # predictor (discarded unread); the plan's leaf
-                        # slots want a clean start instead
+                    inputs["images"] = batch.images
+                    inputs["targets"] = F.one_hot(
+                        batch.labels, self.space.macro.num_classes)
+                    key = ("alpha", sel, batch.images.shape)
+                if ep is not None:
+                    out = ep.step_plans[i].replay(inputs, prof)
+                    self.programs.replays += 1
+                    alpha_opt.begin_step()
+                    for update in ep.updates[i]:
+                        update()
+                else:
+                    alpha_opt.zero_grad()
+                    lam.param.zero_grad()
+                    if supernet:
+                        # the α-step backward reaches the supernet weights;
+                        # a trace's leaf slots want a clean start
                         self.supernet.zero_grad()
-                        pred_model = getattr(self.predictor, "_model", None)
-                        if pred_model is not None:  # analytic predictors
-                            pred_model.zero_grad()  # are gradless
-                        out = self.programs.run(
-                            ("alpha", sel, batch.images.shape),
-                            {"images": batch.images, "targets": targets,
-                             "noise": noise, "inv_tau": inv_tau}, fn)
-                        if self.programs.last_event == "replay":
-                            chained.append(
-                                (sel, self.programs.last_plan))
-                        alpha_opt.step()
+                    out = self.programs.run(key, inputs, fn)
+                    if supernet and self.programs.last_event == "replay":
+                        chained.append((sel, self.programs.last_plan))
+                    alpha_opt.step()
                 loss_sum += float(out["valid_loss"])
                 lam.ascend()
                 steps += 1
         if ep is not None:
             self.programs.epoch_plan_hits += 1
-        elif len(chained) == cfg.steps_per_epoch:
+        elif supernet and len(chained) == cfg.steps_per_epoch:
             # every step replayed and the chain spans the whole epoch (an
             # epoch that started on a — since invalidated — chain cannot
             # reassemble this epoch: its early steps left no plan record)
@@ -767,7 +753,7 @@ class LightNAS:
         was_training = self.supernet.training
         self.supernet.eval()
         try:
-            if self._use_plans:
+            if cfg.use_plans:
                 # forward-only plan (grad=False): BatchNorm eval statistics
                 # enter through standing views + replay effects, so the
                 # replayed eval tracks the training running stats exactly
@@ -798,14 +784,3 @@ class LightNAS:
         finally:
             self.supernet.train(was_training)
         return float(loss.data)
-
-    def _validation_loss(self, gates: nn.Tensor) -> nn.Tensor:
-        cfg = self.config
-        if cfg.mode == "surrogate":
-            return self.oracle.differentiable_loss(gates)
-        self.supernet.train(True)
-        with nn.dtype_scope(cfg.compute_dtype):
-            batch = self.task.sample_batch(self.task.valid, cfg.batch_size)
-            logits = self.supernet.forward_single_path(
-                nn.Tensor(batch.images), gates)
-            return F.cross_entropy(logits, batch.labels)

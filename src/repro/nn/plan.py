@@ -459,7 +459,9 @@ def _freeze_bmm(subscripts, a, b):
         cur = src
         if eq is not None:  # diagonal/transpose copy into a standing buffer
             buf = np.empty(_c_einsum(eq, src).shape, dtype=src.dtype)
-            steps.append(lambda e=eq, s=src, o=buf: _c_einsum(e, s, out=o))
+            step = lambda e=eq, s=src, o=buf: _c_einsum(e, s, out=o)
+            step()  # fill it now: the factory's build-time matmul reads it
+            steps.append(step)
             cur = buf
         if new_shape is not None:
             view = cur.reshape(new_shape)

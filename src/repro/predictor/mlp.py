@@ -155,6 +155,7 @@ class MLPPredictor:
         if len(train) < 2:
             raise ValueError("need at least 2 training samples")
         self._fast_weights = None  # weights are about to change under Adam
+        self._set_trainable(True)
         self.target_mean = float(train.targets.mean())
         self.target_std = float(train.targets.std()) or 1.0
 
@@ -185,6 +186,7 @@ class MLPPredictor:
                 tail = f" valid RMSE {log.valid_rmse[-1]:.4f}" if valid is not None else ""
                 print(f"[predictor] epoch {epoch:3d} loss {log.train_loss[-1]:.5f}{tail}")
         self.fitted = True
+        self._set_trainable(False)
         self._refresh_fast_weights()
         return log
 
@@ -212,4 +214,13 @@ class MLPPredictor:
         self.target_std = float(state.pop("__target_std"))
         self._model.load_state_dict(state)
         self.fitted = True
+        self._set_trainable(False)
         self._refresh_fast_weights()
+
+    def _set_trainable(self, trainable: bool) -> None:
+        """Fitted weights enter every search step as constants: the tape
+        then computes, stores and zeroes no gradient for them.  Only
+        :meth:`fit` turns their gradients back on."""
+        for param in self._model.parameters():
+            param.requires_grad = trainable
+            param.grad = None

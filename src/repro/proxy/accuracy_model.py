@@ -123,12 +123,20 @@ class AccuracyOracle:
         depth_ratio = space.num_layers / self.REFERENCE_LAYERS
         self._logistic_mid = self.MID * depth_ratio
         self._logistic_scale = self.SCALE * depth_ratio
+        # the table depends only on the space geometry, so every capacity()
+        # and differentiable_loss() call shares one read-only copy
+        self._values = self._build_value_matrix()
+        self._values.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Capacity model
     # ------------------------------------------------------------------
     def value_matrix(self) -> np.ndarray:
-        """Per-(layer, operator) capacity contribution, shape ``(L, K)``."""
+        """Per-(layer, operator) capacity contribution, shape ``(L, K)``
+        (read-only; built once per oracle)."""
+        return self._values
+
+    def _build_value_matrix(self) -> np.ndarray:
         geoms = self.space.layer_geometries()
         resolutions = np.array([g.in_resolution for g in geoms], dtype=np.float64)
         threshold = float(np.sqrt(resolutions.max() * resolutions.min()))

@@ -1,6 +1,9 @@
 """Batching predictor coalescing and the HTTP JSON API end-to-end."""
 
+import http.client
 import json
+import socket
+import socketserver
 import threading
 import time
 import urllib.error
@@ -358,6 +361,56 @@ class TestRegressions:
         assert not service.batcher._thread.is_alive()
         service.close()   # idempotent: a second close must be a no-op
         httpd.server_close()
+
+    def test_each_response_is_one_socket_write(self, server, monkeypatch):
+        """Headers and body leave in a single write, so a kept-alive
+        connection never waits on Nagle + delayed ACK between them
+        (pre-fix: two writes per response, ~40 ms stall each)."""
+        base, ops = server
+        writes = []
+        real_write = socketserver._SocketWriter.write
+
+        def counting_write(self, data):
+            writes.append(bytes(data))
+            return real_write(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            counting_write)
+        host, port = base[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            requests = [
+                ("GET", "/stats", None),
+                ("POST", "/predict", {"archs": ops[:3].tolist()}),
+                ("POST", "/query", {"k": 5}),
+                ("GET", "/nowhere", None),   # 404 path
+            ]
+            for method, path, payload in requests:   # one kept-alive socket
+                before = len(writes)
+                body = None if payload is None else json.dumps(payload)
+                conn.request(method, path, body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                data = json.loads(response.read())
+                assert isinstance(data, dict)
+                assert len(writes) - before == 1, (path, writes[before:])
+                head, _, tail = writes[-1].partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 ")
+                assert json.loads(tail) == data
+        finally:
+            conn.close()
+
+    def test_http09_request_gets_the_bare_body(self, server):
+        """An HTTP/0.9 request has no header block to share the write with;
+        it is answered with the JSON body alone."""
+        base, _ = server
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(b"GET /health\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert json.loads(reply) == {"ok": True}
 
     def test_timed_out_predict_is_cancelled_at_dispatch(self, tiny_space,
                                                         analytic):

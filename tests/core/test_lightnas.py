@@ -99,19 +99,24 @@ class TestTrajectoryValidLoss:
     """Regression: trajectory.valid_loss was a stale constant 0.0."""
 
     def test_records_epoch_mean_of_actual_losses(self, tiny_space,
-                                                 tiny_predictor, tiny_oracle):
+                                                 tiny_predictor, tiny_oracle,
+                                                 monkeypatch):
+        # eager steps, so the spy sees every step's loss (a replayed plan
+        # never calls back into Python); tests/core/test_surrogate_plan.py
+        # pins the plans-on trajectory bit-identical to this one
         cfg = LightNASConfig(space=tiny_space, target=2.3, mode="surrogate",
-                             epochs=6, steps_per_epoch=3, seed=0)
+                             epochs=6, steps_per_epoch=3, seed=0,
+                             use_plans=False)
         engine = LightNAS(cfg, predictor=tiny_predictor, oracle=tiny_oracle)
         seen = []
-        original = engine._validation_loss
+        original = engine.oracle.differentiable_loss
 
         def spy(gates):
             out = original(gates)
             seen.append(float(out.data))
             return out
 
-        engine._validation_loss = spy
+        monkeypatch.setattr(engine.oracle, "differentiable_loss", spy)
         traj = engine.search().trajectory
         steps = cfg.steps_per_epoch
         means = [sum(seen[e * steps:(e + 1) * steps]) / steps

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from repro import nn
 from repro.nn import functional as F
 from repro.nn import ops
+from repro.nn import plan as plan_mod
 from repro.nn.plan import BufferArena, PlanError, StepProgram
 
 
@@ -298,3 +299,40 @@ class TestProgramModes:
         b = arena.request((4, 4), np.dtype(np.float64))
         assert b is a
         assert arena.hits == 1 and arena.misses == 1
+
+
+@pytest.mark.skipif(plan_mod._np_bmm_einsum is None,
+                    reason="numpy has no bmm_einsum lowering to freeze")
+class TestFrozenBmm:
+    def test_build_time_matmul_reads_filled_prep_buffers(self, monkeypatch):
+        """Regression: ``_freeze_bmm`` ran its build-time matmul on transpose
+        buffers fresh from ``np.empty``, before any prep step had filled
+        them.  NaN-filled ``np.empty`` makes that read visible every time."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((6, 3))
+        subscripts = "nchw,oc->nohw"  # transposes both operands, then permutes
+
+        real_empty, real_matmul = np.empty, np.matmul
+        unfilled = []
+
+        def nan_empty(shape, dtype=float, *args, **kwargs):
+            arr = real_empty(shape, dtype, *args, **kwargs)
+            arr.fill(np.nan)
+            return arr
+
+        def checked_matmul(a, b, *args, **kwargs):
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                unfilled.append((a.shape, b.shape))
+            return real_matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        monkeypatch.setattr(np, "matmul", checked_matmul)
+        factory = plan_mod._freeze_bmm(subscripts, x, w)
+        assert factory is not None
+        out = real_empty((2, 6, 4, 5))
+        kernel = factory(out)
+        assert unfilled == [], "frozen matmul read an unfilled prep buffer"
+        kernel()
+        monkeypatch.undo()
+        assert np.array_equal(out, np.einsum(subscripts, x, w, optimize=True))

@@ -37,6 +37,11 @@ class TestCapacity:
         assert table.shape == (21, 7)
         assert np.all(table[:, SKIP_INDEX] == 0.0)
 
+    def test_value_matrix_built_once_read_only(self, full_oracle):
+        table = full_oracle.value_matrix()
+        assert full_oracle.value_matrix() is table
+        assert not table.flags.writeable
+
     def test_position_dependence(self, full_space, full_oracle):
         """Kernels matter early, expansion matters late (layer diversity)."""
         table = full_oracle.value_matrix()
