@@ -131,7 +131,7 @@ def _bench_family(family: str, steps: int, batch_size: int,
     def plan_step_factory():
         space, net, opt, batches, gates, sel = _build(batch_size, dtype)
         net.train(grad)
-        program = StepProgram(family, compile_threshold=1)
+        program = StepProgram(family)
         num_classes = space.macro.num_classes
         gates_param = nn.Parameter(gates.copy(), name="gates")
 

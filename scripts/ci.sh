@@ -14,9 +14,13 @@ python -m pytest -x -q tests/core/test_resume_parity.py \
     tests/runtime/
 
 # Surrogate searches compile one α-step plan: plans on vs off bit-identity,
-# the 1-compile/N-2-replay counters, the frozen predictor, and resume and
-# jobs=4 parity with plans on.
-python -m pytest -x -q tests/core/test_surrogate_plan.py
+# the 1-compile/N−1-replay counters, the frozen predictor, and resume and
+# jobs=4 parity with plans on.  Supernet searches compile nothing, and the
+# stand-alone trainer's replayed conv step matches its eager step bit for
+# bit.
+python -m pytest -x -q tests/core/test_surrogate_plan.py \
+    tests/core/test_lightnas.py::TestSupernetSearch::test_supernet_search_compiles_no_plans \
+    tests/eval/test_trainer.py::TestPlanParity
 
 # The conv fast-path contract: gradient checks for every specialized kernel
 # plus the golden-trajectory test pinning the float64 engine bit-identical.

@@ -754,12 +754,6 @@ def cmd_trace_summary(args) -> int:
                          f"{plans.get('kernels_fused', 0)} bound, "
                          f"{plans.get('fusion_rejected', 0)} rejected by "
                          f"bitwise probe"])
-            rows.append(["epoch plans",
-                         f"{plans.get('epoch_plans_compiled', 0)} compiled, "
-                         f"{plans.get('epoch_plan_hits', 0)} whole-epoch "
-                         f"replays, "
-                         f"{plans.get('epoch_plan_invalidations', 0)} "
-                         f"invalidated"])
         print(render_table(["field", "value"], rows,
                            title=f"run {index + 1}/{len(runs)}"))
         if args.ops:
@@ -1274,14 +1268,14 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
                         help="record per-op wall time in the journal epochs "
                              "(view with: repro trace-summary --ops)")
     parser.add_argument("--no-plans", action="store_true",
-                        help="disable compiled step plans (trace-once/"
-                             "replay-many execution); the eager engine "
-                             "computes bit-identical results, just slower")
+                        help="run the surrogate alpha-step eagerly instead "
+                             "of compiling it once and replaying it (supernet "
+                             "steps always run eagerly); results are "
+                             "bit-identical, just slower")
     parser.add_argument("--no-fusion", action="store_true",
-                        help="disable fused replay kernels and whole-epoch "
-                             "compilation (plans still replay unfused, "
-                             "bit-identically); use to isolate a suspected "
-                             "fusion issue")
+                        help="replay the compiled surrogate alpha-step "
+                             "unfused (bit-identically); use to isolate a "
+                             "suspected fusion issue")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -67,51 +67,6 @@ class GumbelSampler:
         """
         return F.gumbel_noise(shape, self.rng)
 
-    def predraw_epoch(self, alpha: nn.Tensor, step: int,
-                      n_draws: int) -> Tuple[list, list]:
-        """Pre-draw one epoch's hard gates and path selections upfront.
-
-        Valid whenever ``alpha`` is frozen for the whole epoch (w-epochs:
-        the weight phase never updates α).  The sampler RNG advances by
-        exactly the same ``n_draws`` uniform calls the per-step in-line
-        draws would have made, and each gate matrix comes from the same
-        :meth:`sample_gates` chain a per-step draw runs — in the caller's
-        dtype scope — so the stream *and* the sampled paths are
-        bit-identical to drawing lazily.  Returns ``(gates, sels)`` with
-        ``gates`` a list of hard one-hot arrays and ``sels`` their
-        per-layer argmax tuples; epoch plans key on ``tuple(sels)``.
-        """
-        gates, sels = [], []
-        with nn.no_grad():
-            frozen = alpha.detach()
-            for _ in range(n_draws):
-                _, hard = self.sample_gates(frozen, step)
-                gates.append(hard.data)
-                sels.append(tuple(int(k) for k in
-                                  np.argmax(hard.data, axis=1)))
-        return gates, sels
-
-    def selection_signature(self, alpha_data: np.ndarray, step: int,
-                            noise: Optional[np.ndarray]) -> Tuple[int, ...]:
-        """The per-layer argmax the sampled gates will select, computed with
-        raw numpy replicating the op chain bit-for-bit.
-
-        Float softmax chains are not monotonicity-safe, so the plan key must
-        come from the *exact* arithmetic the traced step performs:
-        log-softmax, additive noise, ``* (1/τ)``, then the stable softmax —
-        the same shift/exp/sum sequence :func:`repro.nn.functional.softmax`
-        lowers to.  Engines key compiled plans on this signature so a replay
-        can never silently follow a stale single-path selection.
-        """
-        a = np.asarray(alpha_data)
-        shifted = a - a.max(axis=-1, keepdims=True)
-        lp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        pert = lp if noise is None else lp + np.asarray(noise, dtype=a.dtype)
-        pert = pert * (1.0 / self.schedule.at(step))
-        s2 = pert - pert.max(axis=-1, keepdims=True)
-        soft = np.exp(s2) / np.exp(s2).sum(axis=-1, keepdims=True)
-        return tuple(int(k) for k in np.argmax(soft, axis=-1))
-
     def sample_gates(self, alpha: nn.Tensor, step: int,
                      deterministic: bool = False,
                      noise: Optional[np.ndarray] = None,

@@ -109,18 +109,18 @@ class LightNASConfig:
     compute_dtype: str = "float64"
     #: when True, per-op wall time is profiled and journalled every epoch
     profile_ops: bool = False
-    #: compile train/α/warmup steps into trace-once/replay-many plans
-    #: (a surrogate search compiles one α-step plan; bit-identical to the
-    #: eager engine; ``False`` or the ``repro.nn.plans(False)`` context
-    #: runs the same step functions eagerly)
+    #: compile the surrogate α-step into a trace-once/replay-many plan (one
+    #: compile, then a replay on every later step; bit-identical to the
+    #: eager engine).  Supernet steps always run eagerly: their ops follow
+    #: the sampled Gumbel path, which rarely repeats.  ``False`` or the
+    #: ``repro.nn.plans(False)`` context runs the surrogate step eagerly too
     use_plans: bool = True
-    #: fuse replayed kernels (conv/BN folding, elementwise chain packing,
-    #: stacked multi-path 1×1 convs) and compile whole epochs into chained
-    #: replay schedules.  Every fused site is accepted only after a
-    #: build-time bitwise probe, so results are identical either way; set
-    #: ``False`` (or pass ``--no-fusion`` on the CLI, or wrap in
-    #: ``repro.nn.fusion(False)``) to replay unfused plans when isolating a
-    #: suspected fusion issue.  Excluded from the config fingerprint:
+    #: fuse the replayed surrogate α-step's kernels (elementwise chain
+    #: packing).  Every fused site is accepted only after a build-time
+    #: bitwise probe, so results are identical either way; set ``False``
+    #: (or pass ``--no-fusion`` on the CLI, or wrap in
+    #: ``repro.nn.fusion(False)``) to replay an unfused plan when isolating
+    #: a suspected fusion issue.  Excluded from the config fingerprint:
     #: checkpoints are interchangeable across this flag.
     use_fusion: bool = True
 
@@ -182,42 +182,6 @@ class LightNASConfig:
         return cls(**defaults)
 
 
-class _EpochPlan:
-    """A whole epoch compiled as a chain of step-plan replays.
-
-    Once every step of an epoch replays its compiled :class:`~repro.nn.plan.
-    StepPlan`, the epoch itself becomes a flat schedule: per step, one plan
-    replay plus the pre-bound in-place optimizer updates for exactly the
-    leaves that plan produces gradients for.  Replaying the chain skips the
-    per-step plan-cache probe, ``zero_grad`` sweeps (leaf slots are
-    overwritten by each replay's gradient assignment), and optimizer
-    ``grad is None`` scans.  Instances live in the owning
-    :class:`~repro.nn.plan.StepProgram`'s epoch-plan LRU, so they share its
-    capacity budget and journal counters.
-
-    ``sels`` bakes the per-step sampled paths: w-epochs key on them (a new
-    selection sequence is simply a different epoch plan), while α-epochs
-    verify them step-by-step against the live selection signature and
-    invalidate gracefully on drift.  A chained step plan that was evicted
-    from the LRU (``plan.released``) poisons the whole epoch plan — its
-    arena buffers may have been reused — so holders must check
-    :meth:`stale` before replaying.
-    """
-
-    __slots__ = ("kind", "step_plans", "updates", "sels")
-
-    def __init__(self, kind: str, step_plans: list, updates: list,
-                 sels: tuple) -> None:
-        self.kind = kind
-        self.step_plans = step_plans
-        self.updates = updates
-        self.sels = sels
-
-    def stale(self) -> bool:
-        """True when any chained step plan was evicted (never replay then)."""
-        return any(plan.released for plan in self.step_plans)
-
-
 class LightNAS:
     """The one-time hardware-constrained differentiable search.
 
@@ -268,10 +232,8 @@ class LightNAS:
             # float64 (default) keeps seeded searches bit-identical
             with nn.dtype_scope(config.compute_dtype):
                 self.supernet = SuperNet(self.space, self.rng)
-        # one plan cache covers all step kinds; keys are prefixed with the
-        # step family ("w" / "alpha" / "warmup") plus, for supernet steps,
-        # the sampled path and batch shape, so Gumbel samples re-hit their
-        # compiled plan
+        # compiles the surrogate α-step; supernet steps run through its
+        # eager fallback (their sampled paths rarely repeat)
         self.programs = nn.StepProgram("lightnas")
 
     def _default_predictor(self) -> MLPPredictor:
@@ -537,88 +499,20 @@ class LightNAS:
         """One epoch of supernet weight training on the train fold."""
         cfg = self.config
         self.supernet.train(True)
-        if not cfg.use_plans:
-            with nn.dtype_scope(cfg.compute_dtype):
-                for _ in range(cfg.steps_per_epoch):
-                    batch = self.task.sample_batch(self.task.train,
-                                                   cfg.batch_size)
-                    with nn.no_grad():
-                        _, gates_const = sampler.sample_gates(
-                            alpha.detach(), epoch)
-                    logits = self.supernet.forward_single_path(
-                        nn.Tensor(batch.images), nn.Tensor(gates_const.data)
-                    )
-                    loss = F.cross_entropy(logits, batch.labels)
-                    w_opt.zero_grad()
-                    loss.backward()
-                    w_opt.step()
-            return
-        num_classes = self.space.macro.num_classes
-        with nn.dtype_scope(cfg.compute_dtype), \
-                nn.plan.fusion(cfg.use_fusion):
-            # α is frozen for the whole w-epoch, so the epoch's Gumbel
-            # draws can be hoisted upfront (same RNG calls, same order —
-            # batches come from the task's independent stream) and the
-            # selection sequence becomes the epoch identity: once every
-            # step of a sequence has a compiled plan, the epoch itself
-            # replays as one flat chain of plan replays + in-place
-            # optimizer updates, skipping per-step cache probes,
-            # zero_grad sweeps, and grad-None scans.
-            gates_list, sels = sampler.predraw_epoch(
-                alpha, epoch, cfg.steps_per_epoch)
-            epoch_key = ("w-epoch", tuple(sels), cfg.batch_size)
-            ep = self.programs.epoch_plan(epoch_key)
-            if ep is not None and ep.stale():
-                self.programs.invalidate_epoch_plan(epoch_key)
-                ep = None
-            if ep is not None:
-                prof = nn.profiler.active_profile()
-                for plan, updates in zip(ep.step_plans, ep.updates):
-                    batch = self.task.sample_batch(self.task.train,
-                                                   cfg.batch_size)
-                    targets = F.one_hot(batch.labels, num_classes)
-                    plan.replay({"images": batch.images,
-                                 "targets": targets}, prof)
-                    self.programs.replays += 1
-                    w_opt.begin_step()
-                    for update in updates:
-                        update()
-                self.programs.epoch_plan_hits += 1
-                return
-            chained = []
-            for sel, gates_arr in zip(sels, gates_list):
-                batch = self.task.sample_batch(self.task.train,
-                                               cfg.batch_size)
-                # hard gates are exactly one-hot, so the sampled path is
-                # the whole story: steps with the same selections replay
-                # the same compiled plan regardless of epoch / temperature
-                targets = F.one_hot(batch.labels, num_classes)
-
-                def fn(ts, gates_arr=gates_arr):
-                    logits = self.supernet.forward_single_path(
-                        ts["images"], nn.Tensor(gates_arr))
-                    return {"loss": F.cross_entropy(
-                        logits, targets=ts["targets"])}
-
+        with nn.dtype_scope(cfg.compute_dtype):
+            for _ in range(cfg.steps_per_epoch):
+                batch = self.task.sample_batch(self.task.train, cfg.batch_size)
+                with nn.no_grad():
+                    _, gates_const = sampler.sample_gates(alpha.detach(), epoch)
+                # drop the previous step's gradients before the forward, so
+                # its buffers are free for reuse
                 w_opt.zero_grad()
-                self.programs.run(
-                    ("w", sel, batch.images.shape),
-                    {"images": batch.images, "targets": targets}, fn)
+                logits = self.supernet.forward_single_path(
+                    nn.Tensor(batch.images), nn.Tensor(gates_const.data)
+                )
+                loss = F.cross_entropy(logits, batch.labels)
+                loss.backward()
                 w_opt.step()
-                if self.programs.last_event == "replay":
-                    chained.append(self.programs.last_plan)
-            if len(chained) == cfg.steps_per_epoch:
-                # every step replayed a compiled plan → the epoch is fully
-                # compiled; bind each plan's gradient leaves to their
-                # in-place SGD updates and cache the chain
-                updates = [
-                    w_opt.bind_param_updates(
-                        [t for t, _ in plan._leaf_assigns])
-                    for plan in chained
-                ]
-                self.programs.store_epoch_plan(
-                    epoch_key,
-                    _EpochPlan("w", chained, updates, tuple(sels)))
 
     def _update_alpha_epoch(self, sampler: GumbelSampler, alpha: nn.Parameter,
                             alpha_opt: nn.Optimizer, lam: LagrangeMultiplier,
@@ -635,9 +529,9 @@ class LightNAS:
         loss_sum = 0.0
 
         # The one α-step, run by ``self.programs`` as an eager step, a
-        # trace, or a replay (``use_plans=False`` → always eager).  The
-        # per-step randomness (Gumbel noise, validation batch) and the
-        # annealed 1/τ are plan *inputs*.  The latency term uses the
+        # trace, or a replay (supernet mode or ``use_plans=False`` → always
+        # eager).  The per-step randomness (Gumbel noise, validation batch)
+        # and the annealed 1/τ are plan *inputs*.  The latency term uses the
         # *deterministic* binarisation of α: Eq. (4) defines the
         # architecture encoded by α as the per-layer argmax, so LAT(α) is
         # the latency of that architecture, not of the Gumbel sample (with
@@ -659,79 +553,35 @@ class LightNAS:
             return {"loss": loss, "valid_loss": valid_loss}
 
         # Surrogate steps trace the same fixed L×K gate program whatever
-        # path is sampled, so one constant key replays on every step.  A
-        # supernet step's ops follow the sampled single path, so its key
-        # carries the bit-exact selection signature (a replay can never
-        # follow a stale selection) and the batch shape.
-        #
-        # Supernet α-epochs additionally chain into an *optimistic* epoch
-        # plan: α moves every step, so the selection sequence cannot be
-        # predrawn; the chain bakes the sequence observed when it was
-        # assembled and each step verifies the live signature against it —
-        # a mismatch invalidates the chain gracefully (counted, never
-        # wrong) and the rest of the epoch runs per-step.
-        epoch_key = ("alpha-epoch", cfg.batch_size)
-        ep = None
-        if supernet and cfg.use_plans:
-            ep = self.programs.epoch_plan(epoch_key)
-            if ep is not None and ep.stale():
-                self.programs.invalidate_epoch_plan(epoch_key)
-                ep = None
-        prof = nn.profiler.active_profile()
-        chained = []
-        with (nullcontext() if cfg.use_plans else nn.plans(False)), \
+        # path is sampled, so one constant key compiles once and replays on
+        # every later step.  A supernet step's ops follow the sampled single
+        # path, which rarely comes round again, so a plan keyed on it would
+        # almost never replay: supernet steps run eagerly.
+        compiled = cfg.use_plans and not supernet
+        with (nullcontext() if compiled else nn.plans(False)), \
                 nn.plan.fusion(cfg.use_fusion), \
                 (nn.dtype_scope(cfg.compute_dtype) if supernet
                  else nullcontext()):
-            for i in range(cfg.steps_per_epoch):
+            for _ in range(cfg.steps_per_epoch):
                 noise = sampler.draw_noise(alpha.shape)
                 inputs = {"noise": noise,
                           "inv_tau": 1.0 / sampler.schedule.at(epoch)}
-                key = ("alpha",)
+                alpha_opt.zero_grad()
+                lam.param.zero_grad()
                 if supernet:
-                    sel = sampler.selection_signature(alpha.data, epoch, noise)
-                    if ep is not None and sel != ep.sels[i]:
-                        self.programs.invalidate_epoch_plan(epoch_key)
-                        ep = None
                     self.supernet.train(True)
+                    # the α-step backward reaches the supernet weights
+                    self.supernet.zero_grad()
                     batch = self.task.sample_batch(self.task.valid,
                                                    cfg.batch_size)
                     inputs["images"] = batch.images
                     inputs["targets"] = F.one_hot(
                         batch.labels, self.space.macro.num_classes)
-                    key = ("alpha", sel, batch.images.shape)
-                if ep is not None:
-                    out = ep.step_plans[i].replay(inputs, prof)
-                    self.programs.replays += 1
-                    alpha_opt.begin_step()
-                    for update in ep.updates[i]:
-                        update()
-                else:
-                    alpha_opt.zero_grad()
-                    lam.param.zero_grad()
-                    if supernet:
-                        # the α-step backward reaches the supernet weights;
-                        # a trace's leaf slots want a clean start
-                        self.supernet.zero_grad()
-                    out = self.programs.run(key, inputs, fn)
-                    if supernet and self.programs.last_event == "replay":
-                        chained.append((sel, self.programs.last_plan))
-                    alpha_opt.step()
+                out = self.programs.run(("alpha",), inputs, fn)
+                alpha_opt.step()
                 loss_sum += float(out["valid_loss"])
                 lam.ascend()
                 steps += 1
-        if ep is not None:
-            self.programs.epoch_plan_hits += 1
-        elif supernet and len(chained) == cfg.steps_per_epoch:
-            # every step replayed and the chain spans the whole epoch (an
-            # epoch that started on a — since invalidated — chain cannot
-            # reassemble this epoch: its early steps left no plan record)
-            alpha_updates = alpha_opt.bind_param_updates([alpha])
-            self.programs.store_epoch_plan(
-                epoch_key,
-                _EpochPlan("alpha", [plan for _, plan in chained],
-                           [alpha_updates] * len(chained),
-                           tuple(s for s, _ in chained)))
         return steps, loss_sum / max(steps, 1)
 
     def _warmup_valid_loss(self, sampler: GumbelSampler, alpha: nn.Parameter,
@@ -753,29 +603,6 @@ class LightNAS:
         was_training = self.supernet.training
         self.supernet.eval()
         try:
-            if cfg.use_plans:
-                # forward-only plan (grad=False): BatchNorm eval statistics
-                # enter through standing views + replay effects, so the
-                # replayed eval tracks the training running stats exactly
-                gates_arr = gates.data
-                sel = tuple(int(k) for k in np.argmax(gates_arr, axis=1))
-                with nn.dtype_scope(cfg.compute_dtype), \
-                        nn.plan.fusion(cfg.use_fusion):
-                    targets = F.one_hot(batch.labels,
-                                        self.space.macro.num_classes)
-
-                    def fn(ts, gates_arr=gates_arr):
-                        with nn.no_grad():
-                            logits = self.supernet.forward_single_path(
-                                ts["images"], nn.Tensor(gates_arr))
-                            return {"loss": F.cross_entropy(
-                                logits, targets=ts["targets"])}
-
-                    out = self.programs.run(
-                        ("warmup", sel, batch.images.shape),
-                        {"images": batch.images, "targets": targets}, fn,
-                        grad=False)
-                return float(out["loss"])
             # no_grad + tape-free ops: this eval allocates zero closures
             with nn.dtype_scope(cfg.compute_dtype), nn.no_grad():
                 logits = self.supernet.forward_single_path(

@@ -11,6 +11,7 @@ oracle instead (see :mod:`repro.eval.imagenet`).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -80,10 +81,12 @@ def train_standalone(
     runs bit-identical to the historical engine.  ``use_plans`` compiles
     the fixed train step into a trace-once/replay-many plan (bit-identical
     — Dropout masks and BatchNorm statistics advance through replay
-    effects exactly as the eager tape would).
+    effects exactly as the eager tape would); ``False`` runs the same step
+    eagerly.
     """
     rng = np.random.default_rng(seed)
-    with nn.dtype_scope(compute_dtype):
+    with nn.dtype_scope(compute_dtype), \
+            (nullcontext() if use_plans else nn.plans(False)):
         model = build_standalone(space, arch, rng, dropout=dropout,
                                  with_se_last=with_se_last)
         optimizer = nn.SGD(model.parameters(), lr=base_lr, momentum=0.9,
@@ -95,7 +98,7 @@ def train_standalone(
         )
         # the architecture is fixed, so one plan per batch shape covers the
         # whole run (the ragged last batch gets its own key)
-        program = nn.StepProgram("standalone", compile_threshold=1)
+        program = nn.StepProgram("standalone")
         num_classes = space.macro.num_classes
 
         def step_fn(ts):
@@ -107,22 +110,13 @@ def train_standalone(
             schedule.apply(optimizer, epoch)
             epoch_loss, batches = 0.0, 0
             for batch in task.batches(task.train, batch_size):
-                if use_plans:
-                    targets = F.one_hot(batch.labels, num_classes)
-                    optimizer.zero_grad()
-                    out = program.run(
-                        ("train", batch.images.shape),
-                        {"images": batch.images, "targets": targets},
-                        step_fn)
-                    optimizer.step()
-                    epoch_loss += float(out["loss"])
-                else:
-                    logits = model(nn.Tensor(batch.images))
-                    loss = F.cross_entropy(logits, batch.labels)
-                    optimizer.zero_grad()
-                    loss.backward()
-                    optimizer.step()
-                    epoch_loss += loss.item()
+                targets = F.one_hot(batch.labels, num_classes)
+                optimizer.zero_grad()
+                out = program.run(
+                    ("train", batch.images.shape),
+                    {"images": batch.images, "targets": targets}, step_fn)
+                optimizer.step()
+                epoch_loss += float(out["loss"])
                 batches += 1
             losses.append(epoch_loss / max(batches, 1))
         return TrainReport(

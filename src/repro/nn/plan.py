@@ -1631,7 +1631,6 @@ class StepPlan:
         self.replays = 0
         self.fused_kernels = 0
         self.fusion_rejected = 0
-        self.released = False
         self._fwd: List[Tuple[str, Callable[[], None]]] = []
         self._bwd: List[Tuple[str, Callable[[], None]]] = []
         #: per-kernel (kind, written-buffers) for the chain packer; None
@@ -1669,7 +1668,6 @@ class StepPlan:
 
     def release(self) -> None:
         """Return workspaces to the arena pool and drop adopted accounting."""
-        self.released = True
         for arr in self._scratch:
             self.arena.release(arr)
         self._scratch = []
@@ -1976,42 +1974,28 @@ class StepProgram:
     receives ``{name: Tensor}`` and must return ``{name: Tensor}`` with a
     ``"loss"`` entry when ``grad=True``; returned arrays are plan-owned.
 
-    Tracing costs a couple of eager steps' worth of work, so a key is only
-    compiled once it has been seen ``compile_threshold`` times — earlier
-    sightings run eagerly (bit-identical).  That keeps exploration phases
-    (near-uniform Gumbel sampling, where paths rarely repeat) at eager
-    speed while converged phases replay compiled plans.  Set
-    ``compile_threshold=1`` to compile on first sight.
+    A key compiles on first sight, so callers should pass keys that come
+    round again (a fixed step graph); a step whose ops change every time
+    belongs under :func:`plans` ``(False)``.
     """
 
-    def __init__(self, name: str = "step", capacity: int = 32,
-                 compile_threshold: int = 2) -> None:
+    def __init__(self, name: str = "step", capacity: int = 32) -> None:
         self.name = name
         self.capacity = max(1, int(capacity))
-        self.compile_threshold = max(1, int(compile_threshold))
         self.arena = BufferArena()
         self._plans: "OrderedDict[tuple, StepPlan]" = OrderedDict()
-        self._seen: "OrderedDict[tuple, int]" = OrderedDict()
-        self._epoch_plans: "OrderedDict[tuple, Any]" = OrderedDict()
         self.plans_compiled = 0
         self.replays = 0
         self.eager_steps = 0
         self.evictions = 0
         self.kernels_fused = 0
         self.fusion_rejected = 0
-        self.epoch_plans_compiled = 0
-        self.epoch_plan_hits = 0
-        self.epoch_plan_invalidations = 0
-        #: what the last run() did ("replay" | "compile" | "eager") and the
-        #: plan it used — epoch-plan assembly reads these
-        self.last_event: str = "eager"
-        self.last_plan: Optional[StepPlan] = None
 
     def __len__(self) -> int:
         return len(self._plans)
 
     def stats(self) -> Dict[str, int]:
-        """Counters for journals/benchmarks (see ISSUE acceptance list)."""
+        """Counters for journals and benchmarks."""
         return {
             "plans_compiled": self.plans_compiled,
             "replays": self.replays,
@@ -2022,46 +2006,19 @@ class StepProgram:
             "arena_bytes": self.arena.total_bytes(),
             "kernels_fused": self.kernels_fused,
             "fusion_rejected": self.fusion_rejected,
-            "epoch_plans_compiled": self.epoch_plans_compiled,
-            "epoch_plan_hits": self.epoch_plan_hits,
-            "epoch_plan_invalidations": self.epoch_plan_invalidations,
         }
 
     def clear(self) -> None:
         """Drop every cached plan (workspaces return to the arena pool)."""
-        self._epoch_plans.clear()
         while self._plans:
             _, plan = self._plans.popitem(last=False)
             plan.release()
             self.evictions += 1
 
-    # -- epoch plans ---------------------------------------------------
-    # Whole-epoch schedules (see core.lightnas._EpochPlan) are keyed here
-    # so they share the LRU budget and the journal/trace-summary counters
-    # with the per-step plans they chain.
-    def epoch_plan(self, key):
-        """The cached epoch plan for ``key``, or None (LRU-refreshing)."""
-        ep = self._epoch_plans.get(key)
-        if ep is not None:
-            self._epoch_plans.move_to_end(key)
-        return ep
-
-    def store_epoch_plan(self, key, ep) -> None:
-        self._epoch_plans[key] = ep
-        self.epoch_plans_compiled += 1
-        while len(self._epoch_plans) > self.capacity:
-            self._epoch_plans.popitem(last=False)
-
-    def invalidate_epoch_plan(self, key) -> None:
-        """Drop one epoch plan (baked path drifted / step plan evicted)."""
-        self._epoch_plans.pop(key, None)
-        self.epoch_plan_invalidations += 1
-
     def run(self, key, inputs: Dict[str, np.ndarray], fn,
             grad: bool = True) -> Dict[str, np.ndarray]:
         if not _PlanMode.enabled:
             self.eager_steps += 1
-            self.last_event, self.last_plan = "eager", None
             return self._eager_step(inputs, fn, grad)
         if ops._TRACER is not None:
             raise PlanError("StepProgram.run cannot nest inside an active "
@@ -2074,23 +2031,12 @@ class StepProgram:
             self._plans.move_to_end(full_key)
             result = plan.replay(inputs, profiler.active_profile())
             self.replays += 1
-            self.last_event, self.last_plan = "replay", plan
             return result
-        count = self._seen.get(full_key, 0) + 1
-        self._seen[full_key] = count
-        self._seen.move_to_end(full_key)
-        while len(self._seen) > 64 * self.capacity:
-            self._seen.popitem(last=False)
-        if count < self.compile_threshold:
-            self.eager_steps += 1
-            self.last_event, self.last_plan = "eager", None
-            return self._eager_step(inputs, fn, grad)
         plan, result = self._trace(inputs, fn, grad, dtype)
         self._plans[full_key] = plan
         self.plans_compiled += 1
         self.kernels_fused += plan.fused_kernels
         self.fusion_rejected += plan.fusion_rejected
-        self.last_event, self.last_plan = "compile", plan
         while len(self._plans) > self.capacity:
             _, evicted = self._plans.popitem(last=False)
             evicted.release()

@@ -8,7 +8,6 @@ stands in for the paper's 360-epoch ImageNet retraining protocol.
 
 from .accuracy_model import AccuracyOracle, EvalResult
 from .dataset import Batch, SyntheticTask
-from .fairness import FairnessReport, StrictFairnessTrainer
 from .supernet import SuperNet, build_standalone
 
 __all__ = [
@@ -17,7 +16,5 @@ __all__ = [
     "Batch",
     "SyntheticTask",
     "SuperNet",
-    "FairnessReport",
-    "StrictFairnessTrainer",
     "build_standalone",
 ]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.lightnas import LightNAS, LightNASConfig
 from repro.hardware.latency import LatencyModel
+from repro.runtime.telemetry import RunJournal, read_journal
 from repro.search_space.macro import MacroConfig
 from repro.search_space.space import SearchSpace
 
@@ -179,6 +180,25 @@ class TestSupernetSearch:
         result = engine.search()
         # only (epochs - warmup) epochs contribute α steps
         assert result.num_search_steps == (4 - 3) * 2
+
+    def test_supernet_search_compiles_no_plans(self, tiny_predictor,
+                                               tmp_path):
+        """Supernet steps follow the sampled Gumbel path, which rarely
+        repeats, so they run eagerly: a full tiny search compiles nothing
+        and holds no arena (seed 1 once compiled 3 plans into 90 MB)."""
+        journal = RunJournal(str(tmp_path / "run.jsonl"))
+        engine = LightNAS(LightNASConfig.tiny(latency_target_ms=1.0, seed=1),
+                          predictor=tiny_predictor)
+        result = engine.search(journal=journal)
+        journal.close()
+        (run_end,) = [e for e in read_journal(journal.path)
+                      if e["event"] == "run_end"]
+        stats = run_end["plan_stats"]
+        assert stats["plans_compiled"] == 0
+        assert stats["arena_bytes"] == 0
+        assert stats["replays"] == 0
+        # the α-step runs through StepProgram's eager fallback
+        assert stats["eager_steps"] == result.num_search_steps
 
     def test_default_predictor_built_when_missing(self):
         cfg = LightNASConfig.tiny(latency_target_ms=2.3, seed=2,

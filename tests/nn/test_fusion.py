@@ -83,7 +83,7 @@ def run_mode(mode, dtype="float64", steps=4):
         if mode == "eager":
             losses = train_steps(model, opt, xs, labels)
             return losses, model.state_dict(), None
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         with nn.fusion(mode == "fused"):
             losses = train_steps(model, opt, xs, labels, program)
         return losses, model.state_dict(), program
@@ -137,7 +137,7 @@ class TestFusedBitParity:
         outs["loss"].backward()
 
         plan_convs = build()
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         with nn.fusion(True):
             program.run(("k", x.shape), {"x": x},
                         lambda ts: compute(plan_convs, ts["x"]))
@@ -190,7 +190,7 @@ class TestBatchNormFoldParity:
             eager = fwd(eager_model, nn.Tensor(x))["out"].data.copy()
 
         plan_model = build()
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         with nn.dtype_scope(dtype), nn.fusion(True):
             program.run(("e", x.shape), {"x": x},
                         lambda ts: fwd(plan_model, ts["x"]), grad=False)
@@ -217,7 +217,7 @@ class TestBatchNormFoldParity:
             with nn.no_grad():
                 return {"out": ops.mean(model(ts["x"]))}
 
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         with nn.dtype_scope("float32"), nn.fusion(True):
             program.run(("e", x.shape), {"x": x}, fwd, grad=False)
             bn = model.layers[1]
@@ -233,7 +233,7 @@ class TestFusionInvalidation:
     def test_rebound_bn_param_raises_under_fusion(self):
         model = make_dw_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         rng_x = np.random.default_rng(3)
         xs = [rng_x.normal(size=(4, 3, 6, 6))]
         labels = rng_x.integers(0, 5, size=4)
@@ -247,7 +247,7 @@ class TestFusionInvalidation:
     def test_shape_change_under_same_key_raises(self):
         model = make_dw_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         rng_x = np.random.default_rng(3)
         labels = rng_x.integers(0, 5, size=4)
         targets = F.one_hot(labels, 5)

@@ -79,8 +79,7 @@ def run_pair(dtype="float64", steps=4, fast=True):
         with nn.dtype_scope(dtype), ops.fast_kernels(fast):
             model = make_model(np.random.default_rng(0), dtype)
             opt = nn.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            program = (StepProgram("t", compile_threshold=1)
-                       if planned else None)
+            program = StepProgram("t") if planned else None
             losses = train_steps(model, opt, xs, labels, program)
             results.append((losses, model.state_dict()))
     return results
@@ -107,7 +106,7 @@ class TestReplayBitParity:
         labels = rng_x.integers(0, 5, size=4)
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         train_steps(model, opt, xs[:1], labels, program)  # compile
         before = nn.tensor_allocations()
         train_steps(model, opt, xs[1:], labels, program)  # replays
@@ -134,7 +133,7 @@ class TestReplayBitParity:
         outs["loss"].backward()
 
         pa, pb, pw = build()
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         program.run(("k", x.shape), {"x": x},
                     lambda ts: compute(pa, pb, pw, ts["x"]))
         # replay once more on the same inputs: grads must not accumulate
@@ -152,7 +151,7 @@ class TestInvalidation:
     def _program_with_plan(self):
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         rng_x = np.random.default_rng(3)
         xs = [rng_x.normal(size=(4, 3, 6, 6))]
         labels = rng_x.integers(0, 5, size=4)
@@ -202,7 +201,7 @@ class TestInvalidation:
         xs = [rng_x.normal(size=(4, 3, 6, 6))]
         labels = rng_x.integers(0, 5, size=4)
         train_steps(model, None if False else opt, xs, labels)  # eager step
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         with pytest.raises(PlanError, match="zero_grad"):
             # eager left .grad set on every parameter; tracing demands a
             # clean slate — train_steps zeroes before run, so call run raw
@@ -214,7 +213,7 @@ class TestInvalidation:
     def test_lru_eviction_recycles_workspaces(self):
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", capacity=2, compile_threshold=1)
+        program = StepProgram("t", capacity=2)
         rng_x = np.random.default_rng(3)
         labels = rng_x.integers(0, 5, size=4)
         for n in (2, 3, 4, 5):  # four distinct batch shapes, capacity 2
@@ -239,7 +238,7 @@ class TestInvalidation:
             picked = hard[0]  # getitem on the STE output → guarded
             return {"loss": ops.mean(picked * picked)}
 
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         scores = np.array([[3.0, 1.0, 0.5],
                            [0.2, 2.0, 0.1],
                            [0.3, 0.4, 4.0]])
@@ -254,7 +253,7 @@ class TestProgramModes:
     def test_plans_context_falls_back_to_eager(self):
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         rng_x = np.random.default_rng(3)
         xs = [rng_x.normal(size=(4, 3, 6, 6))]
         labels = rng_x.integers(0, 5, size=4)
@@ -266,22 +265,9 @@ class TestProgramModes:
         assert stats["eager_steps"] == 1
         assert stats["plans_compiled"] == 0
 
-    def test_compile_threshold_defers_tracing(self):
-        model = make_model(np.random.default_rng(0))
-        opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=2)
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6)) for _ in range(3)]
-        labels = rng_x.integers(0, 5, size=4)
-        train_steps(model, opt, xs, labels, program)
-        stats = program.stats()
-        assert stats["eager_steps"] == 1   # first sighting stays eager
-        assert stats["plans_compiled"] == 1  # second sighting traces
-        assert stats["replays"] == 1       # third replays
-
     def test_nested_trace_rejected(self):
-        program = StepProgram("t", compile_threshold=1)
-        inner = StepProgram("i", compile_threshold=1)
+        program = StepProgram("t")
+        inner = StepProgram("i")
         p = nn.Parameter(np.ones(3), name="p")
 
         def fn(ts):
