@@ -13,6 +13,10 @@ python -m pytest -x -q tests/core/test_resume_parity.py \
     tests/core/test_lightnas.py::TestTrajectoryValidLoss \
     tests/runtime/
 
+# Start-up contract: shipped commands load neither scipy nor the HTTP stack
+# unless they use them.
+python -m pytest -x -q tests/integration/test_startup.py
+
 # Surrogate searches compile one α-step plan: plans on vs off bit-identity,
 # the 1-compile/N−1-replay counters, the frozen predictor, and resume and
 # jobs=4 parity with plans on.  Supernet searches compile nothing, and the

@@ -7,12 +7,13 @@
 * :mod:`repro.archive.cache` — :class:`EvalCache`, the memoizing layer the
   search baselines evaluate through.
 * :mod:`repro.archive.service` — the batched JSON API behind
-  ``python -m repro serve``.
+  ``python -m repro serve``.  It pulls in the HTTP stack (``http.server``,
+  ``email``, ``ssl``), so it loads on first access to one of its names
+  rather than with the package.
 """
 
 from .cache import EvalCache, model_fingerprint, oracle_fingerprint
 from .query import describe_rows, hamming_neighbors, pareto_rows, top_k
-from .service import ArchiveService, BatchingPredictor, make_server
 from .store import (
     ArchitectureArchive,
     ArchiveError,
@@ -40,3 +41,13 @@ __all__ = [
     "repair_archive",
     "top_k",
 ]
+
+_SERVICE_NAMES = frozenset({"ArchiveService", "BatchingPredictor", "make_server"})
+
+
+def __getattr__(name):
+    if name in _SERVICE_NAMES:
+        from . import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,6 @@ heating device.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..search_space.space import Architecture, SearchSpace
 from . import flops
@@ -106,6 +105,10 @@ class EnergyMeter:
         the meter's drift state advances as if each architecture had been
         measured in sequence.
         """
+        # Imported here, not at module level: scipy.signal costs ~1 s of
+        # start-up and only energy campaigns reach this call.
+        from scipy.signal import lfilter
+
         d = self.model.device
         true = self.model.energy_many(archs)
         if len(true) == 0:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["rmse", "mae", "kendall_tau", "spearman_rho", "max_error"]
 
@@ -26,11 +25,16 @@ def max_error(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def kendall_tau(pred: np.ndarray, truth: np.ndarray) -> float:
     """Kendall rank correlation — what matters for search is ranking."""
+    # scipy.stats is imported on first use so searches never load it.
+    from scipy import stats
+
     tau = stats.kendalltau(pred, truth).statistic
     return float(tau)
 
 
 def spearman_rho(pred: np.ndarray, truth: np.ndarray) -> float:
     """Spearman rank correlation."""
+    from scipy import stats
+
     rho = stats.spearmanr(pred, truth).statistic
     return float(rho)
