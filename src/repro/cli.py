@@ -235,8 +235,7 @@ def cmd_search(args) -> int:
     latency_model = LatencyModel(space)
     energy_model = EnergyModel(space, latency_model=latency_model)
     overrides = {"compute_dtype": args.dtype, "profile_ops": args.profile_ops,
-                 "use_plans": not args.no_plans,
-                 "use_fusion": not args.no_fusion}
+                 "use_plans": not args.no_plans}
     if args.epochs:
         overrides["epochs"] = args.epochs
     try:
@@ -405,7 +404,6 @@ def cmd_sweep(args) -> int:
                                         compute_dtype=args.dtype,
                                         profile_ops=args.profile_ops,
                                         use_plans=not args.no_plans,
-                                        use_fusion=not args.no_fusion,
                                         **overrides)
                    for target in targets]
     except ValueError as exc:
@@ -456,7 +454,6 @@ def cmd_stability(args) -> int:
                                      compute_dtype=args.dtype,
                                      profile_ops=args.profile_ops,
                                      use_plans=not args.no_plans,
-                                     use_fusion=not args.no_fusion,
                                      **overrides)
                 for target in targets for seed in seeds]
     except ValueError as exc:
@@ -750,10 +747,6 @@ def cmd_trace_summary(args) -> int:
                          f"{plans.get('replays', 0)} replays, "
                          f"{plans.get('eager_steps', 0)} eager, "
                          f"arena {plans.get('arena_bytes', 0) / 1e6:.1f} MB"])
-            rows.append(["fused kernels",
-                         f"{plans.get('kernels_fused', 0)} bound, "
-                         f"{plans.get('fusion_rejected', 0)} rejected by "
-                         f"bitwise probe"])
         print(render_table(["field", "value"], rows,
                            title=f"run {index + 1}/{len(runs)}"))
         if args.ops:
@@ -1261,9 +1254,11 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
                              "(read it back with: repro trace-summary)")
     parser.add_argument("--dtype", choices=("float64", "float32"),
                         default="float64",
-                        help="engine compute dtype; float64 (default) keeps "
-                             "seeded runs bit-identical, float32 trades "
-                             "precision for speed")
+                        help="supernet compute dtype, for 'search --tiny' "
+                             "only; float64 (default) keeps seeded runs "
+                             "bit-identical, float32 trades precision for "
+                             "speed.  Surrogate searches always run in "
+                             "float64 and reject float32")
     parser.add_argument("--profile-ops", action="store_true",
                         help="record per-op wall time in the journal epochs "
                              "(view with: repro trace-summary --ops)")
@@ -1272,10 +1267,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
                              "of compiling it once and replaying it (supernet "
                              "steps always run eagerly); results are "
                              "bit-identical, just slower")
-    parser.add_argument("--no-fusion", action="store_true",
-                        help="replay the compiled surrogate alpha-step "
-                             "unfused (bit-identically); use to isolate a "
-                             "suspected fusion issue")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -104,8 +104,10 @@ class LightNASConfig:
 
     seed: int = 0
 
-    #: nn compute dtype — "float64" (default) is bit-identical to the
-    #: historical engine; "float32" halves memory traffic for supernet runs
+    #: nn compute dtype of the supernet — "float64" (default) is
+    #: bit-identical to the historical engine; "float32" halves memory
+    #: traffic.  Supernet mode only: the surrogate search always runs in
+    #: float64, so a surrogate config rejects "float32"
     compute_dtype: str = "float64"
     #: when True, per-op wall time is profiled and journalled every epoch
     profile_ops: bool = False
@@ -115,14 +117,6 @@ class LightNASConfig:
     #: the sampled Gumbel path, which rarely repeats.  ``False`` or the
     #: ``repro.nn.plans(False)`` context runs the surrogate step eagerly too
     use_plans: bool = True
-    #: fuse the replayed surrogate α-step's kernels (elementwise chain
-    #: packing).  Every fused site is accepted only after a build-time
-    #: bitwise probe, so results are identical either way; set ``False``
-    #: (or pass ``--no-fusion`` on the CLI, or wrap in
-    #: ``repro.nn.fusion(False)``) to replay an unfused plan when isolating
-    #: a suspected fusion issue.  Excluded from the config fingerprint:
-    #: checkpoints are interchangeable across this flag.
-    use_fusion: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("surrogate", "supernet"):
@@ -131,6 +125,13 @@ class LightNASConfig:
             raise ValueError(
                 f"unknown compute_dtype {self.compute_dtype!r}; expected "
                 "'float64' or 'float32'"
+            )
+        if self.compute_dtype != "float64" and self.mode == "surrogate":
+            raise ValueError(
+                f"compute_dtype {self.compute_dtype!r} has no effect on a "
+                f"surrogate search, which always runs in float64; --dtype "
+                f"applies only to --tiny supernet searches "
+                f"(repro search --tiny)"
             )
         if self.target <= 0:
             raise ValueError("constraint target must be positive")
@@ -559,7 +560,6 @@ class LightNAS:
         # almost never replay: supernet steps run eagerly.
         compiled = cfg.use_plans and not supernet
         with (nullcontext() if compiled else nn.plans(False)), \
-                nn.plan.fusion(cfg.use_fusion), \
                 (nn.dtype_scope(cfg.compute_dtype) if supernet
                  else nullcontext()):
             for _ in range(cfg.steps_per_epoch):

@@ -11,7 +11,6 @@ oracle instead (see :mod:`repro.eval.imagenet`).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -71,22 +70,16 @@ def train_standalone(
     with_se_last: int = 0,
     seed: int = 0,
     compute_dtype: str = "float64",
-    use_plans: bool = True,
 ) -> TrainReport:
     """Train ``arch`` from scratch on ``task`` and report accuracies.
 
     ``compute_dtype="float32"`` opts the whole run into the engine's
     reduced-precision mode (same semantics as
     ``LightNASConfig.compute_dtype``); the float64 default keeps seeded
-    runs bit-identical to the historical engine.  ``use_plans`` compiles
-    the fixed train step into a trace-once/replay-many plan (bit-identical
-    — Dropout masks and BatchNorm statistics advance through replay
-    effects exactly as the eager tape would); ``False`` runs the same step
-    eagerly.
+    runs bit-identical to the historical engine.
     """
     rng = np.random.default_rng(seed)
-    with nn.dtype_scope(compute_dtype), \
-            (nullcontext() if use_plans else nn.plans(False)):
+    with nn.dtype_scope(compute_dtype):
         model = build_standalone(space, arch, rng, dropout=dropout,
                                  with_se_last=with_se_last)
         optimizer = nn.SGD(model.parameters(), lr=base_lr, momentum=0.9,
@@ -96,15 +89,7 @@ def train_standalone(
             warmup_steps=min(warmup_epochs, epochs - 1),
             warmup_start_lr=base_lr / 5.0,
         )
-        # the architecture is fixed, so one plan per batch shape covers the
-        # whole run (the ragged last batch gets its own key)
-        program = nn.StepProgram("standalone")
         num_classes = space.macro.num_classes
-
-        def step_fn(ts):
-            logits = model(ts["images"])
-            return {"loss": F.cross_entropy(logits, targets=ts["targets"])}
-
         losses: List[float] = []
         for epoch in range(epochs):
             schedule.apply(optimizer, epoch)
@@ -112,11 +97,11 @@ def train_standalone(
             for batch in task.batches(task.train, batch_size):
                 targets = F.one_hot(batch.labels, num_classes)
                 optimizer.zero_grad()
-                out = program.run(
-                    ("train", batch.images.shape),
-                    {"images": batch.images, "targets": targets}, step_fn)
+                logits = model(nn.Tensor(batch.images))
+                loss = F.cross_entropy(logits, targets=nn.Tensor(targets))
+                loss.backward()
                 optimizer.step()
-                epoch_loss += float(out["loss"])
+                epoch_loss += float(loss.data)
                 batches += 1
             losses.append(epoch_loss / max(batches, 1))
         return TrainReport(

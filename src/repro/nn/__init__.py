@@ -29,8 +29,6 @@ from .plan import (
     BufferArena,
     PlanError,
     StepProgram,
-    fusion,
-    fusion_enabled,
     plans,
     plans_enabled,
 )
@@ -53,5 +51,4 @@ __all__ = [
     "Flatten", "SqueezeExcite",
     "Optimizer", "SGD", "Adam", "GradientAscent", "CosineSchedule",
     "plan", "PlanError", "BufferArena", "StepProgram", "plans", "plans_enabled",
-    "fusion", "fusion_enabled",
 ]

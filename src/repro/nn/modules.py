@@ -317,8 +317,7 @@ class BatchNorm2d(Module):
             # eval mode normalizes against persistent views of the live
             # running stats: the constant-wrapper Tensors are cached so
             # repeated traces of the same module guard one tensor identity
-            # instead of minting fresh wrappers per forward, and the plan
-            # fusion pass can recognize the conv → sub/div/mul/add chain
+            # instead of minting fresh wrappers per forward
             # (load_state_dict copies in place, keeping the views live)
             std_flat = getattr(self, "_eval_std", None)
             cached = getattr(self, "_eval_consts", None)

@@ -53,16 +53,6 @@ __all__ = [
 #: dispatch depthwise/1×1 convolutions to the specialized kernels
 _FAST_KERNELS = True
 
-#: op kinds whose forward/backward kernels are pure elementwise maps over
-#: already-bound buffers: recomputing one at the same inputs writes the same
-#: bits, and none reads its own previous output.  The plan fusion pass uses
-#: this set to pack adjacent replay kernels into one composite dispatch, and
-#: the profiler groups them under ``fused:<chain>`` when it happens.
-ELEMENTWISE_KINDS = frozenset({
-    "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
-    "maximum", "clip", "relu", "sigmoid", "tanh", "dropout",
-})
-
 #: the step-plan tracer currently recording primitive ops, or None; set by
 #: :mod:`repro.nn.plan` around a traced step (checked per op call like the
 #: profiler, so tracing costs nothing when off)

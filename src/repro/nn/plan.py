@@ -8,8 +8,13 @@ gradient array of the traced step is *adopted* as a plan-owned buffer; the
 replay kernels write into those exact arrays with ``out=``-style numpy
 calls, so the replayed step reuses the eager step's own memory, layouts and
 reduction orders.  In float64 a replay is therefore **bit-identical** to
-the eager engine by construction (asserted by the golden-trajectory and
+the eager engine by construction (asserted by the surrogate-plan and
 hypothesis parity tests).
+
+The compiler lowers the elementwise, reduction, matmul, indexing and
+straight-through ops a surrogate α-step uses.  Convolutions are not
+lowered: tracing one raises :class:`PlanError`, and such steps run eagerly
+under :func:`plans` ``(False)``.
 
 Architecture
 ------------
@@ -32,9 +37,8 @@ Architecture
   tracks adopted bytes and pool hit/miss counters; evicted plans release
   their workspaces back to the pool.
 * :class:`StepProgram` keys compiled plans by a caller key plus
-  ``(dtype, fast-kernels flag, grad flag)`` in an LRU cache, and falls back
-  to the plain eager step when plans are disabled (:func:`plans`,
-  ``--no-plans``, or ``REPRO_NN_PLANS=0``).
+  ``(dtype, grad flag)`` in an LRU cache, and falls back to the plain eager
+  step when plans are disabled (:func:`plans` or ``--no-plans``).
 
 Invalidation is **loud**: a replay with a changed batch shape, missing
 input, rebound parameter storage, or drifted sampled path (the STE guard)
@@ -43,7 +47,6 @@ raises :class:`PlanError` instead of silently reusing stale buffers.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -52,20 +55,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import ops, profiler
-from .tensor import Tensor, _unbroadcast, get_default_dtype
-
-try:  # numpy's 2-operand einsum fast path; guarded — the layout is private
-    from numpy._core.einsumfunc import bmm_einsum as _np_bmm_einsum
-    from numpy._core.einsumfunc import (
-        _parse_eq_to_batch_matmul as _parse_bmm)
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # pragma: no cover - older/newer numpy layouts
-    _np_bmm_einsum = None
-    _parse_bmm = None
-    _c_einsum = None
+from .tensor import Tensor, get_default_dtype
 
 __all__ = ["PlanError", "BufferArena", "StepPlan", "StepProgram", "plans",
-           "plans_enabled", "fusion", "fusion_enabled"]
+           "plans_enabled"]
 
 
 class PlanError(RuntimeError):
@@ -78,12 +71,11 @@ class PlanError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Global enable switch (default ON; REPRO_NN_PLANS=0 opts out process-wide)
+# Global enable switch (default ON)
 # ----------------------------------------------------------------------
 
 class _PlanMode:
-    enabled: bool = os.environ.get(
-        "REPRO_NN_PLANS", "1").strip().lower() not in ("0", "false", "off", "no")
+    enabled: bool = True
 
 
 def plans_enabled() -> bool:
@@ -105,36 +97,6 @@ def plans(enabled: bool = True) -> Iterator[None]:
         yield
     finally:
         _PlanMode.enabled = previous
-
-
-class _FusionMode:
-    enabled: bool = os.environ.get(
-        "REPRO_NN_FUSION", "1").strip().lower() not in (
-            "0", "false", "off", "no")
-
-
-def fusion_enabled() -> bool:
-    """Whether plan compilation runs the kernel-fusion pass."""
-    return _FusionMode.enabled
-
-
-@contextmanager
-def fusion(enabled: bool = True) -> Iterator[None]:
-    """Enable/disable the plan fusion pass inside the context.
-
-    ``fusion(False)`` keeps step plans but compiles them one traced op per
-    kernel — the escape hatch (also ``--no-fusion`` / ``REPRO_NN_FUSION=0``)
-    for isolating a suspected fusion bug or benchmarking the fusion win.
-    Fusion never changes replayed bits either way: every fused kernel is
-    gated by a build-time bitwise acceptance probe and rejected per-site on
-    any mismatch.
-    """
-    previous = _FusionMode.enabled
-    _FusionMode.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _FusionMode.enabled = previous
 
 
 # ----------------------------------------------------------------------
@@ -167,18 +129,15 @@ class BufferArena:
     def _key(shape, dtype) -> tuple:
         return (tuple(int(s) for s in shape), np.dtype(dtype).str)
 
-    def request(self, shape, dtype, zero: bool = False) -> np.ndarray:
+    def request(self, shape, dtype) -> np.ndarray:
         """A writable array of exactly ``shape``/``dtype`` (pooled if possible)."""
         key = self._key(shape, dtype)
         stack = self._pool.get(key)
         if stack:
             self.hits += 1
-            arr = stack.pop()
-            if zero:
-                arr.fill(0)
-            return arr
+            return stack.pop()
         self.misses += 1
-        arr = np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
+        arr = np.empty(shape, dtype=dtype)
         self.requested_bytes += arr.nbytes
         return arr
 
@@ -212,6 +171,11 @@ class _Tracer:
         self.entries: List[tuple] = []
 
     def record(self, kind, args, kwargs, out) -> None:
+        if kind not in _SIGNATURES:
+            raise PlanError(
+                f"step plans cannot compile op kind {kind!r} (convolutions "
+                f"are not lowered); run this step eagerly under "
+                f"nn.plans(False)")
         # identity ops (e.g. pad2d with padding=0) return an argument
         # unchanged — nothing to replay
         for a in args:
@@ -249,19 +213,13 @@ _SIGNATURES: Dict[str, tuple] = {
     "concat": (("tensors", "axis"), {"axis": 0}),
     "stack": (("tensors", "axis"), {"axis": 0}),
     "pad2d": (("a", "padding"), {}),
-    "conv2d_1x1": (("x", "weight", "bias", "stride"), {}),
-    "conv2d_dw": (("x", "weight", "bias", "stride"), {}),
-    "conv2d": (("x", "weight", "bias", "stride", "groups"), {}),
     "ste": (("probs", "axis"), {"axis": -1}),
 }
 
 
 def _bind(rec: _Record) -> Dict[str, Any]:
     """Bind a record's raw ``(args, kwargs)`` to named parameters."""
-    try:
-        names, defaults = _SIGNATURES[rec.kind]
-    except KeyError:
-        raise PlanError(f"step plan cannot lower unknown op kind {rec.kind!r}")
+    names, defaults = _SIGNATURES[rec.kind]
     bound = dict(defaults)
     bound.update(zip(names, rec.args))
     bound.update(rec.kwargs)
@@ -395,12 +353,6 @@ def _build_forward(rec: _Record, plan: "StepPlan",
         return pad_kernel
     if kind == "ste":
         return _build_ste_forward(rec, b, plan)
-    if kind == "conv2d_1x1":
-        return _build_conv1x1_forward(rec, b, plan, dtype)
-    if kind == "conv2d_dw":
-        return _build_convdw_forward(rec, b, plan, dtype)
-    if kind == "conv2d":
-        return _build_convgen_forward(rec, b, plan, dtype)
     raise PlanError(f"step plan cannot lower op kind {kind!r}")
 
 
@@ -431,696 +383,6 @@ def _build_ste_forward(rec, b, plan):
         o.fill(0.0)
         np.put_along_axis(o, np.expand_dims(idx, axis=axis), 1.0, axis=axis)
     return ste_kernel
-
-
-def _freeze_bmm(subscripts, a, b):
-    """Build-time specialization of numpy's ``bmm_einsum`` lowering.
-
-    Replays run the same contraction on the same frozen buffers, so the
-    parse/prep/reshape work ``bmm_einsum`` repeats on every call can be
-    done once here: operand reshapes become standing views, operand
-    transposes become at most one bound ``c_einsum`` copy each, and the
-    replay kernel collapses to a single ``np.matmul``.  Returns a
-    candidate factory for :func:`_bind_einsum` (its bitwise probe still
-    gates acceptance), or None when the lowering cannot be frozen.
-    """
-    if _np_bmm_einsum is None or _parse_bmm is None:
-        return None
-    try:
-        parsed = _parse_bmm(subscripts, a.shape, b.shape)
-    except Exception:
-        return None
-    eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab, pure_mult = parsed
-    if pure_mult:  # the multiply lowering preps differently; keep einsum
-        return None
-
-    def prep(src, eq, new_shape):
-        steps = []
-        cur = src
-        if eq is not None:  # diagonal/transpose copy into a standing buffer
-            buf = np.empty(_c_einsum(eq, src).shape, dtype=src.dtype)
-            step = lambda e=eq, s=src, o=buf: _c_einsum(e, s, out=o)
-            step()  # fill it now: the factory's build-time matmul reads it
-            steps.append(step)
-            cur = buf
-        if new_shape is not None:
-            view = cur.reshape(new_shape)
-            if not np.shares_memory(view, cur):
-                return None  # reshape would copy per replay — can't freeze
-            cur = view
-        return steps, cur
-
-    left = prep(a, eq_a, shape_a)
-    right = prep(b, eq_b, shape_b)
-    if left is None or right is None:
-        return None
-    steps = left[0] + right[0]
-    am, bm = left[1], right[1]
-
-    def factory(dst):
-        if shape_ab is None and perm_ab is None:
-            if not steps:
-                return lambda: np.matmul(am, bm, out=dst)
-
-            def direct():
-                for s in steps:
-                    s()
-                np.matmul(am, bm, out=dst)
-            return direct
-        mm = np.matmul(am, bm)  # frozen intermediate; rewritten per replay
-        ab = mm.reshape(shape_ab) if shape_ab is not None else mm
-        if perm_ab is not None:
-            ab = ab.transpose(perm_ab)
-
-        def kernel():
-            for s in steps:
-                s()
-            np.matmul(am, bm, out=mm)
-            np.copyto(dst, ab)
-        return kernel
-
-    return factory
-
-
-def _bind_einsum(subscripts, operands, out, candidate=None):
-    """Freeze one einsum of the plan into its cheapest bit-exact form.
-
-    A plan's buffers never change shape, stride, or dtype between
-    replays, so numpy/BLAS kernel selection — a function of exactly
-    those properties, never of values — is frozen too.  That makes a
-    one-shot probe sound: if ``candidate`` (a closure writing its
-    destination argument, typically a direct ``np.matmul``) reproduces
-    ``einsum(optimize=True)`` bit-for-bit on the live traced arrays, it
-    is bound as the replay kernel and the einsum dispatch layer is
-    skipped entirely.  Any mismatch, error, or stray-copy write (the
-    destination is zeroed first, so a candidate that silently writes a
-    reshape copy fails the comparison) falls back to the einsum.  The
-    destination's traced contents are restored after the probe.
-    """
-    candidates = [candidate] if callable(candidate) else list(candidate or ())
-    # second chance for every site: the path-free C einsum.  It wins when
-    # the traced contraction never dispatched to BLAS (small reductions).
-    candidates.append(lambda dst: lambda: np.einsum(
-        subscripts, *operands, out=dst, optimize=False))
-    if _np_bmm_einsum is not None and len(operands) == 2:
-        # einsum's optimizer lowers 2-operand contractions to this batched
-        # matmul helper, sometimes with the operands swapped — probe both
-        # orders and skip the path machinery on replay
-        a, b = operands
-        lhs, rhs = subscripts.split("->")
-        sa, sb = lhs.split(",")
-        swapped = f"{sb},{sa}->{rhs}"
-        for eq, x, y in ((subscripts, a, b), (swapped, b, a)):
-            frozen = _freeze_bmm(eq, x, y)
-            if frozen is not None:
-                candidates.append(frozen)
-        candidates.append(
-            lambda dst: lambda: _np_bmm_einsum(subscripts, a, b, out=dst))
-        candidates.append(
-            lambda dst: lambda: _np_bmm_einsum(swapped, b, a, out=dst))
-    ref = np.einsum(subscripts, *operands, optimize=True)
-    saved = out.copy()
-    try:
-        for make in candidates:
-            try:
-                out.fill(0)
-                kernel = make(out)  # binds views of ``out`` once
-                kernel()
-                if out.dtype.kind == "f":
-                    ok = np.array_equal(out, ref, equal_nan=True)
-                else:
-                    ok = np.array_equal(out, ref)
-            except Exception:
-                ok = False
-            if ok:
-                return kernel
-    finally:
-        np.copyto(out, saved)
-    return lambda: np.einsum(subscripts, *operands, out=out, optimize=True)
-
-
-# ----------------------------------------------------------------------
-# Fusion pass
-#
-# Every fused kernel below is gated by a build-time bitwise acceptance
-# probe on the live traced buffers: a plan's shapes, strides and dtypes
-# are frozen, so numpy/BLAS kernel selection is frozen too, and a probe
-# that reproduces the traced contents bit-for-bit once will do so on
-# every replay.  A site that fails its probe is rejected (counted in
-# ``fusion_rejected``) and lowered the unfused way — fusion ON therefore
-# never changes replayed bits, only dispatch count.
-# ----------------------------------------------------------------------
-
-def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.dtype.kind == "f":
-        return np.array_equal(a, b, equal_nan=True)
-    return np.array_equal(a, b)
-
-
-def _probe_kernel(make, out, ref=None):
-    """Bind ``make(out)`` as a fused kernel iff it writes ``out`` bit-exactly.
-
-    ``out`` must hold its traced contents (the probe reference unless an
-    explicit ``ref`` is given); it is zeroed first so a kernel that misses
-    elements or silently writes a reshape copy fails the comparison, and
-    restored afterwards.  Returns the bound kernel or None on mismatch.
-    """
-    saved = out.copy()
-    if ref is None:
-        ref = saved
-    kernel = None
-    try:
-        out.fill(0)
-        try:
-            kernel = make(out)
-            kernel()
-            ok = _bits_equal(out, ref)
-        except Exception:
-            ok = False
-    finally:
-        np.copyto(out, saved)
-    return kernel if ok else None
-
-
-def _fuse_convdw_forward(rec, plan, dtype, cols, w_t, w_sq, o):
-    """Shared-cols depthwise forward: one packed copy feeds fwd *and* gw.
-
-    The depthwise contraction and its weight gradient both reduce over the
-    same strided im2col window view, and the frozen-bmm lowering of each
-    pays a separate strided pack per replay.  Packing once into a
-    ``(c, k·k, n·oh·ow)`` workspace turns the forward into a single batched
-    matmul and lets the backward's weight-gradient matmul reuse the copy
-    (see :func:`_fuse_convdw_gw`), halving the dominant memory traffic.
-    """
-    n, c, kh, kw, oh, ow = cols.shape
-    kk, npq = kh * kw, n * oh * ow
-    w3 = w_sq.reshape(c, 1, kk)
-    if not np.shares_memory(w3, w_t.data):
-        return None
-    colsB = plan.request((c, kk, npq), dtype)
-    colsB_view = colsB.reshape(c, kh, kw, n, oh, ow)
-    cols_src = cols.transpose(1, 2, 3, 0, 4, 5)
-    mm = plan.request((c, 1, npq), dtype)
-    mm_view = mm.reshape(c, n, oh, ow)
-    dst_t = o.transpose(1, 0, 2, 3)
-
-    def make(_dst):
-        def kernel():
-            np.copyto(colsB_view, cols_src)
-            np.matmul(w3, colsB, out=mm)
-            np.copyto(dst_t, mm_view)
-        return kernel
-    kernel = _probe_kernel(make, o)
-    if kernel is None:
-        plan.fusion_rejected += 1
-        return None
-    plan.fused_kernels += 1
-    kernel._label = "fused:conv2d_dw.cols"
-    # the probe run above left the traced cols in colsB, so the backward
-    # builder's own probe compares on real data
-    plan._conv_ws[id(rec)] = {"colsB": colsB, "dims": (n, c, kh, kw, oh, ow)}
-    return kernel
-
-
-def _fuse_convdw_gw(plan, dtype, rec, g, flat):
-    """Depthwise weight gradient off the forward's shared cols copy.
-
-    Only offered when :func:`_fuse_convdw_forward` was accepted for the
-    same record: that kernel refreshes ``colsB`` at the top of every
-    replay's forward schedule, which always runs before the backward.
-    """
-    ws = plan._conv_ws.get(id(rec))
-    if ws is None or "colsB" not in ws:
-        return None
-    colsB = ws["colsB"]
-    n, c, kh, kw, oh, ow = ws["dims"]
-    kk, npq = kh * kw, n * oh * ow
-    gw3 = flat.reshape(c, kk, 1)
-    if not np.shares_memory(gw3, flat):
-        return None
-    gT = plan.request((c, npq, 1), dtype)
-    gT_view = gT.reshape(c, n, oh, ow)
-    g_src = g.transpose(1, 0, 2, 3)
-
-    def make(dst):
-        d3 = dst.reshape(c, kk, 1)
-
-        def kernel():
-            np.copyto(gT_view, g_src)
-            np.matmul(colsB, gT, out=d3)
-        return kernel
-    kernel = _probe_kernel(make, flat)
-    if kernel is None:
-        plan.fusion_rejected += 1
-        return None
-    plan.fused_kernels += 1
-    kernel._label = "fused:conv2d_dw.gw"
-    return kernel
-
-
-def _fuse_convdw_gx_clip(plan, dtype, b, g, B, w_sq, s, kh, kw, oh, ow):
-    """Depthwise input-gradient tap loop clipped to the pad interior.
-
-    When the conv input came from a ``pad2d`` consumed by nothing else
-    (and is not a plan output), the pad's backward is a pure interior
-    view of ``B`` — the border writes of the eager tap scatter are dead.
-    The fused kernel zeroes just the interior and runs the same ascending
-    (i, j) multiply/accumulate with every tap clipped to the rows and
-    columns that land inside it: per interior element the contributing
-    taps, their order, and their values are identical to eager (the probe
-    checks the interior bits), while the dead border keeps its traced
-    contents and is never read.
-    """
-    x_t = b["x"]
-    pad_rec = plan._produced_by.get(id(x_t))
-    if pad_rec is None or pad_rec.kind != "pad2d":
-        return None
-    if len(plan._consumers.get(id(x_t), ())) != 1:
-        return None
-    if id(x_t) in plan._output_ids:
-        return None
-    p = int(_bind(pad_rec)["padding"])
-    if p <= 0:
-        return None
-    h, w = B.shape[2:]
-    interior = B[:, :, p:h - p, p:w - p]
-    t = plan.request(g.shape, dtype)
-    steps = []
-    for i in range(kh):
-        p_lo = max(0, -((i - p) // s))  # ceil((p - i) / s)
-        p_hi = min(oh - 1, (h - 1 - p - i) // s)
-        if p_lo > p_hi:
-            continue
-        for j in range(kw):
-            q_lo = max(0, -((j - p) // s))
-            q_hi = min(ow - 1, (w - 1 - p - j) // s)
-            if q_lo > q_hi:
-                continue
-            g_clip = g[:, :, p_lo:p_hi + 1, q_lo:q_hi + 1]
-            dest = B[:, :, i + s * p_lo:i + s * p_hi + 1:s,
-                     j + s * q_lo:j + s * q_hi + 1:s]
-            wv = w_sq[None, :, i, j, None, None]
-            tc = t[:, :, :p_hi - p_lo + 1, :q_hi - q_lo + 1]
-            steps.append((g_clip, wv, dest, tc))
-
-    def kernel():
-        interior.fill(0.0)
-        for g_clip, wv, dest, tc in steps:
-            np.multiply(g_clip, wv, out=tc)
-            np.add(dest, tc, out=dest)
-
-    saved = B.copy()
-    try:
-        kernel()
-        ok = _bits_equal(interior, saved[:, :, p:h - p, p:w - p])
-    except Exception:
-        ok = False
-    finally:
-        np.copyto(B, saved)
-    if not ok:
-        plan.fusion_rejected += 1
-        return None
-    plan.fused_kernels += 1
-    kernel._label = "fused:conv2d_dw.gx-clip"
-    return kernel
-
-
-def _sole_consumer(plan, t, kind):
-    """The single record consuming tensor ``t`` as its first operand, if it
-    has exactly one consumer of the given kind and is not a plan output."""
-    if id(t) in plan._output_ids:
-        return None
-    recs = plan._consumers.get(id(t), ())
-    if len(recs) != 1 or recs[0].kind != kind:
-        return None
-    r = recs[0]
-    bound = _bind(r)
-    if bound.get("a") is not t:
-        return None
-    return r, bound
-
-
-def _make_folded_conv_bn(plan, rec, bb, out, affines):
-    mean4, std4, gamma4, beta4 = affines
-    dtype = out.dtype
-    x_t, w_t = bb["x"], bb["weight"]
-    s = bb["stride"]
-    c_out = mean4.shape[1]
-    scale4 = plan.request((1, c_out, 1, 1), dtype)
-    shift4 = plan.request((1, c_out, 1, 1), dtype)
-    s_flat = scale4.reshape(c_out)
-    if rec.kind == "conv2d_1x1":
-        xd = x_t.data[:, :, ::s, ::s] if s > 1 else x_t.data
-        w_mat = w_t.data[:, :, 0, 0]
-        wf = plan.request(w_mat.shape, dtype)
-        s_col = s_flat[:, None]
-
-        def make(dst):
-            def kernel():
-                np.divide(gamma4, std4, out=scale4)
-                np.multiply(w_mat, s_col, out=wf)
-                np.einsum("nchw,oc->nohw", xd, wf, out=dst, optimize=True)
-                np.multiply(scale4, mean4, out=shift4)
-                np.subtract(beta4, shift4, out=shift4)
-                np.add(dst, shift4, out=dst)
-            return kernel
-    else:  # conv2d_dw
-        kh, kw = w_t.data.shape[2:]
-        cols = ops._im2col(x_t.data, kh, kw, s)
-        w_sq = w_t.data[:, 0]
-        wf = plan.request(w_sq.shape, dtype)
-        s_cube = s_flat[:, None, None]
-
-        def make(dst):
-            def kernel():
-                np.divide(gamma4, std4, out=scale4)
-                np.multiply(w_sq, s_cube, out=wf)
-                np.einsum("ncijpq,cij->ncpq", cols, wf, out=dst,
-                          optimize=True)
-                np.multiply(scale4, mean4, out=shift4)
-                np.subtract(beta4, shift4, out=shift4)
-                np.add(dst, shift4, out=dst)
-            return kernel
-    return _probe_kernel(make, out)
-
-
-def _fold_conv_bn_sites(plan, op_records, replaced):
-    """Fold eval-mode BatchNorm scale/shift into the preceding conv.
-
-    Matches the exact chain BatchNorm2d emits in eval mode —
-    ``conv → sub(mean) → div(std) → mul(γ) → add(β)`` with per-channel
-    ``(1, C, 1, 1)`` affine operands — and replaces the five kernels with
-    one that refolds ``W·(γ/std)`` and ``β − γ·mean/std`` from the *live*
-    BN buffers on every replay (so ``load_state_dict`` updates keep
-    working, and a ``.data`` rebind still trips the guards).  Only
-    attempted on grad-free plans: a grad plan's backward closures read the
-    intermediate buffers the fold would leave stale, and training-mode BN
-    depends on batch statistics that do not exist before the conv runs —
-    those plans keep per-op lowering, which is what preserves
-    training-mode bit-identity and running-stat updates.  The fold
-    changes the order of float multiplications, so the bitwise probe
-    rejects it wherever distributivity does not hold exactly — honest
-    rejections counted per site.
-    """
-    for rec in op_records:
-        if rec.kind not in ("conv2d_1x1", "conv2d_dw"):
-            continue
-        if id(rec) in replaced:
-            continue
-        bb = _bind(rec)
-        if bb["bias"] is not None:
-            continue
-        chain = []
-        t = rec.out
-        for kind in ("sub", "div", "mul", "add"):
-            nxt = _sole_consumer(plan, t, kind)
-            if nxt is None:
-                chain = None
-                break
-            r, rb = nxt
-            other = rb.get("b")
-            if not isinstance(other, Tensor):
-                chain = None
-                break
-            chain.append((r, other))
-            t = r.out
-        if not chain:
-            continue
-        c_out = rec.out.data.shape[1]
-        affines = tuple(other.data for _, other in chain)
-        if any(a.shape != (1, c_out, 1, 1) for a in affines):
-            continue
-        add_r = chain[-1][0]
-        kernel = _make_folded_conv_bn(plan, rec, bb, add_r.out.data, affines)
-        if kernel is None:
-            plan.fusion_rejected += 1
-            continue
-        plan.fused_kernels += 1
-        kernel._label = f"fused:{rec.kind}+bn"
-        replaced[id(rec)] = None
-        for r, _ in chain:
-            replaced[id(r)] = None
-        replaced[id(add_r)] = kernel
-
-
-def _stack_conv1x1_siblings(plan, op_records, replaced):
-    """Batch sibling 1×1 convs on one input into a single stacked matmul.
-
-    Multi-path Gumbel evaluation (``forward_weighted``) dispatches every
-    candidate block on the same layer input; their expansion convs are K
-    independent ``(o, c) @ (n, c, pix)`` contractions.  Stacking the live
-    weights into a ``(K, 1, o, c)`` workspace turns them into one batched
-    matmul — per-slice GEMMs identical to the unfused lowering, so the
-    probe usually accepts.  Emitted at the earliest sibling's position
-    (the shared input is ready there; later consumers only see their
-    output earlier, never a stale value).
-    """
-    groups: Dict[tuple, List[_Record]] = {}
-    binds: Dict[int, dict] = {}
-    for rec in op_records:
-        if rec.kind != "conv2d_1x1" or id(rec) in replaced:
-            continue
-        bb = _bind(rec)
-        if bb["bias"] is not None or bb["stride"] != 1:
-            continue
-        if not bb["x"].data.flags.c_contiguous:
-            continue
-        groups.setdefault((id(bb["x"]), bb["weight"].data.shape),
-                          []).append(rec)
-        binds[id(rec)] = bb
-    for recs in groups.values():
-        if len(recs) < 2:
-            continue
-        k_n = len(recs)
-        bb0 = binds[id(recs[0])]
-        xd = bb0["x"].data
-        n, c = xd.shape[:2]
-        o_ch = bb0["weight"].data.shape[0]
-        pix = xd.shape[2] * xd.shape[3]
-        x3 = xd.reshape(n, c, pix)
-        outs = [r.out.data for r in recs]
-        wsrcs = [binds[id(r)]["weight"].data[:, :, 0, 0] for r in recs]
-        wstack = plan.request((k_n, 1, o_ch, c), xd.dtype)
-        mm = plan.request((k_n, n, o_ch, pix), xd.dtype)
-
-        def kernel(wsrcs=wsrcs, wstack=wstack, x3=x3, mm=mm, outs=outs):
-            for i, wsrc in enumerate(wsrcs):
-                np.copyto(wstack[i, 0], wsrc)
-            np.matmul(wstack, x3, out=mm)
-            # copyto through a reshaped *source* view: mm[i] is contiguous
-            # so the reshape is free, while the destination may keep the
-            # einsum's channel-major layout (strided copy is fine)
-            for o, m in zip(outs, mm):
-                np.copyto(o, m.reshape(o.shape))
-
-        saved = [o.copy() for o in outs]
-        try:
-            for o in outs:
-                o.fill(0)
-            kernel()
-            ok = all(_bits_equal(o, sv) for o, sv in zip(outs, saved))
-        except Exception:
-            ok = False
-        finally:
-            for o, sv in zip(outs, saved):
-                np.copyto(o, sv)
-        if not ok:
-            plan.fusion_rejected += 1
-            continue
-        plan.fused_kernels += k_n
-        kernel._label = f"fused:conv2d_1x1.x{k_n}"
-        replaced[id(recs[0])] = kernel
-        for r in recs[1:]:
-            replaced[id(r)] = None
-
-
-def _plan_fusions(plan, op_records):
-    """Record-level fusion decisions, made before per-op lowering.
-
-    Returns ``{id(record): kernel_or_None}`` — a record mapped to a kernel
-    is replaced by it; a record mapped to None is subsumed by a fused
-    kernel emitted at another record's position.
-    """
-    replaced: Dict[int, Optional[Callable[[], None]]] = {}
-    if not plan.grad:
-        _fold_conv_bn_sites(plan, op_records, replaced)
-    _stack_conv1x1_siblings(plan, op_records, replaced)
-    return replaced
-
-
-def _pack_schedule(plan, sched, metas):
-    """Merge adjacent elementwise kernels into composite dispatches.
-
-    ``metas[i]`` is ``(kind, outs)`` for a packable kernel — one whose
-    recomputation at the same inputs is a pure function writing exactly
-    ``outs`` — or None for a barrier (convs, reductions, effects, STE
-    guards).  Runs of ≥2 packable kernels are probed by re-executing them
-    once at build time and comparing every written buffer against its
-    traced contents; order inside a composite is unchanged, so this can
-    only fail if a kernel is not actually idempotent — in which case it
-    is rejected and the run stays unfused.
-    """
-    packed: List[Tuple[str, Callable[[], None]]] = []
-    i, n = 0, len(sched)
-    while i < n:
-        j = i
-        while j < n and metas[j] is not None:
-            j += 1
-        if j - i < 2:
-            packed.append(sched[i])
-            i = max(j, i + 1)
-            continue
-        run = sched[i:j]
-        outs: List[np.ndarray] = []
-        seen: set = set()
-        for m in metas[i:j]:
-            for arr in m[1]:
-                if id(arr) not in seen:
-                    seen.add(id(arr))
-                    outs.append(arr)
-        kernels = tuple(k for _, k in run)
-        saved = [arr.copy() for arr in outs]
-        try:
-            for k in kernels:
-                k()
-            ok = all(_bits_equal(arr, sv) for arr, sv in zip(outs, saved))
-        except Exception:
-            ok = False
-        finally:
-            for arr, sv in zip(outs, saved):
-                np.copyto(arr, sv)
-        if not ok:
-            plan.fusion_rejected += 1
-            packed.extend(run)
-            i = j
-            continue
-        kinds = [m[0] for m in metas[i:j]]
-        label = "fused:" + "+".join(kinds[:3])
-        if len(kinds) > 3:
-            label += f"(+{len(kinds) - 3})"
-
-        def composite(kernels=kernels):
-            for k in kernels:
-                k()
-        packed.append((label, composite))
-        plan.fused_kernels += len(kernels)
-        i = j
-    return packed
-
-
-def _build_conv1x1_forward(rec, b, plan, dtype):
-    o = rec.out.data
-    x_t, w_t, bias_t = b["x"], b["weight"], b["bias"]
-    s = b["stride"]
-    xd = x_t.data[:, :, ::s, ::s] if s > 1 else x_t.data  # standing view
-    w_mat = w_t.data[:, :, 0, 0]
-    n, c = xd.shape[:2]
-    pix = xd.shape[2] * xd.shape[3]
-    cand = None
-    if xd.flags.c_contiguous:
-        x3 = xd.reshape(n, c, pix)  # view
-
-        def cand(dst):
-            d3 = dst.reshape(n, -1, pix)
-            return lambda: np.matmul(w_mat, x3, out=d3)
-    dest = o if bias_t is None else plan.request(o.shape, dtype)
-    ein = _bind_einsum("nchw,oc->nohw", (xd, w_mat), dest, cand)
-    if bias_t is None:
-        return ein
-    bias4 = bias_t.data.reshape(1, -1, 1, 1)
-
-    def kernel():
-        ein()
-        np.add(dest, bias4, out=o)
-    return kernel
-
-
-def _build_convdw_forward(rec, b, plan, dtype):
-    o = rec.out.data
-    x_t, w_t, bias_t = b["x"], b["weight"], b["bias"]
-    s = b["stride"]
-    kh, kw = w_t.data.shape[2:]
-    cols = ops._im2col(x_t.data, kh, kw, s)  # standing strided view
-    w_sq = w_t.data[:, 0]
-    if bias_t is None:
-        if _FusionMode.enabled:
-            fused = _fuse_convdw_forward(rec, plan, dtype, cols, w_t, w_sq, o)
-            if fused is not None:
-                return fused
-        return _bind_einsum("ncijpq,cij->ncpq", (cols, w_sq), o)
-    scratch = plan.request(o.shape, dtype)
-    bias4 = bias_t.data.reshape(1, -1, 1, 1)
-    ein = _bind_einsum("ncijpq,cij->ncpq", (cols, w_sq), scratch)
-
-    def kernel():
-        ein()
-        np.add(scratch, bias4, out=o)
-    return kernel
-
-
-def _build_convgen_forward(rec, b, plan, dtype):
-    """Generic grouped conv: persistent im2col matrix + einsum + regroup.
-
-    The materialised column matrix lives in an arena workspace refilled by a
-    single strided-view copy per replay; the backward builder reuses it via
-    ``plan._conv_ws``.
-    """
-    o = rec.out.data
-    x_t, w_t, bias_t = b["x"], b["weight"], b["bias"]
-    s, groups = b["stride"], b["groups"]
-    n, c_in, h, w = x_t.data.shape
-    c_out, c_in_g, kh, kw = w_t.data.shape
-    oh = (h - kh) // s + 1
-    ow = (w - kw) // s + 1
-    co_g = c_out // groups
-    ckk = c_in_g * kh * kw
-
-    cols = ops._im2col(x_t.data, kh, kw, s)
-    cols_mat = plan.request((n, groups, oh * ow, ckk), dtype)
-    cm_view = cols_mat.reshape(n, groups, oh, ow, c_in_g, kh, kw)
-    src = cols.reshape(n, groups, c_in_g, kh, kw, oh, ow)
-    src_t = src.transpose(0, 1, 5, 6, 2, 3, 4)
-    static_src = np.shares_memory(src_t, x_t.data)
-    w_mat = w_t.data.reshape(groups, co_g, ckk)
-    out_mat = plan.request((n, groups, oh * ow, co_g), dtype)
-    out_src = out_mat.transpose(0, 1, 3, 2)
-    target = o if bias_t is None else plan.request(o.shape, dtype)
-    target_g = target.reshape(n, groups, co_g, oh * ow)
-    bias4 = None if bias_t is None else bias_t.data.reshape(1, c_out, 1, 1)
-    plan._conv_ws[id(rec)] = {
-        "cols_mat": cols_mat, "w_mat": w_mat,
-        "dims": (n, c_in, h, w, c_out, c_in_g, kh, kw, oh, ow, co_g, ckk),
-        "stride": s, "groups": groups,
-    }
-
-    def fill_cols():
-        if static_src:
-            np.copyto(cm_view, src_t)
-        else:  # reshape degraded to a copy: rebuild the window view live
-            live = ops._im2col(x_t.data, kh, kw, s)
-            np.copyto(cm_view, live.reshape(
-                n, groups, c_in_g, kh, kw, oh, ow).transpose(0, 1, 5, 6, 2, 3, 4))
-
-    # seed the workspace with traced activations so _bind_einsum probes
-    # (here and in the backward builder) compare on real data
-    fill_cols()
-    wT = plan.request((groups, ckk, co_g), dtype)
-    w_src = w_mat.transpose(0, 2, 1)
-
-    def cand(dst):
-        def kernel():
-            np.copyto(wT, w_src)  # weights change per step: refresh the copy
-            np.matmul(cols_mat, wT, out=dst)
-        return kernel
-    ein = _bind_einsum("ngpk,gok->ngpo", (cols_mat, w_mat), out_mat, cand)
-
-    def kernel():
-        fill_cols()
-        ein()
-        np.copyto(target_g, out_src)
-        if bias4 is not None:
-            np.add(target, bias4, out=o)
-    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -1407,199 +669,12 @@ def _bwd_getitem(b, rec, g, pairs, writes, plan, dtype):
     return [kernel]
 
 
-def _bwd_conv1x1(b, rec, g, pairs, writes, plan, dtype):
-    x_t, w_t, bias_t = b["x"], b["weight"], b["bias"]
-    s = b["stride"]
-    xd = x_t.data[:, :, ::s, ::s] if s > 1 else x_t.data
-    w_mat = w_t.data[:, :, 0, 0]
-    n, o_ch = g.shape[:2]
-    pix = g.shape[2] * g.shape[3]
-    wT = w_mat.T  # standing view
-    g3 = g.reshape(n, o_ch, pix) if g.flags.c_contiguous else None
-    kernels = []
-    for pair_index, B in writes:
-        parent = pairs[pair_index][0]
-        if parent is x_t:
-            c_in = x_t.data.shape[1]
-            scatter = plan.request((n, c_in) + g.shape[2:], dtype)
-            cand = None
-            if g3 is not None:
-                def cand(dst, c_in=c_in):
-                    d3 = dst.reshape(n, c_in, pix)
-                    return lambda: np.matmul(wT, g3, out=d3)
-            ein = _bind_einsum("nohw,oc->nchw", (g, w_mat), scatter, cand)
-
-            def kernel(B=B, scatter=scatter, ein=ein):
-                ein()
-                B.fill(0.0)
-                if s > 1:
-                    B[:, :, ::s, ::s] += scatter
-                else:
-                    B += scatter
-            kernels.append(kernel)
-        elif parent is w_t:
-            flat = B.reshape(w_mat.shape)
-            kernels.append(_bind_einsum(
-                "nohw,nchw->oc", (g, xd), flat,
-                lambda dst: lambda: np.copyto(dst, np.tensordot(
-                    g, xd, axes=([0, 2, 3], [0, 2, 3])))))
-        else:  # bias
-            kernels.append(lambda B=B: np.sum(g, axis=(0, 2, 3), out=B))
-    return kernels
-
-
-def _bwd_convdw(b, rec, g, pairs, writes, plan, dtype):
-    x_t, w_t, bias_t = b["x"], b["weight"], b["bias"]
-    s = b["stride"]
-    n, c, h, w = x_t.data.shape
-    kh, kw = w_t.data.shape[2:]
-    oh = (h - kh) // s + 1
-    ow = (w - kw) // s + 1
-    cols = ops._im2col(x_t.data, kh, kw, s)
-    w_sq = w_t.data[:, 0]
-    kernels = []
-    for pair_index, B in writes:
-        parent = pairs[pair_index][0]
-        if parent is x_t:
-            # The strided scatter-adds must run in the same (i, j) order
-            # as the eager closure (the windows overlap, so accumulation
-            # order matters for bits).  The per-tap products are pure
-            # elementwise ops, so they may be batched into one broadcast
-            # multiply without changing bits — worth it only while the
-            # tap workspace stays cache-resident.
-            taps_shape = (kh, kw) + g.shape  # leading taps keep slices contiguous
-            batch_taps = (np.prod(taps_shape) * np.dtype(dtype).itemsize
-                          <= 1 << 20)
-            dests = [B[:, :, i:i + s * oh:s, j:j + s * ow:s]
-                     for i in range(kh) for j in range(kw)]
-            if batch_taps:
-                taps = plan.request(taps_shape, dtype)
-                g6 = g[None, None]
-                w6 = w_sq.transpose(1, 2, 0)[:, :, None, :, None, None]
-                pieces = [(taps[i, j], dests[i * kw + j])
-                          for i in range(kh) for j in range(kw)]
-
-                def kernel(B=B, taps=taps, pieces=pieces):
-                    np.multiply(g6, w6, out=taps)
-                    B.fill(0.0)
-                    for t, dest in pieces:
-                        np.add(dest, t, out=dest)
-            else:
-                kernel = None
-                if _FusionMode.enabled:
-                    kernel = _fuse_convdw_gx_clip(
-                        plan, dtype, b, g, B, w_sq, s, kh, kw, oh, ow)
-                if kernel is None:
-                    t = plan.request(g.shape, dtype)
-                    wtaps = [w_sq[None, :, i, j, None, None]
-                             for i in range(kh) for j in range(kw)]
-
-                    def kernel(B=B, t=t):
-                        B.fill(0.0)
-                        for wv, dest in zip(wtaps, dests):
-                            np.multiply(g, wv, out=t)
-                            np.add(dest, t, out=dest)
-            kernels.append(kernel)
-        elif parent is w_t:
-            flat = B.reshape(c, kh, kw)
-            fused = (_fuse_convdw_gw(plan, dtype, rec, g, flat)
-                     if _FusionMode.enabled else None)
-            kernels.append(fused if fused is not None else _bind_einsum(
-                "ncpq,ncijpq->cij", (g, cols), flat))
-        else:
-            kernels.append(lambda B=B: np.sum(g, axis=(0, 2, 3), out=B))
-    return kernels
-
-
-def _bwd_convgen(b, rec, g, pairs, writes, plan, dtype):
-    ws = plan._conv_ws.get(id(rec))
-    if ws is None:
-        return None
-    x_t, w_t = b["x"], b["weight"]
-    (n, c_in, h, w, c_out, c_in_g, kh, kw, oh, ow, co_g, ckk) = ws["dims"]
-    s, groups = ws["stride"], ws["groups"]
-    cols_mat, w_mat = ws["cols_mat"], ws["w_mat"]
-
-    gm = g.reshape(n, groups, co_g, oh * ow)
-    if np.shares_memory(gm, g):
-        gm_t = gm.transpose(0, 1, 3, 2)  # standing view of the grad slot
-        grad_mat = lambda: gm_t
-    else:
-        gm_t = None
-        grad_mat = lambda: g.reshape(
-            n, groups, co_g, oh * ow).transpose(0, 1, 3, 2)
-
-    kernels = []
-    for pair_index, B in writes:
-        parent = pairs[pair_index][0]
-        if parent is x_t:
-            gcols_mat = plan.request((n, groups, oh * ow, ckk), dtype)
-            src = gcols_mat.reshape(
-                n, groups, oh, ow, c_in_g, kh, kw).transpose(0, 1, 4, 5, 6, 2, 3)
-            di, dj = kh - 1, kw - 1
-            scatter = plan.request((n, c_in, kh, kw, h + di, w + dj),
-                                   dtype, zero=True)
-            hole = scatter[:, :, :, :, di:di + s * oh:s, dj:dj + s * ow:s]
-            sn, sc, si, sj, sy, sx = scatter.strides
-            window = np.lib.stride_tricks.as_strided(
-                scatter[:, :, :, :, di:, dj:],
-                shape=(n, c_in, kh, kw, h, w),
-                strides=(sn, sc, si - sy, sj - sx, sy, sx),
-            )
-
-            if gm_t is not None:
-                ein = _bind_einsum(
-                    "ngpo,gok->ngpk", (gm_t, w_mat), gcols_mat,
-                    lambda dst: lambda: np.matmul(gm_t, w_mat, out=dst))
-            else:
-                ein = lambda: np.einsum(
-                    "ngpo,gok->ngpk", grad_mat(), w_mat, out=gcols_mat,
-                    optimize=True)
-
-            def kernel(B=B, src=src, hole=hole, window=window, ein=ein):
-                ein()
-                hole[...] = src
-                # default (non-optimized) einsum matches _col2im verbatim
-                np.einsum("ncijyx->ncyx", window, out=B)
-            kernels.append(kernel)
-        elif parent is w_t:
-            flat = B.reshape(groups, co_g, ckk)
-            cand = None
-            if gm_t is not None:
-                ga = plan.request((groups, co_g, n, oh * ow), dtype)
-                ca = plan.request((groups, n, oh * ow, ckk), dtype)
-                ga_m = ga.reshape(groups, co_g, n * oh * ow)
-                ca_m = ca.reshape(groups, n * oh * ow, ckk)
-                ga_src = gm_t.transpose(1, 3, 0, 2)
-                ca_src = cols_mat.transpose(1, 0, 2, 3)
-
-                def cand(dst, ga=ga, ca=ca, ga_m=ga_m, ca_m=ca_m,
-                         ga_src=ga_src, ca_src=ca_src):
-                    def kernel():
-                        np.copyto(ga, ga_src)
-                        np.copyto(ca, ca_src)
-                        np.matmul(ga_m, ca_m, out=dst)
-                    return kernel
-            if gm_t is not None:
-                kernels.append(_bind_einsum(
-                    "ngpo,ngpk->gok", (gm_t, cols_mat), flat, cand))
-            else:
-                kernels.append(lambda flat=flat: np.einsum(
-                    "ngpo,ngpk->gok", grad_mat(), cols_mat, out=flat,
-                    optimize=True))
-        else:
-            kernels.append(lambda B=B: np.sum(g, axis=(0, 2, 3), out=B))
-    return kernels
-
-
 _BWD_FAST = {
     "relu": _bwd_relu, "clip": _bwd_clip, "dropout": _bwd_dropout,
     "exp": _bwd_exp, "log": _bwd_log, "sqrt": _bwd_sqrt,
     "sigmoid": _bwd_sigmoid, "tanh": _bwd_tanh, "neg": _bwd_neg,
     "add": _bwd_add, "mul": _bwd_mul, "div": _bwd_div, "sub": _bwd_sub,
     "maximum": _bwd_maximum, "matmul": _bwd_matmul, "getitem": _bwd_getitem,
-    "conv2d_1x1": _bwd_conv1x1, "conv2d_dw": _bwd_convdw,
-    "conv2d": _bwd_convgen,
 }
 
 # ----------------------------------------------------------------------
@@ -1629,32 +704,22 @@ class StepPlan:
         self.dtype = dtype
         self.grad = grad
         self.replays = 0
-        self.fused_kernels = 0
-        self.fusion_rejected = 0
         self._fwd: List[Tuple[str, Callable[[], None]]] = []
         self._bwd: List[Tuple[str, Callable[[], None]]] = []
-        #: per-kernel (kind, written-buffers) for the chain packer; None
-        #: entries are fusion barriers (parallel to _fwd/_bwd)
-        self._fwd_meta: List[Optional[tuple]] = []
-        self._bwd_meta: List[Optional[tuple]] = []
-        self._consumers: Dict[int, List[_Record]] = {}
-        self._produced_by: Dict[int, _Record] = {}
-        self._output_ids: set = set()
         self._leaf_assigns: List[Tuple[Tensor, np.ndarray]] = []
         self._inputs: Dict[str, np.ndarray] = {}
         self._input_tensors: Dict[str, Tensor] = {}
         self._outputs: Dict[str, np.ndarray] = {}
         self._guards: List[Tuple[Tensor, np.ndarray]] = []
         self._scratch: List[np.ndarray] = []
-        self._conv_ws: Dict[int, dict] = {}
         self._guarded_ste: set = set()
         self._adopted_ids: set = set()
         self._adopted: List[np.ndarray] = []
         self._records: List[_Record] = []  # keeps every traced tensor alive
 
     # -- buffer bookkeeping -------------------------------------------
-    def request(self, shape, dtype, zero: bool = False) -> np.ndarray:
-        arr = self.arena.request(shape, dtype, zero=zero)
+    def request(self, shape, dtype) -> np.ndarray:
+        arr = self.arena.request(shape, dtype)
         self._scratch.append(arr)
         return arr
 
@@ -1700,26 +765,10 @@ class StepPlan:
                     if rec_id is not None:
                         self._guarded_ste.add(rec_id)
 
-        # structural maps for the fusion pass: who consumes each traced
-        # tensor, and which record produced it
-        op_records: List[_Record] = []
-        for tag, entry in tracer.entries:
-            if tag != "op":
-                continue
-            op_records.append(entry)
-            for t in _tensor_operands(entry):
-                self._consumers.setdefault(id(t), []).append(entry)
-            self._produced_by[id(entry.out)] = entry
-
-        replaced: Dict[int, Optional[Callable[[], None]]] = {}
-        if _FusionMode.enabled:
-            replaced = _plan_fusions(self, op_records)
-
         guard_seen: set = set()
         for tag, entry in tracer.entries:
             if tag == "effect":
                 self._fwd.append(("plan.effect", entry))
-                self._fwd_meta.append(None)
                 continue
             rec = entry
             self._records.append(rec)
@@ -1734,19 +783,11 @@ class StepPlan:
                 if id(t) not in guard_seen:
                     guard_seen.add(id(t))
                     self._guards.append((t, t.data))
-            if id(rec) in replaced:
-                kernel = replaced[id(rec)]
-            else:
-                kernel = _build_forward(rec, self, self.dtype)
+            kernel = _build_forward(rec, self, self.dtype)
             self.adopt(rec.out.data)
             produced.add(id(rec.out))
             if kernel is not None:
-                self._fwd.append((getattr(kernel, "_label",
-                                          f"{rec.kind}.replay"), kernel))
-                self._fwd_meta.append(
-                    (rec.kind, (rec.out.data,))
-                    if rec.kind in ops.ELEMENTWISE_KINDS
-                    and id(rec) not in replaced else None)
+                self._fwd.append((f"{rec.kind}.replay", kernel))
 
     def _compile_backward(self, loss: Optional[Tensor],
                           records_by_out: Dict[int, _Record]) -> None:
@@ -1810,14 +851,12 @@ class StepPlan:
                         np.add(partial, c, out=partial)
                     np.add(partial, seq[-1], out=final)
                 self._bwd.append(("accumulate.replay", accumulate))
-                self._bwd_meta.append(("acc", (node_grad,)))
             elif arrival[0] is not node_grad:
                 # np.asarray had to cast-copy the single contribution
                 self.adopt(node_grad)
                 self._bwd.append(("accumulate.replay",
                                   lambda s=arrival[0], d=node_grad:
                                   np.copyto(d, s)))
-                self._bwd_meta.append(("acc", (node_grad,)))
             if node._backward is None:
                 if node.grad is not None:
                     raise PlanError(
@@ -1831,7 +870,6 @@ class StepPlan:
                 self._bwd.append(("leaf.replay",
                                   lambda d=leaf_grad, s=node_grad:
                                   np.copyto(d, s)))
-                self._bwd_meta.append(("leaf", (leaf_grad,)))
                 self._leaf_assigns.append((node, leaf_grad))
                 continue
             rec = records_by_out.get(id(node))
@@ -1878,12 +916,7 @@ class StepPlan:
                             np.copyto(dst, ps[i][1])
                     kernels = [generic]
                 label = f"{rec.kind}.bwd.replay"
-                meta = ((f"{rec.kind}.bwd", tuple(arr for _, arr in writes))
-                        if rec.kind in ops.ELEMENTWISE_KINDS else None)
-                for kernel in kernels:
-                    self._bwd.append((getattr(kernel, "_label", label),
-                                      kernel))
-                    self._bwd_meta.append(meta)
+                self._bwd.extend((label, kernel) for kernel in kernels)
             for parent, contribution in pairs:
                 if not parent.requires_grad:
                     continue
@@ -1895,14 +928,6 @@ class StepPlan:
                     grads[key] = np.asarray(contribution,
                                             dtype=parent.data.dtype)
                     arrivals[key] = [contribution]
-
-    def _pack_elementwise(self) -> None:
-        """Merge adjacent elementwise kernels after lowering (probe-gated)."""
-        self._fwd = _pack_schedule(self, self._fwd, self._fwd_meta)
-        if self.grad:
-            self._bwd = _pack_schedule(self, self._bwd, self._bwd_meta)
-        self._fwd_meta = []
-        self._bwd_meta = []
 
     # -- execution ----------------------------------------------------
     def replay(self, inputs: Dict[str, np.ndarray],
@@ -1970,7 +995,7 @@ class StepProgram:
 
     The caller key should capture everything that changes the traced op
     sequence (architecture signature, batch shape); the program extends it
-    with ``(dtype, fast-kernels flag, grad flag)`` automatically.  ``fn``
+    with ``(dtype, grad flag)`` automatically.  ``fn``
     receives ``{name: Tensor}`` and must return ``{name: Tensor}`` with a
     ``"loss"`` entry when ``grad=True``; returned arrays are plan-owned.
 
@@ -1988,8 +1013,6 @@ class StepProgram:
         self.replays = 0
         self.eager_steps = 0
         self.evictions = 0
-        self.kernels_fused = 0
-        self.fusion_rejected = 0
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -2004,8 +1027,6 @@ class StepProgram:
             "arena_hits": self.arena.hits,
             "arena_misses": self.arena.misses,
             "arena_bytes": self.arena.total_bytes(),
-            "kernels_fused": self.kernels_fused,
-            "fusion_rejected": self.fusion_rejected,
         }
 
     def clear(self) -> None:
@@ -2024,8 +1045,7 @@ class StepProgram:
             raise PlanError("StepProgram.run cannot nest inside an active "
                             "step trace")
         dtype = get_default_dtype()
-        full_key = (key, dtype.name, bool(ops._FAST_KERNELS), bool(grad),
-                    _FusionMode.enabled)
+        full_key = (key, dtype.name, bool(grad))
         plan = self._plans.get(full_key)
         if plan is not None:
             self._plans.move_to_end(full_key)
@@ -2035,8 +1055,6 @@ class StepProgram:
         plan, result = self._trace(inputs, fn, grad, dtype)
         self._plans[full_key] = plan
         self.plans_compiled += 1
-        self.kernels_fused += plan.fused_kernels
-        self.fusion_rejected += plan.fusion_rejected
         while len(self._plans) > self.capacity:
             _, evicted = self._plans.popitem(last=False)
             evicted.release()
@@ -2068,13 +1086,10 @@ class StepProgram:
         for name, t in outs.items():
             if not isinstance(t, Tensor):
                 raise PlanError(f"step fn output {name!r} is not a Tensor")
-        plan._output_ids = {id(t) for t in outs.values()}
         plan._compile_forward(tracer)
         if grad:
             records_by_out = {id(rec.out): rec for rec in plan._records}
             plan._compile_backward(outs.get("loss"), records_by_out)
-        if _FusionMode.enabled:
-            plan._pack_elementwise()
         for name, t in outs.items():
             plan._outputs[name] = t.data
             plan.adopt(t.data)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-__all__ = ["OpProfile", "profile", "active_profile", "merge_profiles",
-           "fused_breakdown"]
+__all__ = ["OpProfile", "profile", "active_profile", "merge_profiles"]
 
 #: the currently-open profile, or None (checked by ops.py per call)
 _active: Optional["OpProfile"] = None
@@ -94,29 +93,6 @@ def profile(target: Optional[OpProfile] = None) -> Iterator[OpProfile]:
         yield prof
     finally:
         _active = previous
-
-
-def fused_breakdown(profile: Dict[str, Dict[str, float]]
-                    ) -> Dict[str, object]:
-    """Summarise the fused-kernel share of an :meth:`OpProfile.as_dict`.
-
-    Replayed step plans record each fused kernel under a distinct
-    ``fused:<chain>`` kind (``fused:conv2d_dw.cols``,
-    ``fused:relu+add.bwd(+3)``, ``fused:conv2d_1x1+bn``, …) while ordinary
-    lowered kernels keep their traced ``<kind>.replay`` / ``<kind>.bwd``
-    labels.  Returns ``{"kinds": {fused kind: row}, "fused_ms",
-    "total_ms", "fused_fraction"}`` so benchmarks and journals can report
-    how much replay time ran inside fused kernels.
-    """
-    kinds = {k: dict(v) for k, v in profile.items() if k.startswith("fused:")}
-    fused_ms = sum(float(row.get("total_ms", 0.0)) for row in kinds.values())
-    total_ms = sum(float(row.get("total_ms", 0.0)) for row in profile.values())
-    return {
-        "kinds": kinds,
-        "fused_ms": round(fused_ms, 4),
-        "total_ms": round(total_ms, 4),
-        "fused_fraction": round(fused_ms / total_ms, 4) if total_ms else 0.0,
-    }
 
 
 def merge_profiles(acc: Dict[str, Dict[str, float]],

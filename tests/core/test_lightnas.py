@@ -63,6 +63,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown metric"):
             LightNASConfig(metric_name="flops")
 
+    def test_surrogate_rejects_float32(self):
+        """Regression: a surrogate search ignored compute_dtype="float32"
+        (every dtype scope is supernet-only) yet fingerprinted it, so its
+        checkpoints refused float64 resumes under a flag that did nothing."""
+        with pytest.raises(ValueError, match="--tiny supernet searches"):
+            LightNASConfig.paper(24.0, compute_dtype="float32")
+        cfg = LightNASConfig.tiny(1.5, compute_dtype="float32")
+        assert cfg.compute_dtype == "float32"
+
 
 class TestSurrogateSearch:
     @pytest.fixture(scope="class")

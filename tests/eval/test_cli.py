@@ -90,6 +90,20 @@ class TestSearch:
             main(["search", "--tiny", "--target", "2.3", "--metric", "energy"])
         assert "--metric latency only" in str(excinfo.value)
 
+    @pytest.mark.parametrize("command", [
+        ["search", "--target", "300"],
+        ["sweep", "--targets", "250,300"],
+        ["stability", "--targets", "300", "--seeds", "0"],
+    ])
+    def test_surrogate_rejects_float32(self, command):
+        """Regression: --dtype float32 on a surrogate search printed output
+        byte-identical to float64 while changing the checkpoint
+        fingerprint; it must exit naming where --dtype applies."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--metric", "macs", "--dtype", "float32"])
+        assert "--dtype applies only to --tiny supernet searches" in str(
+            excinfo.value)
+
 
 class TestSweep:
     def test_resume_requires_checkpoint_dir(self):

@@ -1,12 +1,8 @@
 """Tests of stand-alone proxy-task training (§4.1 protocol)."""
 
-import numpy as np
 import pytest
 
-from repro import nn
-from repro.eval import trainer
 from repro.eval.trainer import train_standalone
-from repro.proxy.dataset import SyntheticTask
 from repro.search_space.space import Architecture
 
 
@@ -44,53 +40,3 @@ class TestTrainStandalone:
         # in distribution; here we check the training ran both times
         assert len(r1.train_losses) == len(r2.train_losses) == 2
 
-
-class TestPlanParity:
-    """The replayed train step is bit-identical to the eager one."""
-
-    def _train(self, tiny_space, monkeypatch, use_plans):
-        models, programs = [], []
-        build = trainer.build_standalone
-
-        def recording_build(*args, **kwargs):
-            models.append(build(*args, **kwargs))
-            return models[-1]
-
-        class RecordingProgram(nn.StepProgram):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                programs.append(self)
-
-        monkeypatch.setattr(trainer, "build_standalone", recording_build)
-        monkeypatch.setattr(nn, "StepProgram", RecordingProgram)
-        macro = tiny_space.macro
-        task = SyntheticTask(num_classes=macro.num_classes,
-                             resolution=macro.input_resolution,
-                             train_size=96, valid_size=48, seed=11)
-        arch = Architecture((0, 3, 5, 2))
-        # batch 40 over 96 samples leaves a ragged last batch of 16, so
-        # the run compiles two keys and replays each
-        report = train_standalone(tiny_space, arch, task, epochs=3,
-                                  batch_size=40, seed=2, with_se_last=1,
-                                  use_plans=use_plans)
-        monkeypatch.undo()
-        (model,), (program,) = models, programs
-        return report, model.state_dict(), program.stats()
-
-    def test_plans_on_and_off_are_bit_identical(self, tiny_space,
-                                                monkeypatch):
-        planned, planned_w, planned_stats = self._train(
-            tiny_space, monkeypatch, use_plans=True)
-        eager, eager_w, eager_stats = self._train(
-            tiny_space, monkeypatch, use_plans=False)
-        assert planned.train_losses == eager.train_losses
-        assert planned.train_accuracy == eager.train_accuracy
-        assert planned.valid_accuracy == eager.valid_accuracy
-        assert set(planned_w) == set(eager_w)
-        for key in planned_w:
-            assert np.array_equal(planned_w[key], eager_w[key]), key
-        steps = 3 * 3
-        assert (planned_stats["plans_compiled"], planned_stats["replays"],
-                planned_stats["eager_steps"]) == (2, steps - 2, 0)
-        assert (eager_stats["plans_compiled"], eager_stats["replays"],
-                eager_stats["eager_steps"]) == (0, 0, steps)

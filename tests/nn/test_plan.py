@@ -3,10 +3,10 @@
 The contract under test is strict bit-parity: replaying a compiled
 :class:`repro.nn.plan.StepPlan` must produce exactly the arrays the eager
 tape engine produces — same loss bits, same gradient bits, same optimizer
-trajectories — across dtypes and with the fast conv kernels disabled.
-Invalidation must be loud: shape changes, input-set changes, rebound
-parameter storage, and drifted sampled paths raise :class:`PlanError`
-instead of silently replaying stale computation.
+trajectories — across dtypes.  Invalidation must be loud: shape changes,
+input-set changes, rebound parameter storage, and drifted sampled paths
+raise :class:`PlanError` instead of silently replaying stale computation,
+and so does tracing a convolution, which the compiler does not lower.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 from repro import nn
 from repro.nn import functional as F
 from repro.nn import ops
-from repro.nn import plan as plan_mod
 from repro.nn.plan import BufferArena, PlanError, StepProgram
 
 
@@ -31,16 +30,20 @@ def arrays(shape):
 
 
 def make_model(rng, dtype="float64"):
-    """Conv → BN → ReLU6 → pool → dropout → linear: every stateful path."""
+    """BN → ReLU6 → pool → dropout → linear: every stateful path.
+
+    Conv-free, because step plans do not lower convolutions; BatchNorm and
+    Dropout still exercise both replay effects (running-stat updates and
+    mask redraws).
+    """
     with nn.dtype_scope(dtype):
         model = nn.Sequential(
-            nn.Conv2d(3, 8, 3, padding=1, rng=rng),
-            nn.BatchNorm2d(8),
+            nn.BatchNorm2d(3),
             nn.ReLU6(),
             nn.GlobalAvgPool(),
             nn.Flatten(),
             nn.Dropout(0.3, np.random.default_rng(11)),
-            nn.Linear(8, 5, rng),
+            nn.Linear(3, 5, rng),
         )
     return model
 
@@ -69,14 +72,14 @@ def train_steps(model, opt, xs, labels, program=None):
     return losses
 
 
-def run_pair(dtype="float64", steps=4, fast=True):
+def run_pair(dtype="float64", steps=4):
     """Identical seeded runs, eager vs planned; returns both (loss, state)."""
     rng_x = np.random.default_rng(3)
     xs = [rng_x.normal(size=(4, 3, 6, 6)) for _ in range(steps)]
     labels = rng_x.integers(0, 5, size=4)
     results = []
     for planned in (False, True):
-        with nn.dtype_scope(dtype), ops.fast_kernels(fast):
+        with nn.dtype_scope(dtype):
             model = make_model(np.random.default_rng(0), dtype)
             opt = nn.SGD(model.parameters(), lr=0.05, momentum=0.9)
             program = StepProgram("t") if planned else None
@@ -91,12 +94,6 @@ class TestReplayBitParity:
         (el, es), (pl, ps) = run_pair(dtype=dtype)
         assert el == pl
         assert set(es) == set(ps)
-        for key in es:
-            assert np.array_equal(es[key], ps[key]), key
-
-    def test_bit_identical_without_fast_kernels(self):
-        (el, es), (pl, ps) = run_pair(fast=False)
-        assert el == pl
         for key in es:
             assert np.array_equal(es[key], ps[key]), key
 
@@ -187,8 +184,8 @@ class TestInvalidation:
 
     def test_rebound_parameter_storage_raises(self):
         model, opt, program, labels = self._program_with_plan()
-        weight = model.layers[0].weight
-        weight.data = weight.data.copy()  # rebind, not in-place
+        gamma = model.layers[0].gamma
+        gamma.data = gamma.data.copy()  # rebind, not in-place
         rng_x = np.random.default_rng(3)
         xs = [rng_x.normal(size=(4, 3, 6, 6))]
         with pytest.raises(PlanError, match="rebound"):
@@ -248,6 +245,29 @@ class TestInvalidation:
         with pytest.raises(PlanError, match="drifted"):
             program.run(("k", scores.shape), {"scores": flipped}, fn)
 
+    @pytest.mark.parametrize("kernel,groups,kind", [
+        (3, 1, "conv2d"), (1, 1, "conv2d_1x1"), (3, 4, "conv2d_dw")])
+    def test_traced_conv_raises_naming_eager_fallback(self, kernel, groups,
+                                                      kind):
+        conv = nn.Conv2d(4, 4, kernel, np.random.default_rng(0),
+                         padding=kernel // 2, groups=groups)
+        x = np.random.default_rng(1).normal(size=(2, 4, 5, 5))
+
+        def fn(ts):
+            return {"loss": ops.mean(conv(ts["x"]))}
+
+        program = StepProgram("t")
+        with pytest.raises(PlanError, match=kind) as info:
+            program.run(("conv", x.shape), {"x": x}, fn)
+        assert "plans(False)" in str(info.value)
+        assert ops._TRACER is None
+        assert program.stats()["plans_compiled"] == 0
+        # the fix the message names: the same step runs eagerly
+        with nn.plans(False):
+            out = program.run(("conv", x.shape), {"x": x}, fn)
+        assert np.isfinite(out["loss"])
+        assert conv.weight.grad is not None
+
 
 class TestProgramModes:
     def test_plans_context_falls_back_to_eager(self):
@@ -285,40 +305,3 @@ class TestProgramModes:
         b = arena.request((4, 4), np.dtype(np.float64))
         assert b is a
         assert arena.hits == 1 and arena.misses == 1
-
-
-@pytest.mark.skipif(plan_mod._np_bmm_einsum is None,
-                    reason="numpy has no bmm_einsum lowering to freeze")
-class TestFrozenBmm:
-    def test_build_time_matmul_reads_filled_prep_buffers(self, monkeypatch):
-        """Regression: ``_freeze_bmm`` ran its build-time matmul on transpose
-        buffers fresh from ``np.empty``, before any prep step had filled
-        them.  NaN-filled ``np.empty`` makes that read visible every time."""
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 3, 4, 5))
-        w = rng.standard_normal((6, 3))
-        subscripts = "nchw,oc->nohw"  # transposes both operands, then permutes
-
-        real_empty, real_matmul = np.empty, np.matmul
-        unfilled = []
-
-        def nan_empty(shape, dtype=float, *args, **kwargs):
-            arr = real_empty(shape, dtype, *args, **kwargs)
-            arr.fill(np.nan)
-            return arr
-
-        def checked_matmul(a, b, *args, **kwargs):
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                unfilled.append((a.shape, b.shape))
-            return real_matmul(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", nan_empty)
-        monkeypatch.setattr(np, "matmul", checked_matmul)
-        factory = plan_mod._freeze_bmm(subscripts, x, w)
-        assert factory is not None
-        out = real_empty((2, 6, 4, 5))
-        kernel = factory(out)
-        assert unfilled == [], "frozen matmul read an unfilled prep buffer"
-        kernel()
-        monkeypatch.undo()
-        assert np.array_equal(out, np.einsum(subscripts, x, w, optimize=True))
