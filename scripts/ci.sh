@@ -7,10 +7,23 @@ export PYTHONPATH=src
 
 python -m pytest -x -q
 
+# Tests write predictor caches only under a temporary REPRO_RESULTS_DIR:
+# the tracked cache files must come out of the suite untouched.
+cache_changes="$(git status --porcelain benchmarks/results/cache)"
+if [ -n "$cache_changes" ]; then
+    echo "error: the test suite changed benchmarks/results/cache:" >&2
+    echo "$cache_changes" >&2
+    exit 1
+fi
+
 # The bit-for-bit guarantees get a named run so a regression is unmissable
-# in the CI log even when the full suite is green-but-skipping.
+# in the CI log even when the full suite is green-but-skipping: resume
+# parity, the cold- vs warm-cache `search --tiny` JSON, and the depthwise
+# padding fold against the pad-then-convolve composition.
 python -m pytest -x -q tests/core/test_resume_parity.py \
     tests/core/test_lightnas.py::TestTrajectoryValidLoss \
+    tests/eval/test_tiny_predictor_cache.py \
+    tests/nn/test_conv_fast_paths.py::TestPaddingFold \
     tests/runtime/
 
 # Start-up contract: shipped commands load neither scipy nor the HTTP stack

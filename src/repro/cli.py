@@ -248,7 +248,10 @@ def cmd_search(args) -> int:
                 )
             config = LightNASConfig.tiny(latency_target_ms=args.target,
                                          seed=args.seed, **overrides)
-            engine = LightNAS(config)
+            # the engine's default fit, loaded from the campaign cache
+            predictor, _ = fit_latency_predictor(
+                space, latency_model, **LightNAS.predictor_recipe(args.seed))
+            engine = LightNAS(config, predictor=predictor)
         else:
             predictor = _metric_predictor(args.metric, space, latency_model,
                                           energy_model)
@@ -764,6 +767,18 @@ def cmd_trace_summary(args) -> int:
             print(render_table(
                 ["op", "total ms", "calls", "mean ms", "alloc MB"], op_rows,
                 title=f"per-op profile — run {index + 1}/{len(runs)}"))
+            layers = run.get("layer_profile") or {}
+            if layers:
+                layer_rows = [
+                    [key, f"{info['total_ms']:.1f}", info["calls"],
+                     f"{info['mean_ms']:.4f}"]
+                    for key, info in sorted(layers.items(),
+                                            key=lambda kv: -kv[1]["total_ms"])
+                ]
+                print(render_table(
+                    ["layer/op", "forward ms", "calls", "mean ms"],
+                    layer_rows,
+                    title=f"per-layer forward — run {index + 1}/{len(runs)}"))
     return 0
 
 

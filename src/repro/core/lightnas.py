@@ -36,9 +36,13 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..predictor.dataset import collect_latency_dataset
-from ..predictor.mlp import MLPPredictor
+from ..experiments.shared import fit_latency_predictor
 from ..hardware.latency import LatencyModel
+# not called here since the default predictor fits through
+# fit_latency_predictor; kept as a module attribute because profilers wrap
+# ``repro.core.lightnas.collect_latency_dataset`` by name
+from ..predictor.dataset import collect_latency_dataset  # noqa: F401
+from ..predictor.mlp import MLPPredictor
 from ..proxy.accuracy_model import AccuracyOracle
 from ..proxy.dataset import Batch, SyntheticTask
 from ..proxy.supernet import SuperNet
@@ -192,9 +196,12 @@ class LightNAS:
         Run configuration.
     predictor:
         A fitted metric predictor.  If omitted, a latency predictor is
-        trained on a fresh simulated measurement campaign (1,500 samples —
+        trained on a fresh simulated measurement campaign of
+        :meth:`predictor_recipe` (1,500 samples from ``seed + 101`` —
         enough for search-grade accuracy; the benchmarks use the full
-        10,000-sample protocol).
+        10,000-sample protocol).  That fit touches no file; ``repro search
+        --tiny`` loads the same fit from the campaign cache instead of
+        refitting (see :mod:`repro.experiments.shared`).
     oracle:
         Accuracy oracle for surrogate mode (defaults to the calibrated
         ImageNet oracle of the config's space).
@@ -237,13 +244,19 @@ class LightNAS:
         # eager fallback (their sampled paths rarely repeat)
         self.programs = nn.StepProgram("lightnas")
 
+    @staticmethod
+    def predictor_recipe(seed: int) -> dict:
+        """Campaign + fit recipe of the default predictor for ``seed``:
+        keyword arguments of :func:`repro.experiments.shared.
+        fit_latency_predictor` (``repro search --tiny`` passes them with the
+        cache on, so its cached fit is this exact predictor)."""
+        return dict(seed=seed + 101, num_samples=1500, init_seed=seed,
+                    epochs=120, batch_size=256)
+
     def _default_predictor(self) -> MLPPredictor:
-        latency_model = LatencyModel(self.space)
-        campaign_rng = np.random.default_rng(self.config.seed + 101)
-        data = collect_latency_dataset(latency_model, 1500, campaign_rng)
-        train, valid = data.split(0.8, campaign_rng)
-        predictor = MLPPredictor(self.space, seed=self.config.seed)
-        predictor.fit(train, epochs=120, batch_size=256, lr=3e-3, weight_decay=0.0)
+        predictor, _ = fit_latency_predictor(
+            self.space, LatencyModel(self.space), use_cache=False,
+            **self.predictor_recipe(self.config.seed))
         return predictor
 
     # ------------------------------------------------------------------
@@ -454,6 +467,9 @@ class LightNAS:
             )
             if op_prof is not None:
                 epoch_fields["op_profile"] = op_prof.as_dict()
+                layers = op_prof.layers()
+                if layers:
+                    epoch_fields["layer_profile"] = layers
             if cfg.use_plans:
                 epoch_fields["plan_stats"] = self.programs.stats()
             journal.epoch(**epoch_fields)

@@ -3,14 +3,25 @@
 Every benchmark needs the same substrate: the full search space, the
 simulated Xavier, the accuracy oracle, and a predictor trained on the
 10,000-architecture measurement campaign.  The campaign + fit takes ~40 s
-of CPU, so :func:`full_context` caches the fitted predictor weights under
-``benchmarks/results/cache`` keyed by the campaign seed; reruns load in
-milliseconds.  Delete the cache directory to force a fresh campaign.
+of CPU, so :func:`fit_latency_predictor` (and :func:`full_context` through
+it) caches the fitted predictor weights under ``benchmarks/results/cache``;
+reruns load in milliseconds.
+
+A cache file is keyed by everything that determines the fit: the space
+geometry, the campaign seed and size, the fit recipe (initialisation seed,
+epochs, batch size) and a fingerprint of the device.  The
+campaign protocol's recipe keeps the historical file names
+(``latency_predictor_s42_n10000_<device>.npz``); any other recipe, such as
+``repro search --tiny``'s seed-keyed fit, adds a recipe component
+(``..._s101_n1500_i0_e120_b256_<device>.npz``).  Files are written
+atomically.  Delete a file (or the whole directory) to force a fresh
+campaign.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,10 +84,32 @@ def _cache_path(name: str) -> str:
     return os.path.join(cache, name)
 
 
+def _recipe_tag(seed: int, init_seed: int, epochs: int,
+                batch_size: int) -> str:
+    """Cache-name component for the fit recipe.  The campaign protocol
+    (init seed = campaign seed, :data:`FIT_EPOCHS`, :data:`FIT_BATCH`)
+    keeps the historical untagged names; any other recipe gets its own
+    entry."""
+    if (init_seed, epochs, batch_size) == (seed, FIT_EPOCHS, FIT_BATCH):
+        return ""
+    return f"i{init_seed}_e{epochs}_b{batch_size}_"
+
+
 def _save_predictor(predictor: MLPPredictor, path: str, rmse: float) -> None:
+    """Write the cache file atomically: a crash or a concurrent reader never
+    sees a half-written file at ``path``."""
     state = predictor.state_dict()
     state["__rmse"] = np.array(rmse)
-    np.savez(path, **state)
+    handle, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                   prefix=".tmp-", suffix=".npz")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            np.savez(stream, **state)
+        os.chmod(tmp, 0o644)  # mkstemp creates owner-only files
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_predictor(space: SearchSpace, path: str) -> Optional[tuple]:
@@ -107,30 +140,56 @@ def _load_predictor(space: SearchSpace, path: str) -> Optional[tuple]:
     return predictor, rmse
 
 
+def _fit_predictor(kind: str, collect, model, space: SearchSpace, seed: int,
+                   num_samples: int, use_cache: bool,
+                   init_seed: Optional[int], epochs: int,
+                   batch_size: int) -> tuple:
+    """Run (or load) one campaign + fit; returns ``(predictor, rmse)``.
+
+    The campaign draws ``num_samples`` measurements from
+    ``default_rng(seed)``, splits them 80/20 with the same generator and
+    fits an :class:`MLPPredictor` initialised from ``init_seed`` (default:
+    ``seed``) with ``epochs`` epochs of Adam at :data:`FIT_LR`.  With
+    ``use_cache`` the result is read from / written to ``<results>/cache``;
+    without it no file is touched.
+    """
+    init_seed = seed if init_seed is None else init_seed
+    path = None
+    if use_cache:
+        path = _cache_path(
+            f"{kind}_predictor_{_space_tag(space)}s{seed}_n{num_samples}_"
+            f"{_recipe_tag(seed, init_seed, epochs, batch_size)}"
+            f"{_device_fingerprint(model.device)}.npz")
+        cached = _load_predictor(space, path)
+        if cached is not None:
+            return cached
+    rng = np.random.default_rng(seed)
+    data = collect(model, num_samples, rng)
+    train, valid = data.split(0.8, rng)
+    predictor = MLPPredictor(space, seed=init_seed)
+    predictor.fit(train, epochs=epochs, batch_size=batch_size, lr=FIT_LR,
+                  weight_decay=0.0)
+    rmse = predictor.rmse(valid)
+    if path is not None:
+        _save_predictor(predictor, path, rmse)
+    return predictor, rmse
+
+
 def fit_latency_predictor(
     space: SearchSpace,
     latency_model: LatencyModel,
     seed: int = CAMPAIGN_SEED,
     num_samples: int = CAMPAIGN_SIZE,
     use_cache: bool = True,
+    *,
+    init_seed: Optional[int] = None,
+    epochs: int = FIT_EPOCHS,
+    batch_size: int = FIT_BATCH,
 ) -> tuple:
     """Fit (or load) the campaign latency predictor; returns (pred, rmse)."""
-    fingerprint = _device_fingerprint(latency_model.device)
-    path = _cache_path(f"latency_predictor_{_space_tag(space)}"
-                       f"s{seed}_n{num_samples}_{fingerprint}.npz")
-    if use_cache:
-        cached = _load_predictor(space, path)
-        if cached is not None:
-            return cached
-    rng = np.random.default_rng(seed)
-    data = collect_latency_dataset(latency_model, num_samples, rng)
-    train, valid = data.split(0.8, rng)
-    predictor = MLPPredictor(space, seed=seed)
-    predictor.fit(train, epochs=FIT_EPOCHS, batch_size=FIT_BATCH, lr=FIT_LR,
-                  weight_decay=0.0)
-    rmse = predictor.rmse(valid)
-    _save_predictor(predictor, path, rmse)
-    return predictor, rmse
+    return _fit_predictor("latency", collect_latency_dataset, latency_model,
+                          space, seed, num_samples, use_cache, init_seed,
+                          epochs, batch_size)
 
 
 def fit_energy_predictor(
@@ -141,22 +200,9 @@ def fit_energy_predictor(
     use_cache: bool = True,
 ) -> tuple:
     """Fit (or load) the energy predictor of Figure 8; returns (pred, rmse)."""
-    fingerprint = _device_fingerprint(energy_model.device)
-    path = _cache_path(f"energy_predictor_{_space_tag(space)}"
-                       f"s{seed}_n{num_samples}_{fingerprint}.npz")
-    if use_cache:
-        cached = _load_predictor(space, path)
-        if cached is not None:
-            return cached
-    rng = np.random.default_rng(seed)
-    data = collect_energy_dataset(energy_model, num_samples, rng)
-    train, valid = data.split(0.8, rng)
-    predictor = MLPPredictor(space, seed=seed)
-    predictor.fit(train, epochs=FIT_EPOCHS, batch_size=FIT_BATCH, lr=FIT_LR,
-                  weight_decay=0.0)
-    rmse = predictor.rmse(valid)
-    _save_predictor(predictor, path, rmse)
-    return predictor, rmse
+    return _fit_predictor("energy", collect_energy_dataset, energy_model,
+                          space, seed, num_samples, use_cache, None,
+                          FIT_EPOCHS, FIT_BATCH)
 
 
 def full_context(use_cache: bool = True) -> ExperimentContext:

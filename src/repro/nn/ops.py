@@ -563,10 +563,7 @@ def conv2d(
     strided-window fast paths that are bit-identical to the generic grouped
     path in float64 (see :func:`fast_kernels`).
     """
-    if padding:
-        x = pad2d(x, padding)
-
-    n, c_in, h, w = x.shape
+    c_in = x.shape[1]
     c_out, c_in_g, kh, kw = weight.shape
     if c_in_g * groups != c_in:
         raise ValueError(
@@ -576,11 +573,12 @@ def conv2d(
     if c_out % groups != 0:
         raise ValueError(f"c_out={c_out} not divisible by groups={groups}")
 
-    if _FAST_KERNELS:
-        if groups == 1 and kh == 1 and kw == 1:
-            return _conv2d_1x1(x, weight, bias, stride)
-        if groups == c_in and c_out == c_in and c_in_g == 1:
-            return _conv2d_depthwise(x, weight, bias, stride)
+    if _FAST_KERNELS and groups == c_in and c_out == c_in and c_in_g == 1:
+        return _conv2d_depthwise(x, weight, bias, stride, int(padding))
+    if padding:
+        x = pad2d(x, padding)
+    if _FAST_KERNELS and groups == 1 and kh == 1 and kw == 1:
+        return _conv2d_1x1(x, weight, bias, stride)
     return _conv2d_generic(x, weight, bias, stride, groups)
 
 
@@ -625,21 +623,40 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     return Tensor._make(out, parents, backward)
 
 
+def _tap_span(offset: int, padding: int, stride: int, out_size: int,
+              size: int) -> Optional[tuple]:
+    """Output range ``[lo, hi)`` of one kernel tap that lands on real input.
+
+    Along one spatial axis, output ``o`` of tap ``offset`` reads unpadded
+    input ``offset - padding + stride * o``.  Returns ``(lo, hi, start)``
+    with ``start`` the input index of output ``lo``, or ``None`` when every
+    output of the tap reads padding.
+    """
+    lo = max(0, -((offset - padding) // stride))
+    hi = min(out_size, (size - 1 + padding - offset) // stride + 1)
+    if lo >= hi:
+        return None
+    return lo, hi, offset - padding + stride * lo
+
+
 @_op("conv2d_dw")
 def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Optional[Tensor],
-                      stride: int) -> Tensor:
+                      stride: int, padding: int = 0) -> Tensor:
     """Depthwise convolution: per-channel window reduction on the raw view.
 
-    Works directly on the strided im2col *view* (no materialised copy), so
-    the forward is one einsum and the weight gradient another; the input
-    gradient fuses the weight broadcast into the col2im scatter loop
-    without materialising the ``(N, C, kh, kw, OH, OW)`` column gradient.
+    Works directly on the strided im2col *view* of the zero-padded input
+    (no materialised column copy), so the forward is one einsum and the
+    weight gradient another.  The padding is folded in: the input gradient
+    is scattered straight onto the unpadded input, one tap at a time in
+    ascending ``(i, j)`` order, skipping every tap whose window reads only
+    padding — bit-identical to ``pad2d`` followed by the unpadded kernel.
     """
-    n, c, h, w = x.shape
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.data, pad) if padding else x.data
     kh, kw = weight.shape[2:]
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    cols = _im2col(x.data, kh, kw, stride)  # view, no copy
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    cols = _im2col(xp, kh, kw, stride)  # view, no copy
     w_sq = weight.data[:, 0]  # (C, kh, kw)
     out = np.einsum("ncijpq,cij->ncpq", cols, w_sq, optimize=True)
     if bias is not None:
@@ -651,12 +668,24 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     def backward(grad):
         pairs = []
         if x.requires_grad:
+            h, w = x.shape[2:]
+            spans_y = [_tap_span(i, padding, stride, oh, h)
+                       for i in range(kh)]
+            spans_x = [_tap_span(j, padding, stride, ow, w)
+                       for j in range(kw)]
             gx = np.zeros(x.shape, dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i:i + stride * oh:stride,
-                       j:j + stride * ow:stride] += (
-                        grad * w_sq[None, :, i, j, None, None])
+            for i, span_y in enumerate(spans_y):
+                if span_y is None:
+                    continue
+                p0, p1, y0 = span_y
+                for j, span_x in enumerate(spans_x):
+                    if span_x is None:
+                        continue
+                    q0, q1, x0 = span_x
+                    gx[:, :, y0:y0 + stride * (p1 - p0):stride,
+                       x0:x0 + stride * (q1 - q0):stride] += (
+                        grad[:, :, p0:p1, q0:q1]
+                        * w_sq[None, :, i, j, None, None])
             pairs.append((x, gx))
         if weight.requires_grad:
             gw = np.einsum("ncpq,ncijpq->cij", grad, cols, optimize=True)

@@ -7,9 +7,15 @@
 context the instrumentation cost is one module-attribute check per op call,
 so training speed is unaffected when profiling is off.
 
+Model code may also record coarser spans with
+:meth:`OpProfile.record_layer` — the supernet records each choice block's
+forward under ``layer <l>/<op>``.  Layer spans overlap the op times inside
+them, so they are kept apart from the op kinds (:meth:`OpProfile.layers`).
+
 The aggregate feeds the search engines' journal epochs
-(``LightNASConfig(profile_ops=True)``) and is rendered by
-``python -m repro trace-summary --ops``.
+(``LightNASConfig(profile_ops=True)``: ``op_profile`` and
+``layer_profile``) and is rendered by ``python -m repro trace-summary
+--ops``.
 
 >>> from repro import nn
 >>> with nn.profiler.profile() as prof:
@@ -36,6 +42,8 @@ class OpProfile:
         self._totals: Dict[str, float] = {}
         self._counts: Dict[str, int] = {}
         self._bytes: Dict[str, int] = {}
+        self._layer_totals: Dict[str, float] = {}
+        self._layer_counts: Dict[str, int] = {}
 
     def record(self, kind: str, elapsed_s: float, nbytes: int = 0) -> None:
         self._totals[kind] = self._totals.get(kind, 0.0) + elapsed_s
@@ -43,10 +51,17 @@ class OpProfile:
         if nbytes:
             self._bytes[kind] = self._bytes.get(kind, 0) + nbytes
 
+    def record_layer(self, key: str, elapsed_s: float) -> None:
+        """Record one model-layer span (not an op kind; see :meth:`layers`)."""
+        self._layer_totals[key] = self._layer_totals.get(key, 0.0) + elapsed_s
+        self._layer_counts[key] = self._layer_counts.get(key, 0) + 1
+
     def reset(self) -> None:
         self._totals.clear()
         self._counts.clear()
         self._bytes.clear()
+        self._layer_totals.clear()
+        self._layer_counts.clear()
 
     def __len__(self) -> int:
         return len(self._totals)
@@ -59,17 +74,29 @@ class OpProfile:
         output anew; replayed step plans write into arena buffers instead
         and record ~0 here).
         """
-        out: Dict[str, Dict[str, float]] = {}
-        for kind in sorted(self._totals, key=self._totals.get, reverse=True):
-            total_ms = self._totals[kind] * 1e3
-            calls = self._counts[kind]
-            out[kind] = {
-                "total_ms": round(total_ms, 4),
-                "calls": calls,
-                "mean_ms": round(total_ms / calls, 6),
-                "alloc_bytes": int(self._bytes.get(kind, 0)),
-            }
+        out = _rows(self._totals, self._counts)
+        for kind, row in out.items():
+            row["alloc_bytes"] = int(self._bytes.get(kind, 0))
         return out
+
+    def layers(self) -> Dict[str, Dict[str, float]]:
+        """``{layer key: {"total_ms", "calls", "mean_ms"}}`` of the
+        :meth:`record_layer` spans, sorted by descending total time."""
+        return _rows(self._layer_totals, self._layer_counts)
+
+
+def _rows(totals: Dict[str, float],
+          counts: Dict[str, int]) -> Dict[str, Dict[str, float]]:
+    out: Dict[str, Dict[str, float]] = {}
+    for key in sorted(totals, key=totals.get, reverse=True):
+        total_ms = totals[key] * 1e3
+        calls = counts[key]
+        out[key] = {
+            "total_ms": round(total_ms, 4),
+            "calls": calls,
+            "mean_ms": round(total_ms / calls, 6),
+        }
+    return out
 
 
 def active_profile() -> Optional[OpProfile]:

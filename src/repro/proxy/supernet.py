@@ -23,6 +23,7 @@ sub-network of the supernet (the "equality principle").
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -114,6 +115,8 @@ class SuperNet(nn.Module):
         Only the argmax operator of each layer executes; multiplying by the
         (value 1.0) gate entry keeps the gate on the tape so its
         straight-through gradient reaches the architecture parameters.
+        Under an open :func:`repro.nn.profiler.profile` each choice block's
+        forward is recorded as ``layer <l>/<op>``.
         """
         if gates.shape != (self.space.num_layers, self.space.num_operators):
             raise ValueError(
@@ -123,10 +126,17 @@ class SuperNet(nn.Module):
         active = 0
         h = self.backbone.enter(x)
         selections = np.argmax(gates.data, axis=1)
+        prof = nn.profiler.active_profile()
         for l, block in enumerate(self.choice_blocks):
             k = int(selections[l])
             gate = gates[l, k]  # scalar tensor, value 1.0, on the tape
-            h = block[k](h) * gate
+            if prof is None:
+                h = block[k](h) * gate
+            else:
+                start = time.perf_counter()
+                h = block[k](h) * gate
+                prof.record_layer(f"layer {l}/{self.space.operators[k]}",
+                                  time.perf_counter() - start)
             active += 1
         self.last_active_paths = active
         return self.backbone.exit(h)

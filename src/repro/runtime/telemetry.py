@@ -227,6 +227,7 @@ def summarize_runs(events: List[dict]) -> List[dict]:
                 "wall_time_s": None,
                 "phase_timers": {},
                 "op_profile": {},
+                "layer_profile": {},
                 "plan_stats": {},
                 "task": pending_task,
             }
@@ -240,9 +241,9 @@ def summarize_runs(events: List[dict]) -> List[dict]:
             current["final_lambda"] = event.get("lambda")
             current["final_valid_loss"] = event.get("valid_loss")
             current["architecture"] = event.get("architecture")
-            if event.get("op_profile"):
-                current["op_profile"] = merge_profiles(
-                    current["op_profile"], event["op_profile"])
+            for key in ("op_profile", "layer_profile"):
+                if event.get(key):
+                    current[key] = merge_profiles(current[key], event[key])
         elif kind == "checkpoint":
             current["checkpoints_written"] += 1
         elif kind == "run_end":

@@ -1,9 +1,12 @@
 """Tests of the LightNAS engine: config validation and search behaviour."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.experiments.shared import fit_latency_predictor
 from repro.hardware.latency import LatencyModel
 from repro.runtime.telemetry import RunJournal, read_journal
 from repro.search_space.macro import MacroConfig
@@ -209,8 +212,45 @@ class TestSupernetSearch:
         # the α-step runs through StepProgram's eager fallback
         assert stats["eager_steps"] == result.num_search_steps
 
-    def test_default_predictor_built_when_missing(self):
+    def test_default_predictor_built_when_missing(self, tmp_path,
+                                                  monkeypatch):
+        """The library fit is the recipe the CLI caches, and writes no
+        file."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         cfg = LightNASConfig.tiny(latency_target_ms=2.3, seed=2,
                                   epochs=3, steps_per_epoch=2, warmup_epochs=1)
         engine = LightNAS(cfg)
         assert engine.predictor.fitted
+        assert os.listdir(tmp_path) == []
+        cached, _ = fit_latency_predictor(cfg.space, LatencyModel(cfg.space),
+                                          **LightNAS.predictor_recipe(2))
+        feats = cfg.space.encode_many(
+            cfg.space.sample_indices(32, np.random.default_rng(0)))
+        assert np.array_equal(engine.predictor.predict(feats),
+                              cached.predict(feats))
+
+    def test_profile_ops_journals_layer_profile(self, tiny_predictor,
+                                                tmp_path):
+        """Per-layer forward spans go to ``layer_profile``, never into
+        ``op_profile`` (whose keys are op kinds that sum to the op total)."""
+        journal = RunJournal(str(tmp_path / "run.jsonl"))
+        cfg = LightNASConfig.tiny(latency_target_ms=1.0, seed=0, epochs=3,
+                                  profile_ops=True)
+        LightNAS(cfg, predictor=tiny_predictor).search(journal=journal)
+        journal.close()
+        epochs = [e for e in read_journal(journal.path)
+                  if e["event"] == "epoch"]
+        assert len(epochs) == 3
+        ops = {op.name for op in cfg.space.operators}
+        for event in epochs:
+            per_layer = {}
+            for key, row in event["layer_profile"].items():
+                layer, op = key.split("/")
+                assert op in ops
+                per_layer[layer] = per_layer.get(layer, 0) + row["calls"]
+            assert sorted(per_layer) == [
+                f"layer {l}" for l in range(cfg.space.num_layers)]
+            # every single-path forward runs each layer exactly once
+            assert len(set(per_layer.values())) == 1
+            assert not any(k.startswith("layer ")
+                           for k in event["op_profile"])

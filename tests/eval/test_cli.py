@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.telemetry import RunJournal
 
 
 TINY_ARCH = "1,2,3,4"
@@ -210,3 +211,53 @@ class TestRuntimeFlags:
         summary = capsys.readouterr().out
         assert "lightnas" in summary
         assert "resumed" in summary
+
+
+class TestTraceSummaryLayers:
+    def test_layer_profile_table(self, capsys, tmp_path):
+        """``--ops`` merges every epoch's ``layer_profile`` into one
+        per-layer forward table, slowest layer/op first."""
+        path = str(tmp_path / "run.jsonl")
+        dw = {"total_ms": 3.0, "calls": 4, "mean_ms": 0.75, "alloc_bytes": 0}
+        with RunJournal(path) as journal:
+            journal.run_header(engine="lightnas", target=1.0, seed=0)
+            journal.epoch(epoch=0, op_profile={"conv2d_dw": dw},
+                          layer_profile={
+                              "layer 0/mbconv_k3_e3": {
+                                  "total_ms": 2.5, "calls": 2,
+                                  "mean_ms": 1.25},
+                              "layer 1/skip": {
+                                  "total_ms": 0.1, "calls": 2,
+                                  "mean_ms": 0.05}})
+            journal.epoch(epoch=1, op_profile={"conv2d_dw": dw},
+                          layer_profile={
+                              "layer 0/mbconv_k7_e6": {
+                                  "total_ms": 4.0, "calls": 1,
+                                  "mean_ms": 4.0},
+                              "layer 1/skip": {
+                                  "total_ms": 0.2, "calls": 1,
+                                  "mean_ms": 0.2}})
+            journal.run_end(final_predicted_metric=1.1)
+        assert main(["trace-summary", "--ops", path]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("per-layer forward"):].splitlines()
+        assert table == [
+            "per-layer forward — run 1/1",
+            "layer/op              forward ms  calls  mean ms",
+            "--------------------  ----------  -----  -------",
+            "layer 0/mbconv_k7_e6  4.0         1      4.0000 ",
+            "layer 0/mbconv_k3_e3  2.5         2      1.2500 ",
+            "layer 1/skip          0.3         3      0.1000 ",
+        ]
+        # the op table is untouched by the layer spans
+        assert "conv2d_dw  6.0       8" in out
+
+    def test_no_layer_table_without_layer_profile(self, capsys, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        with RunJournal(path) as journal:
+            journal.run_header(engine="lightnas", target=24.0, seed=0)
+            journal.epoch(epoch=0, op_profile={"matmul": {
+                "total_ms": 1.0, "calls": 1, "mean_ms": 1.0}})
+            journal.run_end()
+        assert main(["trace-summary", "--ops", path]) == 0
+        assert "per-layer" not in capsys.readouterr().out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.reporting import ascii_series, render_table, save_json
-from repro.experiments.shared import fit_latency_predictor
+from repro.experiments.shared import _device_fingerprint, fit_latency_predictor
 
 
 class TestRenderTable:
@@ -152,3 +152,61 @@ class TestPredictorCache:
                                            seed=10, num_samples=300,
                                            use_cache=False)
         assert rmse > 0.0
+        with open(path, "rb") as handle:  # and nothing was written either
+            assert handle.read() == b"garbage"
+        assert os.listdir(cache_dir) == [os.path.basename(path)]
+
+    def test_cache_keyed_by_fit_recipe(self, tmp_path, monkeypatch,
+                                       tiny_space, tiny_latency_model):
+        """The campaign recipe keeps the historical name; any other recipe
+        gets its own file and never loads the campaign fit."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        base, _ = fit_latency_predictor(tiny_space, tiny_latency_model,
+                                        seed=12, num_samples=300)
+        other, _ = fit_latency_predictor(tiny_space, tiny_latency_model,
+                                         seed=12, num_samples=300,
+                                         init_seed=3, epochs=20,
+                                         batch_size=64)
+        cache_dir = os.path.join(str(tmp_path), "cache")
+        fingerprint = _device_fingerprint(tiny_latency_model.device)
+        assert sorted(os.listdir(cache_dir)) == [
+            f"latency_predictor_L4K7_s12_n300_{fingerprint}.npz",
+            f"latency_predictor_L4K7_s12_n300_i3_e20_b64_{fingerprint}.npz",
+        ]
+        feats = tiny_space.encode_many(
+            tiny_space.sample_indices(16, np.random.default_rng(2)))
+        assert not np.array_equal(base.predict(feats), other.predict(feats))
+        again, _ = fit_latency_predictor(tiny_space, tiny_latency_model,
+                                         seed=12, num_samples=300,
+                                         init_seed=3, epochs=20,
+                                         batch_size=64)
+        assert np.array_equal(again.predict(feats), other.predict(feats))
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch,
+                                              tiny_space, tiny_latency_model):
+        """A crash mid-write leaves nothing at the cache path (so the next
+        run cannot hit a half-written file) and no temp file behind."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        real_savez = np.savez
+
+        def crash(stream, **arrays):
+            stream.write(b"PK\x03\x04 half an archive")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(KeyboardInterrupt):
+            fit_latency_predictor(tiny_space, tiny_latency_model,
+                                  seed=13, num_samples=300)
+        cache_dir = os.path.join(str(tmp_path), "cache")
+        assert os.listdir(cache_dir) == []
+
+        monkeypatch.setattr(np, "savez", real_savez)
+        fitted, rmse = fit_latency_predictor(tiny_space, tiny_latency_model,
+                                             seed=13, num_samples=300)
+        assert len(os.listdir(cache_dir)) == 1
+        loaded, loaded_rmse = fit_latency_predictor(
+            tiny_space, tiny_latency_model, seed=13, num_samples=300)
+        assert loaded_rmse == rmse
+        feats = tiny_space.encode_many(
+            tiny_space.sample_indices(16, np.random.default_rng(3)))
+        assert np.array_equal(loaded.predict(feats), fitted.predict(feats))

@@ -122,6 +122,72 @@ class TestFastMatchesGeneric:
                 assert np.array_equal(f, s), f"{name} not bit-identical"
 
 
+def _run_pad_then_depthwise(x, w, b, stride, padding):
+    """The pre-fold composition: ``pad2d`` then the unpadded kernel."""
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    bt = Tensor(b, requires_grad=True)
+    out = ops._conv2d_depthwise(ops.pad2d(xt, padding), wt, bt, stride)
+    cotangent = np.arange(out.data.size, dtype=np.float64)
+    cotangent = cotangent.reshape(out.shape) / out.data.size
+    (out * Tensor(cotangent)).sum().backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def _padding_only_taps(k, stride, padding, h):
+    """How many (i, j) taps of a k×k depthwise kernel read only padding."""
+    out = (h + 2 * padding - k) // stride + 1
+    live = sum(ops._tap_span(i, padding, stride, out, h) is not None
+               for i in range(k))
+    return k * k - live * live
+
+
+class TestPaddingFold:
+    """The depthwise kernel folds its zero padding in: its input gradient is
+    scattered onto the unpadded input, skipping taps that read only
+    padding.  Forward and all gradients stay bit-identical to the old
+    ``pad2d`` → depthwise composition at every supernet geometry."""
+
+    @pytest.mark.parametrize("h", range(2, 9))
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_bit_identical_to_pad_then_conv(self, k, stride, h):
+        rng = np.random.default_rng(100 * k + 10 * stride + h)
+        c = 5
+        x = rng.normal(size=(3, c, h, h))
+        w = rng.normal(size=(c, 1, k, k))
+        b = rng.normal(size=(c,))
+        for padding in sorted({0, 1, k // 2}):
+            if h + 2 * padding < k:
+                continue
+            folded = _run_conv(x, w, b, stride, padding, c, fast=True)
+            old = _run_pad_then_depthwise(x, w, b, stride, padding)
+            generic = _run_conv(x, w, b, stride, padding, c, fast=False)
+            for name, f, o, g in zip(("out", "gx", "gw", "gb"), folded, old,
+                                     generic):
+                assert f.shape == o.shape, name
+                assert np.array_equal(f, o), (
+                    f"{name} differs at k{k} s{stride} h{h} p{padding}")
+                assert np.array_equal(f, g), (
+                    f"{name} off generic at k{k} s{stride} h{h} p{padding}")
+
+    def test_grid_covers_padding_only_taps(self):
+        """The sweep above really exercises skipped taps."""
+        assert _padding_only_taps(7, 1, 3, 2) == 49 - 3 * 3
+        assert _padding_only_taps(5, 2, 2, 2) == 25 - 2 * 2
+        assert _padding_only_taps(3, 1, 1, 8) == 0
+        assert ops._tap_span(0, 3, 1, 2, 2) is None
+        assert ops._tap_span(3, 3, 1, 2, 2) == (0, 2, 0)
+
+    def test_gradient_is_unpadded_and_contiguous(self):
+        rng = np.random.default_rng(1)
+        xt = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        wt = Tensor(rng.normal(size=(3, 1, 5, 5)))
+        ops.conv2d(xt, wt, stride=2, padding=2, groups=3).sum().backward()
+        assert xt.grad.shape == (2, 3, 4, 4)
+        assert xt.grad.flags.c_contiguous
+
+
 def numeric_grad(fn, x, h=1e-6):
     grad = np.zeros_like(x)
     flat, gflat = x.reshape(-1), grad.reshape(-1)
@@ -143,9 +209,12 @@ class TestFiniteDifferences:
         dict(x=(1, 3, 5, 5), w=(3, 1, 3, 3), stride=1, padding=1, groups=3),
         dict(x=(2, 4, 6, 6), w=(4, 1, 3, 3), stride=2, padding=1, groups=4),
         dict(x=(1, 2, 7, 7), w=(2, 1, 5, 5), stride=1, padding=2, groups=2),
+        dict(x=(2, 2, 2, 2), w=(2, 1, 7, 7), stride=1, padding=3, groups=2),
+        dict(x=(1, 3, 3, 3), w=(3, 1, 5, 5), stride=2, padding=2, groups=3),
         dict(x=(1, 3, 4, 4), w=(5, 3, 1, 1), stride=1, padding=0, groups=1),
         dict(x=(2, 3, 5, 5), w=(4, 3, 1, 1), stride=2, padding=0, groups=1),
-    ], ids=["dw_k3_s1", "dw_k3_s2", "dw_k5_pad2", "pw_s1", "pw_s2"])
+    ], ids=["dw_k3_s1", "dw_k3_s2", "dw_k5_pad2", "dw_k7_h2_pad3",
+            "dw_k5_s2_h3_pad2", "pw_s1", "pw_s2"])
     @pytest.mark.parametrize("wrt", [0, 1])
     def test_fast_kernel_gradients(self, case, wrt):
         rng = np.random.default_rng(7)

@@ -73,6 +73,33 @@ class TestSinglePath:
         assert all(p.grad is None for p in inactive.parameters())
 
 
+class TestLayerProfile:
+    def test_profile_records_each_choice_block(self, tiny_space, supernet):
+        arch = tiny_space.sample(np.random.default_rng(7))
+        with nn.profiler.profile() as prof:
+            supernet.forward_single_path(batch_images(tiny_space),
+                                         one_hot_gates(tiny_space, arch))
+        layers = prof.layers()
+        assert sorted(layers) == sorted(
+            f"layer {l}/{tiny_space.operators[k].name}"
+            for l, k in enumerate(arch.op_indices))
+        assert all(row["calls"] == 1 for row in layers.values())
+        # layer spans overlap the op times inside them: never op kinds
+        assert not set(layers) & set(prof.as_dict())
+
+    def test_one_profile_check_per_forward(self, tiny_space, supernet,
+                                           monkeypatch):
+        """With profiling off the layer view costs one check per forward."""
+        checks = []
+        real = nn.profiler.active_profile
+        monkeypatch.setattr(nn.profiler, "active_profile",
+                            lambda: checks.append(1) or real())
+        arch = tiny_space.sample(np.random.default_rng(8))
+        supernet.forward_single_path(batch_images(tiny_space),
+                                     one_hot_gates(tiny_space, arch))
+        assert len(checks) == 1
+
+
 class TestMultiPath:
     def test_all_paths_active(self, tiny_space, supernet):
         weights = nn.Tensor(np.full(
