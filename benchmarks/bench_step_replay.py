@@ -7,12 +7,13 @@ capacity loss + fitted latency MLP + straight-through gates over the
 21×K architecture parameters, then Adam on α and the λ ascent).
 
 Both sides run the engine's own α-epoch loop
-(``LightNAS._update_alpha_epoch``): one engine with plans on (the first
-step traces, every later step replays) and one with ``use_plans=False``
-(every step eager).  The benchmark reports steady-state per-step wall
-time (best of ``--repeat`` paired rounds) and the number of tracked
+(``LightNAS._update_alpha_epoch``): one engine compiles its step (the
+first step traces, every later step replays) and one runs every step
+eagerly inside ``nn.plans(False)``, the engine's one eager switch.  The
+benchmark reports steady-state per-step wall time (best of ``--repeat``
+paired rounds) and the number of tracked
 :class:`~repro.nn.tensor.Tensor` allocations per step.  A replayed plan
-runs the whole step through preallocated arena buffers, so its
+runs the whole step through the buffers its trace adopted, so its
 allocation count must collapse to ~zero.
 
 Run standalone::
@@ -42,14 +43,14 @@ TARGET_MS = 24.0
 EPOCH = 10
 
 
-def _alpha_epoch_runner(predictor, steps: int, use_plans: bool):
+def _alpha_epoch_runner(predictor, steps: int, compiled: bool):
     """A zero-argument callable running one α-epoch of ``steps`` steps.
 
     Mirrors the state :meth:`LightNAS.search` sets up for its α/λ loop, so
-    each call runs exactly the shipped step (and its optimizer updates).
+    each call runs exactly the shipped step (and its optimizer updates);
+    ``compiled=False`` runs it under ``nn.plans(False)``.
     """
-    config = LightNASConfig.paper(TARGET_MS, seed=0, steps_per_epoch=steps,
-                                  use_plans=use_plans)
+    config = LightNASConfig.paper(TARGET_MS, seed=0, steps_per_epoch=steps)
     engine = LightNAS(config, predictor=predictor)
     alpha = nn.Parameter(engine.space.uniform_alpha(), name="alpha")
     alpha_opt = nn.Adam([alpha], lr=config.alpha_lr,
@@ -60,7 +61,8 @@ def _alpha_epoch_runner(predictor, steps: int, use_plans: bool):
         config.tau_initial, config.tau_floor, config.epochs), engine.rng)
 
     def run_epoch():
-        engine._update_alpha_epoch(sampler, alpha, alpha_opt, lam, EPOCH)
+        with nn.plans(compiled):
+            engine._update_alpha_epoch(sampler, alpha, alpha_opt, lam, EPOCH)
     return run_epoch, engine.programs
 
 
@@ -93,9 +95,9 @@ def run(steps: int, check: bool, repeat: int = 10) -> dict:
     space = SearchSpace()
     predictor, _ = fit_latency_predictor(space, LatencyModel(space),
                                          num_samples=10_000)
-    eager_epoch, _ = _alpha_epoch_runner(predictor, steps, use_plans=False)
+    eager_epoch, _ = _alpha_epoch_runner(predictor, steps, compiled=False)
     plan_epoch, program = _alpha_epoch_runner(predictor, steps,
-                                              use_plans=True)
+                                              compiled=True)
     eager_s, eager_allocs, plan_s, plan_allocs = _measure_pair(
         eager_epoch, plan_epoch, steps, repeat)
     stats = program.stats()

@@ -30,11 +30,16 @@ python -m pytest -x -q tests/core/test_resume_parity.py \
 # unless they use them.
 python -m pytest -x -q tests/integration/test_startup.py
 
-# Surrogate searches compile one α-step plan: plans on vs off bit-identity,
-# the 1-compile/N−1-replay counters, the frozen predictor, and resume and
-# jobs=4 parity with plans on.  Supernet searches compile nothing.
+# Surrogate searches compile one α-step plan: compiled vs nn.plans(False)
+# eager bit-identity, the 1-compile/N−1-replay counters, the frozen
+# predictor, resume and jobs=4 parity, and a float64 search under a
+# float32 caller dtype.  Every shipped predictor kind compiles exactly
+# one plan from the 15 lowered op kinds; any other op kind, or a replay
+# with changed shapes, input names or dtype, raises.  Supernet searches
+# compile nothing (TestSupernetSearch).
 python -m pytest -x -q tests/core/test_surrogate_plan.py \
-    tests/core/test_lightnas.py::TestSupernetSearch::test_supernet_search_compiles_no_plans
+    tests/core/test_plan_op_set.py tests/nn/test_plan.py::TestInvalidation \
+    tests/core/test_lightnas.py::TestSupernetSearch
 
 # The conv fast-path contract: gradient checks for every specialized kernel
 # plus the golden-trajectory test pinning the float64 engine bit-identical.
@@ -56,9 +61,9 @@ python benchmarks/bench_archive.py --cycles 12 --population 8 --check
 python benchmarks/bench_nn_engine.py --steps 8 --repeat 2 --check
 
 # Step-compiler benchmark with acceptance thresholds on the paper-config
-# surrogate alpha-step, replay vs eager in paired alternating rounds
-# (>= 2x replayed step, >= 10x tracked-allocation drop); the JSON is
-# uploaded as the bench-step CI artifact.
+# surrogate alpha-step, replay vs eager (nn.plans(False)) in paired
+# alternating rounds (>= 2x replayed step, >= 10x tracked-allocation
+# drop); the JSON is uploaded as the bench-step CI artifact.
 python benchmarks/bench_step_replay.py --check
 
 # The run-fleet executor's contracts get a named run: the jobs=1 vs

@@ -234,8 +234,7 @@ def cmd_search(args) -> int:
     space = _space(args)
     latency_model = LatencyModel(space)
     energy_model = EnergyModel(space, latency_model=latency_model)
-    overrides = {"compute_dtype": args.dtype, "profile_ops": args.profile_ops,
-                 "use_plans": not args.no_plans}
+    overrides = {"compute_dtype": args.dtype, "profile_ops": args.profile_ops}
     if args.epochs:
         overrides["epochs"] = args.epochs
     try:
@@ -406,7 +405,6 @@ def cmd_sweep(args) -> int:
                                         metric_name=args.metric,
                                         compute_dtype=args.dtype,
                                         profile_ops=args.profile_ops,
-                                        use_plans=not args.no_plans,
                                         **overrides)
                    for target in targets]
     except ValueError as exc:
@@ -456,7 +454,6 @@ def cmd_stability(args) -> int:
                                      metric_name=args.metric,
                                      compute_dtype=args.dtype,
                                      profile_ops=args.profile_ops,
-                                     use_plans=not args.no_plans,
                                      **overrides)
                 for target in targets for seed in seeds]
     except ValueError as exc:
@@ -1277,11 +1274,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile-ops", action="store_true",
                         help="record per-op wall time in the journal epochs "
                              "(view with: repro trace-summary --ops)")
-    parser.add_argument("--no-plans", action="store_true",
-                        help="run the surrogate alpha-step eagerly instead "
-                             "of compiling it once and replaying it (supernet "
-                             "steps always run eagerly); results are "
-                             "bit-identical, just slower")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -115,12 +115,6 @@ class LightNASConfig:
     compute_dtype: str = "float64"
     #: when True, per-op wall time is profiled and journalled every epoch
     profile_ops: bool = False
-    #: compile the surrogate α-step into a trace-once/replay-many plan (one
-    #: compile, then a replay on every later step; bit-identical to the
-    #: eager engine).  Supernet steps always run eagerly: their ops follow
-    #: the sampled Gumbel path, which rarely repeats.  ``False`` or the
-    #: ``repro.nn.plans(False)`` context runs the surrogate step eagerly too
-    use_plans: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("surrogate", "supernet"):
@@ -382,6 +376,15 @@ class LightNAS:
             A :class:`repro.runtime.telemetry.RunJournal` receiving
             structured per-epoch events (defaults to the no-op journal).
         """
+        # the search runs in float64 whatever the caller's default dtype;
+        # supernet mode scopes its compute dtype inside
+        with nn.dtype_scope("float64"):
+            return self._search(verbose, checkpoint_dir, checkpoint_every,
+                                resume_from, journal)
+
+    def _search(self, verbose: bool, checkpoint_dir: Optional[str],
+                checkpoint_every: int, resume_from: Optional[str],
+                journal: Optional[RunJournal]) -> SearchResult:
         cfg = self.config
         journal = journal if journal is not None else NullJournal()
         timers = PhaseTimers()
@@ -470,8 +473,7 @@ class LightNAS:
                 layers = op_prof.layers()
                 if layers:
                     epoch_fields["layer_profile"] = layers
-            if cfg.use_plans:
-                epoch_fields["plan_stats"] = self.programs.stats()
+            epoch_fields["plan_stats"] = self.programs.stats()
             journal.epoch(**epoch_fields)
             if verbose:
                 print(
@@ -504,9 +506,8 @@ class LightNAS:
             num_search_steps=steps,
             wall_time_s=round(time.perf_counter() - run_start, 6),
             phase_timers=timers.as_dict(),
+            plan_stats=self.programs.stats(),
         )
-        if cfg.use_plans:
-            end_fields["plan_stats"] = self.programs.stats()
         journal.run_end(**end_fields)
         return result
 
@@ -545,16 +546,16 @@ class LightNAS:
         steps = 0
         loss_sum = 0.0
 
-        # The one α-step, run by ``self.programs`` as an eager step, a
-        # trace, or a replay (supernet mode or ``use_plans=False`` → always
-        # eager).  The per-step randomness (Gumbel noise, validation batch)
-        # and the annealed 1/τ are plan *inputs*.  The latency term uses the
-        # *deterministic* binarisation of α: Eq. (4) defines the
-        # architecture encoded by α as the per-layer argmax, so LAT(α) is
-        # the latency of that architecture, not of the Gumbel sample (with
-        # the sampled gates, λ's equilibrium pins the *expected* sampled
-        # latency to T while the derived argmax systematically
-        # undershoots).  Its STE recomputes the argmax live on replay.
+        # The one α-step, run by ``self.programs`` as a trace, a replay, or
+        # (supernet mode) an eager step.  The per-step randomness (Gumbel
+        # noise, validation batch) and the annealed 1/τ are plan *inputs*.
+        # The latency term uses the *deterministic* binarisation of α:
+        # Eq. (4) defines the architecture encoded by α as the per-layer
+        # argmax, so LAT(α) is the latency of that architecture, not of the
+        # Gumbel sample (with the sampled gates, λ's equilibrium pins the
+        # *expected* sampled latency to T while the derived argmax
+        # systematically undershoots).  Its STE recomputes the argmax live
+        # on replay.
         def fn(ts):
             _, gates = sampler.sample_gates(
                 alpha, epoch, noise=ts["noise"], inv_tau=ts["inv_tau"])
@@ -570,12 +571,10 @@ class LightNAS:
             return {"loss": loss, "valid_loss": valid_loss}
 
         # Surrogate steps trace the same fixed L×K gate program whatever
-        # path is sampled, so one constant key compiles once and replays on
-        # every later step.  A supernet step's ops follow the sampled single
-        # path, which rarely comes round again, so a plan keyed on it would
-        # almost never replay: supernet steps run eagerly.
-        compiled = cfg.use_plans and not supernet
-        with (nullcontext() if compiled else nn.plans(False)), \
+        # path is sampled, so one plan compiles once and replays on every
+        # later step.  A supernet step's ops follow the sampled single path,
+        # which rarely comes round again, so supernet steps run eagerly.
+        with (nn.plans(False) if supernet else nullcontext()), \
                 (nn.dtype_scope(cfg.compute_dtype) if supernet
                  else nullcontext()):
             for _ in range(cfg.steps_per_epoch):
@@ -593,7 +592,7 @@ class LightNAS:
                     inputs["images"] = batch.images
                     inputs["targets"] = F.one_hot(
                         batch.labels, self.space.macro.num_classes)
-                out = self.programs.run(("alpha",), inputs, fn)
+                out = self.programs.run(inputs, fn)
                 alpha_opt.step()
                 loss_sum += float(out["valid_loss"])
                 lam.ascend()

@@ -25,13 +25,7 @@ from .modules import (
     SqueezeExcite,
 )
 from .optim import SGD, Adam, CosineSchedule, GradientAscent, Optimizer
-from .plan import (
-    BufferArena,
-    PlanError,
-    StepProgram,
-    plans,
-    plans_enabled,
-)
+from .plan import PlanError, StepProgram, plans, plans_enabled
 from .tensor import (
     Tensor,
     dtype_scope,
@@ -50,5 +44,5 @@ __all__ = [
     "BatchNorm2d", "ReLU", "ReLU6", "Sigmoid", "Dropout", "GlobalAvgPool",
     "Flatten", "SqueezeExcite",
     "Optimizer", "SGD", "Adam", "GradientAscent", "CosineSchedule",
-    "plan", "PlanError", "BufferArena", "StepProgram", "plans", "plans_enabled",
+    "plan", "PlanError", "StepProgram", "plans", "plans_enabled",
 ]

@@ -140,9 +140,7 @@ class Module:
             value = np.asarray(state[key])
             if value.shape != buf.shape:
                 raise ValueError(f"shape mismatch for {key}")
-            # in-place, like parameters: running statistics must keep their
-            # identity for compiled step plans and their effect closures
-            np.copyto(buf, value)
+            np.copyto(buf, value)  # in place, like parameters
         for name, module in self._modules.items():
             module.load_state_dict(state, prefix=f"{prefix}{name}.")
 
@@ -271,8 +269,7 @@ class BatchNorm2d(Module):
         if self.training:
             # running stats update in place (same pairwise add.reduce that
             # ndarray.mean()/var() dispatch to, so bit-identical to the
-            # historical fresh-array form) and replays as a plan effect,
-            # reading the live input buffer on every replayed step
+            # historical fresh-array form)
             x_data = x.data
             momentum = self.momentum
             running_mean, running_var = self.running_mean, self.running_var
@@ -289,56 +286,29 @@ class BatchNorm2d(Module):
             _, _, diff, mean_keep, batch_mean, batch_var = ws
             count = x_data.dtype.type(
                 x_data.shape[0] * x_data.shape[2] * x_data.shape[3])
-
-            def _update_stats():
-                np.add.reduce(x_data, axis=(0, 2, 3), out=batch_mean)
-                np.divide(batch_mean, count, out=batch_mean)
-                np.add.reduce(x_data, axis=(0, 2, 3), keepdims=True,
-                              out=mean_keep)
-                np.divide(mean_keep, count, out=mean_keep)
-                np.subtract(x_data, mean_keep, out=diff)
-                np.multiply(diff, diff, out=diff)
-                np.add.reduce(diff, axis=(0, 2, 3), out=batch_var)
-                np.divide(batch_var, count, out=batch_var)
-                np.multiply(running_mean, 1 - momentum, out=running_mean)
-                np.multiply(batch_mean, momentum, out=batch_mean)
-                np.add(running_mean, batch_mean, out=running_mean)
-                np.multiply(running_var, 1 - momentum, out=running_var)
-                np.multiply(batch_var, momentum, out=batch_var)
-                np.add(running_var, batch_var, out=running_var)
-
-            _update_stats()
-            ops.record_replay_effect(_update_stats)
+            np.add.reduce(x_data, axis=(0, 2, 3), out=batch_mean)
+            np.divide(batch_mean, count, out=batch_mean)
+            np.add.reduce(x_data, axis=(0, 2, 3), keepdims=True,
+                          out=mean_keep)
+            np.divide(mean_keep, count, out=mean_keep)
+            np.subtract(x_data, mean_keep, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=(0, 2, 3), out=batch_var)
+            np.divide(batch_var, count, out=batch_var)
+            np.multiply(running_mean, 1 - momentum, out=running_mean)
+            np.multiply(batch_mean, momentum, out=batch_mean)
+            np.add(running_mean, batch_mean, out=running_mean)
+            np.multiply(running_var, 1 - momentum, out=running_var)
+            np.multiply(batch_var, momentum, out=batch_var)
+            np.add(running_var, batch_var, out=running_var)
             mean_t = ops.mean(x, axis=(0, 2, 3), keepdims=True)
             centered = x - mean_t
             var_t = ops.mean(centered * centered, axis=(0, 2, 3), keepdims=True)
             normed = centered / ops.sqrt(var_t + Tensor(self.eps))
         else:
-            # eval mode normalizes against persistent views of the live
-            # running stats: the constant-wrapper Tensors are cached so
-            # repeated traces of the same module guard one tensor identity
-            # instead of minting fresh wrappers per forward
-            # (load_state_dict copies in place, keeping the views live)
-            std_flat = getattr(self, "_eval_std", None)
-            cached = getattr(self, "_eval_consts", None)
-            if (std_flat is None or std_flat.shape != self.running_var.shape
-                    or std_flat.dtype != self.running_var.dtype
-                    or cached is None
-                    or cached[0].data.base is not self.running_mean):
-                std_flat = np.empty_like(self.running_var)
-                object.__setattr__(self, "_eval_std", std_flat)
-                cached = (Tensor(self.running_mean.reshape(1, -1, 1, 1)),
-                          Tensor(std_flat.reshape(1, -1, 1, 1)))
-                object.__setattr__(self, "_eval_consts", cached)
-            mean_t, std_t = cached
-
-            def _refresh_std(rv=self.running_var, out=std_flat, eps=self.eps):
-                np.add(rv, eps, out=out)
-                np.sqrt(out, out=out)
-
-            _refresh_std()
-            ops.record_replay_effect(_refresh_std)
-            normed = (x - mean_t) / std_t
+            mean = self.running_mean.reshape(1, -1, 1, 1)
+            std = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
+            normed = (x - Tensor(mean)) / Tensor(std)
         gamma = ops.reshape(self.gamma, (1, self.num_features, 1, 1))
         beta = ops.reshape(self.beta, (1, self.num_features, 1, 1))
         return normed * gamma + beta
@@ -377,20 +347,7 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        # persistent mask buffer so compiled step plans can alias it; the
-        # redraw closure advances the same RNG stream as the historical
-        # fresh-array draw and replays as a plan effect
-        mask = getattr(self, "_mask", None)
-        if (mask is None or mask.shape != x.shape
-                or mask.dtype != x.data.dtype):
-            mask = np.empty(x.shape, dtype=x.data.dtype)
-            object.__setattr__(self, "_mask", mask)
-
-        def _redraw(mask=mask, rng=self.rng, shape=x.shape, keep=keep):
-            mask[...] = rng.uniform(size=shape) < keep
-
-        _redraw()
-        ops.record_replay_effect(_redraw)
+        mask = (self.rng.uniform(size=x.shape) < keep).astype(x.data.dtype)
         return ops.dropout_mask(x, mask, 1.0 / keep)
 
 

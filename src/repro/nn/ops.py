@@ -47,7 +47,7 @@ __all__ = [
     "matmul", "sum_", "mean", "amax", "clip", "relu", "relu6", "sigmoid",
     "tanh", "reshape", "transpose", "concat", "pad2d", "conv2d",
     "avg_pool_global", "maximum", "getitem", "stack", "dropout_mask",
-    "fast_kernels", "record_replay_effect",
+    "fast_kernels",
 ]
 
 #: dispatch depthwise/1×1 convolutions to the specialized kernels
@@ -57,19 +57,6 @@ _FAST_KERNELS = True
 #: :mod:`repro.nn.plan` around a traced step (checked per op call like the
 #: profiler, so tracing costs nothing when off)
 _TRACER = None
-
-
-def record_replay_effect(fn) -> None:
-    """Register a non-tape side effect with the active step-plan tracer.
-
-    Modules with step-to-step state that lives *outside* the tape —
-    BatchNorm running-statistic updates, Dropout mask redraws — call this
-    right after performing the effect eagerly.  When a plan trace is open
-    the effect closure is recorded at its position in the op stream and
-    re-executed on every replay; outside a trace this is a no-op.
-    """
-    if _TRACER is not None:
-        _TRACER.record_effect(fn)
 
 
 @contextmanager

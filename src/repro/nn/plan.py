@@ -7,48 +7,43 @@ construction and near-zero fresh allocations**.  Every op output and every
 gradient array of the traced step is *adopted* as a plan-owned buffer; the
 replay kernels write into those exact arrays with ``out=``-style numpy
 calls, so the replayed step reuses the eager step's own memory, layouts and
-reduction orders.  In float64 a replay is therefore **bit-identical** to
-the eager engine by construction (asserted by the surrogate-plan and
-hypothesis parity tests).
+reduction orders.  A replay is therefore **bit-identical** to the eager
+engine by construction (asserted by the surrogate-plan and hypothesis
+parity tests).
 
-The compiler lowers the elementwise, reduction, matmul, indexing and
-straight-through ops a surrogate α-step uses.  Convolutions are not
-lowered: tracing one raises :class:`PlanError`, and such steps run eagerly
-under :func:`plans` ``(False)``.
+The compiler fits the one step a shipped command compiles, the surrogate
+α-step (Gumbel gates over the L×K logits, the straight-through binarizer,
+the oracle loss, the metric predictor and the λ term): it lowers exactly
+the 15 op kinds that step traces, in float64, with a backward.  Tracing
+any other op kind — a convolution, ``tanh``, ... — raises
+:class:`PlanError` naming it; such steps run eagerly under
+:func:`plans` ``(False)``.
 
 Architecture
 ------------
 * :class:`_Tracer` hooks into ``ops._op`` (via ``ops._TRACER``) and records
-  every primitive op in call order, interleaved with *effects* — non-tape
-  side computations such as BatchNorm running-stat updates and Dropout mask
-  redraws, registered by the modules through
-  :func:`repro.nn.ops.record_replay_effect`.
+  every primitive op in call order.
 * Forward lowering adopts each record's output array.  Pure-view outputs
   (transpose, view-reshape, basic-slice getitem) need no kernel at all:
   the standing view updates automatically when its base is rewritten.
 * Backward lowering replicates :meth:`Tensor.backward`'s exact sweep while
   calling each real traced closure **once** (this doubles as the traced
   step's actual backward), adopting every gradient array it produces.
-  Per-node replay kernels either (a) skip pure-view contributions,
-  (b) use a hand-written ``out=`` kernel that matches the closure's
-  arithmetic bit-for-bit, or (c) fall back to calling the original closure
-  and copying the results into the adopted buffers.
-* A :class:`BufferArena` hands out shape+dtype-keyed scratch workspaces and
-  tracks adopted bytes and pool hit/miss counters; evicted plans release
-  their workspaces back to the pool.
-* :class:`StepProgram` keys compiled plans by a caller key plus
-  ``(dtype, grad flag)`` in an LRU cache, and falls back to the plain eager
-  step when plans are disabled (:func:`plans` or ``--no-plans``).
+  Per-node replay kernels either skip pure-view contributions or use a
+  hand-written ``out=`` kernel that matches the closure's arithmetic
+  bit-for-bit; a node no kernel covers raises :class:`PlanError`.
+* :class:`StepProgram` holds one plan: it traces on the first
+  :meth:`StepProgram.run` and replays on every later one, or runs the
+  plain eager step inside :func:`plans` ``(False)``.
 
-Invalidation is **loud**: a replay with a changed batch shape, missing
-input, rebound parameter storage, or drifted sampled path (the STE guard)
-raises :class:`PlanError` instead of silently reusing stale buffers.
+Invalidation is **loud**: a replay with changed input names or shapes,
+rebound parameter storage, or a default dtype other than float64 raises
+:class:`PlanError` instead of silently reusing stale buffers.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -57,16 +52,18 @@ import numpy as np
 from . import ops, profiler
 from .tensor import Tensor, get_default_dtype
 
-__all__ = ["PlanError", "BufferArena", "StepPlan", "StepProgram", "plans",
-           "plans_enabled"]
+__all__ = ["PlanError", "StepPlan", "StepProgram", "plans", "plans_enabled"]
+
+#: the one dtype plans compile in (the surrogate search always runs float64)
+_DTYPE = np.dtype(np.float64)
 
 
 class PlanError(RuntimeError):
     """A step plan could not be compiled or safely replayed.
 
     Raised instead of silently recomputing or reusing stale buffers: the
-    caller should either fix the key (recompile) or fall back to the eager
-    engine with :func:`plans` ``(False)``.
+    caller should fix the step (a fresh :class:`StepProgram` recompiles) or
+    run it eagerly with :func:`plans` ``(False)``.
     """
 
 
@@ -100,57 +97,6 @@ def plans(enabled: bool = True) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# Buffer arena
-# ----------------------------------------------------------------------
-
-class BufferArena:
-    """Shape+dtype-keyed buffer pool shared by the plans of one program.
-
-    Two kinds of memory flow through the arena:
-
-    * **adopted** buffers — arrays materialised by the traced eager step and
-      taken over as plan state (op outputs, gradients, masks).  They are
-      owned by exactly one plan and counted in :attr:`adopted_bytes`.
-    * **requested** workspaces — fresh scratch arrays handed out by
-      :meth:`request` and returned to the keyed pool when a plan is evicted,
-      so the next compile with matching shapes reuses them
-      (:attr:`hits`/:attr:`misses` count pool traffic).
-    """
-
-    def __init__(self) -> None:
-        self._pool: Dict[tuple, List[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.adopted_bytes = 0
-        self.adopted_arrays = 0
-        self.requested_bytes = 0
-
-    @staticmethod
-    def _key(shape, dtype) -> tuple:
-        return (tuple(int(s) for s in shape), np.dtype(dtype).str)
-
-    def request(self, shape, dtype) -> np.ndarray:
-        """A writable array of exactly ``shape``/``dtype`` (pooled if possible)."""
-        key = self._key(shape, dtype)
-        stack = self._pool.get(key)
-        if stack:
-            self.hits += 1
-            return stack.pop()
-        self.misses += 1
-        arr = np.empty(shape, dtype=dtype)
-        self.requested_bytes += arr.nbytes
-        return arr
-
-    def release(self, arr: np.ndarray) -> None:
-        """Return a workspace obtained from :meth:`request` to the pool."""
-        self._pool.setdefault(self._key(arr.shape, arr.dtype), []).append(arr)
-
-    def total_bytes(self) -> int:
-        """Bytes held alive through the arena (adopted + pooled workspaces)."""
-        return int(self.adopted_bytes + self.requested_bytes)
-
-
-# ----------------------------------------------------------------------
 # Tracing
 # ----------------------------------------------------------------------
 
@@ -165,26 +111,18 @@ class _Record:
 
 
 class _Tracer:
-    """Collects ``("op", record)`` / ``("effect", fn)`` entries in call order."""
+    """Collects the traced step's op records in call order."""
 
     def __init__(self) -> None:
-        self.entries: List[tuple] = []
+        self.records: List[_Record] = []
 
     def record(self, kind, args, kwargs, out) -> None:
         if kind not in _SIGNATURES:
             raise PlanError(
-                f"step plans cannot compile op kind {kind!r} (convolutions "
-                f"are not lowered); run this step eagerly under "
-                f"nn.plans(False)")
-        # identity ops (e.g. pad2d with padding=0) return an argument
-        # unchanged — nothing to replay
-        for a in args:
-            if out is a:
-                return
-        self.entries.append(("op", _Record(kind, args, kwargs, out)))
-
-    def record_effect(self, fn: Callable[[], None]) -> None:
-        self.entries.append(("effect", fn))
+                f"step plans cannot compile op kind {kind!r} (only the "
+                f"surrogate alpha-step's ops are lowered); run this step "
+                f"eagerly under nn.plans(False)")
+        self.records.append(_Record(kind, args, kwargs, out))
 
 
 #: positional parameter names and defaults per op kind (mirrors ops.py)
@@ -194,25 +132,15 @@ _SIGNATURES: Dict[str, tuple] = {
     "mul": (("a", "b"), {}),
     "div": (("a", "b"), {}),
     "neg": (("a",), {}),
-    "pow": (("a", "exponent"), {}),
     "exp": (("a",), {}),
     "log": (("a",), {}),
-    "sqrt": (("a",), {}),
-    "maximum": (("a", "b"), {}),
-    "clip": (("a", "low", "high"), {}),
     "relu": (("a",), {}),
-    "sigmoid": (("a",), {}),
-    "tanh": (("a",), {}),
-    "dropout": (("a", "mask", "scale"), {}),
     "matmul": (("a", "b"), {}),
     "sum": (("a", "axis", "keepdims"), {"axis": None, "keepdims": False}),
     "amax": (("a", "axis", "keepdims"), {"axis": None, "keepdims": False}),
     "reshape": (("a", "shape"), {}),
     "transpose": (("a", "axes"), {"axes": None}),
     "getitem": (("a", "index"), {}),
-    "concat": (("tensors", "axis"), {"axis": 0}),
-    "stack": (("tensors", "axis"), {"axis": 0}),
-    "pad2d": (("a", "padding"), {}),
     "ste": (("probs", "axis"), {"axis": -1}),
 }
 
@@ -226,17 +154,15 @@ def _bind(rec: _Record) -> Dict[str, Any]:
     return bound
 
 
-def _operand(value, dtype) -> np.ndarray:
+def _operand(value) -> np.ndarray:
     """The live array behind an op operand.
 
     Tensors contribute their (plan-stable) ``.data``; raw scalars/arrays are
-    baked exactly as ``ops._as_tensor`` would have stored them.  ``asarray``
-    preserves identity when the dtype already matches, which keeps the
-    Dropout mask an *alias* of the module's persistent buffer.
+    baked exactly as ``ops._as_tensor`` would have stored them.
     """
     if isinstance(value, Tensor):
         return value.data
-    return np.asarray(value, dtype=dtype)
+    return np.asarray(value, dtype=_DTYPE)
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +175,12 @@ def _ufunc2(ufunc, a, b, o):
     return kernel
 
 
-def _build_forward(rec: _Record, plan: "StepPlan",
-                   dtype: np.dtype) -> Optional[Callable[[], None]]:
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "div": np.divide}
+_UNARY = {"neg": np.negative, "exp": np.exp, "log": np.log}
+
+
+def _build_forward(rec: _Record) -> Optional[Callable[[], None]]:
     """A replay kernel writing ``rec.out.data`` in place, or None for views.
 
     Each kernel reproduces the corresponding eager forward in ops.py with
@@ -260,126 +190,43 @@ def _build_forward(rec: _Record, plan: "StepPlan",
     kind = rec.kind
     b = _bind(rec)
     o = rec.out.data
-
-    if kind in ("add", "sub", "mul", "div", "maximum"):
-        x = _operand(b["a"], dtype)
-        y = _operand(b["b"], dtype)
-        ufunc = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
-                 "div": np.divide, "maximum": np.maximum}[kind]
-        return _ufunc2(ufunc, x, y, o)
-    if kind == "neg":
-        a = _operand(b["a"], dtype)
-        return lambda: np.negative(a, out=o)
-    if kind == "pow":
-        a = _operand(b["a"], dtype)
-        e = float(b["exponent"])
-        # ndarray.__pow__ special-cases small exponents; replicate verbatim
-        return lambda: np.copyto(o, a ** e)
-    if kind in ("exp", "log", "sqrt", "tanh"):
-        a = _operand(b["a"], dtype)
-        ufunc = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt,
-                 "tanh": np.tanh}[kind]
+    if kind == "ste":
+        return _build_ste_forward(b["probs"].data, b["axis"], o)
+    a = _operand(b["a"])
+    if kind in _BINARY:
+        return _ufunc2(_BINARY[kind], a, _operand(b["b"]), o)
+    if kind in _UNARY:
+        ufunc = _UNARY[kind]
         return lambda: ufunc(a, out=o)
-    if kind == "sigmoid":
-        a = _operand(b["a"], dtype)
-
-        def sigmoid_kernel():
-            np.negative(a, out=o)
-            np.exp(o, out=o)
-            np.add(o, 1.0, out=o)
-            np.divide(1.0, o, out=o)
-        return sigmoid_kernel
     if kind == "relu":
-        a = _operand(b["a"], dtype)
         return lambda: np.maximum(a, 0.0, out=o)
-    if kind == "clip":
-        a = _operand(b["a"], dtype)
-        low, high = b["low"], b["high"]
-        return lambda: np.clip(a, low, high, out=o)
-    if kind == "dropout":
-        a = _operand(b["a"], dtype)
-        mask = np.asarray(b["mask"])  # aliased: effects refresh it in place
-        scale = b["scale"]
-
-        def dropout_kernel():
-            np.multiply(a, mask, out=o)
-            np.multiply(o, scale, out=o)
-        return dropout_kernel
     if kind == "matmul":
-        x = _operand(b["a"], dtype)
-        y = _operand(b["b"], dtype)
-        if x.ndim >= 2 and y.ndim >= 2:
-            return lambda: np.matmul(x, y, out=o)
-        return lambda: np.copyto(o, x @ y)
-    if kind == "sum":
-        a = _operand(b["a"], dtype)
+        y = _operand(b["b"])
+        if a.ndim >= 2 and y.ndim >= 2:
+            return lambda: np.matmul(a, y, out=o)
+        return lambda: np.copyto(o, a @ y)
+    if kind in ("sum", "amax"):
+        reduce = np.sum if kind == "sum" else np.amax
         axis, keepdims = b["axis"], b["keepdims"]
-        return lambda: np.sum(a, axis=axis, keepdims=keepdims, out=o)
-    if kind == "amax":
-        a = _operand(b["a"], dtype)
-        axis, keepdims = b["axis"], b["keepdims"]
-        return lambda: np.amax(a, axis=axis, keepdims=keepdims, out=o)
+        return lambda: reduce(a, axis=axis, keepdims=keepdims, out=o)
+    # reshape, transpose, getitem: a view of the operand updates itself
+    if isinstance(o, np.ndarray) and o.size and np.shares_memory(o, a):
+        return None
     if kind == "reshape":
-        a = _operand(b["a"], dtype)
-        if np.shares_memory(o, a):
-            return None
         shape = b["shape"]
         return lambda: np.copyto(o, a.reshape(shape))
     if kind == "transpose":
-        a = _operand(b["a"], dtype)
-        if np.shares_memory(o, a):
-            return None
         axes = b["axes"]
         return lambda: np.copyto(o, np.transpose(a, axes))
-    if kind == "getitem":
-        a = _operand(b["a"], dtype)
-        index = b["index"]
-        if isinstance(o, np.ndarray) and o.size and np.shares_memory(o, a):
-            return None
-        return lambda: np.copyto(o, a[index])
-    if kind in ("concat", "stack"):
-        srcs = [_operand(t, dtype) for t in b["tensors"]]
-        axis = b["axis"]
-        if kind == "concat":
-            return lambda: np.concatenate(srcs, axis=axis, out=o)
-        return lambda: np.stack(srcs, axis=axis, out=o)
-    if kind == "pad2d":
-        a = _operand(b["a"], dtype)
-        p = int(b["padding"])
-        interior = o[:, :, p:-p, p:-p]  # border zeros persist from the trace
-
-        def pad_kernel():
-            np.copyto(interior, a)
-        return pad_kernel
-    if kind == "ste":
-        return _build_ste_forward(rec, b, plan)
-    raise PlanError(f"step plan cannot lower op kind {kind!r}")
+    index = b["index"]  # getitem
+    return lambda: np.copyto(o, a[index])
 
 
-def _build_ste_forward(rec, b, plan):
-    """Hard binarize; guarded records verify the traced argmax still holds.
-
-    A *guarded* STE is one whose one-hot output selects control flow (its
-    data is consumed by a ``getitem`` record — the per-layer gate lookup of
-    ``forward_single_path``).  Since the plan baked the traced path's op
-    sequence, a drifted argmax would silently replay the wrong block; the
-    guard turns that into a loud :class:`PlanError`.  Deterministic-path STE
-    outputs that only feed the predictor stay unguarded — their argmax may
-    legitimately drift within one plan key.
-    """
-    o = rec.out.data
-    probs = b["probs"].data
-    axis = b["axis"]
-    guarded = id(rec) in plan._guarded_ste
-    baked = np.argmax(probs, axis=axis).copy()  # trace-time selections
+def _build_ste_forward(probs, axis, o):
+    """Hard binarize, recomputing the argmax from the live input."""
 
     def ste_kernel():
         idx = np.argmax(probs, axis=axis)
-        if guarded and not np.array_equal(idx, baked):
-            raise PlanError(
-                "sampled path drifted from the traced plan: argmax of the "
-                "STE input no longer matches the compiled selections — the "
-                "plan key must include the sampled-path signature")
         o.fill(0.0)
         np.put_along_axis(o, np.expand_dims(idx, axis=axis), 1.0, axis=axis)
     return ste_kernel
@@ -388,21 +235,18 @@ def _build_ste_forward(rec, b, plan):
 # ----------------------------------------------------------------------
 # Backward kernel builders
 #
-# Each builder receives the node's fixed incoming-gradient array ``g``, the
-# pairs produced by one real call of the traced closure, and the subset of
-# pairs needing a writer (``writes`` maps pair index -> adopted array).  It
-# returns a list of replay kernels, or None to decline — in which case the
-# generic closure-call fallback handles the node (recomputing exactly what
-# the eager engine would, then copying into the adopted buffers).
-#
-# Builders only take over when they can reproduce the closure's arithmetic
-# bit-for-bit without fresh layout-sensitive temporaries: pairs that need an
-# ``_unbroadcast`` reduction are left to the fallback, because the summation
-# order of a reduction depends on the memory layout of its (eager-allocated)
-# operand and a C-ordered arena workspace could legally differ.
+# Each builder receives the node's fixed incoming-gradient array ``g`` and
+# the pairs of one real call of the traced closure that need a writer
+# (``writes`` maps pair index -> adopted array).  It returns a list of
+# replay kernels, or None when it cannot reproduce the closure's
+# arithmetic bit-for-bit (e.g. a matmul with broadcast batch dims) — the
+# compile then raises :class:`PlanError`.  Kernels allocate no fresh
+# layout-sensitive temporaries: the summation order of a reduction depends
+# on the memory layout of its operand, so ``_unbroadcast`` reductions run
+# into views of the adopted (eager-allocated) gradient arrays.
 # ----------------------------------------------------------------------
 
-def _bwd_relu(b, rec, g, pairs, writes, plan, dtype):
+def _bwd_relu(b, rec, g, writes, plan):
     a = b["a"].data
     B = writes[0][1]
     mask = plan.request(a.shape, np.bool_)
@@ -413,84 +257,24 @@ def _bwd_relu(b, rec, g, pairs, writes, plan, dtype):
     return [kernel]
 
 
-def _bwd_clip(b, rec, g, pairs, writes, plan, dtype):
-    a = b["a"].data
-    low, high = b["low"], b["high"]
-    B = writes[0][1]
-    m1 = plan.request(a.shape, np.bool_)
-    m2 = plan.request(a.shape, np.bool_)
-
-    def kernel():
-        np.greater(a, low, out=m1)
-        np.less(a, high, out=m2)
-        np.logical_and(m1, m2, out=m1)
-        np.multiply(g, m1, out=B)
-    return [kernel]
-
-
-def _bwd_dropout(b, rec, g, pairs, writes, plan, dtype):
-    mask = np.asarray(b["mask"])
-    scale = b["scale"]
-    B = writes[0][1]
-
-    def kernel():
-        np.multiply(g, mask, out=B)
-        np.multiply(B, scale, out=B)
-    return [kernel]
-
-
-def _bwd_exp(b, rec, g, pairs, writes, plan, dtype):
+def _bwd_exp(b, rec, g, writes, plan):
     o = rec.out.data
     B = writes[0][1]
     return [lambda: np.multiply(g, o, out=B)]
 
 
-def _bwd_log(b, rec, g, pairs, writes, plan, dtype):
+def _bwd_log(b, rec, g, writes, plan):
     a = b["a"].data
     B = writes[0][1]
     return [lambda: np.divide(g, a, out=B)]
 
 
-def _bwd_sqrt(b, rec, g, pairs, writes, plan, dtype):
-    o = rec.out.data
-    B = writes[0][1]
-
-    def kernel():
-        np.multiply(g, 0.5, out=B)
-        np.divide(B, o, out=B)
-    return [kernel]
-
-
-def _bwd_sigmoid(b, rec, g, pairs, writes, plan, dtype):
-    o = rec.out.data
-    B = writes[0][1]
-    t = plan.request(o.shape, dtype)
-
-    def kernel():
-        np.subtract(1.0, o, out=t)
-        np.multiply(g, o, out=B)
-        np.multiply(B, t, out=B)
-    return [kernel]
-
-
-def _bwd_tanh(b, rec, g, pairs, writes, plan, dtype):
-    o = rec.out.data
-    B = writes[0][1]
-    t = plan.request(o.shape, dtype)
-
-    def kernel():
-        np.multiply(o, o, out=t)
-        np.subtract(1.0, t, out=t)
-        np.multiply(g, t, out=B)
-    return [kernel]
-
-
-def _bwd_neg(b, rec, g, pairs, writes, plan, dtype):
+def _bwd_neg(b, rec, g, writes, plan):
     B = writes[0][1]
     return [lambda: np.negative(g, out=B)]
 
 
-def _bind_unbroadcast(plan, src, B, dtype):
+def _bind_unbroadcast(plan, src, B):
     """Kernel replicating ``tensor._unbroadcast(src, B.shape)`` into ``B``.
 
     Mirrors the eager helper step by step — the same leading-axis sum,
@@ -507,9 +291,9 @@ def _bind_unbroadcast(plan, src, B, dtype):
     keep_shape = tuple(1 if i in axes else s for i, s in enumerate(mid_shape))
     final = B.reshape(keep_shape if axes else mid_shape)
     if not np.shares_memory(final, B):
-        return None  # reshape degraded to a copy — fallback
+        return None  # reshape degraded to a copy
     if lead and axes:
-        mid = plan.request(mid_shape, dtype)
+        mid = plan.request(mid_shape, _DTYPE)
 
         def kernel():
             np.add.reduce(src, axis=lead, out=mid)
@@ -523,28 +307,16 @@ def _bind_unbroadcast(plan, src, B, dtype):
     return None  # same shape — caller handles
 
 
-def _bwd_add(b, rec, g, pairs, writes, plan, dtype):
-    kernels = []
-    for index, B in writes:
-        if B.shape == g.shape:
-            return None  # contribution aliases g — fallback
-        red = _bind_unbroadcast(plan, g, B, dtype)
-        if red is None:
-            return None
-        kernels.append(red)
-    return kernels
-
-
-def _bwd_mul(b, rec, g, pairs, writes, plan, dtype):
-    operands = (_operand(b["b"], dtype), _operand(b["a"], dtype))
+def _bwd_mul(b, rec, g, writes, plan):
+    operands = (_operand(b["b"]), _operand(b["a"]))
     kernels = []
     for index, B in writes:
         other = operands[index]
         if B.shape == g.shape:
             kernels.append(_ufunc2(np.multiply, g, other, B))
             continue
-        t = plan.request(g.shape, dtype)
-        red = _bind_unbroadcast(plan, t, B, dtype)
+        t = plan.request(g.shape, _DTYPE)
+        red = _bind_unbroadcast(plan, t, B)
         if red is None:
             return None
 
@@ -555,9 +327,9 @@ def _bwd_mul(b, rec, g, pairs, writes, plan, dtype):
     return kernels
 
 
-def _bwd_div(b, rec, g, pairs, writes, plan, dtype):
-    x = _operand(b["a"], dtype)
-    y = _operand(b["b"], dtype)
+def _bwd_div(b, rec, g, writes, plan):
+    x = _operand(b["a"])
+    y = _operand(b["b"])
     kernels = []
     for index, B in writes:
         same = B.shape == g.shape
@@ -565,8 +337,8 @@ def _bwd_div(b, rec, g, pairs, writes, plan, dtype):
             if same:
                 kernels.append(_ufunc2(np.divide, g, y, B))
                 continue
-            t = plan.request(g.shape, dtype)
-            red = _bind_unbroadcast(plan, t, B, dtype)
+            t = plan.request(g.shape, _DTYPE)
+            red = _bind_unbroadcast(plan, t, B)
             if red is None:
                 return None
 
@@ -575,13 +347,13 @@ def _bwd_div(b, rec, g, pairs, writes, plan, dtype):
                 red()
             kernels.append(kernel)
         else:
-            t = B if same else plan.request(g.shape, dtype)
+            t = B if same else plan.request(g.shape, _DTYPE)
             red = None
             if not same:
-                red = _bind_unbroadcast(plan, t, B, dtype)
+                red = _bind_unbroadcast(plan, t, B)
                 if red is None:
                     return None
-            y2 = plan.request(y.shape, dtype)
+            y2 = plan.request(y.shape, _DTYPE)
 
             def kernel(t=t, y2=y2, red=red):
                 np.negative(g, out=t)
@@ -594,22 +366,22 @@ def _bwd_div(b, rec, g, pairs, writes, plan, dtype):
     return kernels
 
 
-def _bwd_sub(b, rec, g, pairs, writes, plan, dtype):
+def _bwd_sub(b, rec, g, writes, plan):
     kernels = []
     for index, B in writes:
         same = B.shape == g.shape
         if index == 0:
             if same:
-                return None  # pair 0 aliases g when unwritten — fallback
-            red = _bind_unbroadcast(plan, g, B, dtype)
+                return None  # pair 0 aliases g unless it was copied
+            red = _bind_unbroadcast(plan, g, B)
             if red is None:
                 return None
             kernels.append(red)
         elif same:
             kernels.append(lambda B=B: np.negative(g, out=B))
         else:
-            t = plan.request(g.shape, dtype)
-            red = _bind_unbroadcast(plan, t, B, dtype)
+            t = plan.request(g.shape, _DTYPE)
+            red = _bind_unbroadcast(plan, t, B)
             if red is None:
                 return None
 
@@ -620,34 +392,14 @@ def _bwd_sub(b, rec, g, pairs, writes, plan, dtype):
     return kernels
 
 
-def _bwd_maximum(b, rec, g, pairs, writes, plan, dtype):
-    for _, B in writes:
-        if B.shape != g.shape:
-            return None
-    x = _operand(b["a"], dtype)
-    y = _operand(b["b"], dtype)
-    wins = plan.request(g.shape, np.bool_)
-    Ba = dict(writes).get(0)
-    Bb = dict(writes).get(1)
-
-    def kernel():
-        np.greater_equal(x, y, out=wins)
-        if Ba is not None:
-            np.multiply(g, wins, out=Ba)
-        if Bb is not None:
-            np.logical_not(wins, out=wins)
-            np.multiply(g, wins, out=Bb)
-    return [kernel]
-
-
-def _bwd_matmul(b, rec, g, pairs, writes, plan, dtype):
-    x = _operand(b["a"], dtype)
-    y = _operand(b["b"], dtype)
+def _bwd_matmul(b, rec, g, writes, plan):
+    x = _operand(b["a"])
+    y = _operand(b["b"])
     if x.ndim < 2 or y.ndim < 2:
         return None
     for index, B in writes:
         if B.shape != (x.shape if index == 0 else y.shape):
-            return None  # broadcast batch dims — fallback
+            return None  # broadcast batch dims
     xT = np.swapaxes(x, -1, -2)
     yT = np.swapaxes(y, -1, -2)
     kernels = []
@@ -659,7 +411,7 @@ def _bwd_matmul(b, rec, g, pairs, writes, plan, dtype):
     return kernels
 
 
-def _bwd_getitem(b, rec, g, pairs, writes, plan, dtype):
+def _bwd_getitem(b, rec, g, writes, plan):
     index = b["index"]
     B = writes[0][1]
 
@@ -669,12 +421,10 @@ def _bwd_getitem(b, rec, g, pairs, writes, plan, dtype):
     return [kernel]
 
 
-_BWD_FAST = {
-    "relu": _bwd_relu, "clip": _bwd_clip, "dropout": _bwd_dropout,
-    "exp": _bwd_exp, "log": _bwd_log, "sqrt": _bwd_sqrt,
-    "sigmoid": _bwd_sigmoid, "tanh": _bwd_tanh, "neg": _bwd_neg,
-    "add": _bwd_add, "mul": _bwd_mul, "div": _bwd_div, "sub": _bwd_sub,
-    "maximum": _bwd_maximum, "matmul": _bwd_matmul, "getitem": _bwd_getitem,
+_BWD = {
+    "relu": _bwd_relu, "exp": _bwd_exp, "log": _bwd_log, "neg": _bwd_neg,
+    "mul": _bwd_mul, "div": _bwd_div, "sub": _bwd_sub,
+    "matmul": _bwd_matmul, "getitem": _bwd_getitem,
 }
 
 # ----------------------------------------------------------------------
@@ -685,25 +435,19 @@ def _tensor_operands(rec: _Record) -> Iterator[Tensor]:
     for value in list(rec.args) + list(rec.kwargs.values()):
         if isinstance(value, Tensor):
             yield value
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, Tensor):
-                    yield item
 
 
 class StepPlan:
     """One compiled step: fixed buffers plus flat forward/backward schedules.
 
-    Instances are built by :meth:`StepProgram.run` on a cache miss; replays
-    validate inputs and guards, refresh the input buffers, and execute the
-    schedules with zero tape construction.
+    Built by the first :meth:`StepProgram.run`; replays validate their
+    inputs and guards, refresh the input buffers, and execute the schedules
+    with zero tape construction.  :attr:`nbytes` counts every buffer the
+    plan holds (adopted arrays and its own workspaces).
     """
 
-    def __init__(self, arena: BufferArena, dtype: np.dtype, grad: bool) -> None:
-        self.arena = arena
-        self.dtype = dtype
-        self.grad = grad
-        self.replays = 0
+    def __init__(self) -> None:
+        self.nbytes = 0
         self._fwd: List[Tuple[str, Callable[[], None]]] = []
         self._bwd: List[Tuple[str, Callable[[], None]]] = []
         self._leaf_assigns: List[Tuple[Tensor, np.ndarray]] = []
@@ -711,66 +455,27 @@ class StepPlan:
         self._input_tensors: Dict[str, Tensor] = {}
         self._outputs: Dict[str, np.ndarray] = {}
         self._guards: List[Tuple[Tensor, np.ndarray]] = []
-        self._scratch: List[np.ndarray] = []
-        self._guarded_ste: set = set()
-        self._adopted_ids: set = set()
-        self._adopted: List[np.ndarray] = []
+        self._adopted: Dict[int, np.ndarray] = {}
         self._records: List[_Record] = []  # keeps every traced tensor alive
 
     # -- buffer bookkeeping -------------------------------------------
     def request(self, shape, dtype) -> np.ndarray:
-        arr = self.arena.request(shape, dtype)
-        self._scratch.append(arr)
+        """A fresh plan-owned workspace of ``shape``/``dtype``."""
+        arr = np.empty(shape, dtype=dtype)
+        self.nbytes += arr.nbytes
         return arr
 
     def adopt(self, arr: np.ndarray) -> None:
         base = arr if arr.base is None else arr.base
-        if id(base) not in self._adopted_ids:
-            self._adopted_ids.add(id(base))
-            self._adopted.append(base)
-            self.arena.adopted_bytes += base.nbytes
-            self.arena.adopted_arrays += 1
-
-    def release(self) -> None:
-        """Return workspaces to the arena pool and drop adopted accounting."""
-        for arr in self._scratch:
-            self.arena.release(arr)
-        self._scratch = []
-        for base in self._adopted:
-            self.arena.adopted_bytes -= base.nbytes
-            self.arena.adopted_arrays -= 1
-        self._adopted = []
-        self._adopted_ids = set()
+        if id(base) not in self._adopted:
+            self._adopted[id(base)] = base
+            self.nbytes += base.nbytes
 
     # -- compilation --------------------------------------------------
-    def _compile_forward(self, tracer: _Tracer) -> None:
+    def _compile_forward(self, records: List[_Record]) -> None:
         produced = {id(t) for t in self._input_tensors.values()}
-        # STE outputs that select control flow (their data feeds a getitem,
-        # possibly through a detach) get the argmax drift guard
-        ste_bases: Dict[int, int] = {}
-        for tag, entry in tracer.entries:
-            if tag == "op" and entry.kind == "ste":
-                arr = entry.out.data
-                base = arr if arr.base is None else arr.base
-                ste_bases[id(base)] = id(entry)
-        if ste_bases:
-            for tag, entry in tracer.entries:
-                if tag != "op" or entry.kind != "getitem":
-                    continue
-                a = _bind(entry)["a"]
-                if isinstance(a, Tensor):
-                    arr = a.data
-                    base = arr if arr.base is None else arr.base
-                    rec_id = ste_bases.get(id(base))
-                    if rec_id is not None:
-                        self._guarded_ste.add(rec_id)
-
         guard_seen: set = set()
-        for tag, entry in tracer.entries:
-            if tag == "effect":
-                self._fwd.append(("plan.effect", entry))
-                continue
-            rec = entry
+        for rec in records:
             self._records.append(rec)
             for t in _tensor_operands(rec):
                 if id(t) in produced:
@@ -783,14 +488,13 @@ class StepPlan:
                 if id(t) not in guard_seen:
                     guard_seen.add(id(t))
                     self._guards.append((t, t.data))
-            kernel = _build_forward(rec, self, self.dtype)
+            kernel = _build_forward(rec)
             self.adopt(rec.out.data)
             produced.add(id(rec.out))
             if kernel is not None:
                 self._fwd.append((f"{rec.kind}.replay", kernel))
 
-    def _compile_backward(self, loss: Optional[Tensor],
-                          records_by_out: Dict[int, _Record]) -> None:
+    def _compile_backward(self, loss: Optional[Tensor]) -> None:
         """Run the traced step's real backward sweep while lowering it.
 
         Mirrors :meth:`Tensor.backward` exactly — same topological order,
@@ -802,9 +506,10 @@ class StepPlan:
         with their gradients accumulated just as eagerly.
         """
         if loss is None or not isinstance(loss, Tensor):
-            raise PlanError("a grad step plan needs a 'loss' output tensor")
+            raise PlanError("a step plan needs a 'loss' output tensor")
         if not loss.requires_grad:
             raise PlanError("the traced 'loss' does not require grad")
+        records_by_out = {id(rec.out): rec for rec in self._records}
         root = np.ones_like(loss.data)
         self.adopt(root)
         topo: List[Tensor] = []
@@ -899,22 +604,14 @@ class StepPlan:
                 self.adopt(contribution)
                 writes.append((i, contribution))
             if writes:
-                kernels = None
-                fast = _BWD_FAST.get(rec.kind)
-                if fast is not None:
-                    kernels = fast(_bind(rec), rec, node_grad, pairs, writes,
-                                   self, self.dtype)
+                build = _BWD.get(rec.kind)
+                kernels = (build(_bind(rec), rec, node_grad, writes, self)
+                           if build is not None else None)
                 if kernels is None:
-                    closure = node._backward
-                    idxs = tuple(i for i, _ in writes)
-                    slots = tuple(arr for _, arr in writes)
-
-                    def generic(closure=closure, g=node_grad, idxs=idxs,
-                                slots=slots):
-                        ps = closure(g)
-                        for i, dst in zip(idxs, slots):
-                            np.copyto(dst, ps[i][1])
-                    kernels = [generic]
+                    raise PlanError(
+                        f"step plans cannot compile the backward of op kind "
+                        f"{rec.kind!r} with these operand shapes; run this "
+                        f"step eagerly under nn.plans(False)")
                 label = f"{rec.kind}.bwd.replay"
                 self._bwd.extend((label, kernel) for kernel in kernels)
             for parent, contribution in pairs:
@@ -936,8 +633,8 @@ class StepPlan:
 
         Returns the named output arrays (plan-owned: valid until the next
         replay).  Any mismatch with the traced step — different input names
-        or shapes, rebound parameter storage, drifted sampled path — raises
-        :class:`PlanError` loudly rather than reusing stale state.
+        or shapes, rebound parameter storage — raises :class:`PlanError`
+        loudly rather than reusing stale state.
         """
         if set(inputs) != set(self._inputs):
             raise PlanError(
@@ -948,7 +645,8 @@ class StepPlan:
             if value.shape != buf.shape:
                 raise PlanError(
                     f"plan input {name!r} changed shape: compiled "
-                    f"{buf.shape}, got {value.shape} — use a new plan key")
+                    f"{buf.shape}, got {value.shape} — run the new shape "
+                    f"through a fresh StepProgram")
             np.copyto(buf, value)
         for t, arr in self._guards:
             if t.data is not arr:
@@ -959,121 +657,90 @@ class StepPlan:
         if prof is None:
             for _, kernel in self._fwd:
                 kernel()
-            if self.grad:
-                for _, kernel in self._bwd:
-                    kernel()
+            for _, kernel in self._bwd:
+                kernel()
         else:
-            for label, kernel in self._fwd:
+            for label, kernel in self._fwd + self._bwd:
                 start = time.perf_counter()
                 kernel()
                 prof.record(label, time.perf_counter() - start)
-            if self.grad:
-                for label, kernel in self._bwd:
-                    start = time.perf_counter()
-                    kernel()
-                    prof.record(label, time.perf_counter() - start)
         for t, leaf_grad in self._leaf_assigns:
             t.grad = leaf_grad
-        self.replays += 1
         return dict(self._outputs)
 
 
 # ----------------------------------------------------------------------
-# Program: LRU plan cache + eager escape hatch
+# Program: one plan + eager escape hatch
 # ----------------------------------------------------------------------
 
 class StepProgram:
-    """Caches compiled :class:`StepPlan` objects behind shape-aware keys.
+    """Runs one fixed training step: traced once, then replayed.
 
-    ``run(key, inputs, fn, grad=...)`` executes one training/eval step:
+    ``run(inputs, fn)`` executes one step:
 
-    * plans disabled — plain eager step (``Tensor`` per input, ``fn``,
-      ``loss.backward()``), bit-identical to the historical engine;
-    * cache miss — trace ``fn`` once eagerly (which *is* that step) and
+    * plans disabled (:func:`plans` ``(False)``) — the plain eager step
+      (``Tensor`` per input, ``fn``, ``loss.backward()``);
+    * first call — trace ``fn`` once eagerly (which *is* that step) and
       compile it;
-    * cache hit — replay the plan with zero tape construction.
+    * every later call — replay the plan with zero tape construction.
 
-    The caller key should capture everything that changes the traced op
-    sequence (architecture signature, batch shape); the program extends it
-    with ``(dtype, grad flag)`` automatically.  ``fn``
-    receives ``{name: Tensor}`` and must return ``{name: Tensor}`` with a
-    ``"loss"`` entry when ``grad=True``; returned arrays are plan-owned.
-
-    A key compiles on first sight, so callers should pass keys that come
-    round again (a fixed step graph); a step whose ops change every time
-    belongs under :func:`plans` ``(False)``.
+    ``fn`` receives ``{name: Tensor}`` and must return ``{name: Tensor}``
+    with a ``"loss"`` entry; returned arrays are plan-owned.  Every call
+    must trace the same op program on the same input names and shapes in
+    float64; a step whose ops change from call to call belongs under
+    :func:`plans` ``(False)``.
     """
 
-    def __init__(self, name: str = "step", capacity: int = 32) -> None:
+    def __init__(self, name: str = "step") -> None:
         self.name = name
-        self.capacity = max(1, int(capacity))
-        self.arena = BufferArena()
-        self._plans: "OrderedDict[tuple, StepPlan]" = OrderedDict()
+        self.plan: Optional[StepPlan] = None
         self.plans_compiled = 0
         self.replays = 0
         self.eager_steps = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
 
     def stats(self) -> Dict[str, int]:
-        """Counters for journals and benchmarks."""
+        """Counters for journals and benchmarks (``arena_bytes`` is the
+        plan's buffer bytes, under the key perfbench and trace-summary
+        read)."""
         return {
             "plans_compiled": self.plans_compiled,
             "replays": self.replays,
             "eager_steps": self.eager_steps,
-            "plan_evictions": self.evictions,
-            "arena_hits": self.arena.hits,
-            "arena_misses": self.arena.misses,
-            "arena_bytes": self.arena.total_bytes(),
+            "arena_bytes": self.plan.nbytes if self.plan is not None else 0,
         }
 
-    def clear(self) -> None:
-        """Drop every cached plan (workspaces return to the arena pool)."""
-        while self._plans:
-            _, plan = self._plans.popitem(last=False)
-            plan.release()
-            self.evictions += 1
-
-    def run(self, key, inputs: Dict[str, np.ndarray], fn,
-            grad: bool = True) -> Dict[str, np.ndarray]:
+    def run(self, inputs: Dict[str, np.ndarray], fn) -> Dict[str, np.ndarray]:
         if not _PlanMode.enabled:
             self.eager_steps += 1
-            return self._eager_step(inputs, fn, grad)
+            return self._eager_step(inputs, fn)
         if ops._TRACER is not None:
             raise PlanError("StepProgram.run cannot nest inside an active "
                             "step trace")
-        dtype = get_default_dtype()
-        full_key = (key, dtype.name, bool(grad))
-        plan = self._plans.get(full_key)
-        if plan is not None:
-            self._plans.move_to_end(full_key)
-            result = plan.replay(inputs, profiler.active_profile())
+        if get_default_dtype() != _DTYPE:
+            raise PlanError(
+                f"step plans compile float64 steps only, but the default "
+                f"dtype is {get_default_dtype().name}; run this step eagerly "
+                f"under nn.plans(False)")
+        if self.plan is not None:
+            result = self.plan.replay(inputs, profiler.active_profile())
             self.replays += 1
             return result
-        plan, result = self._trace(inputs, fn, grad, dtype)
-        self._plans[full_key] = plan
+        self.plan, result = self._trace(inputs, fn)
         self.plans_compiled += 1
-        while len(self._plans) > self.capacity:
-            _, evicted = self._plans.popitem(last=False)
-            evicted.release()
-            self.evictions += 1
         return result
 
     @staticmethod
-    def _eager_step(inputs, fn, grad) -> Dict[str, np.ndarray]:
+    def _eager_step(inputs, fn) -> Dict[str, np.ndarray]:
         tensors = {name: Tensor(value) for name, value in inputs.items()}
         outs = fn(tensors)
-        if grad:
-            outs["loss"].backward()
+        outs["loss"].backward()
         return {name: t.data for name, t in outs.items()}
 
-    def _trace(self, inputs, fn, grad,
-               dtype) -> Tuple[StepPlan, Dict[str, np.ndarray]]:
-        plan = StepPlan(self.arena, dtype, grad)
+    @staticmethod
+    def _trace(inputs, fn) -> Tuple[StepPlan, Dict[str, np.ndarray]]:
+        plan = StepPlan()
         for name, value in inputs.items():
-            buf = np.array(value, dtype=dtype, copy=True)  # layout-preserving
+            buf = np.array(value, dtype=_DTYPE, copy=True)  # layout-preserving
             plan._inputs[name] = buf
             plan._input_tensors[name] = Tensor(buf)
             plan.adopt(buf)
@@ -1086,10 +753,8 @@ class StepProgram:
         for name, t in outs.items():
             if not isinstance(t, Tensor):
                 raise PlanError(f"step fn output {name!r} is not a Tensor")
-        plan._compile_forward(tracer)
-        if grad:
-            records_by_out = {id(rec.out): rec for rec in plan._records}
-            plan._compile_backward(outs.get("loss"), records_by_out)
+        plan._compile_forward(tracer.records)
+        plan._compile_backward(outs.get("loss"))
         for name, t in outs.items():
             plan._outputs[name] = t.data
             plan.adopt(t.data)

@@ -20,15 +20,14 @@ Design notes
   routes contributions through a per-call dictionary, accumulating into
   ``leaf.grad`` only at leaves.
 * Data is stored in the process-wide default compute dtype — ``float64``
-  unless :func:`set_default_dtype` (or the ``REPRO_NN_DTYPE`` environment
-  variable) opts into ``float32``.  The float64 default keeps seeded runs
+  unless :func:`set_default_dtype` or :func:`dtype_scope` opts into
+  ``float32``.  The float64 default keeps seeded runs
   bit-identical and finite-difference gradient checks tight; float32 halves
   memory traffic for supernet training.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -90,12 +89,6 @@ def dtype_scope(dtype: Union[str, np.dtype, type]) -> Iterator[np.dtype]:
         yield _DtypeState.value
     finally:
         _DtypeState.value = previous
-
-
-# honour REPRO_NN_DTYPE=float32 for whole-process opt-in (e.g. benchmarks)
-_env_dtype = os.environ.get("REPRO_NN_DTYPE")
-if _env_dtype:
-    set_default_dtype(_env_dtype)
 
 
 class _GradMode:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core.lightnas import LightNAS, LightNASConfig
 from repro.experiments.shared import fit_latency_predictor
 from repro.hardware.latency import LatencyModel
@@ -118,8 +119,7 @@ class TestTrajectoryValidLoss:
         # never calls back into Python); tests/core/test_surrogate_plan.py
         # pins the plans-on trajectory bit-identical to this one
         cfg = LightNASConfig(space=tiny_space, target=2.3, mode="surrogate",
-                             epochs=6, steps_per_epoch=3, seed=0,
-                             use_plans=False)
+                             epochs=6, steps_per_epoch=3, seed=0)
         engine = LightNAS(cfg, predictor=tiny_predictor, oracle=tiny_oracle)
         seen = []
         original = engine.oracle.differentiable_loss
@@ -130,7 +130,8 @@ class TestTrajectoryValidLoss:
             return out
 
         monkeypatch.setattr(engine.oracle, "differentiable_loss", spy)
-        traj = engine.search().trajectory
+        with nn.plans(False):
+            traj = engine.search().trajectory
         steps = cfg.steps_per_epoch
         means = [sum(seen[e * steps:(e + 1) * steps]) / steps
                  for e in range(cfg.epochs)]

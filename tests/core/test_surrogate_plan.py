@@ -2,17 +2,18 @@
 
 The surrogate step (oracle capacity loss + metric predictor + STE on the
 L×K gate matrix) traces the same op sequence whatever path the Gumbel
-draw selects, so a search compiles it once under a constant key and
-replays it on every later step.  Pinned contracts:
+draw selects, so a search compiles it once and replays it on every later
+step.  Pinned contracts:
 
-* plans on vs off (``use_plans=False`` runs the same step function
+* plans on vs off (``nn.plans(False)`` runs the same step function
   eagerly) give bit-identical searches — paper config, latency and energy
   MLP predictors and the analytic MACs predictor;
 * a search's plan counters are exactly one compile (the first step) and a
   replay for every other step, with no eager step;
 * the fitted predictor enters the step as constants: its weights and
   ``.grad`` are untouched by a search;
-* checkpoint/resume and jobs=N fan-out stay bit-identical with plans on.
+* checkpoint/resume and jobs=N fan-out stay bit-identical with plans on;
+* the search runs in float64 whatever the caller's default dtype.
 """
 
 import os
@@ -20,6 +21,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core.lightnas import LightNAS, LightNASConfig
 from repro.hardware.latency import LatencyModel
 from repro.predictor.analytic import AnalyticCostPredictor
@@ -53,11 +55,10 @@ def predictors(full_space, full_predictor, energy_predictor):
     }
 
 
-def paper_engine(space, predictor, target, metric, use_plans=True, seed=1,
-                 epochs=EPOCHS):
+def paper_engine(space, predictor, target, metric, seed=1, epochs=EPOCHS):
     config = LightNASConfig.paper(target, space=space, seed=seed,
                                   epochs=epochs, steps_per_epoch=STEPS,
-                                  metric_name=metric, use_plans=use_plans)
+                                  metric_name=metric)
     return LightNAS(config, predictor=predictor)
 
 
@@ -76,10 +77,10 @@ def assert_same_search(a, b):
 def test_plans_on_and_off_are_bit_identical(full_space, predictors, metric):
     predictor, target = predictors[metric]
     planned_engine = paper_engine(full_space, predictor, target, metric)
-    eager_engine = paper_engine(full_space, predictor, target, metric,
-                                use_plans=False)
+    eager_engine = paper_engine(full_space, predictor, target, metric)
     planned = planned_engine.search()
-    eager = eager_engine.search()
+    with nn.plans(False):
+        eager = eager_engine.search()
     assert_same_search(planned, eager)
 
     steps = EPOCHS * STEPS
@@ -99,9 +100,25 @@ def test_journal_plan_stats_one_compile_replays_the_rest(
                   if e["event"] == "run_end"]
     stats = run_end["plan_stats"]
     steps = EPOCHS * STEPS
-    assert (stats["plans_compiled"], stats["eager_steps"],
-            stats["replays"]) == (1, 0, steps - 1)
-    assert stats["plan_evictions"] == 0
+    assert stats == {"plans_compiled": 1, "eager_steps": 0,
+                     "replays": steps - 1,
+                     "arena_bytes": engine.programs.plan.nbytes}
+    assert stats["arena_bytes"] > 0
+
+
+def test_search_ignores_the_callers_default_dtype(full_space,
+                                                  full_predictor):
+    """A surrogate search always runs in float64: a caller's float32
+    default dtype once leaked into α, λ and the step, shifting the
+    result."""
+    reference = paper_engine(full_space, full_predictor, 24.0,
+                             "latency_ms").search()
+    with nn.dtype_scope("float32"):
+        engine = paper_engine(full_space, full_predictor, 24.0, "latency_ms")
+        result = engine.search()
+        assert nn.get_default_dtype() == np.float32
+    assert_same_search(result, reference)
+    assert engine.programs.stats()["plans_compiled"] == 1
 
 
 def test_predictor_is_a_constant_of_the_step(full_space, full_predictor):

@@ -3,8 +3,8 @@
 The contract under test is strict bit-parity: replaying a compiled
 :class:`repro.nn.plan.StepPlan` must produce exactly the arrays the eager
 tape engine produces — same loss bits, same gradient bits, same optimizer
-trajectories — across dtypes.  Invalidation must be loud: shape changes,
-input-set changes, rebound parameter storage, and drifted sampled paths
+trajectories.  Invalidation must be loud: shape changes, input-set
+changes, a default dtype other than float64 and rebound parameter storage
 raise :class:`PlanError` instead of silently replaying stale computation,
 and so does tracing a convolution, which the compiler does not lower.
 """
@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from repro import nn
 from repro.nn import functional as F
 from repro.nn import ops
-from repro.nn.plan import BufferArena, PlanError, StepProgram
+from repro.nn.plan import PlanError, StepProgram
 
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
@@ -29,30 +29,24 @@ def arrays(shape):
     return hnp.arrays(np.float64, shape, elements=finite)
 
 
-def make_model(rng, dtype="float64"):
-    """BN → ReLU6 → pool → dropout → linear: every stateful path.
+def make_model(rng):
+    """Linear → ReLU → Linear, trained with softmax cross-entropy.
 
-    Conv-free, because step plans do not lower convolutions; BatchNorm and
-    Dropout still exercise both replay effects (running-stat updates and
-    mask redraws).
+    Built from the op kinds the compiler lowers (matmul, transpose, relu
+    and the softmax/log/sum/div chain); bias-free, because a broadcast bias
+    gradient is an ``add`` backward, which plans do not lower.
     """
-    with nn.dtype_scope(dtype):
-        model = nn.Sequential(
-            nn.BatchNorm2d(3),
-            nn.ReLU6(),
-            nn.GlobalAvgPool(),
-            nn.Flatten(),
-            nn.Dropout(0.3, np.random.default_rng(11)),
-            nn.Linear(3, 5, rng),
-        )
-    return model
+    return nn.Sequential(
+        nn.Linear(6, 8, rng, bias=False),
+        nn.ReLU(),
+        nn.Linear(8, 5, rng, bias=False),
+    )
 
 
 def train_steps(model, opt, xs, labels, program=None):
     """Run len(xs) SGD steps; planned when ``program`` is given."""
     losses = []
     targets = F.one_hot(labels, 5)
-    model.train(True)
     for x in xs:
         if program is None:
             logits = model(nn.Tensor(x))
@@ -66,41 +60,41 @@ def train_steps(model, opt, xs, labels, program=None):
                 return {"loss": F.cross_entropy(model(ts["x"]),
                                                 targets=ts["t"])}
             opt.zero_grad()
-            out = program.run(("step", x.shape), {"x": x, "t": targets}, fn)
+            out = program.run({"x": x, "t": targets}, fn)
             opt.step()
             losses.append(float(out["loss"]))
     return losses
 
 
-def run_pair(dtype="float64", steps=4):
-    """Identical seeded runs, eager vs planned; returns both (loss, state)."""
-    rng_x = np.random.default_rng(3)
-    xs = [rng_x.normal(size=(4, 3, 6, 6)) for _ in range(steps)]
-    labels = rng_x.integers(0, 5, size=4)
-    results = []
-    for planned in (False, True):
-        with nn.dtype_scope(dtype):
-            model = make_model(np.random.default_rng(0), dtype)
-            opt = nn.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            program = StepProgram("t") if planned else None
-            losses = train_steps(model, opt, xs, labels, program)
-            results.append((losses, model.state_dict()))
-    return results
+def batches(steps, n=4, seed=3):
+    rng_x = np.random.default_rng(seed)
+    xs = [rng_x.normal(size=(n, 6)) for _ in range(steps)]
+    return xs, rng_x.integers(0, 5, size=n)
 
 
 class TestReplayBitParity:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    # plans compile float64 only; a float32 step raises (TestInvalidation)
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_training_bit_identical(self, dtype):
-        (el, es), (pl, ps) = run_pair(dtype=dtype)
+        xs, labels = batches(4)
+        results = []
+        for planned in (False, True):
+            with nn.dtype_scope(dtype):
+                model = make_model(np.random.default_rng(0))
+                opt = nn.SGD(model.parameters(), lr=0.05, momentum=0.9)
+                program = StepProgram("t") if planned else None
+                losses = train_steps(model, opt, xs, labels, program)
+            results.append((losses, model.state_dict()))
+        (el, es), (pl, ps) = results
         assert el == pl
         assert set(es) == set(ps)
         for key in es:
             assert np.array_equal(es[key], ps[key]), key
+        assert (program.stats()["plans_compiled"],
+                program.stats()["replays"]) == (1, 3)
 
     def test_replay_allocates_no_tensors(self):
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6)) for _ in range(3)]
-        labels = rng_x.integers(0, 5, size=4)
+        xs, labels = batches(3)
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
         program = StepProgram("t")
@@ -121,7 +115,7 @@ class TestReplayBitParity:
 
         def compute(pa, pb, pw, x_t):
             h = ops.relu(pa * x_t + pb)
-            h = ops.matmul(ops.tanh(h), pw)
+            h = ops.matmul(ops.exp(-h), pw)
             return {"loss": ops.mean(h * h)}
 
         x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
@@ -131,14 +125,12 @@ class TestReplayBitParity:
 
         pa, pb, pw = build()
         program = StepProgram("t")
-        program.run(("k", x.shape), {"x": x},
-                    lambda ts: compute(pa, pb, pw, ts["x"]))
+        program.run({"x": x}, lambda ts: compute(pa, pb, pw, ts["x"]))
         # replay once more on the same inputs: grads must not accumulate
         # or drift (each replay recomputes the leaf slots from scratch)
         for p in (pa, pb, pw):
             p.zero_grad()
-        out = program.run(("k", x.shape), {"x": x},
-                          lambda ts: compute(pa, pb, pw, ts["x"]))
+        out = program.run({"x": x}, lambda ts: compute(pa, pb, pw, ts["x"]))
         assert float(out["loss"]) == outs["loss"].item()
         for eager_p, plan_p in ((ea, pa), (eb, pb), (ew, pw)):
             assert np.array_equal(eager_p.grad, plan_p.grad)
@@ -149,108 +141,69 @@ class TestInvalidation:
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
         program = StepProgram("t")
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6))]
-        labels = rng_x.integers(0, 5, size=4)
+        xs, labels = batches(1)
         train_steps(model, opt, xs, labels, program)
         return model, opt, program, labels
 
-    def test_changed_batch_shape_compiles_new_plan(self):
-        model, opt, program, labels = self._program_with_plan()
-        assert program.stats()["plans_compiled"] == 1
-        xs = [np.random.default_rng(5).normal(size=(2, 3, 6, 6))]
-        train_steps(model, opt, xs, labels[:2], program)
-        assert program.stats()["plans_compiled"] == 2
-        assert program.stats()["replays"] == 0
-
     def test_shape_mismatch_under_same_key_raises(self):
         model, opt, program, labels = self._program_with_plan()
-        bad = np.zeros((2, 3, 6, 6))
+        bad = np.zeros((2, 6))
         targets = F.one_hot(labels[:2], 5)
         opt.zero_grad()
         with pytest.raises(PlanError, match="shape"):
-            program.run(("step", (4, 3, 6, 6)), {"x": bad, "t": targets},
+            program.run({"x": bad, "t": targets},
                         lambda ts: {"loss": F.cross_entropy(
                             model(ts["x"]), targets=ts["t"])})
 
     def test_changed_input_names_raise(self):
         model, opt, program, labels = self._program_with_plan()
-        x = np.zeros((4, 3, 6, 6))
+        x = np.zeros((4, 6))
         opt.zero_grad()
         with pytest.raises(PlanError, match="inputs changed"):
-            program.run(("step", x.shape), {"x": x},
+            program.run({"x": x},
                         lambda ts: {"loss": F.cross_entropy(
                             model(ts["x"]), labels)})
 
+    def test_changed_default_dtype_raises(self):
+        model, opt, program, labels = self._program_with_plan()
+        xs, _ = batches(1)
+        with nn.dtype_scope("float32"):
+            with pytest.raises(PlanError, match="float64"):
+                train_steps(model, opt, xs, labels, program)
+        assert program.stats()["replays"] == 0
+        train_steps(model, opt, xs, labels, program)  # float64 replays
+        assert program.stats()["replays"] == 1
+
     def test_rebound_parameter_storage_raises(self):
         model, opt, program, labels = self._program_with_plan()
-        gamma = model.layers[0].gamma
-        gamma.data = gamma.data.copy()  # rebind, not in-place
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6))]
+        weight = model.layers[0].weight
+        weight.data = weight.data.copy()  # rebind, not in-place
+        xs, _ = batches(1)
         with pytest.raises(PlanError, match="rebound"):
             train_steps(model, opt, xs, labels, program)
 
     def test_stale_leaf_grad_raises_at_trace(self):
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6))]
-        labels = rng_x.integers(0, 5, size=4)
-        train_steps(model, None if False else opt, xs, labels)  # eager step
+        xs, labels = batches(1)
+        train_steps(model, opt, xs, labels)  # eager step
         program = StepProgram("t")
         with pytest.raises(PlanError, match="zero_grad"):
             # eager left .grad set on every parameter; tracing demands a
             # clean slate — train_steps zeroes before run, so call run raw
             x, targets = xs[0], F.one_hot(labels, 5)
-            program.run(("step", x.shape), {"x": x, "t": targets},
+            program.run({"x": x, "t": targets},
                         lambda ts: {"loss": F.cross_entropy(
                             model(ts["x"]), targets=ts["t"])})
-
-    def test_lru_eviction_recycles_workspaces(self):
-        model = make_model(np.random.default_rng(0))
-        opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", capacity=2)
-        rng_x = np.random.default_rng(3)
-        labels = rng_x.integers(0, 5, size=4)
-        for n in (2, 3, 4, 5):  # four distinct batch shapes, capacity 2
-            xs = [rng_x.normal(size=(n, 3, 6, 6))]
-            train_steps(model, opt, xs, labels[:n] if n <= 4
-                        else rng_x.integers(0, 5, size=n), program)
-        stats = program.stats()
-        assert stats["plans_compiled"] == 4
-        assert stats["plan_evictions"] == 2
-        assert len(program) == 2
-        # evicted plans returned their workspaces to the arena pool
-        assert program.arena.hits + program.arena.misses > 0
-
-    def test_sampled_path_drift_raises(self):
-        # a gates tensor whose argmax drives a getitem lookup is guarded:
-        # replaying with probabilities whose argmax differs must be loud
-        w = nn.Parameter(np.ones((3, 3)), name="w")
-
-        def fn(ts):
-            relaxed = F.softmax(ts["scores"] * w, axis=-1)
-            hard = F.hard_binarize_ste(relaxed, axis=-1)
-            picked = hard[0]  # getitem on the STE output → guarded
-            return {"loss": ops.mean(picked * picked)}
-
-        program = StepProgram("t")
-        scores = np.array([[3.0, 1.0, 0.5],
-                           [0.2, 2.0, 0.1],
-                           [0.3, 0.4, 4.0]])
-        program.run(("k", scores.shape), {"scores": scores}, fn)
-        w.zero_grad()
-        flipped = scores[:, ::-1].copy()  # argmax moves to another column
-        with pytest.raises(PlanError, match="drifted"):
-            program.run(("k", scores.shape), {"scores": flipped}, fn)
 
     @pytest.mark.parametrize("kernel,groups,kind", [
         (3, 1, "conv2d"), (1, 1, "conv2d_1x1"), (3, 4, "conv2d_dw")])
     def test_traced_conv_raises_naming_eager_fallback(self, kernel, groups,
                                                       kind):
+        # unpadded, so the convolution is the first op the tracer rejects
+        # (a padded generic conv would stop at its pad2d)
         conv = nn.Conv2d(4, 4, kernel, np.random.default_rng(0),
-                         padding=kernel // 2, groups=groups)
+                         groups=groups)
         x = np.random.default_rng(1).normal(size=(2, 4, 5, 5))
 
         def fn(ts):
@@ -258,13 +211,13 @@ class TestInvalidation:
 
         program = StepProgram("t")
         with pytest.raises(PlanError, match=kind) as info:
-            program.run(("conv", x.shape), {"x": x}, fn)
+            program.run({"x": x}, fn)
         assert "plans(False)" in str(info.value)
         assert ops._TRACER is None
         assert program.stats()["plans_compiled"] == 0
         # the fix the message names: the same step runs eagerly
         with nn.plans(False):
-            out = program.run(("conv", x.shape), {"x": x}, fn)
+            out = program.run({"x": x}, fn)
         assert np.isfinite(out["loss"])
         assert conv.weight.grad is not None
 
@@ -274,9 +227,7 @@ class TestProgramModes:
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
         program = StepProgram("t")
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6))]
-        labels = rng_x.integers(0, 5, size=4)
+        xs, labels = batches(1)
         with nn.plans(False):
             assert not nn.plans_enabled()
             train_steps(model, opt, xs, labels, program)
@@ -291,17 +242,9 @@ class TestProgramModes:
         p = nn.Parameter(np.ones(3), name="p")
 
         def fn(ts):
-            inner.run(("k",), {"x": np.ones(3)},
+            inner.run({"x": np.ones(3)},
                       lambda its: {"loss": ops.mean(its["x"] * p)})
             return {"loss": ops.mean(ts["x"] * p)}
 
         with pytest.raises(PlanError, match="nest"):
-            program.run(("outer",), {"x": np.ones(3)}, fn)
-
-    def test_arena_reuses_buffers_across_release(self):
-        arena = BufferArena()
-        a = arena.request((4, 4), np.dtype(np.float64))
-        arena.release(a)
-        b = arena.request((4, 4), np.dtype(np.float64))
-        assert b is a
-        assert arena.hits == 1 and arena.misses == 1
+            program.run({"x": np.ones(3)}, fn)
