@@ -92,6 +92,17 @@ python -m pytest -x -q tests/fleet/ \
 python benchmarks/bench_fleet.py --calibration 40 --mlp-samples 2000 \
     --mlp-devices 2 --eval 300 --archive-size 500 --check
 
+# Serve reads are pinned as equal to a full sort: top-k and nearest
+# selection against a full stable sort for every k, the prefiltered Pareto
+# sweep against the O(N²) definition (ties, ±0.0, ±inf, NaN) and a live
+# /pareto against a recompute after appends, merges and a new device; plus
+# the gated-predictor batching tests (one forward per queued burst, a
+# timed-out caller never forwarded) and the operator-index validation.
+python -m pytest -x -q tests/eval/test_pareto.py tests/archive/test_query.py \
+    tests/archive/test_service.py::TestBatchingPredictor \
+    tests/archive/test_service.py::TestRegressions \
+    tests/archive/test_cli_archive.py::TestQueryCommand
+
 # Serving benchmark at reduced size: asserts segment-vs-log-replay query
 # parity, zero failed requests under mixed concurrent load, and the QPS
 # floor / p99 ceiling (the >= 5x boot-speedup gate only applies at the

@@ -10,6 +10,12 @@ arrays — no Python loop over records:
   distance,
 * :func:`describe_rows` — JSON-ready result rows for the CLI / service.
 
+No read sorts the whole archive: :func:`top_k` and
+:func:`hamming_neighbors` select their ``k`` rows with a partition and sort
+only the rows that tie or beat the ``k``-th value, and the Pareto sweep
+first drops the rows a sampled staircase strictly dominates.  Each returns
+exactly what a full stable sort would, ties included.
+
 Budgets reference metric names: the architecture-global ``macs_m`` /
 ``params_m``, or the per-device ``latency_ms`` / ``energy_mj`` /
 ``measured_latency_ms`` / ``measured_energy_mj`` (which require a device).
@@ -50,6 +56,23 @@ def _budget_mask(index: ArchiveIndex, budgets: Dict[str, float],
     return mask
 
 
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:k]`` without sorting them all.
+
+    The ``k``-th smallest value bounds the answer: only rows at or below it
+    can be among the first ``k``, and stable-sorting just those (kept in
+    row order) ranks them exactly as the full sort would, ties included.
+    ``values`` must hold no NaN.
+    """
+    if k >= len(values):
+        return np.argsort(values, kind="stable")
+    if k <= 0:
+        return np.zeros(0, dtype=np.int64)
+    kth = np.partition(values, k - 1)[k - 1]
+    candidates = np.flatnonzero(values <= kth)
+    return candidates[np.argsort(values[candidates], kind="stable")[:k]]
+
+
 def top_k(index: ArchiveIndex, k: int, *,
           objective: str = "score",
           device: Optional[str] = None,
@@ -69,8 +92,7 @@ def top_k(index: ArchiveIndex, k: int, *,
     if objective == "score":
         ranked = -ranked
     ranked[~feasible] = np.inf
-    order = np.argsort(ranked, kind="stable")
-    return order[:min(k, int(feasible.sum()))]
+    return _smallest(ranked, min(k, int(feasible.sum())))
 
 
 def pareto_rows(index: ArchiveIndex, *,
@@ -109,7 +131,7 @@ def hamming_neighbors(index: ArchiveIndex, op_indices: Sequence[int],
             f"query architecture has {query.size} layers, archive holds "
             f"{index.ops.shape[1]}-layer genotypes")
     distances = (index.ops != query[None, :]).sum(axis=1)
-    order = np.argsort(distances, kind="stable")[:min(k, len(index))]
+    order = _smallest(distances, k)
     return order, distances[order]
 
 

@@ -13,9 +13,11 @@ system: a stdlib :mod:`http.server` JSON API exposing
 
 The serving hot path is the :class:`BatchingPredictor`: concurrent
 ``/predict`` requests are coalesced by a dispatcher thread into single
-:meth:`~repro.predictor.mlp.MLPPredictor.predict_population` calls — a
-burst of R requests is answered with far fewer than R predictor forwards,
-which ``/stats`` makes observable (``predict_requests`` vs
+:meth:`~repro.predictor.mlp.MLPPredictor.predict_population` calls.  The
+dispatcher never waits for stragglers: it forwards everything pending as
+soon as it is free, and requests that arrive during a forward join the
+next one, so a burst of R requests is answered with far fewer than R
+forwards, which ``/stats`` makes observable (``predict_requests`` vs
 ``predict_batches``).  Each architecture's prediction is bit-identical to a
 direct ``predict_population`` call (row-subset parity, see
 :mod:`repro.archive.cache`), so batching is invisible to clients.
@@ -47,17 +49,27 @@ from .store import ArchitectureArchive
 __all__ = ["ArchiveService", "BatchingPredictor", "make_server"]
 
 
+def _is_index(entry) -> bool:
+    """True for an integer or an integral float such as ``1.0``; False for
+    ``true``, ``null`` and fractional or non-finite floats."""
+    if isinstance(entry, bool):
+        return False
+    if isinstance(entry, (int, np.integer)):
+        return True
+    return (isinstance(entry, (float, np.floating))
+            and float(entry).is_integer())
+
+
 class _Pending:
     """One enqueued predict request awaiting its slice of a batch."""
 
-    __slots__ = ("ops", "event", "result", "error", "cancelled")
+    __slots__ = ("ops", "event", "result", "error")
 
     def __init__(self, ops: np.ndarray) -> None:
         self.ops = ops
         self.event = threading.Event()
         self.result: Optional[np.ndarray] = None
         self.error: Optional[Exception] = None
-        self.cancelled = False
 
 
 class BatchingPredictor:
@@ -69,29 +81,22 @@ class BatchingPredictor:
         Anything with ``predict_population((N, L) ops) -> (N,)``.
     space:
         Validates incoming op-index matrices.
-    window_s:
-        How long the dispatcher waits after the first request of a batch
-        for stragglers to join (the batching window).
-    max_batch:
-        Dispatch early once this many architectures are pending.
 
-    A caller that times out *cancels* its pending item: the dispatcher
-    drops cancelled items at dispatch time, so an abandoned request costs
-    no predictor forward and never drifts the ``predict_archs`` /
-    ``largest_batch`` counters.  (An item already in flight when its caller
+    The dispatcher is work-conserving: whenever it is free it forwards
+    every pending request as one batch, with no batching window, so a lone
+    request never waits and requests that queue behind a forward share
+    the next one.
+
+    A caller that times out *cancels* its pending item: it leaves the queue
+    under the same lock the dispatcher takes the queue with, so an
+    abandoned request costs no predictor forward and never drifts the
+    ``predict_archs`` / ``largest_batch`` counters.  (An item already in flight when its caller
     gives up cannot be recalled — only its result is discarded.)
     """
 
-    def __init__(self, predictor, space: SearchSpace, *,
-                 window_s: float = 0.004, max_batch: int = 8192) -> None:
-        if window_s < 0:
-            raise ValueError("window_s must be non-negative")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
+    def __init__(self, predictor, space: SearchSpace) -> None:
         self.predictor = predictor
         self.space = space
-        self.window_s = window_s
-        self.max_batch = max_batch
         self.requests = 0
         self.batches = 0
         self.archs = 0
@@ -117,7 +122,6 @@ class BatchingPredictor:
             self._cond.notify_all()
         if not item.event.wait(timeout):
             with self._cond:
-                item.cancelled = True
                 self.cancelled += 1
                 if item in self._pending:
                     self._pending.remove(item)
@@ -132,24 +136,11 @@ class BatchingPredictor:
             with self._cond:
                 while not self._pending and not self._closed:
                     self._cond.wait()
-                if not self._pending and self._closed:
+                if not self._pending:   # closed and drained
                     return
-                # batching window: wait for stragglers after the first
-                # request arrives, dispatching early at max_batch
-                deadline = time.monotonic() + self.window_s
-                while not self._closed:
-                    size = sum(len(p.ops) for p in self._pending
-                               if not p.cancelled)
-                    remaining = deadline - time.monotonic()
-                    if size >= self.max_batch or remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                # dispatch-time cancellation check: items whose caller
-                # timed out are dropped here, before any stacking
-                batch = [p for p in self._pending if not p.cancelled]
-                self._pending = []
-            if not batch:
-                continue
+                # everything pending goes now; later arrivals queue for
+                # the next forward
+                batch, self._pending = self._pending, []
             stacked = np.concatenate([p.ops for p in batch], axis=0)
             try:
                 predictions = self.predictor.predict_population(stacked)
@@ -198,16 +189,13 @@ class ArchiveService:
                  metric_name: str = "latency_ms",
                  device_name: str = "",
                  archive: Optional[ArchitectureArchive] = None,
-                 window_s: float = 0.004, max_batch: int = 8192,
                  default_page_limit: Optional[int] = None) -> None:
         self.space = space
         self.metric_name = metric_name
         self.device_name = device_name
         self.archive = archive
         self.default_page_limit = default_page_limit
-        self.batcher = BatchingPredictor(predictor, space,
-                                         window_s=window_s,
-                                         max_batch=max_batch)
+        self.batcher = BatchingPredictor(predictor, space)
         self.started = time.time()
         self._endpoint_counts: Dict[str, int] = {}
         self._count_lock = threading.Lock()
@@ -220,18 +208,35 @@ class ArchiveService:
                 self._endpoint_counts.get(endpoint, 0) + 1)
 
     def _parse_archs(self, payload: dict, field: str = "archs") -> np.ndarray:
+        """The ``(N, L)`` op-index matrix a payload field names.
+
+        A flat list is one architecture.  Every entry must be an integer
+        operator index of this search space (``1.0`` counts as ``1``):
+        ``np.asarray(..., int64)`` would silently turn ``1.7`` and ``true``
+        into valid indices.
+        """
         archs = payload.get(field)
         if not isinstance(archs, list) or not archs:
             raise ValueError(f"body needs a non-empty {field!r} list")
+        rows = archs if isinstance(archs[0], list) else [archs]
+        for row in rows:
+            if not isinstance(row, list):
+                raise ValueError(
+                    f"{field!r} must be a list of equal-length integer lists")
+            bad = [entry for entry in row if not _is_index(entry)]
+            if bad:
+                raise ValueError(f"{field!r} entries must be integer "
+                                 f"operator indices, got {bad[0]!r}")
         try:
-            ops = np.asarray(archs, dtype=np.int64)
-        except (TypeError, ValueError):
+            ops = np.asarray(rows, dtype=np.int64)
+        except (ValueError, OverflowError):
             raise ValueError(
                 f"{field!r} must be a list of equal-length integer lists"
             ) from None
-        if ops.ndim == 1:
-            ops = ops[None, :]
-        return self.space.as_index_matrix(ops)
+        try:
+            return self.space.as_index_matrix(ops)
+        except ValueError as exc:
+            raise ValueError(f"{field!r}: {exc}") from None
 
     def _require_archive(self) -> ArchitectureArchive:
         if self.archive is None:
@@ -326,11 +331,11 @@ class ArchiveService:
         archive = self._require_archive()
         index = archive.index()
         self._check_device(index, payload)
-        arch = payload.get("arch")
-        if not isinstance(arch, list):
-            raise ValueError("body needs an 'arch' list of operator indices")
+        arch = self._parse_archs(payload, "arch")
+        if len(arch) != 1:
+            raise ValueError("'arch' must be one list of operator indices")
         rows, distances = queries.hamming_neighbors(
-            index, arch, int(payload.get("k", 5)))
+            index, arch[0], int(payload.get("k", 5)))
         page, next_offset, total, offset = self._page(payload, rows)
         results = queries.describe_rows(index, page,
                                         payload.get("device") or None)

@@ -557,8 +557,6 @@ def cmd_serve(args) -> int:
         metric_name=METRIC_ALIASES.get(args.metric, args.metric),
         device_name=device.name,
         archive=archive,
-        window_s=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch,
         default_page_limit=args.page_limit or None,
     )
     server = make_server(service, host=host, port=port,
@@ -653,6 +651,10 @@ def cmd_query(args) -> int:
                 ops = [int(x) for x in args.nearest.split(",")]
             except ValueError as exc:
                 raise SystemExit(f"error: malformed --nearest: {exc}")
+            if not all(0 <= op < archive.num_operators for op in ops):
+                raise SystemExit(
+                    f"error: --nearest operator indices must lie in "
+                    f"0..{archive.num_operators - 1}, got {args.nearest}")
             rows, distances = archive_query.hamming_neighbors(
                 index, ops, args.k)
             results = archive_query.describe_rows(index, rows, device)
@@ -1085,11 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--archive", default="",
                          help="serve /query, /pareto and /nearest from this "
                               "archive file")
-    p_serve.add_argument("--batch-window-ms", type=float, default=4.0,
-                         help="how long /predict waits for concurrent "
-                              "requests to coalesce into one batch")
-    p_serve.add_argument("--max-batch", type=int, default=8192,
-                         help="dispatch a batch early at this many archs")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="serve from this many processes accepting on "
                               "one SO_REUSEPORT socket group; the archive "

@@ -145,6 +145,17 @@ class TestQueryCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["hamming_layers"] == 0
 
+    def test_nearest_out_of_space_arch_fails_loudly(self, tiny_archive,
+                                                    tiny_space):
+        """--nearest checks operator indices against the archive's space
+        (pre-fix: 99s and -1s were answered at distance L)."""
+        path, _ = tiny_archive
+        top = tiny_space.num_operators - 1
+        for op in (99, -1, top + 1):
+            arch = ",".join([str(op)] * tiny_space.num_layers)
+            with pytest.raises(SystemExit, match=rf"0\.\.{top}"):
+                main(["query", "--archive", path, f"--nearest={arch}"])
+
     def test_missing_archive_fails_loudly(self, tmp_path):
         with pytest.raises(SystemExit, match="space geometry"):
             main(["query", "--archive", str(tmp_path / "nope.jsonl"),

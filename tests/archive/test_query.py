@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.archive.query import (
     describe_rows,
@@ -9,7 +11,12 @@ from repro.archive.query import (
     pareto_rows,
     top_k,
 )
-from repro.archive.store import ArchitectureArchive
+from repro.archive.store import (
+    DEVICE_COST_METRICS,
+    ArchiveIndex,
+    ArchitectureArchive,
+)
+from tests.eval.test_pareto import _brute_force_mask
 
 L, K = 4, 7
 
@@ -156,3 +163,152 @@ class TestDescribe:
         only_xavier = describe_rows(indexed, rows, "xavier")
         for entry in only_xavier:
             assert set(entry.get("devices", {})) <= {"xavier"}
+
+
+# ----------------------------------------------------------------------
+# Selection equals a full stable sort; the served front equals a recompute
+# ----------------------------------------------------------------------
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf,
+                                     np.nan]),
+                    st.floats(-3, 3, allow_nan=False))
+
+
+@st.composite
+def _indexes(draw):
+    """A small index with heavy ties, ±0.0, ±inf and NaN holes."""
+    n = draw(st.integers(0, 40))
+    palette = draw(st.lists(_VALUES, min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    devices = ("nano", "xavier")
+    return ArchiveIndex(
+        ops=rng.integers(0, 3, size=(n, L)),
+        keys=tuple(f"k{i}" for i in range(n)),
+        score=rng.choice(palette, n),
+        macs_m=rng.choice(palette, n),
+        params_m=rng.choice(palette, n),
+        devices=devices,
+        cost=rng.choice(palette, (n, len(devices), len(DEVICE_COST_METRICS))))
+
+
+def _sorted_reference(index, k, objective, device, budgets):
+    """Feasible rows ranked by a full Python sort on (value, row)."""
+    values = index.column(objective, device)
+    feasible = [r for r in range(len(index)) if np.isfinite(values[r])]
+    for metric, limit in budgets.items():
+        column = index.column(metric, device)
+        feasible = [r for r in feasible
+                    if np.isfinite(column[r]) and column[r] <= limit]
+    sign = -1.0 if objective == "score" else 1.0
+    return sorted(feasible, key=lambda r: (sign * values[r], r))[:k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_indexes(), st.sampled_from(["score", "latency_ms", "macs_m"]),
+       st.sampled_from([{}, {"macs_m": 0.5}, {"latency_ms": 1.0},
+                        {"energy_mj": 0.0, "params_m": 3.0}]))
+def test_top_k_equals_full_sort_for_every_k(index, objective, budgets):
+    for k in range(len(index) + 3):
+        rows = top_k(index, k, objective=objective, device="xavier",
+                     budgets=budgets)
+        assert rows.tolist() == _sorted_reference(index, k, objective,
+                                                  "xavier", budgets), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(_indexes(), st.lists(st.integers(0, 2), min_size=L, max_size=L))
+def test_hamming_neighbors_equal_full_sort_for_every_k(index, query):
+    distances = [sum(int(a != b) for a, b in zip(row, query))
+                 for row in index.ops.tolist()]
+    ranked = sorted(range(len(index)), key=lambda r: (distances[r], r))
+    for k in range(len(index) + 3):
+        rows, dist = hamming_neighbors(index, query, k)
+        assert rows.tolist() == ranked[:k], k
+        assert dist.tolist() == [distances[r] for r in ranked[:k]], k
+
+
+class TestServedFrontEqualsRecompute:
+    """``/pareto`` keeps no state: after appends, an in-place merge that
+    rewrites a front row, and a new device column, every answer equals a
+    full O(N²) recompute over the current index."""
+
+    @staticmethod
+    def _recompute(index, device):
+        costs = index.device_column(device, "latency_ms")
+        scores = index.score
+        valid = np.flatnonzero(np.isfinite(costs) & np.isfinite(scores))
+        front = valid[_brute_force_mask(costs[valid], scores[valid])]
+        return [index.keys[r]
+                for r in front[np.argsort(costs[front], kind="stable")]]
+
+    def test_front_tracks_every_kind_of_write(self, tmp_path, tiny_space):
+        import json
+        import threading
+        import urllib.request
+
+        from repro.archive.service import ArchiveService, make_server
+        from repro.predictor.analytic import AnalyticCostPredictor
+
+        rng = np.random.default_rng(23)
+        archive = ArchitectureArchive(str(tmp_path / "arc.jsonl"),
+                                      space=tiny_space)
+        ops = np.unique(tiny_space.sample_indices(1500, rng), axis=0)
+        rng.shuffle(ops)
+        # rounded coordinates give exact duplicates; 600+ rows run the
+        # prefilter
+        archive.add_population(
+            ops[:700], device="xavier",
+            latency_ms=np.round(rng.uniform(5, 50, 700), 1),
+            score=np.round(rng.uniform(55, 80, 700), 1), engine="test")
+        service = ArchiveService(
+            tiny_space, AnalyticCostPredictor(tiny_space, "macs_m"),
+            device_name="xavier", archive=archive)
+        httpd = make_server(service, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{httpd.server_address[1]}"
+
+        def served(device):
+            request = urllib.request.Request(
+                base + "/pareto", json.dumps({"device": device}).encode(),
+                {"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=10) as response:
+                return [e["key"] for e in json.loads(response.read())
+                        ["results"]]
+
+        def check(*devices):
+            index = archive.index()
+            for device in devices:
+                assert served(device) == self._recompute(index, device)
+
+        try:
+            check("xavier")
+            # appends
+            archive.add_population(
+                ops[700:1000], device="xavier",
+                latency_ms=np.round(rng.uniform(5, 50, 300), 1),
+                score=np.round(rng.uniform(55, 80, 300), 1), engine="test")
+            check("xavier")
+            # in-place merges: a front row loses its score, a buried row
+            # takes the lead
+            index = archive.index()
+            front = self._recompute(index, "xavier")
+            row = index.keys.index(front[len(front) // 2])
+            archive.add(index.ops[row], score=50.0)
+            assert served("xavier") != front
+            check("xavier")
+            costs = index.device_column("xavier", "latency_ms")
+            buried = int(np.nanargmax(costs))
+            archive.add(index.ops[buried], score=99.0)
+            check("xavier")
+            # a new device column, sorted before the existing one
+            archive.add_population(
+                ops[:400], device="edge", engine="test",
+                latency_ms=np.round(rng.uniform(1, 9, 400), 1))
+            assert archive.index().devices == ("edge", "xavier")
+            check("edge", "xavier")
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            service.close()
+            thread.join(timeout=5)

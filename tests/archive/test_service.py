@@ -23,51 +23,82 @@ def analytic(tiny_space):
     return AnalyticCostPredictor(tiny_space, "macs_m")
 
 
+class _GatedPredictor:
+    """A predictor whose first forward blocks until the test opens a gate.
+
+    While that forward is held, every request the test sends queues behind
+    it, so which requests share the next forward is decided by the test,
+    not by thread timing.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.entered = threading.Event()   # the first forward has started
+        self.gate = threading.Event()      # lets the first forward finish
+        self.batches = []                  # row count of every forward
+
+    def predict_population(self, ops):
+        self.batches.append(len(ops))
+        if len(self.batches) == 1:
+            self.entered.set()
+            assert self.gate.wait(10.0), "the test never opened the gate"
+        return self.inner.predict_population(ops)
+
+
+def _wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.001)
+
+
+def _start(target, *args):
+    thread = threading.Thread(target=target, args=args, daemon=True)
+    thread.start()
+    return thread
+
+
 class TestBatchingPredictor:
     def test_concurrent_requests_coalesce(self, tiny_space, analytic):
-        """A burst of R requests is served by fewer than R forwards."""
-        batcher = BatchingPredictor(analytic, tiny_space, window_s=0.25)
+        """A burst of R requests queued behind a forward is served by
+        exactly one more forward."""
+        gated = _GatedPredictor(analytic)
+        batcher = BatchingPredictor(gated, tiny_space)
         rng = np.random.default_rng(0)
         requests = 8
+        first = tiny_space.sample_indices(2, rng)
         ops = [tiny_space.sample_indices(4, rng) for _ in range(requests)]
         results = [None] * requests
-        barrier = threading.Barrier(requests)
 
         def worker(i):
-            barrier.wait()
             results[i] = batcher.predict(ops[i])
 
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(requests)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        blocker = _start(batcher.predict, first)
+        assert gated.entered.wait(10.0)
+        threads = [_start(worker, i) for i in range(requests)]
+        _wait_until(lambda: batcher.stats()["predict_requests"]
+                    == requests + 1)
+        gated.gate.set()
+        for t in threads + [blocker]:
+            t.join(10.0)
+            assert not t.is_alive()
 
         for i in range(requests):
             assert np.array_equal(results[i],
                                   analytic.predict_population(ops[i]))
+        assert gated.batches == [2, 4 * requests]
         stats = batcher.stats()
-        assert stats["predict_requests"] == requests
-        assert stats["predict_batches"] < requests
-        assert stats["predict_archs"] == 4 * requests
-        assert stats["largest_batch"] > 4
+        assert stats["predict_requests"] == requests + 1
+        assert stats["predict_batches"] == 2
+        assert stats["predict_archs"] == 2 + 4 * requests
+        assert stats["largest_batch"] == 4 * requests
         batcher.close()
 
     def test_sequential_requests_still_work(self, tiny_space, analytic):
-        batcher = BatchingPredictor(analytic, tiny_space, window_s=0.0)
+        batcher = BatchingPredictor(analytic, tiny_space)
         ops = tiny_space.sample_indices(3, np.random.default_rng(1))
         out = batcher.predict(ops)
         assert np.array_equal(out, analytic.predict_population(ops))
-        batcher.close()
-
-    def test_max_batch_dispatches_early(self, tiny_space, analytic):
-        batcher = BatchingPredictor(analytic, tiny_space, window_s=60.0,
-                                    max_batch=4)
-        # a single request at max_batch must not wait out the huge window
-        ops = tiny_space.sample_indices(4, np.random.default_rng(2))
-        out = batcher.predict(ops, timeout=10.0)
-        assert len(out) == 4
         batcher.close()
 
     def test_predictor_error_reaches_every_waiter(self, tiny_space):
@@ -75,7 +106,7 @@ class TestBatchingPredictor:
             def predict_population(self, ops):
                 raise RuntimeError("boom")
 
-        batcher = BatchingPredictor(Exploding(), tiny_space, window_s=0.0)
+        batcher = BatchingPredictor(Exploding(), tiny_space)
         ops = tiny_space.sample_indices(2, np.random.default_rng(3))
         with pytest.raises(RuntimeError, match="boom"):
             batcher.predict(ops)
@@ -87,12 +118,6 @@ class TestBatchingPredictor:
         with pytest.raises(RuntimeError, match="closed"):
             batcher.predict(tiny_space.sample_indices(
                 1, np.random.default_rng(4)))
-
-    def test_invalid_parameters(self, tiny_space, analytic):
-        with pytest.raises(ValueError):
-            BatchingPredictor(analytic, tiny_space, window_s=-1.0)
-        with pytest.raises(ValueError):
-            BatchingPredictor(analytic, tiny_space, max_batch=0)
 
 
 @pytest.fixture
@@ -108,8 +133,7 @@ def server(tmp_path, tiny_space, analytic):
         macs_m=analytic.predict_population(ops),
         score=rng.uniform(60, 76, size=30), engine="fixture")
     service = ArchiveService(tiny_space, analytic, metric_name="macs_m",
-                             device_name="xavier", archive=archive,
-                             window_s=0.0)
+                             device_name="xavier", archive=archive)
     httpd = make_server(service, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -208,7 +232,7 @@ class TestHTTPEndpoints:
         assert info.value.code == 404
 
     def test_shutdown_endpoint(self, tiny_space, analytic):
-        service = ArchiveService(tiny_space, analytic, window_s=0.0)
+        service = ArchiveService(tiny_space, analytic)
         httpd = make_server(service, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -265,7 +289,7 @@ class TestHTTPEndpoints:
         assert "xavier" in body["results"][0]["devices"]
 
     def test_query_without_archive_is_400(self, tiny_space, analytic):
-        service = ArchiveService(tiny_space, analytic, window_s=0.0)
+        service = ArchiveService(tiny_space, analytic)
         httpd = make_server(service, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -279,20 +303,6 @@ class TestHTTPEndpoints:
             httpd.shutdown()
             httpd.server_close()
             service.close()
-
-
-class _CountingPredictor:
-    """Wraps a predictor, recording exactly which rows reach a forward."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-        self.rows_seen = 0
-
-    def predict_population(self, ops):
-        self.calls += 1
-        self.rows_seen += len(ops)
-        return self.inner.predict_population(ops)
 
 
 class _ExplodingArchive:
@@ -318,7 +328,7 @@ class TestRegressions:
     def test_get_stats_failure_returns_500_json(self, tiny_space, analytic):
         """A raising handler on GET must yield a JSON 500, not a dead
         socket (pre-fix: http.client.RemoteDisconnected)."""
-        service = ArchiveService(tiny_space, analytic, window_s=0.0,
+        service = ArchiveService(tiny_space, analytic,
                                  archive=_ExplodingArchive())
         httpd = make_server(service, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -343,7 +353,7 @@ class TestRegressions:
         accepting (pre-fix: batcher thread and store handle leaked)."""
         archive = ArchitectureArchive(str(tmp_path / "arc.jsonl"),
                                       space=tiny_space)
-        service = ArchiveService(tiny_space, analytic, window_s=0.0,
+        service = ArchiveService(tiny_space, analytic,
                                  archive=archive)
         httpd = make_server(service, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -412,23 +422,65 @@ class TestRegressions:
                 reply += chunk
         assert json.loads(reply) == {"ok": True}
 
+    def test_out_of_space_nearest_arch_is_400(self, server, tiny_space):
+        """/nearest must range-check its genotype like /predict does
+        (pre-fix: [99]*L answered with "neighbours" at distance L)."""
+        base, _ = server
+        for arch in ([99] * tiny_space.num_layers,
+                     [-1] * tiny_space.num_layers):
+            with pytest.raises(urllib.error.HTTPError) as info:
+                post(base, "/nearest", {"arch": arch, "k": 3})
+            assert info.value.code == 400, arch
+            assert "'arch'" in json.loads(info.value.read())["error"]
+
+    def test_non_integer_entries_are_400(self, server, tiny_space):
+        """Fractional, boolean and null entries are rejected, naming the
+        field (pre-fix: int64 conversion answered [[1.7]*L] and [[true]*L]
+        exactly as [[1]*L]); integral floats still count as integers."""
+        base, _ = server
+        layers = tiny_space.num_layers
+        for path, body, field in (
+                ("/predict", {"archs": [[1.7] * layers]}, "'archs'"),
+                ("/predict", {"archs": [[True] * layers]}, "'archs'"),
+                ("/predict", {"archs": [[1] * layers, [None] * layers]},
+                 "'archs'"),
+                ("/nearest", {"arch": [1.7] * layers}, "'arch'"),
+                ("/nearest", {"arch": [True] * layers}, "'arch'")):
+            with pytest.raises(urllib.error.HTTPError) as info:
+                post(base, path, body)
+            assert info.value.code == 400, body
+            assert field in json.loads(info.value.read())["error"], body
+        body = post(base, "/predict", {"archs": [[1] * layers]})
+        assert body["count"] == 1
+        as_floats = post(base, "/predict", {"archs": [[1.0] * layers]})
+        assert as_floats["predictions"] == body["predictions"]
+
     def test_timed_out_predict_is_cancelled_at_dispatch(self, tiny_space,
                                                         analytic):
-        """An abandoned request must not reach the predictor or drift the
-        throughput counters (pre-fix: it was forwarded and counted)."""
-        counting = _CountingPredictor(analytic)
-        batcher = BatchingPredictor(counting, tiny_space, window_s=1.0)
+        """A caller that times out while queued must not reach the
+        predictor or drift the throughput counters (pre-fix: it was
+        forwarded and counted)."""
+        gated = _GatedPredictor(analytic)
+        batcher = BatchingPredictor(gated, tiny_space)
         rng = np.random.default_rng(11)
+        first = tiny_space.sample_indices(2, rng)
         abandoned = tiny_space.sample_indices(5, rng)
         served = tiny_space.sample_indices(3, rng)
+        blocker = _start(batcher.predict, first)
+        assert gated.entered.wait(10.0)
+        # queued behind the held forward, so it can only time out
         with pytest.raises(TimeoutError):
-            batcher.predict(abandoned, timeout=0.1)
+            batcher.predict(abandoned, timeout=0.05)
+        gated.gate.set()
+        blocker.join(10.0)
+        assert not blocker.is_alive()
         out = batcher.predict(served, timeout=10.0)
         assert np.array_equal(out, analytic.predict_population(served))
-        assert counting.rows_seen == len(served)   # abandoned rows never ran
+        assert gated.batches == [len(first), len(served)]  # never ran
         stats = batcher.stats()
-        assert stats["predict_requests"] == 2
+        assert stats["predict_requests"] == 3
         assert stats["predict_cancelled"] == 1
-        assert stats["predict_archs"] == len(served)
+        assert stats["predict_batches"] == 2
+        assert stats["predict_archs"] == len(first) + len(served)
         assert stats["largest_batch"] == len(served)
         batcher.close()

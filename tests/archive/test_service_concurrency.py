@@ -39,8 +39,7 @@ def live(tmp_path, tiny_space, analytic):
         macs_m=analytic.predict_population(ops),
         score=rng.uniform(55, 80, size=100), engine="fixture")
     service = ArchiveService(tiny_space, analytic, metric_name="macs_m",
-                             device_name="xavier", archive=archive,
-                             window_s=0.002)
+                             device_name="xavier", archive=archive)
     httpd = make_server(service, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -211,7 +210,7 @@ class TestPaginationRoundTrip:
                                       space=tiny_space)
         archive.add_population(tiny_space.sample_indices(40, rng),
                                score=rng.uniform(50, 80, size=40))
-        service = ArchiveService(tiny_space, analytic, window_s=0.0,
+        service = ArchiveService(tiny_space, analytic,
                                  archive=archive, default_page_limit=10)
         httpd = make_server(service, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)

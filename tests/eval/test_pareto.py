@@ -180,21 +180,98 @@ class TestParetoMask:
         assert kept == front
 
 
-@settings(max_examples=60, deadline=None)
-@given(coords=st.lists(st.tuples(st.floats(0, 50, allow_nan=False),
-                                 st.floats(0, 50, allow_nan=False)),
-                       min_size=1, max_size=40))
-def test_pareto_mask_matches_bruteforce_property(coords):
-    """The vectorized sweep must agree with the O(N²) domination scan
-    (with first-occurrence tie-breaking on duplicate coordinates)."""
-    costs = np.array([c for c, _ in coords])
-    qualities = np.array([q for _, q in coords])
-    points = [P(c, q) for c, q in coords]
-    expected = np.zeros(len(points), dtype=bool)
-    seen = set()
-    for i, p in enumerate(points):
-        undominated = not any(dominates(other, p) for other in points)
-        first = (p.cost, p.quality) not in seen
-        seen.add((p.cost, p.quality))
-        expected[i] = undominated and first
-    assert pareto_mask(costs, qualities).tolist() == expected.tolist()
+# ----------------------------------------------------------------------
+# Exactness of the (prefiltered) sweep against the O(N²) definition
+# ----------------------------------------------------------------------
+
+def _brute_force_mask(costs, qualities):
+    """The definition: not strictly dominated by any point, and the first
+    of its exact duplicates.  NaN compares false, so a NaN point is
+    neither dominated nor a duplicate."""
+    c_j, c_i = costs[:, None], costs[None, :]
+    q_j, q_i = qualities[:, None], qualities[None, :]
+    dominated = ((c_j <= c_i) & (q_j >= q_i)
+                 & ((c_j < c_i) | (q_j > q_i))).any(axis=0)
+    duplicate = np.triu((c_j == c_i) & (q_j == q_i), k=1).any(axis=0)
+    return ~dominated & ~duplicate
+
+
+_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0]
+_COORDS = st.one_of(st.sampled_from(_SPECIALS), st.floats(0, 50))
+
+
+def _layout(rng, kind, n, palette):
+    costs = rng.uniform(0, 10, n)
+    if kind == "uniform":
+        qualities = rng.uniform(0, 10, n)
+    elif kind == "correlated":      # a large front: the pivot cap binds
+        qualities = 0.5 * costs + rng.normal(0, 0.05, n)
+    elif kind == "front":           # nearly all on the front
+        qualities = costs + rng.normal(0, 1e-3, n)
+    else:                           # heavy ties from a small palette
+        costs = rng.choice(palette, n)
+        qualities = rng.choice(palette, n)
+    return costs, qualities
+
+
+@st.composite
+def _large_populations(draw):
+    """400–1300 points, on both sides of the prefilter threshold."""
+    n = draw(st.integers(400, 1300))
+    kind = draw(st.sampled_from(["uniform", "correlated", "front", "ties"]))
+    palette = draw(st.lists(_COORDS, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    costs, qualities = _layout(rng, kind, n, palette)
+    if draw(st.booleans()):         # round for exact duplicates
+        costs, qualities = np.round(costs, 1), np.round(qualities, 1)
+    for column in (costs, qualities):   # sprinkle ±0.0, ±inf and NaN
+        hits = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.2]))
+        column[hits] = rng.choice(_SPECIALS, int(hits.sum()))
+    return costs, qualities
+
+
+_SMALL_POPULATIONS = st.lists(st.tuples(_COORDS, _COORDS),
+                              max_size=40).map(
+    lambda coords: (np.array([c for c, _ in coords], dtype=np.float64),
+                    np.array([q for _, q in coords], dtype=np.float64)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_SMALL_POPULATIONS, _large_populations()))
+def test_pareto_mask_matches_bruteforce_property(population):
+    """The vectorized sweep, prefiltered or not, agrees with the O(N²)
+    domination scan (first-occurrence tie-breaking on duplicates), with
+    heavy ties, ±0.0, ±inf and NaN."""
+    costs, qualities = population
+    np.testing.assert_array_equal(pareto_mask(costs, qualities),
+                                  _brute_force_mask(costs, qualities))
+
+
+class TestPrefilter:
+    """What the prefilter drops, and the edge cases it must keep."""
+
+    def test_drops_most_points_of_a_uniform_cloud(self):
+        from repro.eval.pareto import _prefilter
+        rng = np.random.default_rng(4)
+        costs, qualities = rng.random(20_000), rng.random(20_000)
+        assert len(_prefilter(costs, qualities)) < 1_000
+
+    def test_nan_and_minus_inf_quality(self):
+        mask = pareto_mask(np.array([1.0, 2.0, np.nan, 3.0]),
+                           np.array([-np.inf, np.nan, 1.0, 2.0]))
+        assert mask.tolist() == [True, True, True, True]
+        assert pareto_mask(np.array([1.0, 2.0]),
+                           np.array([-np.inf, -np.inf])).tolist() == [
+            True, False]
+
+    def test_pivot_cap_binds_on_a_large_front(self):
+        from repro.eval.pareto import (_MAX_PIVOTS, _PIVOT_SAMPLE,
+                                       _prefilter, _sweep)
+        costs, qualities = _layout(np.random.default_rng(3), "correlated",
+                                   2000, [])
+        stride = len(costs) // _PIVOT_SAMPLE
+        assert len(_sweep(costs[::stride], qualities[::stride])) > _MAX_PIVOTS
+        kept = _prefilter(costs, qualities)
+        assert len(kept) < len(costs)
+        assert set(np.flatnonzero(_brute_force_mask(costs, qualities))) <= \
+            set(kept.tolist())
