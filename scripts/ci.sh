@@ -34,12 +34,21 @@ python -m pytest -x -q tests/integration/test_startup.py
 # eager bit-identity, the 1-compile/N−1-replay counters, the frozen
 # predictor, resume and jobs=4 parity, and a float64 search under a
 # float32 caller dtype.  Every shipped predictor kind compiles exactly
-# one plan from the 15 lowered op kinds; any other op kind, or a replay
+# one plan from the 14 lowered op kinds; any other op kind, or a replay
 # with changed shapes, input names or dtype, raises.  Supernet searches
 # compile nothing (TestSupernetSearch).
 python -m pytest -x -q tests/core/test_surrogate_plan.py \
     tests/core/test_plan_op_set.py tests/nn/test_plan.py::TestInvalidation \
     tests/core/test_lightnas.py::TestSupernetSearch
+
+# A stability/sweep grid runs as one stacked α-step: every slot of a
+# SearchBatch (S = 1, 2, 4; latency, energy and MACs predictors) equals its
+# sequential search bit for bit, a 4-slot grid's journals sum to one plan
+# compile, a killed grid resumes bit-for-bit with same-epoch slots sharing a
+# batch again, and bad --targets exit naming the flag.
+python -m pytest -x -q tests/core/test_search_batch.py \
+    tests/core/test_resume_parity.py::TestGridResumeParity \
+    tests/eval/test_cli.py::TestSweep tests/eval/test_cli.py::TestStability
 
 # The conv fast-path contract: gradient checks for every specialized kernel
 # plus the golden-trajectory test pinning the float64 engine bit-identical.
@@ -61,9 +70,10 @@ python benchmarks/bench_archive.py --cycles 12 --population 8 --check
 python benchmarks/bench_nn_engine.py --steps 8 --repeat 2 --check
 
 # Step-compiler benchmark with acceptance thresholds on the paper-config
-# surrogate alpha-step, replay vs eager (nn.plans(False)) in paired
-# alternating rounds (>= 2x replayed step, >= 10x tracked-allocation
-# drop); the JSON is uploaded as the bench-step CI artifact.
+# surrogate alpha-step, replay vs eager (nn.plans(False)) vs a 4-slot
+# stacked replay in alternating rounds (>= 2x replayed step, >= 10x
+# tracked-allocation drop, <= 1/2 of a lone step per stacked slot); the
+# JSON is uploaded as the bench-step CI artifact.
 python benchmarks/bench_step_replay.py --check
 
 # The run-fleet executor's contracts get a named run: the jobs=1 vs

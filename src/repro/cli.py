@@ -7,8 +7,8 @@ Gives the library a downstream-usable surface without writing any code:
 * ``predict``   — predict all metrics for an architecture (or a batch file).
 * ``evaluate``  — Table-2-style evaluation row for an architecture.
 * ``sweep``     — one search per target; prints the comparison table
-  (``--jobs N`` fans the targets across forked worker processes,
-  bit-identical to the sequential run).
+  (at ``--jobs 1`` the searches run as one stacked α-step; ``--jobs N``
+  fans them across forked worker processes — bit-identical either way).
 * ``stability`` — Fig.-7-style multi-seed stability campaign: one search
   per (target, seed) pair, mean ± std per target (``--jobs`` as above).
 * ``serve``     — batched JSON prediction/query API over HTTP
@@ -42,7 +42,8 @@ import numpy as np
 
 from .archive import query as archive_query
 from .archive.store import ArchitectureArchive, ArchiveError
-from .core.lightnas import LightNAS, LightNASConfig, METRIC_ALIASES
+from .core.lightnas import LightNAS, LightNASConfig, METRIC_ALIASES, \
+    SearchGrid
 from .eval.imagenet import ImageNetEvaluator
 from .experiments.reporting import render_table
 from .experiments.shared import fit_energy_predictor, fit_latency_predictor
@@ -340,25 +341,67 @@ def cmd_evaluate(args) -> int:
 _METRIC_UNITS = {"latency": "ms", "energy": "mJ", "macs": "M"}
 
 
-def _sweep_task(config, predictor, oracle, true_value, resume: bool,
-                checkpoint_every: int) -> FleetTask:
-    """One search-per-target task: built in the parent, run in a worker.
+def _parse_list(text: str, flag: str, convert, name=str) -> list:
+    """Parse a comma-separated flag value, or exit naming ``flag``.
+
+    ``name`` renders a value the way its task and checkpoint sub-directory
+    are named, so two values sharing a name count as duplicates.
+    """
+    items = text.split(",")
+    if not any(item.strip() for item in items):
+        raise SystemExit(f"error: {flag} names no values")
+    try:
+        values = [convert(item) for item in items]
+    except ValueError as exc:
+        raise SystemExit(f"error: malformed {flag}: {exc}")
+    names = [name(value) for value in values]
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise SystemExit(f"error: duplicate values in {flag}: "
+                         f"{', '.join(duplicates)}")
+    return values
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _parse_targets(args) -> List[float]:
+    return _parse_list(args.targets, "--targets", _finite,
+                       name=lambda t: f"{t:g}")
+
+
+def _sweep_task(config, name: str, predictor, oracle, true_value, args,
+                grid: Optional[SearchGrid]) -> FleetTask:
+    """One search task: built in the parent, run in a worker.
 
     Everything heavy (the fitted predictor, cost tables) is captured by
     the closure *before* the fleet forks, so workers share it
-    copy-on-write; the task returns only a small plain-dict row.
+    copy-on-write; the task returns only a small plain-dict row.  With a
+    ``grid`` (``--jobs 1``) the search is registered there, so the grid's
+    searches run as stacked batches.
     """
     target = config.target
+    if grid is not None:
+        # the sub-directory name is part of the checkpoint layout contract:
+        # a jobs=1 sweep must resume a jobs=N sweep's checkpoints and back
+        grid.add(config, predictor,
+                 resume_dir=(os.path.join(args.checkpoint_dir, name)
+                             if args.resume else None))
 
     def fn(ctx):
         resume_from = None
-        if resume and ctx.checkpoint_dir:
+        if args.resume and ctx.checkpoint_dir:
             resume_from = latest_checkpoint(ctx.checkpoint_dir)
         result = LightNAS(config, predictor=predictor).search(
             checkpoint_dir=ctx.checkpoint_dir,
-            checkpoint_every=checkpoint_every,
+            checkpoint_every=args.checkpoint_every,
             resume_from=resume_from,
             journal=ctx.journal,
+            grid=grid,
         )
         evaluation = oracle.evaluate(result.architecture)
         return {
@@ -371,17 +414,21 @@ def _sweep_task(config, predictor, oracle, true_value, resume: bool,
             "arch": list(result.architecture.op_indices),
         }
 
-    # the sub-directory name is part of the checkpoint layout contract:
-    # a jobs=1 sweep must resume a jobs=N sweep's checkpoints and back
-    return FleetTask(name=f"target_{target:g}", fn=fn,
-                     subdir=f"target_{target:g}",
+    return FleetTask(name=name, fn=fn, subdir=name,
                      header={"target": target, "seed": config.seed,
                              "metric": config.metric_name})
+
+
+def _grid(args) -> Optional[SearchGrid]:
+    """A grid stacking the searches of one process (``--jobs 1``); forked
+    workers run their searches as batches of one."""
+    return SearchGrid() if args.jobs == 1 else None
 
 
 def cmd_sweep(args) -> int:
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("error: --resume requires --checkpoint-dir")
+    targets = _parse_targets(args)
     space = _space(args)
     latency_model = LatencyModel(space)
     energy_model = EnergyModel(space, latency_model=latency_model)
@@ -394,7 +441,6 @@ def cmd_sweep(args) -> int:
     }[args.metric]
     unit = _METRIC_UNITS[args.metric]
     oracle = AccuracyOracle(space)
-    targets = [float(t) for t in args.targets.split(",")]
     overrides = {"epochs": args.epochs} if args.epochs else {}
     try:
         # LightNASConfig.__post_init__ canonicalises the metric shorthand
@@ -409,8 +455,9 @@ def cmd_sweep(args) -> int:
                    for target in targets]
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    tasks = [_sweep_task(config, predictor, oracle, true_value,
-                         args.resume, args.checkpoint_every)
+    grid = _grid(args)
+    tasks = [_sweep_task(config, f"target_{config.target:g}", predictor,
+                         oracle, true_value, args, grid)
              for config in configs]
     values = _run_cli_fleet(args, tasks, seed=args.seed)
     rows = [[f"{row['target']:g} {unit}", row["true_value"],
@@ -428,6 +475,8 @@ def cmd_stability(args) -> int:
     """Fig.-7-style stability campaign: (targets × seeds) searches."""
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("error: --resume requires --checkpoint-dir")
+    targets = _parse_targets(args)
+    seeds = _parse_list(args.seeds, "--seeds", int)
     space = _space(args)
     latency_model = LatencyModel(space)
     energy_model = EnergyModel(space, latency_model=latency_model)
@@ -439,15 +488,6 @@ def cmd_stability(args) -> int:
         "macs": lambda arch: count_macs(space, arch) / 1e6,
     }[args.metric]
     unit = _METRIC_UNITS[args.metric]
-    targets = [float(t) for t in args.targets.split(",")]
-    try:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError as exc:
-        raise SystemExit(f"error: malformed --seeds: {exc}")
-    if not seeds:
-        raise SystemExit("error: --seeds names no seeds")
-    if len(set(seeds)) != len(seeds):
-        raise SystemExit("error: duplicate seeds in --seeds")
     overrides = {"epochs": args.epochs} if args.epochs else {}
     try:
         grid = [LightNASConfig.paper(target, space=space, seed=seed,
@@ -459,14 +499,11 @@ def cmd_stability(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     oracle = AccuracyOracle(space)
-    tasks = []
-    for config in grid:
-        task = _sweep_task(config, predictor, oracle, true_value,
-                           args.resume, args.checkpoint_every)
-        name = f"target_{config.target:g}_seed_{config.seed}"
-        task.name = name
-        task.subdir = name
-        tasks.append(task)
+    search_grid = _grid(args)
+    tasks = [_sweep_task(config,
+                         f"target_{config.target:g}_seed_{config.seed}",
+                         predictor, oracle, true_value, args, search_grid)
+             for config in grid]
     values = _run_cli_fleet(args, tasks, seed=min(seeds))
 
     per_target = {target: [] for target in targets}
@@ -744,11 +781,14 @@ def cmd_trace_summary(args) -> int:
         ]
         plans = run.get("plan_stats") or {}
         if plans:
+            slots = run.get("batch_slots") or 1
+            shared = f", shared by {slots} slots" if slots > 1 else ""
             rows.append(["step plans",
                          f"{plans.get('plans_compiled', 0)} compiled, "
                          f"{plans.get('replays', 0)} replays, "
                          f"{plans.get('eager_steps', 0)} eager, "
-                         f"arena {plans.get('arena_bytes', 0) / 1e6:.1f} MB"])
+                         f"arena {plans.get('arena_bytes', 0) / 1e6:.1f} MB"
+                         f"{shared}"])
         print(render_table(["field", "value"], rows,
                            title=f"run {index + 1}/{len(runs)}"))
         if args.ops:

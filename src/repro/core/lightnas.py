@@ -23,14 +23,21 @@ Two validation-loss modes share the engine:
     by the full-space benchmarks, where training a 22-layer ImageNet
     supernet on one CPU core is not an option.  The α/λ dynamics (the
     paper's contribution) are identical.
+
+Since λ needs no tuning, a target sweep or a multi-seed study is a set of
+independent surrogate searches.  :class:`SearchBatch` runs such searches
+as one stacked α-step, bit-identical per search, and :class:`SearchGrid`
+lets each of them keep its own :meth:`LightNAS.search` call; a lone
+surrogate search is a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +57,7 @@ from ..runtime.checkpoint import (
     CheckpointError,
     CheckpointManager,
     fingerprint_of,
+    latest_checkpoint,
     load_checkpoint,
     resolve_checkpoint,
     restore_rng,
@@ -63,7 +71,8 @@ from .lambda_opt import LagrangeMultiplier
 from .objective import ConstrainedObjective
 from .result import SearchResult, SearchTrajectory
 
-__all__ = ["LightNASConfig", "LightNAS", "METRIC_ALIASES", "CANONICAL_METRICS"]
+__all__ = ["LightNASConfig", "LightNAS", "SearchBatch", "SearchGrid",
+           "METRIC_ALIASES", "CANONICAL_METRICS"]
 
 #: canonical unit-suffixed metric names used across predictors and results
 CANONICAL_METRICS = ("latency_ms", "energy_mj", "macs_m")
@@ -234,8 +243,9 @@ class LightNAS:
             # float64 (default) keeps seeded searches bit-identical
             with nn.dtype_scope(config.compute_dtype):
                 self.supernet = SuperNet(self.space, self.rng)
-        # compiles the surrogate α-step; supernet steps run through its
-        # eager fallback (their sampled paths rarely repeat)
+        # runs this engine's α-steps: supernet steps eagerly (their sampled
+        # paths rarely repeat); a surrogate search points it at the
+        # compiled program of the SearchBatch it builds
         self.programs = nn.StepProgram("lightnas")
 
     @staticmethod
@@ -256,55 +266,62 @@ class LightNAS:
     # ------------------------------------------------------------------
     def _fingerprint(self) -> str:
         """Hash of everything that determines the search dynamics."""
-        cfg = self.config
-        parts = [
-            "lightnas", cfg.mode, cfg.target, cfg.metric_name, cfg.epochs,
-            cfg.steps_per_epoch, cfg.warmup_epochs, cfg.batch_size,
-            cfg.alpha_lr, cfg.alpha_weight_decay, cfg.w_lr, cfg.w_momentum,
-            cfg.w_weight_decay, cfg.lambda_lr, cfg.lambda_initial,
-            cfg.penalty_mu, cfg.tau_initial, cfg.tau_floor, cfg.seed,
-            self.space.num_layers, self.space.num_operators,
-            repr(self.space.macro),
-        ]
-        # appended only when non-default so historical float64 checkpoints
-        # keep their fingerprints
-        if cfg.compute_dtype != "float64":
-            parts.append(cfg.compute_dtype)
-        return fingerprint_of(*parts)
+        return _config_key(self.config)
 
-    def _capture_state(self, epoch: int, steps: int, alpha: nn.Parameter,
-                       alpha_opt: nn.Optimizer, lam: LagrangeMultiplier,
-                       trajectory: SearchTrajectory,
-                       w_opt: Optional[nn.Optimizer]) -> Tuple[Dict, Dict]:
+    def _fresh_state(self) -> "_SearchState":
+        cfg = self.config
+        alpha = nn.Parameter(self.space.uniform_alpha(), name="alpha")
+        w_opt = None
+        if cfg.mode == "supernet":
+            w_opt = nn.SGD(self.supernet.parameters(), lr=cfg.w_lr,
+                           momentum=cfg.w_momentum,
+                           weight_decay=cfg.w_weight_decay)
+        return _SearchState(
+            alpha=alpha,
+            alpha_opt=nn.Adam([alpha], lr=cfg.alpha_lr,
+                              weight_decay=cfg.alpha_weight_decay),
+            lam=LagrangeMultiplier(lr=cfg.lambda_lr,
+                                   initial=cfg.lambda_initial),
+            trajectory=SearchTrajectory(),
+            w_opt=w_opt,
+        )
+
+    def _start(self, resume_from: Optional[str]) -> "_SearchState":
+        """The state a search starts from: fresh, or restored from
+        ``resume_from`` (a checkpoint file, or a directory's latest)."""
+        state = self._fresh_state()
+        if resume_from is not None:
+            self._restore_state(resolve_checkpoint(resume_from), state)
+        return state
+
+    def _capture_state(self, epoch: int, state: "_SearchState"
+                       ) -> Tuple[Dict, Dict]:
         """Snapshot the full search state at the *end* of ``epoch``."""
         meta = {
             "kind": "lightnas",
             "fingerprint": self._fingerprint(),
             "next_epoch": epoch + 1,
-            "steps": steps,
+            "steps": state.steps,
             "rng_state": rng_state_json(self.rng),
         }
         arrays: Dict[str, np.ndarray] = {
-            "alpha": alpha.data.copy(),
-            "lambda": lam.param.data.copy(),
-            "lambda_history": np.array(lam.history, dtype=np.float64),
+            "alpha": state.alpha.data.copy(),
+            "lambda": state.lam.param.data.copy(),
+            "lambda_history": np.array(state.lam.history, dtype=np.float64),
         }
-        for key, value in alpha_opt.state_arrays().items():
+        for key, value in state.alpha_opt.state_arrays().items():
             arrays[f"alpha_opt.{key}"] = value
-        arrays.update(trajectory.as_arrays())
+        arrays.update(state.trajectory.as_arrays())
         if self.config.mode == "supernet":
             meta["task_rng_state"] = rng_state_json(self.task._batch_rng)
             for key, value in self.supernet.state_dict().items():
                 arrays[f"net.{key}"] = value
-            for key, value in w_opt.state_arrays().items():
+            for key, value in state.w_opt.state_arrays().items():
                 arrays[f"w_opt.{key}"] = value
         return meta, arrays
 
-    def _restore_state(self, path: str, alpha: nn.Parameter,
-                       alpha_opt: nn.Optimizer, lam: LagrangeMultiplier,
-                       w_opt: Optional[nn.Optimizer]
-                       ) -> Tuple[int, int, SearchTrajectory]:
-        """Restore a checkpoint; returns (start_epoch, steps, trajectory)."""
+    def _restore_state(self, path: str, state: "_SearchState") -> None:
+        """Restore a checkpoint into ``state`` (and the engine's RNGs)."""
         meta, arrays = load_checkpoint(path)
         if meta.get("kind") != "lightnas":
             raise CheckpointError(
@@ -320,26 +337,27 @@ class LightNAS:
         try:
             # in-place copies: parameter arrays keep their identity so any
             # compiled step plans stay bound to the live α / λ storage
-            np.copyto(alpha.data, arrays["alpha"])
-            alpha_opt.load_state_arrays({
+            np.copyto(state.alpha.data, arrays["alpha"])
+            state.alpha_opt.load_state_arrays({
                 key[len("alpha_opt."):]: value
                 for key, value in arrays.items() if key.startswith("alpha_opt.")
             })
-            np.copyto(lam.param.data, arrays["lambda"])
-            lam.history = [float(x) for x in arrays["lambda_history"]]
+            np.copyto(state.lam.param.data, arrays["lambda"])
+            state.lam.history = [float(x) for x in arrays["lambda_history"]]
             restore_rng(self.rng, meta["rng_state"])
             if self.config.mode == "supernet":
                 self.supernet.load_state_dict({
                     key[len("net."):]: value
                     for key, value in arrays.items() if key.startswith("net.")
                 })
-                w_opt.load_state_arrays({
+                state.w_opt.load_state_arrays({
                     key[len("w_opt."):]: value
                     for key, value in arrays.items() if key.startswith("w_opt.")
                 })
                 restore_rng(self.task._batch_rng, meta["task_rng_state"])
-            trajectory = SearchTrajectory.from_arrays(arrays)
-            return int(meta["next_epoch"]), int(meta["steps"]), trajectory
+            state.trajectory = SearchTrajectory.from_arrays(arrays)
+            state.start_epoch = int(meta["next_epoch"])
+            state.steps = int(meta["steps"])
         except (KeyError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint {path!r} is missing or mismatching state "
@@ -356,6 +374,7 @@ class LightNAS:
         checkpoint_every: int = 10,
         resume_from: Optional[str] = None,
         journal: Optional[RunJournal] = None,
+        grid: Optional["SearchGrid"] = None,
     ) -> SearchResult:
         """Run the one-time search and return the derived architecture.
 
@@ -375,43 +394,43 @@ class LightNAS:
         journal:
             A :class:`repro.runtime.telemetry.RunJournal` receiving
             structured per-epoch events (defaults to the no-op journal).
+        grid:
+            A :class:`SearchGrid` this surrogate search was registered
+            with: its α-epochs then run stacked with the grid's other
+            searches, bit-identical to running alone.  Without one, the
+            search is a batch of one.
         """
         # the search runs in float64 whatever the caller's default dtype;
         # supernet mode scopes its compute dtype inside
         with nn.dtype_scope("float64"):
             return self._search(verbose, checkpoint_dir, checkpoint_every,
-                                resume_from, journal)
+                                resume_from, journal, grid)
 
     def _search(self, verbose: bool, checkpoint_dir: Optional[str],
                 checkpoint_every: int, resume_from: Optional[str],
-                journal: Optional[RunJournal]) -> SearchResult:
+                journal: Optional[RunJournal],
+                grid: Optional["SearchGrid"]) -> SearchResult:
         cfg = self.config
+        supernet = cfg.mode == "supernet"
         journal = journal if journal is not None else NullJournal()
         timers = PhaseTimers()
         run_start = time.perf_counter()
-        alpha = nn.Parameter(self.space.uniform_alpha(), name="alpha")
-        alpha_opt = nn.Adam([alpha], lr=cfg.alpha_lr,
-                            weight_decay=cfg.alpha_weight_decay)
-        alpha_schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
-                                           final_lr=cfg.alpha_lr * 0.1)
-        lam = LagrangeMultiplier(lr=cfg.lambda_lr, initial=cfg.lambda_initial)
+        state = self._start(resume_from)
         schedule = TemperatureSchedule(cfg.tau_initial, cfg.tau_floor, cfg.epochs)
         sampler = GumbelSampler(schedule, self.rng)
-        trajectory = SearchTrajectory()
-
-        w_opt = None
-        w_schedule = None
-        if cfg.mode == "supernet":
-            w_opt = nn.SGD(self.supernet.parameters(), lr=cfg.w_lr,
-                           momentum=cfg.w_momentum, weight_decay=cfg.w_weight_decay)
+        header = {}
+        if supernet:
+            alpha_schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
+                                               final_lr=cfg.alpha_lr * 0.1)
             w_schedule = nn.CosineSchedule(cfg.w_lr, cfg.epochs)
+            plan_stats = self.programs.stats
+        else:
+            # the surrogate α-epochs run as one slot of a stacked batch
+            slot = (grid if grid is not None else SearchGrid()).join(
+                self, state)
+            header["batch_slots"] = slot.batch.size
+            plan_stats = slot.plan_stats
 
-        steps = 0
-        start_epoch = 0
-        if resume_from is not None:
-            start_epoch, steps, trajectory = self._restore_state(
-                resolve_checkpoint(resume_from), alpha, alpha_opt, lam, w_opt
-            )
         manager = (CheckpointManager(checkpoint_dir, every=checkpoint_every)
                    if checkpoint_dir else None)
         journal.run_header(
@@ -424,40 +443,42 @@ class LightNAS:
             steps_per_epoch=cfg.steps_per_epoch,
             space_layers=self.space.num_layers,
             space_operators=self.space.num_operators,
-            start_epoch=start_epoch,
+            start_epoch=state.start_epoch,
             fingerprint=self._fingerprint(),
+            **header,
         )
 
-        for epoch in range(start_epoch, cfg.epochs):
+        for epoch in range(state.start_epoch, cfg.epochs):
             epoch_start = time.perf_counter()
-            alpha_schedule.apply(alpha_opt, epoch)
             epoch_scope = (nn.profiler.profile() if cfg.profile_ops
                            else nullcontext(None))
             with epoch_scope as op_prof:
-                if cfg.mode == "supernet":
-                    w_schedule.apply(w_opt, epoch)
+                if supernet:
+                    alpha_schedule.apply(state.alpha_opt, epoch)
+                    w_schedule.apply(state.w_opt, epoch)
                     with timers.phase("train_weights"):
-                        self._train_weights_epoch(sampler, alpha, w_opt, epoch)
+                        self._train_weights_epoch(sampler, state.alpha,
+                                                  state.w_opt, epoch)
                     if epoch >= cfg.warmup_epochs:
                         with timers.phase("update_alpha"):
                             epoch_steps, mean_loss = self._update_alpha_epoch(
-                                sampler, alpha, alpha_opt, lam, epoch)
-                        steps += epoch_steps
+                                sampler, state, epoch)
+                        state.steps += epoch_steps
                     else:
                         with timers.phase("warmup_eval"):
                             mean_loss = self._warmup_valid_loss(
-                                sampler, alpha, epoch)
+                                sampler, state.alpha, epoch)
                 else:
                     with timers.phase("update_alpha"):
-                        epoch_steps, mean_loss = self._update_alpha_epoch(
-                            sampler, alpha, alpha_opt, lam, epoch)
-                    steps += epoch_steps
+                        epoch_steps, mean_loss = slot.run_epoch(epoch, state)
+                    state.steps += epoch_steps
 
                 with timers.phase("derive"):
-                    arch = sampler.derive_architecture(alpha)
+                    arch = sampler.derive_architecture(state.alpha)
                     predicted = self.predictor.predict_arch(arch)
-            trajectory.record(epoch, predicted, lam.value, mean_loss,
-                              schedule.at(epoch), arch)
+            lam = state.lam
+            state.trajectory.record(epoch, predicted, lam.value, mean_loss,
+                                    schedule.at(epoch), arch)
             epoch_fields = dict(
                 epoch=epoch,
                 predicted_metric=round(float(predicted), 6),
@@ -473,7 +494,7 @@ class LightNAS:
                 layers = op_prof.layers()
                 if layers:
                     epoch_fields["layer_profile"] = layers
-            epoch_fields["plan_stats"] = self.programs.stats()
+            epoch_fields["plan_stats"] = plan_stats()
             journal.epoch(**epoch_fields)
             if verbose:
                 print(
@@ -482,20 +503,19 @@ class LightNAS:
                 )
             if manager is not None and manager.due(epoch):
                 with timers.phase("checkpoint"):
-                    meta, arrays = self._capture_state(
-                        epoch, steps, alpha, alpha_opt, lam, trajectory, w_opt)
+                    meta, arrays = self._capture_state(epoch, state)
                     path = manager.save(epoch, meta, arrays)
                 journal.event("checkpoint", epoch=epoch, path=path)
 
-        arch = sampler.derive_architecture(alpha)
+        arch = sampler.derive_architecture(state.alpha)
         result = SearchResult(
             architecture=arch,
             predicted_metric=self.predictor.predict_arch(arch),
             target=cfg.target,
-            final_lambda=lam.value,
-            trajectory=trajectory,
+            final_lambda=state.lam.value,
+            trajectory=state.trajectory,
             search_paths_per_step=self.space.num_layers,
-            num_search_steps=steps,
+            num_search_steps=state.steps,
             metric_name=cfg.metric_name,
         )
         end_fields = dict(
@@ -503,10 +523,10 @@ class LightNAS:
             final_lambda=round(result.final_lambda, 6),
             constraint_error=round(result.constraint_error, 6),
             architecture=list(arch.op_indices),
-            num_search_steps=steps,
+            num_search_steps=state.steps,
             wall_time_s=round(time.perf_counter() - run_start, 6),
             phase_timers=timers.as_dict(),
-            plan_stats=self.programs.stats(),
+            plan_stats=plan_stats(),
         )
         journal.run_end(**end_fields)
         return result
@@ -532,66 +552,44 @@ class LightNAS:
                 loss.backward()
                 w_opt.step()
 
-    def _update_alpha_epoch(self, sampler: GumbelSampler, alpha: nn.Parameter,
-                            alpha_opt: nn.Optimizer, lam: LagrangeMultiplier,
+    def _update_alpha_epoch(self, sampler: GumbelSampler,
+                            state: "_SearchState",
                             epoch: int) -> Tuple[int, float]:
-        """One epoch of α descent + λ ascent on the Eq. (10) objective.
+        """One supernet epoch of α descent + λ ascent on Eq. (10).
 
-        Returns ``(steps, mean_valid_loss)`` — the mean of the epoch's
-        actual validation losses, which is what the trajectory records
-        (previously the recorded series was a stale constant 0.0).
+        Returns ``(steps, mean_valid_loss)``.  The step's ops follow the
+        sampled single path, which rarely comes round again, so supernet
+        α-steps run eagerly (surrogate α-epochs run in a
+        :class:`SearchBatch`).
         """
         cfg = self.config
-        supernet = cfg.mode == "supernet"
+        alpha, alpha_opt, lam = state.alpha, state.alpha_opt, state.lam
         steps = 0
         loss_sum = 0.0
 
-        # The one α-step, run by ``self.programs`` as a trace, a replay, or
-        # (supernet mode) an eager step.  The per-step randomness (Gumbel
-        # noise, validation batch) and the annealed 1/τ are plan *inputs*.
-        # The latency term uses the *deterministic* binarisation of α:
-        # Eq. (4) defines the architecture encoded by α as the per-layer
-        # argmax, so LAT(α) is the latency of that architecture, not of the
-        # Gumbel sample (with the sampled gates, λ's equilibrium pins the
-        # *expected* sampled latency to T while the derived argmax
-        # systematically undershoots).  Its STE recomputes the argmax live
-        # on replay.
-        def fn(ts):
-            _, gates = sampler.sample_gates(
-                alpha, epoch, noise=ts["noise"], inv_tau=ts["inv_tau"])
-            if supernet:
-                logits = self.supernet.forward_single_path(ts["images"], gates)
-                valid_loss = F.cross_entropy(logits, targets=ts["targets"])
-            else:
-                valid_loss = self.oracle.differentiable_loss(gates)
-            _, det_gates = sampler.sample_gates(
-                alpha, epoch, deterministic=True, inv_tau=ts["inv_tau"])
-            loss, _ = self.objective.loss(valid_loss, det_gates,
-                                          lam.as_tensor())
-            return {"loss": loss, "valid_loss": valid_loss}
+        def valid_loss(gates, ts):
+            logits = self.supernet.forward_single_path(ts["images"], gates)
+            return F.cross_entropy(logits, targets=ts["targets"])
 
-        # Surrogate steps trace the same fixed L×K gate program whatever
-        # path is sampled, so one plan compiles once and replays on every
-        # later step.  A supernet step's ops follow the sampled single path,
-        # which rarely comes round again, so supernet steps run eagerly.
-        with (nn.plans(False) if supernet else nullcontext()), \
-                (nn.dtype_scope(cfg.compute_dtype) if supernet
-                 else nullcontext()):
+        def fn(ts):
+            return _alpha_step(sampler, alpha, lam.as_tensor(),
+                               self.objective, valid_loss, ts)
+
+        with nn.plans(False), nn.dtype_scope(cfg.compute_dtype):
             for _ in range(cfg.steps_per_epoch):
                 noise = sampler.draw_noise(alpha.shape)
                 inputs = {"noise": noise,
                           "inv_tau": 1.0 / sampler.schedule.at(epoch)}
                 alpha_opt.zero_grad()
                 lam.param.zero_grad()
-                if supernet:
-                    self.supernet.train(True)
-                    # the α-step backward reaches the supernet weights
-                    self.supernet.zero_grad()
-                    batch = self.task.sample_batch(self.task.valid,
-                                                   cfg.batch_size)
-                    inputs["images"] = batch.images
-                    inputs["targets"] = F.one_hot(
-                        batch.labels, self.space.macro.num_classes)
+                self.supernet.train(True)
+                # the α-step backward reaches the supernet weights
+                self.supernet.zero_grad()
+                batch = self.task.sample_batch(self.task.valid,
+                                               cfg.batch_size)
+                inputs["images"] = batch.images
+                inputs["targets"] = F.one_hot(
+                    batch.labels, self.space.macro.num_classes)
                 out = self.programs.run(inputs, fn)
                 alpha_opt.step()
                 loss_sum += float(out["valid_loss"])
@@ -626,3 +624,335 @@ class LightNAS:
         finally:
             self.supernet.train(was_training)
         return float(loss.data)
+
+
+# ----------------------------------------------------------------------
+# Search state, the α-step, and stacked batches of surrogate searches
+# ----------------------------------------------------------------------
+
+def _config_key(cfg: LightNASConfig, shared: bool = False) -> str:
+    """Hash of everything that determines a search's dynamics (the
+    checkpoint fingerprint).
+
+    ``shared=True`` hashes what the slots of one :class:`SearchBatch` have
+    in common: all of it but the target and the seed, plus ``profile_ops``.
+    """
+    target, seed = (None, None) if shared else (cfg.target, cfg.seed)
+    parts = [
+        "lightnas", cfg.mode, target, cfg.metric_name, cfg.epochs,
+        cfg.steps_per_epoch, cfg.warmup_epochs, cfg.batch_size,
+        cfg.alpha_lr, cfg.alpha_weight_decay, cfg.w_lr, cfg.w_momentum,
+        cfg.w_weight_decay, cfg.lambda_lr, cfg.lambda_initial,
+        cfg.penalty_mu, cfg.tau_initial, cfg.tau_floor, seed,
+        cfg.space.num_layers, cfg.space.num_operators,
+        repr(cfg.space.macro),
+    ]
+    # appended only when non-default so historical float64 checkpoints
+    # keep their fingerprints
+    if cfg.compute_dtype != "float64":
+        parts.append(cfg.compute_dtype)
+    if shared:
+        parts.append(cfg.profile_ops)
+    return fingerprint_of(*parts)
+
+
+@dataclass
+class _SearchState:
+    """One search's mutable state: what its checkpoints hold (with the
+    engine's RNGs and, in supernet mode, the supernet weights)."""
+
+    alpha: nn.Parameter
+    alpha_opt: nn.Adam
+    lam: LagrangeMultiplier
+    trajectory: SearchTrajectory
+    w_opt: Optional[nn.SGD] = None
+    start_epoch: int = 0
+    steps: int = 0
+
+
+def _alpha_step(sampler: GumbelSampler, alpha: nn.Tensor, lam: nn.Tensor,
+                objective: ConstrainedObjective,
+                valid_loss: Callable[[nn.Tensor, Dict], nn.Tensor],
+                ts: Dict[str, nn.Tensor]) -> Dict[str, nn.Tensor]:
+    """The one α-step objective (Eq. 10), as a :class:`nn.StepProgram` step.
+
+    The per-step randomness (Gumbel noise, validation batch) and the
+    annealed 1/τ are step *inputs* ``ts``.  The metric term uses the
+    *deterministic* binarisation of α: Eq. (4) defines the architecture
+    encoded by α as the per-layer argmax, so LAT(α) is the latency of that
+    architecture, not of the Gumbel sample (with the sampled gates, λ's
+    equilibrium pins the *expected* sampled latency to T while the derived
+    argmax systematically undershoots).  Its STE recomputes the argmax
+    live on replay.
+    """
+    # with noise and 1/τ given, the sampler's RNG and schedule are unused
+    _, gates = sampler.sample_gates(alpha, 0, noise=ts["noise"],
+                                    inv_tau=ts["inv_tau"])
+    loss_valid = valid_loss(gates, ts)
+    _, det_gates = sampler.sample_gates(alpha, 0, deterministic=True,
+                                        inv_tau=ts["inv_tau"])
+    loss, _ = objective.loss(loss_valid, det_gates, lam)
+    return {"loss": loss, "valid_loss": loss_valid}
+
+
+#: the step-count keys of ``StepProgram.stats`` (``arena_bytes`` aside)
+_COUNTERS = ("plans_compiled", "replays", "eager_steps")
+
+
+@dataclass
+class _EpochEnd:
+    """One slot's state at the end of one stacked epoch, parked until that
+    slot's own search takes it."""
+
+    alpha: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: int
+    lam: float
+    lam_history: List[float]
+    mean_loss: float
+    rng_state: dict
+    steps: int
+    counts: Dict[str, int]
+
+
+class SearchBatch:
+    """S surrogate searches advanced as one stacked α-step.
+
+    The slots share one predictor and every config field except
+    ``target`` and ``seed``.  Slot ``s`` is row ``s`` of every stacked
+    array:
+
+    * α is one ``(S, L, K)`` Parameter under one Adam (one step count);
+    * λ is one ``(S,)`` Parameter under one gradient ascent;
+    * each slot draws its Gumbel noise from its own engine's generator
+      into row ``s`` of one ``(S, L, K)`` step input; 1/τ is one shared
+      input (the temperature schedule is shared);
+    * the objective holds 1/T per slot, the oracle loss sums each slot's
+      gates over axes (1, 2), and the predictor sees ``(S, 1, L·K)``.
+
+    Every op is elementwise within a slot or reduces within one slot in
+    the order a lone search does, so each slot's numbers are bit-identical
+    to its own sequential search.  One :class:`nn.StepProgram` traces the
+    stacked step once and replays it for all S slots, and an elementwise
+    kernel on S slots costs little more than on one.
+
+    :meth:`run_epoch` advances every slot by one epoch and parks each
+    slot's end-of-epoch state; each slot's own ``LightNAS.search`` takes
+    its epochs with :meth:`take`.
+    """
+
+    def __init__(self, engines: Sequence["LightNAS"],
+                 states: Sequence[_SearchState]) -> None:
+        lead, first = engines[0], states[0]
+        cfg = lead.config
+        shared = _config_key(cfg, shared=True)
+        opt_states = [state.alpha_opt.state_arrays() for state in states]
+        for engine, state, opt in zip(engines, states, opt_states):
+            if (engine.config.mode != "surrogate"
+                    or engine.predictor is not lead.predictor
+                    or _config_key(engine.config, shared=True) != shared):
+                raise ValueError(
+                    "the slots of a SearchBatch must be surrogate searches "
+                    "sharing one predictor and every config field but "
+                    "target and seed")
+            if ((state.start_epoch, state.steps, int(opt["t"]))
+                    != (first.start_epoch, first.steps,
+                        int(opt_states[0]["t"]))):
+                raise ValueError("the slots of a SearchBatch must start at "
+                                 "the same epoch")
+        self.config = cfg
+        self.size = len(engines)
+        self.epoch = first.start_epoch
+        self.alpha = nn.Parameter(np.stack([s.alpha.data for s in states]),
+                                  name="alpha")
+        self.alpha_opt = nn.Adam([self.alpha], lr=cfg.alpha_lr,
+                                 weight_decay=cfg.alpha_weight_decay)
+        self.alpha_opt.load_state_arrays({
+            "t": opt_states[0]["t"],
+            "m.0": np.stack([opt["m.0"] for opt in opt_states]),
+            "v.0": np.stack([opt["v.0"] for opt in opt_states]),
+        })
+        self.alpha_schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
+                                                final_lr=cfg.alpha_lr * 0.1)
+        self.lam = nn.Parameter([s.lam.value for s in states], name="lambda")
+        self.lam_opt = nn.GradientAscent([self.lam], lr=cfg.lambda_lr,
+                                         floor=None)
+        schedule = TemperatureSchedule(cfg.tau_initial, cfg.tau_floor,
+                                       cfg.epochs)
+        self.samplers = [GumbelSampler(schedule, e.rng) for e in engines]
+        self.objective = ConstrainedObjective(
+            lead.predictor, [e.config.target for e in engines],
+            mu=cfg.penalty_mu)
+        self.oracle = lead.oracle
+        self.program = nn.StepProgram("lightnas")
+        self._step = functools.partial(
+            _alpha_step, self.samplers[0], self.alpha, self.lam,
+            self.objective,
+            lambda gates, ts: self.oracle.differentiable_loss(gates))
+        self._parked: List[Dict[int, _EpochEnd]] = [{} for _ in engines]
+
+    def run_epoch(self, epoch: int, lead: int = 0) -> None:
+        """Advance every slot by epoch ``epoch`` (the batch's next one)
+        and park each slot's end-of-epoch state.  ``lead`` is the slot
+        whose search ran it: only its counters take the plan compile."""
+        if epoch != self.epoch:
+            raise RuntimeError(f"SearchBatch is at epoch {self.epoch}, "
+                               f"cannot run epoch {epoch}")
+        steps = self.config.steps_per_epoch
+        self.alpha_schedule.apply(self.alpha_opt, epoch)
+        inputs = {"noise": None,
+                  "inv_tau": 1.0 / self.samplers[0].schedule.at(epoch)}
+        loss_sums = np.zeros(self.size)
+        lam_history = np.empty((self.size, steps))
+        before = self.program.stats()
+        rngs = [sampler.rng for sampler in self.samplers]
+        shape = self.alpha.shape[1:]
+        for step in range(steps):
+            inputs["noise"] = F.gumbel_noise(shape, rngs)
+            self.alpha_opt.zero_grad()
+            self.lam.zero_grad()
+            out = self.program.run(inputs, self._step)
+            self.alpha_opt.step()
+            loss_sums += out["valid_loss"]
+            self.lam_opt.step()
+            self.lam.zero_grad()
+            lam_history[:, step] = self.lam.data
+        after = self.program.stats()
+        opt = self.alpha_opt.state_arrays()
+        for row, sampler in enumerate(self.samplers):
+            counts = {key: after[key] - before[key] for key in _COUNTERS}
+            if row != lead:
+                counts["plans_compiled"] = 0
+            self._parked[row][epoch] = _EpochEnd(
+                alpha=self.alpha.data[row].copy(), m=opt["m.0"][row],
+                v=opt["v.0"][row], t=int(opt["t"]),
+                lam=float(self.lam.data[row]),
+                lam_history=lam_history[row].tolist(),
+                mean_loss=float(loss_sums[row]) / max(steps, 1),
+                rng_state=sampler.rng.bit_generator.state,
+                steps=steps, counts=counts)
+        self.epoch += 1
+
+    def take(self, row: int, epoch: int) -> _EpochEnd:
+        """Slot ``row``'s state at the end of ``epoch``; the first slot to
+        need an epoch runs it for all."""
+        if epoch not in self._parked[row]:
+            self.run_epoch(epoch, lead=row)
+        return self._parked[row].pop(epoch)
+
+
+def _start_of(engine: "LightNAS", state: _SearchState) -> str:
+    """Digest of what a slot's dynamics start from (compared on joining a
+    batch)."""
+    opt = state.alpha_opt.state_arrays()
+    return fingerprint_of(
+        state.start_epoch, state.steps, rng_state_json(engine.rng),
+        state.lam.value, state.alpha.data.tobytes(),
+        *(opt[key].tobytes() for key in sorted(opt)))
+
+
+class _Slot:
+    """One search's row in a :class:`SearchBatch`, with its own counters."""
+
+    def __init__(self, batch: SearchBatch, row: int, engine: "LightNAS",
+                 start: str) -> None:
+        self.batch = batch
+        self.row = row
+        self.engine = engine
+        self.start = start
+        self.counts = dict.fromkeys(_COUNTERS, 0)
+
+    def run_epoch(self, epoch: int, state: _SearchState) -> Tuple[int, float]:
+        """Move ``state`` (and the engine's RNG) to the end of ``epoch``;
+        returns ``(steps, mean_valid_loss)``."""
+        end = self.batch.take(self.row, epoch)
+        np.copyto(state.alpha.data, end.alpha)
+        state.alpha_opt.load_state_arrays({"t": end.t, "m.0": end.m,
+                                           "v.0": end.v})
+        state.lam.param.data[0] = end.lam
+        state.lam.history.extend(end.lam_history)
+        self.engine.rng.bit_generator.state = end.rng_state
+        for key, count in end.counts.items():
+            self.counts[key] += count
+        return end.steps, end.mean_loss
+
+    def plan_stats(self) -> Dict[str, int]:
+        """This slot's α-steps (each one traced, replayed or eager), with
+        the shared plan's compile and arena on the slot that compiled it."""
+        plan = self.batch.program.plan
+        compiled = self.counts["plans_compiled"] and plan is not None
+        return {**self.counts, "arena_bytes": plan.nbytes if compiled else 0}
+
+
+class SearchGrid:
+    """The surrogate searches of one grid, stacked into batches on demand.
+
+    Register every search with :meth:`add` before any of them runs, then
+    pass the grid to each one's ``LightNAS.search(grid=...)`` — still one
+    call, journal, trajectory and checkpoint series per search.  The first
+    search to start builds a :class:`SearchBatch` of itself and every
+    registered search not yet started that shares its predictor and config
+    (all but target and seed) and starts at the same epoch: fresh searches
+    together, resumed ones with those resuming at the same next epoch.
+    Those later take their epochs from the batch instead of computing
+    them.  A search the grid does not know, or whose starting state is not
+    the one its batch started from, runs as a batch of one.
+
+    The searches must run in one process: a forked worker would compute
+    its peers' epochs only to throw them away.
+    """
+
+    def __init__(self) -> None:
+        self._pending: Dict[str, Tuple[LightNASConfig, Any,
+                                       Optional[str]]] = {}
+        self._slots: Dict[str, _Slot] = {}
+
+    def add(self, config: LightNASConfig, predictor: Any,
+            resume_dir: Optional[str] = None) -> None:
+        """Register a search; ``resume_dir`` is the checkpoint directory
+        it resumes from (its latest checkpoint, if it holds one)."""
+        key = _config_key(config)
+        if key in self._pending:
+            raise ValueError(f"the grid already holds the search with target "
+                             f"{config.target:g} and seed {config.seed}")
+        self._pending[key] = (config, predictor, resume_dir)
+
+    def join(self, engine: "LightNAS", state: _SearchState) -> _Slot:
+        """The batch slot that runs ``engine``'s α-epochs from ``state``."""
+        key = engine._fingerprint()
+        start = _start_of(engine, state)
+        slot = self._slots.pop(key, None)
+        if (slot is not None and slot.engine.predictor is engine.predictor
+                and slot.start == start):
+            slot.engine = engine
+            return slot
+        engines, states = [engine], [state]
+        spec = self._pending.pop(key, None)
+        if spec is not None and spec[1] is engine.predictor:
+            shared = _config_key(engine.config, shared=True)
+            for other, (config, predictor, resume_dir) in list(
+                    self._pending.items()):
+                if (predictor is not engine.predictor
+                        or _config_key(config, shared=True) != shared):
+                    continue
+                peer = LightNAS(config, predictor=predictor,
+                                oracle=engine.oracle)
+                try:
+                    peer_state = peer._start(
+                        latest_checkpoint(resume_dir) if resume_dir else None)
+                except CheckpointError:
+                    continue  # its own search reports the bad checkpoint
+                if (peer_state.start_epoch, peer_state.steps) != (
+                        state.start_epoch, state.steps):
+                    continue
+                del self._pending[other]
+                engines.append(peer)
+                states.append(peer_state)
+        batch = SearchBatch(engines, states)
+        engine.programs = batch.program
+        for row in range(1, batch.size):
+            peer = engines[row]
+            self._slots[peer._fingerprint()] = _Slot(
+                batch, row, peer, _start_of(peer, states[row]))
+        return _Slot(batch, 0, engine, start)

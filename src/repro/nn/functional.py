@@ -110,13 +110,21 @@ def l1_loss(pred: Tensor, target) -> Tensor:
     return Tensor._make(out, (pred,), backward)
 
 
-def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
+def gumbel_noise(shape, rng) -> np.ndarray:
     """Sample ``G ~ Gumbel(0, 1)`` of the given shape.
 
     Uses the inverse-CDF transform ``-log(-log(U))`` with ``U`` clipped away
-    from {0, 1} for numerical safety.
+    from {0, 1} for numerical safety.  ``rng`` may also be a sequence of
+    generators: row ``i`` of the stacked ``(len(rng), *shape)`` sample is
+    then exactly what ``gumbel_noise(shape, rng[i])`` returns (the
+    transform is elementwise).
     """
-    u = rng.uniform(low=1e-12, high=1.0 - 1e-12, size=shape)
+    if isinstance(rng, np.random.Generator):
+        u = rng.uniform(low=1e-12, high=1.0 - 1e-12, size=shape)
+    else:
+        u = np.empty((len(rng),) + tuple(shape))
+        for row, g in zip(u, rng):
+            row[...] = g.uniform(low=1e-12, high=1.0 - 1e-12, size=shape)
     return -np.log(-np.log(u))
 
 

@@ -14,7 +14,7 @@ parity tests).
 The compiler fits the one step a shipped command compiles, the surrogate
 α-step (Gumbel gates over the L×K logits, the straight-through binarizer,
 the oracle loss, the metric predictor and the λ term): it lowers exactly
-the 15 op kinds that step traces, in float64, with a backward.  Tracing
+the 14 op kinds that step traces, in float64, with a backward.  Tracing
 any other op kind — a convolution, ``tanh``, ... — raises
 :class:`PlanError` naming it; such steps run eagerly under
 :func:`plans` ``(False)``.
@@ -24,7 +24,7 @@ Architecture
 * :class:`_Tracer` hooks into ``ops._op`` (via ``ops._TRACER``) and records
   every primitive op in call order.
 * Forward lowering adopts each record's output array.  Pure-view outputs
-  (transpose, view-reshape, basic-slice getitem) need no kernel at all:
+  (transpose, view-reshape) need no kernel at all:
   the standing view updates automatically when its base is rewritten.
 * Backward lowering replicates :meth:`Tensor.backward`'s exact sweep while
   calling each real traced closure **once** (this doubles as the traced
@@ -140,7 +140,6 @@ _SIGNATURES: Dict[str, tuple] = {
     "amax": (("a", "axis", "keepdims"), {"axis": None, "keepdims": False}),
     "reshape": (("a", "shape"), {}),
     "transpose": (("a", "axes"), {"axes": None}),
-    "getitem": (("a", "index"), {}),
     "ste": (("probs", "axis"), {"axis": -1}),
 }
 
@@ -206,29 +205,36 @@ def _build_forward(rec: _Record) -> Optional[Callable[[], None]]:
             return lambda: np.matmul(a, y, out=o)
         return lambda: np.copyto(o, a @ y)
     if kind in ("sum", "amax"):
-        reduce = np.sum if kind == "sum" else np.amax
+        # the ufunc reductions np.sum / np.amax dispatch to, minus their
+        # Python wrappers
+        reduce = np.add.reduce if kind == "sum" else np.maximum.reduce
         axis, keepdims = b["axis"], b["keepdims"]
         return lambda: reduce(a, axis=axis, keepdims=keepdims, out=o)
-    # reshape, transpose, getitem: a view of the operand updates itself
+    # reshape, transpose: a view of the operand updates itself
     if isinstance(o, np.ndarray) and o.size and np.shares_memory(o, a):
         return None
     if kind == "reshape":
         shape = b["shape"]
         return lambda: np.copyto(o, a.reshape(shape))
-    if kind == "transpose":
-        axes = b["axes"]
-        return lambda: np.copyto(o, np.transpose(a, axes))
-    index = b["index"]  # getitem
-    return lambda: np.copyto(o, a[index])
+    axes = b["axes"]  # transpose
+    return lambda: np.copyto(o, np.transpose(a, axes))
 
 
 def _build_ste_forward(probs, axis, o):
-    """Hard binarize, recomputing the argmax from the live input."""
+    """Hard binarize, recomputing the argmax from the live input.
+
+    The one-hot is written as ``argmax == column`` (exact 1.0/0.0 either
+    way): two ufunc calls instead of a fill plus ``put_along_axis``.
+    """
+    axis %= probs.ndim
+    idx = np.empty(probs.shape[:axis] + (1,) + probs.shape[axis + 1:],
+                   dtype=np.intp)
+    columns = np.arange(probs.shape[axis]).reshape(
+        (-1,) + (1,) * (probs.ndim - axis - 1))
 
     def ste_kernel():
-        idx = np.argmax(probs, axis=axis)
-        o.fill(0.0)
-        np.put_along_axis(o, np.expand_dims(idx, axis=axis), 1.0, axis=axis)
+        probs.argmax(axis=axis, out=idx, keepdims=True)
+        np.equal(idx, columns, out=o, casting="unsafe")
     return ste_kernel
 
 
@@ -411,20 +417,10 @@ def _bwd_matmul(b, rec, g, writes, plan):
     return kernels
 
 
-def _bwd_getitem(b, rec, g, writes, plan):
-    index = b["index"]
-    B = writes[0][1]
-
-    def kernel():
-        B.fill(0.0)
-        np.add.at(B, index, g)
-    return [kernel]
-
-
 _BWD = {
     "relu": _bwd_relu, "exp": _bwd_exp, "log": _bwd_log, "neg": _bwd_neg,
     "mul": _bwd_mul, "div": _bwd_div, "sub": _bwd_sub,
-    "matmul": _bwd_matmul, "getitem": _bwd_getitem,
+    "matmul": _bwd_matmul,
 }
 
 # ----------------------------------------------------------------------

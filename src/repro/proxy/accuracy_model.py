@@ -219,7 +219,8 @@ class AccuracyOracle:
     def differentiable_loss(self, p_bar: nn.Tensor) -> nn.Tensor:
         """A differentiable validation loss over the gate matrix ``P̄``.
 
-        ``p_bar`` is the (L, K) binarised-with-STE gate matrix of Eq. (9);
+        ``p_bar`` is the (L, K) binarised-with-STE gate matrix of Eq. (9),
+        or an ``(S, L, K)`` stack of them (one loss per slot);
         the loss decreases as the expected capacity ``Σ P̄·V`` increases,
         through the same saturating logistic as :meth:`evaluate`, so its
         gradient prefers exactly the operators the oracle rewards.  Returned
@@ -228,7 +229,7 @@ class AccuracyOracle:
         it interacts with a real validation loss.
         """
         table = nn.Tensor(self.value_matrix() * self._scale)
-        capacity = (p_bar * table).sum()
+        capacity = (p_bar * table).sum(axis=(-2, -1))
         z = (capacity - self._logistic_mid) * (1.0 / self._logistic_scale)
         # top1/100 ∈ (0.55, 0.775); loss = 1 − top1/100 ∈ (0.225, 0.45)
         top1_frac = (

@@ -217,6 +217,7 @@ def summarize_runs(events: List[dict]) -> List[dict]:
                 "target": event.get("target"),
                 "metric_name": event.get("metric_name"),
                 "seed": event.get("seed"),
+                "batch_slots": event.get("batch_slots"),
                 "resumed_from_epoch": event.get("start_epoch") or None,
                 "epochs_recorded": 0,
                 "checkpoints_written": 0,

@@ -8,20 +8,26 @@ full trajectory, bit for bit — as an uninterrupted run.
 
 The kill is injected through the telemetry interface (a journal that
 raises at a Hypothesis-chosen epoch), which aborts the loop exactly where
-a real crash would: after the epoch's work, before its checkpoint.
+a real crash would: after the epoch's work, before its checkpoint.  The
+same holds for a grid of searches stacked into batches: each search
+resumes from its own checkpoints, and searches resuming at the same epoch
+share a batch again.
 """
 
 import glob
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNAS, LightNASConfig, SearchGrid
 from repro.proxy.dataset import SyntheticTask
-from repro.runtime.checkpoint import CheckpointError
-from repro.runtime.telemetry import NullJournal
+from repro.runtime.checkpoint import (CheckpointError, latest_checkpoint,
+                                      load_checkpoint)
+from repro.runtime.parallel import FleetTask, RunFleet
+from repro.runtime.telemetry import NullJournal, RunJournal, read_journal
 
 SURROGATE_EPOCHS = 8
 
@@ -176,3 +182,86 @@ class TestResumeFailureModes:
         engine = _surrogate_engine(tiny_space, tiny_predictor, tiny_oracle)
         with pytest.raises(CheckpointError, match="no checkpoint files"):
             engine.search(resume_from=str(tmp_path))
+
+
+#: (target, seed) of each slot of the resumed grid
+GRID = [(2.3, 3), (2.0, 1), (2.6, 3), (2.3, 0)]
+
+
+def _grid_config(tiny_space, target, seed) -> LightNASConfig:
+    return LightNASConfig(space=tiny_space, target=target, mode="surrogate",
+                          epochs=SURROGATE_EPOCHS, steps_per_epoch=2,
+                          batch_size=8, seed=seed)
+
+
+def _run_grid(root, tiny_space, tiny_predictor, tiny_oracle, resume,
+              journal=None, kill=None):
+    """The grid as ``repro stability --jobs 1`` runs it: one fleet task
+    and checkpoint sub-directory per slot, all slots in one SearchGrid."""
+    grid = SearchGrid()
+    tasks = []
+    for index, (target, seed) in enumerate(GRID):
+        config = _grid_config(tiny_space, target, seed)
+        name = f"slot{index}"
+        grid.add(config, tiny_predictor,
+                 resume_dir=os.path.join(root, name) if resume else None)
+
+        def fn(ctx, config=config, index=index):
+            killer = kill is not None and kill[0] == index
+            return LightNAS(config, predictor=tiny_predictor,
+                            oracle=tiny_oracle).search(
+                checkpoint_dir=ctx.checkpoint_dir, checkpoint_every=1,
+                resume_from=(latest_checkpoint(ctx.checkpoint_dir)
+                             if resume else None),
+                journal=KillAtEpoch(kill[1]) if killer else ctx.journal,
+                grid=grid)
+        tasks.append(FleetTask(name=name, fn=fn, subdir=name))
+    return RunFleet(jobs=1, checkpoint_root=root, journal=journal).run(tasks)
+
+
+class TestGridResumeParity:
+    def test_killed_grid_resumes_bit_for_bit(self, tmp_path, tiny_space,
+                                             tiny_predictor, tiny_oracle):
+        reference_root = str(tmp_path / "reference")
+        references = [
+            LightNAS(_grid_config(tiny_space, target, seed),
+                     predictor=tiny_predictor, oracle=tiny_oracle).search(
+                checkpoint_dir=os.path.join(reference_root, f"slot{i}"),
+                checkpoint_every=1)
+            for i, (target, seed) in enumerate(GRID)]
+
+        root = str(tmp_path / "grid")
+        # slot 2 dies at epoch 5 (its epochs 0-4 are checkpointed), after
+        # slots 0 and 1 finished; slot 3 never starts
+        report = _run_grid(root, tiny_space, tiny_predictor, tiny_oracle,
+                           resume=False, kill=(2, 5))
+        assert report.interrupted
+        assert [r.status for r in report.results] == [
+            "ok", "ok", "cancelled", "cancelled"]
+        # slots 0 and 1 lose their checkpoints from epoch 3 on, so both
+        # resume at epoch 3 and share a batch again
+        for name in ("slot0", "slot1"):
+            for path in glob.glob(os.path.join(root, name, "*.npz")):
+                if int(path[-9:-4]) >= 3:
+                    os.remove(path)
+
+        journal = RunJournal(str(tmp_path / "resume.jsonl"))
+        resumed = _run_grid(root, tiny_space, tiny_predictor, tiny_oracle,
+                            resume=True, journal=journal).values()
+        journal.close()
+        headers = [e for e in read_journal(journal.path)
+                   if e["event"] == "run_header"]
+        assert [(h["start_epoch"], h["batch_slots"]) for h in headers] == [
+            (3, 2), (3, 2), (5, 1), (0, 1)]
+        last = f"ckpt_epoch{SURROGATE_EPOCHS - 1:05d}.npz"
+        for index, (result, reference) in enumerate(zip(resumed,
+                                                        references)):
+            _assert_identical(result, reference)
+            meta, arrays = load_checkpoint(
+                os.path.join(root, f"slot{index}", last))
+            ref_meta, ref_arrays = load_checkpoint(
+                os.path.join(reference_root, f"slot{index}", last))
+            assert meta == ref_meta
+            assert set(arrays) == set(ref_arrays)
+            for key in arrays:
+                assert np.array_equal(arrays[key], ref_arrays[key]), key

@@ -12,6 +12,10 @@ from repro.runtime.telemetry import RunJournal
 
 TINY_ARCH = "1,2,3,4"
 
+#: --targets values that must exit naming the flag: malformed, empty, not
+#: finite, or two targets sharing one task and checkpoint sub-directory
+BAD_TARGETS = ["24,abc", ",", "", "nan", "24,24", "20,20.0"]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -138,6 +142,14 @@ class TestSweep:
         assert "run fleet" in summary
         assert "fleet task" in summary
 
+    @pytest.mark.parametrize("targets", BAD_TARGETS)
+    def test_bad_targets_exit_naming_the_flag(self, targets):
+        """Regression: see TestStability."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--tiny", "--targets", targets])
+        assert "error:" in str(excinfo.value)
+        assert "--targets" in str(excinfo.value)
+
     def test_sequential_journal_delimits_targets(self, capsys, tmp_path):
         """Regression: one shared sweep journal had no per-target
         delimiter, so trace-summary could not attribute epochs."""
@@ -151,6 +163,38 @@ class TestSweep:
 
 
 class TestStability:
+    @pytest.mark.parametrize("targets", BAD_TARGETS)
+    def test_bad_targets_exit_naming_the_flag(self, targets):
+        """Regression: malformed --targets ended in a raw ValueError from
+        float(), and duplicates in RunFleet's "task names must be unique"
+        after the predictor fit."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stability", "--tiny", "--targets", targets,
+                  "--seeds", "0,1"])
+        assert "error:" in str(excinfo.value)
+        assert "--targets" in str(excinfo.value)
+
+    def test_jobs1_grid_is_one_stacked_search(self, capsys, tmp_path):
+        """At --jobs 1 the 2×2 grid runs as one stacked α-step: the table
+        is byte-identical to --jobs 2 (batches of one), and the journals
+        share one compiled plan across the four slots."""
+        base = ["stability", "--tiny", "--targets", "2.0,2.5",
+                "--seeds", "0,1", "--epochs", "12"]
+        assert main(base + ["--jobs", "2"]) == 0
+        fanned = capsys.readouterr().out
+        trace = str(tmp_path / "grid.jsonl")
+        assert main(base + ["--trace", trace]) == 0
+        assert capsys.readouterr().out == fanned
+
+        events = [json.loads(line) for line in open(trace)]
+        headers = [e for e in events if e["event"] == "run_header"]
+        assert [h["batch_slots"] for h in headers] == [4, 4, 4, 4]
+        stats = [e["plan_stats"] for e in events
+                 if e["event"] == "run_end" and "plan_stats" in e]
+        assert [s["plans_compiled"] for s in stats] == [1, 0, 0, 0]
+        assert main(["trace-summary", trace]) == 0
+        assert capsys.readouterr().out.count("shared by 4 slots") == 4
+
     def test_grid_runs_and_reports(self, capsys, tmp_path):
         output = tmp_path / "stability.json"
         assert main(["stability", "--tiny", "--targets", "2.0",
