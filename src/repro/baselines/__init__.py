@@ -6,7 +6,6 @@ constrained regularized evolution, MnasNet-style REINFORCE, random search.
 Plus the MobileNetV2 width/resolution scaling baseline of Figure 9.
 """
 
-from .campaign import multi_seed_campaign, stability_summary
 from .evolution import EvolutionConfig, EvolutionSearch
 from .gradient import (
     DARTSSearch,
@@ -19,7 +18,6 @@ from .gradient import (
 from .random_search import RandomSearch, RandomSearchConfig
 from .rl_search import RLSearch, RLSearchConfig
 from .scaling import ScaledModel, ScalingBaseline
-from .unas import UNASConfig, UNASSearch
 
 __all__ = [
     "GradientNASConfig",
@@ -36,8 +34,4 @@ __all__ = [
     "RandomSearch",
     "ScalingBaseline",
     "ScaledModel",
-    "UNASConfig",
-    "UNASSearch",
-    "multi_seed_campaign",
-    "stability_summary",
 ]

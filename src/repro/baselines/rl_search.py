@@ -90,12 +90,6 @@ class RLSearch:
             return top1
         return top1 * (latency / self.config.target) ** self.config.reward_exponent
 
-    def _reward(self, arch: Architecture) -> float:
-        """MnasNet reward: quick-eval accuracy × latency penalty."""
-        top1 = self._quick_top1(arch) / 100.0
-        latency = self.latency_model.measure(arch, self.rng)
-        return self._latency_penalty(top1, latency)
-
     def _sample_batch(self, probs: np.ndarray, count: int) -> np.ndarray:
         """Sample ``count`` architectures from the factorised policy.
 

@@ -12,9 +12,7 @@ Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..hardware.device import DeviceProfile, XAVIER_MAXN
 from ..hardware.latency import LatencyModel
@@ -97,17 +95,3 @@ class ScalingBaseline:
             ):
                 best = model
         return best or self._evaluate_scale(1.0, candidates[0], epochs)
-
-    # ------------------------------------------------------------------
-    def width_curve(self, multipliers: Tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.4),
-                    epochs: int = 50) -> List[ScaledModel]:
-        """The width-scaling series of Figure 9 (50-epoch quick protocol)."""
-        return [
-            self._evaluate_scale(m, self.base_macro.input_resolution, epochs)
-            for m in multipliers
-        ]
-
-    def resolution_curve(self, resolutions: Tuple[int, ...] = (128, 160, 192, 224),
-                         epochs: int = 50) -> List[ScaledModel]:
-        """The resolution-scaling series of Figure 9."""
-        return [self._evaluate_scale(1.0, r, epochs) for r in resolutions]

@@ -223,12 +223,22 @@ def _run_cli_fleet(args, tasks: List[FleetTask], *, seed: int) -> List:
         raise SystemExit(f"error: {exc}")
     stats = report.stats
     if args.jobs > 1:
+        cpus = _usable_cpus()
+        oversubscribed = (f" (--jobs {args.jobs} exceeds the {cpus} usable "
+                          f"CPUs)" if args.jobs > cpus else "")
         print(f"fleet: {stats['completed']}/{stats['tasks']} tasks on "
               f"{stats['jobs']} workers, {stats['retries']} retries, "
-              f"speedup {stats['parallel_speedup']:.2f}x, "
-              f"utilization {stats['utilization'] * 100:.0f}%",
-              file=sys.stderr)
+              f"utilization {stats['utilization'] * 100:.0f}%"
+              f"{oversubscribed}", file=sys.stderr)
     return values
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS)
+        return os.cpu_count() or 1
 
 
 def cmd_search(args) -> int:
@@ -419,16 +429,17 @@ def _sweep_task(config, name: str, predictor, oracle, true_value, args,
                              "metric": config.metric_name})
 
 
-def _grid(args) -> Optional[SearchGrid]:
-    """A grid stacking the searches of one process (``--jobs 1``); forked
-    workers run their searches as batches of one."""
-    return SearchGrid() if args.jobs == 1 else None
+def _run_grid(args, targets: List[float], seeds: List[int],
+              name) -> List[dict]:
+    """One search per (target, seed), targets outer; ``name(config)`` names
+    each task and its checkpoint sub-directory.  Returns the result rows
+    in task order.
 
-
-def cmd_sweep(args) -> int:
+    With ``--jobs 1`` the searches share one :class:`SearchGrid`, so they
+    run as stacked batches; forked workers run theirs as batches of one.
+    """
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("error: --resume requires --checkpoint-dir")
-    targets = _parse_targets(args)
     space = _space(args)
     latency_model = LatencyModel(space)
     energy_model = EnergyModel(space, latency_model=latency_model)
@@ -439,27 +450,32 @@ def cmd_sweep(args) -> int:
         "energy": energy_model.energy_mj,
         "macs": lambda arch: count_macs(space, arch) / 1e6,
     }[args.metric]
-    unit = _METRIC_UNITS[args.metric]
-    oracle = AccuracyOracle(space)
     overrides = {"epochs": args.epochs} if args.epochs else {}
     try:
         # LightNASConfig.__post_init__ canonicalises the metric shorthand
         # ("latency" → "latency_ms", ...) and validates every target in
         # the parent, before any worker forks.
-        configs = [LightNASConfig.paper(target, space=space,
-                                        seed=args.seed,
+        configs = [LightNASConfig.paper(target, space=space, seed=seed,
                                         metric_name=args.metric,
                                         compute_dtype=args.dtype,
                                         profile_ops=args.profile_ops,
                                         **overrides)
-                   for target in targets]
+                   for target in targets for seed in seeds]
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    grid = _grid(args)
-    tasks = [_sweep_task(config, f"target_{config.target:g}", predictor,
-                         oracle, true_value, args, grid)
+    oracle = AccuracyOracle(space)
+    grid = SearchGrid() if args.jobs == 1 else None
+    tasks = [_sweep_task(config, name(config), predictor, oracle,
+                         true_value, args, grid)
              for config in configs]
-    values = _run_cli_fleet(args, tasks, seed=args.seed)
+    return _run_cli_fleet(args, tasks, seed=min(seeds))
+
+
+def cmd_sweep(args) -> int:
+    targets = _parse_targets(args)
+    values = _run_grid(args, targets, [args.seed],
+                       lambda config: f"target_{config.target:g}")
+    unit = _METRIC_UNITS[args.metric]
     rows = [[f"{row['target']:g} {unit}", row["true_value"],
              row["top1"], row["top5"],
              ",".join(str(i) for i in row["arch"])]
@@ -473,39 +489,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_stability(args) -> int:
     """Fig.-7-style stability campaign: (targets × seeds) searches."""
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("error: --resume requires --checkpoint-dir")
     targets = _parse_targets(args)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    space = _space(args)
-    latency_model = LatencyModel(space)
-    energy_model = EnergyModel(space, latency_model=latency_model)
-    predictor = _metric_predictor(args.metric, space, latency_model,
-                                  energy_model)
-    true_value = {
-        "latency": latency_model.latency_ms,
-        "energy": energy_model.energy_mj,
-        "macs": lambda arch: count_macs(space, arch) / 1e6,
-    }[args.metric]
-    unit = _METRIC_UNITS[args.metric]
-    overrides = {"epochs": args.epochs} if args.epochs else {}
-    try:
-        grid = [LightNASConfig.paper(target, space=space, seed=seed,
-                                     metric_name=args.metric,
-                                     compute_dtype=args.dtype,
-                                     profile_ops=args.profile_ops,
-                                     **overrides)
-                for target in targets for seed in seeds]
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    oracle = AccuracyOracle(space)
-    search_grid = _grid(args)
-    tasks = [_sweep_task(config,
-                         f"target_{config.target:g}_seed_{config.seed}",
-                         predictor, oracle, true_value, args, search_grid)
-             for config in grid]
-    values = _run_cli_fleet(args, tasks, seed=min(seeds))
+    values = _run_grid(
+        args, targets, seeds,
+        lambda config: f"target_{config.target:g}_seed_{config.seed}")
 
+    unit = _METRIC_UNITS[args.metric]
     per_target = {target: [] for target in targets}
     for row in values:
         per_target[row["target"]].append(row)
@@ -745,7 +735,6 @@ def cmd_trace_summary(args) -> int:
             ["fleet wall time (s)", stats.get("wall_s", "—")],
             ["Σ task wall / cpu (s)",
              f"{stats.get('task_wall_s', 0)} / {stats.get('task_cpu_s', 0)}"],
-            ["parallel speedup", stats.get("parallel_speedup", "—")],
             ["worker utilization",
              f"{utilization * 100:.0f}%" if utilization is not None else "—"],
             ["phase timers (Σ)", timers],
@@ -1282,8 +1271,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="fan the independent runs across N forked "
                              "worker processes; results are bit-identical "
                              "to --jobs 1 (needs os.fork)")
@@ -1293,7 +1293,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     """Checkpoint/resume/telemetry flags shared by search and sweep."""
     parser.add_argument("--checkpoint-dir", default="",
                         help="write resumable checkpoints to this directory")
-    parser.add_argument("--checkpoint-every", type=int, default=10,
+    parser.add_argument("--checkpoint-every", type=_positive_int, default=10,
                         help="checkpoint every N epochs (default 10)")
     parser.add_argument("--resume", action="store_true",
                         help="resume from the latest checkpoint in "

@@ -54,10 +54,6 @@ class GumbelSampler:
         self.schedule = schedule
         self.rng = rng
 
-    def probabilities(self, alpha: nn.Tensor) -> nn.Tensor:
-        """Eq. (6): per-layer operator probabilities ``P``."""
-        return F.softmax(alpha, axis=-1)
-
     def draw_noise(self, shape) -> np.ndarray:
         """Advance the sampler RNG by one Gumbel draw of the given shape.
 

@@ -8,9 +8,8 @@ validation loss, and the derived architecture itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -134,6 +133,3 @@ class SearchResult:
             "num_search_steps": self.num_search_steps,
             "search_paths_per_step": self.search_paths_per_step,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary())

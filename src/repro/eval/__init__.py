@@ -14,7 +14,7 @@ from .cost import (
 )
 from .detection import DetectionEvaluator, DetectionResult
 from .imagenet import ImageNetEvaluator, ImageNetRow
-from .pareto import FrontPoint, dominates, front_gap, hypervolume_2d, pareto_front
+from .pareto import FrontPoint, dominates, front_gap, pareto_front
 from .trainer import TrainReport, accuracy, train_standalone
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "FrontPoint",
     "dominates",
     "pareto_front",
-    "hypervolume_2d",
     "front_gap",
     "MethodCost",
     "simulated_gpu_hours",

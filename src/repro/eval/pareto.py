@@ -8,8 +8,6 @@ vocabulary to state and test that precisely:
 * :func:`pareto_front` — the non-dominated subset (maximise quality,
   minimise cost);
 * :func:`dominates` — the strict-domination predicate;
-* :func:`hypervolume_2d` — the area dominated relative to a reference
-  point, the standard scalar summary of a 2-D front;
 * :func:`front_gap` — how far a point is behind a front (0 for points on
   or above it), used to assert "LightNets define the frontier" in the
   benchmarks.
@@ -18,12 +16,12 @@ vocabulary to state and test that precisely:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 __all__ = ["FrontPoint", "dominates", "pareto_mask", "pareto_front",
-           "hypervolume_2d", "front_gap"]
+           "front_gap"]
 
 
 @dataclass(frozen=True)
@@ -135,30 +133,6 @@ def pareto_front(points: Sequence[FrontPoint]) -> List[FrontPoint]:
     qualities = np.array([p.quality for p in points], dtype=np.float64)
     keep = np.nonzero(pareto_mask(costs, qualities))[0]
     return [points[i] for i in keep[np.argsort(costs[keep], kind="stable")]]
-
-
-def hypervolume_2d(points: Sequence[FrontPoint],
-                   reference: Tuple[float, float]) -> float:
-    """Area dominated by the front, relative to ``reference``.
-
-    ``reference`` is a (cost, quality) point that every candidate must
-    dominate (a worst-case corner: high cost, low quality).  Larger is
-    better; 0 for an empty front.
-    """
-    ref_cost, ref_quality = reference
-    front = [p for p in pareto_front(points)
-             if p.cost <= ref_cost and p.quality >= ref_quality]
-    if not front:
-        return 0.0
-    area = 0.0
-    # sweep from cheapest to costliest; each point owns the strip up to the
-    # next point's cost (or the reference cost for the last one)
-    for i, point in enumerate(front):
-        next_cost = front[i + 1].cost if i + 1 < len(front) else ref_cost
-        width = max(0.0, min(next_cost, ref_cost) - point.cost)
-        height = max(0.0, point.quality - ref_quality)
-        area += width * height
-    return float(area)
 
 
 def front_gap(point: FrontPoint, front: Sequence[FrontPoint]) -> float:

@@ -24,7 +24,6 @@ from .flops import (
 )
 from .latency import LatencyModel
 from .lut import LatencyLUT
-from .measurement import MeasurementProtocol, MeasurementReport, measure_latency_campaign
 
 __all__ = [
     "DeviceProfile",
@@ -34,9 +33,6 @@ __all__ = [
     "EnergyModel",
     "EnergyMeter",
     "LatencyLUT",
-    "MeasurementProtocol",
-    "MeasurementReport",
-    "measure_latency_campaign",
     "OpCost",
     "CostTables",
     "PopulationCost",

@@ -30,7 +30,7 @@ the paper's 20–30 ms band, and energy in the few-hundred-mJ band of Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["DeviceProfile", "XAVIER_MAXN", "EDGE_NANO", "DEVICE_ALIASES",
@@ -102,11 +102,6 @@ class DeviceProfile:
             raise ValueError(f"channels must be positive, got {channels}")
         return channels / (channels + self.utilization_half_channels)
 
-    def with_batch_size(self, batch_size: int) -> "DeviceProfile":
-        """Copy of this profile measuring at a different batch size."""
-        if batch_size <= 0:
-            raise ValueError("batch size must be positive")
-        return replace(self, batch_size=batch_size)
 
 
 #: The paper's platform: Jetson AGX Xavier in MAXN mode, batch size 8.

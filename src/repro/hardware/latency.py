@@ -22,11 +22,9 @@ makes whole-network latency non-additive and defeats the LUT (Figure 5).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
 import numpy as np
 
-from ..search_space.macro import LayerGeometry, MacroConfig
+from ..search_space.macro import LayerGeometry
 from ..search_space.operators import OperatorSpec
 from ..search_space.space import Architecture, SearchSpace
 from . import flops
@@ -192,14 +190,3 @@ class LatencyModel:
         noise = z[:, 0] * self.device.latency_noise_ms
         noise += true * (z[:, 1] * self.device.latency_noise_rel)
         return np.maximum(true + noise, 0.01)
-
-    def measure_isolated_op(self, spec: OperatorSpec, geom: LayerGeometry,
-                            rng: np.random.Generator) -> float:
-        """Measure one operator *in isolation* (how LUTs are built).
-
-        Isolated measurement pays an extra synchronisation overhead that
-        whole-network execution does not — the root cause of the LUT's
-        systematic over-prediction in Figure 5 (Right).
-        """
-        true = self.op_latency_ms(spec, geom) + self.device.isolated_overhead_ms
-        return max(true + rng.normal(0.0, self.device.latency_noise_ms), 0.0)

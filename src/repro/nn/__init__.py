@@ -21,28 +21,26 @@ from .modules import (
     ReLU,
     ReLU6,
     Sequential,
-    Sigmoid,
     SqueezeExcite,
 )
 from .optim import SGD, Adam, CosineSchedule, GradientAscent, Optimizer
-from .plan import PlanError, StepProgram, plans, plans_enabled
+from .plan import PlanError, StepProgram, plans
 from .tensor import (
     Tensor,
     dtype_scope,
     get_default_dtype,
-    is_grad_enabled,
     no_grad,
     set_default_dtype,
     tensor_allocations,
 )
 
 __all__ = [
-    "Tensor", "no_grad", "is_grad_enabled", "functional", "ops", "optim", "init",
+    "Tensor", "no_grad", "functional", "ops", "optim", "init",
     "profiler", "set_default_dtype", "get_default_dtype", "dtype_scope",
     "tensor_allocations",
     "Module", "Parameter", "Sequential", "Identity", "Linear", "Conv2d",
-    "BatchNorm2d", "ReLU", "ReLU6", "Sigmoid", "Dropout", "GlobalAvgPool",
+    "BatchNorm2d", "ReLU", "ReLU6", "Dropout", "GlobalAvgPool",
     "Flatten", "SqueezeExcite",
     "Optimizer", "SGD", "Adam", "GradientAscent", "CosineSchedule",
-    "plan", "PlanError", "StepProgram", "plans", "plans_enabled",
+    "plan", "PlanError", "StepProgram", "plans",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "gumbel_softmax",
     "hard_binarize_ste",
     "mse_loss",
-    "l1_loss",
 ]
 
 
@@ -93,21 +92,6 @@ def mse_loss(pred: Tensor, target) -> Tensor:
     target = target if isinstance(target, Tensor) else Tensor(target)
     diff = pred - target.detach()
     return ops.mean(diff * diff)
-
-
-def l1_loss(pred: Tensor, target) -> Tensor:
-    """Mean absolute error (used for robust predictor fitting)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = (pred - target.detach()).data
-    out = np.abs(diff).mean()
-    if not _GradMode.enabled or not pred.requires_grad:
-        return Tensor(out)
-    sign = np.sign(diff)
-
-    def backward(grad):
-        return [(pred, grad * sign / diff.size)]
-
-    return Tensor._make(out, (pred,), backward)
 
 
 def gumbel_noise(shape, rng) -> np.ndarray:

@@ -19,13 +19,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from . import functional as F
 from . import init, ops
-from .tensor import Tensor, get_default_dtype, no_grad
+from .tensor import Tensor, get_default_dtype
 
 __all__ = [
     "Module", "Parameter", "Sequential", "Identity", "Linear", "Conv2d",
-    "BatchNorm2d", "ReLU", "ReLU6", "Sigmoid", "Dropout", "GlobalAvgPool",
+    "BatchNorm2d", "ReLU", "ReLU6", "Dropout", "GlobalAvgPool",
     "Flatten", "SqueezeExcite",
 ]
 
@@ -68,13 +67,6 @@ class Module:
         value = np.asarray(value)
         if value.dtype.kind == "f":
             value = value.astype(get_default_dtype(), copy=False)
-        self._buffers[name] = value
-        object.__setattr__(self, name, value)
-
-    def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Update a registered buffer in place of the attribute."""
-        if name not in self._buffers:
-            raise KeyError(f"{name} is not a registered buffer")
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
@@ -322,11 +314,6 @@ class ReLU(Module):
 class ReLU6(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu6(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
 
 
 class Dropout(Module):

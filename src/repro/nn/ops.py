@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -43,11 +43,10 @@ from . import profiler
 from .tensor import Tensor, _GradMode, _unbroadcast
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "pow_", "exp", "log", "sqrt",
+    "add", "sub", "mul", "div", "neg", "exp", "log", "sqrt",
     "matmul", "sum_", "mean", "amax", "clip", "relu", "relu6", "sigmoid",
-    "tanh", "reshape", "transpose", "concat", "pad2d", "conv2d",
-    "avg_pool_global", "maximum", "getitem", "stack", "dropout_mask",
-    "fast_kernels",
+    "reshape", "transpose", "pad2d", "conv2d", "avg_pool_global", "getitem",
+    "dropout_mask", "fast_kernels",
 ]
 
 #: dispatch depthwise/1×1 convolutions to the specialized kernels
@@ -188,20 +187,6 @@ def neg(a: Tensor) -> Tensor:
     return Tensor._make(out, (a,), backward)
 
 
-@_op("pow")
-def pow_(a: Tensor, exponent: float) -> Tensor:
-    """Raise to a constant power (the exponent is not differentiated)."""
-    exponent = float(exponent)
-    out = a.data ** exponent
-    if not _GradMode.enabled or not a.requires_grad:
-        return Tensor(out)
-
-    def backward(grad):
-        return [(a, grad * exponent * a.data ** (exponent - 1.0))]
-
-    return Tensor._make(out, (a,), backward)
-
-
 @_op("exp")
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
@@ -236,24 +221,6 @@ def sqrt(a: Tensor) -> Tensor:
         return [(a, grad * 0.5 / out)]
 
     return Tensor._make(out, (a,), backward)
-
-
-@_op("maximum")
-def maximum(a: Tensor, b) -> Tensor:
-    """Elementwise maximum; ties route the gradient to the first argument."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = np.maximum(a.data, b.data)
-    if not _GradMode.enabled or not (a.requires_grad or b.requires_grad):
-        return Tensor(out)
-    a_wins = a.data >= b.data
-
-    def backward(grad):
-        return [
-            (a, _unbroadcast(grad * a_wins, a.shape)),
-            (b, _unbroadcast(grad * ~a_wins, b.shape)),
-        ]
-
-    return Tensor._make(out, (a, b), backward)
 
 
 @_op("clip")
@@ -296,18 +263,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(grad):
         return [(a, grad * out * (1.0 - out))]
-
-    return Tensor._make(out, (a,), backward)
-
-
-@_op("tanh")
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    if not _GradMode.enabled or not a.requires_grad:
-        return Tensor(out)
-
-    def backward(grad):
-        return [(a, grad * (1.0 - out ** 2))]
 
     return Tensor._make(out, (a,), backward)
 
@@ -430,40 +385,6 @@ def getitem(a: Tensor, index) -> Tensor:
         return [(a, full)]
 
     return Tensor._make(out, (a,), backward)
-
-
-@_op("concat")
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _GradMode.enabled or not any(t.requires_grad for t in tensors):
-        return Tensor(out)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        pairs = []
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(start, stop)
-            pairs.append((t, grad[tuple(index)]))
-        return pairs
-
-    return Tensor._make(out, tuple(tensors), backward)
-
-
-@_op("stack")
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
-    if not _GradMode.enabled or not any(t.requires_grad for t in tensors):
-        return Tensor(out)
-
-    def backward(grad):
-        slices = np.split(grad, len(tensors), axis=axis)
-        return [(t, np.squeeze(s, axis=axis)) for t, s in zip(tensors, slices)]
-
-    return Tensor._make(out, tuple(tensors), backward)
 
 
 @_op("pad2d")
@@ -751,7 +672,6 @@ Tensor.__rmul__ = lambda self, other: mul(_as_tensor(other), self)
 Tensor.__truediv__ = lambda self, other: div(self, other)
 Tensor.__rtruediv__ = lambda self, other: div(_as_tensor(other), self)
 Tensor.__neg__ = neg
-Tensor.__pow__ = pow_
 Tensor.__matmul__ = matmul
 Tensor.__getitem__ = getitem
 

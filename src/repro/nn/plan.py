@@ -15,7 +15,7 @@ The compiler fits the one step a shipped command compiles, the surrogate
 α-step (Gumbel gates over the L×K logits, the straight-through binarizer,
 the oracle loss, the metric predictor and the λ term): it lowers exactly
 the 14 op kinds that step traces, in float64, with a backward.  Tracing
-any other op kind — a convolution, ``tanh``, ... — raises
+any other op kind — a convolution, ``sigmoid``, ... — raises
 :class:`PlanError` naming it; such steps run eagerly under
 :func:`plans` ``(False)``.
 
@@ -52,7 +52,7 @@ import numpy as np
 from . import ops, profiler
 from .tensor import Tensor, get_default_dtype
 
-__all__ = ["PlanError", "StepPlan", "StepProgram", "plans", "plans_enabled"]
+__all__ = ["PlanError", "StepPlan", "StepProgram", "plans"]
 
 #: the one dtype plans compile in (the surrogate search always runs float64)
 _DTYPE = np.dtype(np.float64)
@@ -73,11 +73,6 @@ class PlanError(RuntimeError):
 
 class _PlanMode:
     enabled: bool = True
-
-
-def plans_enabled() -> bool:
-    """Whether :class:`StepProgram` compiles/replays plans (vs eager steps)."""
-    return _PlanMode.enabled
 
 
 @contextmanager

@@ -56,13 +56,6 @@ class OpProfile:
         self._layer_totals[key] = self._layer_totals.get(key, 0.0) + elapsed_s
         self._layer_counts[key] = self._layer_counts.get(key, 0) + 1
 
-    def reset(self) -> None:
-        self._totals.clear()
-        self._counts.clear()
-        self._bytes.clear()
-        self._layer_totals.clear()
-        self._layer_counts.clear()
-
     def __len__(self) -> int:
         return len(self._totals)
 

@@ -40,7 +40,7 @@ Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 BackwardFn = Callable[[np.ndarray], List[Tuple["Tensor", np.ndarray]]]
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "set_default_dtype",
+__all__ = ["Tensor", "no_grad", "set_default_dtype",
            "get_default_dtype", "dtype_scope", "tensor_allocations"]
 
 #: compute dtypes the engine supports (float64 is the bit-stable default)
@@ -133,11 +133,6 @@ class no_grad:
 
     def __exit__(self, *exc) -> None:
         _GradMode.enabled = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded on the tape."""
-    return _GradMode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -13,9 +13,8 @@ from .dataset import (
     collect_energy_dataset_sharded,
     collect_latency_dataset,
     collect_latency_dataset_sharded,
-    encode_architectures,
 )
-from .metrics import kendall_tau, mae, max_error, rmse, spearman_rho
+from .metrics import kendall_tau, rmse
 from .mlp import MLPPredictor, TrainingLog
 
 __all__ = [
@@ -26,12 +25,8 @@ __all__ = [
     "collect_energy_dataset",
     "collect_latency_dataset_sharded",
     "collect_energy_dataset_sharded",
-    "encode_architectures",
     "MLPPredictor",
     "TrainingLog",
     "rmse",
-    "mae",
-    "max_error",
     "kendall_tau",
-    "spearman_rho",
 ]

@@ -11,7 +11,7 @@ targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -70,11 +70,6 @@ class PredictorDataset:
             )
 
         return take(first), take(second)
-
-
-def encode_architectures(space: SearchSpace, archs: List[Architecture]) -> np.ndarray:
-    """Flatten each architecture's ᾱ matrix into an ``(N, L·K)`` array."""
-    return space.encode_many(archs)
 
 
 def _record_campaign(archive, space: SearchSpace, ops: np.ndarray, *,

@@ -730,7 +730,4 @@ class RunFleet:
             # how much of the pool's capacity did useful task work
             "utilization": round(busy_s / (pool * wall_s), 4)
             if wall_s > 0 else 0.0,
-            # sequential-equivalent wall time / fleet wall time
-            "parallel_speedup": round(busy_s / wall_s, 4)
-            if wall_s > 0 else 0.0,
         }

@@ -19,7 +19,7 @@ this repo runs on a single CPU core).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 __all__ = ["LayerGeometry", "MacroConfig"]
@@ -139,11 +139,6 @@ class MacroConfig:
                 resolution //= stride
                 channels = out_channels
         return layers
-
-    @property
-    def final_resolution(self) -> int:
-        """Feature-map resolution entering the head."""
-        return self.searchable_layers()[-1].out_resolution
 
     def scaled(self, width_mult: float = 1.0, resolution: int | None = None) -> "MacroConfig":
         """Width/resolution-scaled copy (the Figure-9 scaling baseline).

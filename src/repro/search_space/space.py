@@ -7,12 +7,11 @@ produces that matrix, and it is the input representation of the MLP
 latency/energy predictor (§3.2).
 
 :class:`SearchSpace` binds the operator vocabulary to a macro layout and
-provides sampling, encoding/decoding and (de)serialisation.
+provides sampling, validation and batch encoding.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -58,17 +57,6 @@ class Architecture:
         return out
 
     @staticmethod
-    def from_one_hot(matrix: np.ndarray) -> "Architecture":
-        """Inverse of :meth:`one_hot` (validates exact one-hot rows)."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError("one-hot encoding must be a 2-D matrix")
-        row_sums = matrix.sum(axis=1)
-        if not np.allclose(row_sums, 1.0) or not np.all((matrix == 0) | (matrix == 1)):
-            raise ValueError("matrix rows must be exactly one-hot")
-        return Architecture(tuple(int(i) for i in matrix.argmax(axis=1)))
-
-    @staticmethod
     def from_alpha(alpha: np.ndarray) -> "Architecture":
         """Eq. (4): discretise architecture parameters by per-row argmax."""
         alpha = np.asarray(alpha)
@@ -77,32 +65,12 @@ class Architecture:
         return Architecture(tuple(int(i) for i in alpha.argmax(axis=1)))
 
     # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps({"op_indices": list(self.op_indices)})
-
-    @staticmethod
-    def from_json(payload: str) -> "Architecture":
-        data = json.loads(payload)
-        return Architecture(tuple(int(i) for i in data["op_indices"]))
-
-    # ------------------------------------------------------------------
     # Structural summaries (used for the Figure-6 analysis)
     # ------------------------------------------------------------------
     def depth(self, skip_index: int = SKIP_INDEX) -> int:
         """Number of layers that are *not* SkipConnect."""
         return sum(1 for i in self.op_indices if i != skip_index)
 
-    def mutate(self, rng: np.random.Generator, num_operators: int,
-               num_mutations: int = 1) -> "Architecture":
-        """Return a copy with ``num_mutations`` random layer changes."""
-        indices = list(self.op_indices)
-        for _ in range(num_mutations):
-            layer = int(rng.integers(len(indices)))
-            choices = [k for k in range(num_operators) if k != indices[layer]]
-            indices[layer] = int(rng.choice(choices))
-        return Architecture(tuple(indices))
 
 
 class SearchSpace:

@@ -88,7 +88,9 @@ class TestRL:
         engine = RLSearch(cfg, tiny_latency_model, tiny_oracle)
         arch = tiny_space.sample(np.random.default_rng(0))
         top1 = tiny_oracle.evaluate(arch, epochs=50).top1 / 100.0
-        assert engine._reward(arch) < top1
+        latency = tiny_latency_model.latency_ms(arch)
+        assert latency > cfg.target
+        assert engine._latency_penalty(top1, latency) < top1
 
     def test_reward_untouched_under_target(self, tiny_space, tiny_latency_model,
                                            tiny_oracle):
@@ -96,7 +98,8 @@ class TestRL:
         engine = RLSearch(cfg, tiny_latency_model, tiny_oracle)
         arch = tiny_space.sample(np.random.default_rng(0))
         top1 = tiny_oracle.evaluate(arch, epochs=50).top1 / 100.0
-        assert engine._reward(arch) == pytest.approx(top1)
+        latency = tiny_latency_model.latency_ms(arch)
+        assert engine._latency_penalty(top1, latency) == top1
 
     def test_counts_trained_samples(self, result):
         assert result.num_search_steps == 40 * 4
@@ -161,14 +164,16 @@ class TestScaling:
         assert abs(model.latency_ms - 24.0) < 0.5
 
     def test_width_curve_monotone_in_latency(self, baseline):
-        curve = baseline.width_curve(multipliers=(0.5, 1.0, 1.4))
+        curve = [baseline._evaluate_scale(m, 224, epochs=50)
+                 for m in (0.5, 1.0, 1.4)]
         lats = [m.latency_ms for m in curve]
         tops = [m.top1 for m in curve]
         assert lats == sorted(lats)
         assert tops == sorted(tops)
 
     def test_resolution_curve_monotone(self, baseline):
-        curve = baseline.resolution_curve(resolutions=(128, 224))
+        curve = [baseline._evaluate_scale(1.0, r, epochs=50)
+                 for r in (128, 224)]
         assert curve[0].latency_ms < curve[1].latency_ms
         assert curve[0].top1 < curve[1].top1
 

@@ -48,8 +48,9 @@ class TestSampler:
 
     def test_probabilities_simplex(self, sampler):
         alpha = nn.Tensor(np.random.default_rng(1).normal(size=(4, 7)))
-        probs = sampler.probabilities(alpha).data
-        assert np.allclose(probs.sum(axis=-1), 1.0)
+        soft, _ = sampler.sample_gates(alpha, step=0)
+        assert np.allclose(soft.data.sum(axis=-1), 1.0)
+        assert (soft.data >= 0).all()
 
     def test_hard_gates_one_hot(self, sampler):
         alpha = nn.Tensor(np.zeros((4, 7)))

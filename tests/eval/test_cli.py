@@ -215,6 +215,27 @@ class TestStability:
         assert "duplicate" in str(excinfo.value)
 
 
+class TestFleetFooter:
+    def test_reports_utilization_and_oversubscription(self, capsys, tmp_path,
+                                                      monkeypatch):
+        """The footer and trace-summary report utilization, not a
+        "speedup" (Σ task wall / fleet wall measures concurrency), and the
+        footer says when --jobs exceeds the usable CPUs."""
+        monkeypatch.setattr("repro.cli._usable_cpus", lambda: 1)
+        trace = str(tmp_path / "fleet.jsonl")
+        assert main(["stability", "--tiny", "--targets", "2.0",
+                     "--seeds", "0,1", "--epochs", "2", "--jobs", "2",
+                     "--trace", trace]) == 0
+        err = capsys.readouterr().err
+        assert "utilization" in err
+        assert "speedup" not in err
+        assert "--jobs 2 exceeds the 1 usable CPUs" in err
+        assert main(["trace-summary", trace]) == 0
+        summary = capsys.readouterr().out
+        assert "worker utilization" in summary
+        assert "speedup" not in summary
+
+
 class TestFleetCalibrate:
     def test_writes_transfer_payload(self, capsys, tmp_path):
         output = tmp_path / "maps.json"
@@ -255,6 +276,34 @@ class TestRuntimeFlags:
         summary = capsys.readouterr().out
         assert "lightnas" in summary
         assert "resumed" in summary
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--tiny", "--targets", "2.0", "--seeds", "0",
+         "--epochs", "1", "--jobs", "0"],
+        ["sweep", "--tiny", "--targets", "2.0", "--epochs", "1",
+         "--jobs", "-1"],
+        ["fleet", "calibrate", "--tiny", "--fleet", "phone=1",
+         "--jobs", "0"],
+        ["search", "--tiny", "--target", "2.3", "--epochs", "1",
+         "--checkpoint-dir", "{tmp}", "--checkpoint-every", "0"],
+        ["sweep", "--tiny", "--targets", "2.0", "--epochs", "1",
+         "--checkpoint-dir", "{tmp}", "--checkpoint-every", "-2"],
+    ], ids=["stability-jobs", "sweep-jobs", "calibrate-jobs",
+            "search-checkpoint-every", "sweep-checkpoint-every"])
+    def test_nonpositive_count_exits_naming_the_flag(self, argv, capsys,
+                                                      tmp_path):
+        """Regression: --jobs 0 raised ValueError from RunFleet and
+        --checkpoint-every 0 from CheckpointManager, as tracebacks."""
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        flag = argv[-2]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1" in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestTraceSummaryLayers:

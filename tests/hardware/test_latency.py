@@ -1,10 +1,13 @@
 """Tests of the roofline latency model and measurement interface."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.hardware.device import EDGE_NANO, XAVIER_MAXN, DeviceProfile
+from repro.hardware.device import EDGE_NANO, XAVIER_MAXN
 from repro.hardware.latency import LatencyModel
+from repro.hardware.lut import LatencyLUT
 from repro.search_space.operators import LIGHTNAS_OPERATORS, SKIP_INDEX
 from repro.search_space.space import Architecture
 
@@ -20,15 +23,6 @@ class TestDeviceProfile:
     def test_utilization_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             XAVIER_MAXN.utilization(0)
-
-    def test_with_batch_size(self):
-        d = XAVIER_MAXN.with_batch_size(1)
-        assert d.batch_size == 1
-        assert XAVIER_MAXN.batch_size == 8  # original untouched
-
-    def test_with_batch_size_invalid(self):
-        with pytest.raises(ValueError):
-            XAVIER_MAXN.with_batch_size(0)
 
 
 class TestOpLatency:
@@ -114,7 +108,7 @@ class TestArchLatency:
     def test_batch_size_scales_latency(self, full_space, rng):
         arch = full_space.sample(rng)
         b8 = LatencyModel(full_space, XAVIER_MAXN).latency_ms(arch)
-        b1 = LatencyModel(full_space, XAVIER_MAXN.with_batch_size(1)).latency_ms(arch)
+        b1 = LatencyModel(full_space, replace(XAVIER_MAXN, batch_size=1)).latency_ms(arch)
         assert b1 < b8
 
 
@@ -134,14 +128,13 @@ class TestMeasurement:
         assert out.shape == (5,)
         assert (out > 0).all()
 
-    def test_isolated_includes_sync_overhead(self, full_space, full_latency_model):
-        rng = np.random.default_rng(1)
-        geom = full_space.layer_geometries()[1]
-        spec = LIGHTNAS_OPERATORS[SKIP_INDEX]
-        # identity skip in-network costs 0; isolated measurement pays overhead
-        samples = [full_latency_model.measure_isolated_op(spec, geom, rng)
-                   for _ in range(50)]
-        assert abs(np.mean(samples)
+    def test_isolated_includes_sync_overhead(self, full_latency_model):
+        # identity skip in-network costs 0; the LUT's isolated measurement
+        # of it pays the synchronisation overhead
+        lut = LatencyLUT(full_latency_model, np.random.default_rng(1),
+                         trials=50)
+        assert full_latency_model.op_table[1, SKIP_INDEX] == 0.0
+        assert abs(lut.table[1, SKIP_INDEX]
                    - full_latency_model.device.isolated_overhead_ms) < 0.02
 
     def test_measurements_positive(self, full_space, full_latency_model):

@@ -78,9 +78,6 @@ class TestOneHotAndLosses:
         x = Tensor([0.0, 0.0])
         assert np.isclose(F.mse_loss(x, np.array([1.0, 3.0])).item(), 5.0)
 
-    def test_l1_value(self):
-        x = Tensor([0.0, 0.0])
-        assert np.isclose(F.l1_loss(x, np.array([1.0, -3.0])).item(), 2.0)
 
 
 class TestGumbel:

@@ -78,9 +78,6 @@ class TestElementwise:
     def test_neg(self):
         check(ops.neg, (3, 3))
 
-    def test_pow(self):
-        check(lambda t: ops.pow_(t, 3.0), (4,), positive=True)
-
     def test_exp(self):
         check(ops.exp, (3, 3))
 
@@ -93,9 +90,6 @@ class TestElementwise:
     def test_sigmoid(self):
         check(ops.sigmoid, (4, 4))
 
-    def test_tanh(self):
-        check(ops.tanh, (4, 4))
-
     def test_relu(self):
         check(ops.relu, (50,), seed=3)
 
@@ -104,12 +98,6 @@ class TestElementwise:
 
     def test_relu6(self):
         check(ops.relu6, (20,), seed=5)
-
-    def test_maximum_first(self):
-        check(ops.maximum, (20,), (20,), wrt=0, seed=6)
-
-    def test_maximum_second(self):
-        check(ops.maximum, (20,), (20,), wrt=1, seed=6)
 
 
 class TestLinalgReduce:
@@ -168,15 +156,6 @@ class TestShape:
 
     def test_getitem_scalar_entry(self):
         check(lambda t: t[1, 2], (3, 4))
-
-    def test_concat(self):
-        check(lambda a, b: ops.concat([a, b], axis=0), (2, 3), (4, 3), wrt=1)
-
-    def test_concat_axis1(self):
-        check(lambda a, b: ops.concat([a, b], axis=1), (2, 3), (2, 5), wrt=0)
-
-    def test_stack(self):
-        check(lambda a, b: ops.stack([a, b], axis=0), (3,), (3,), wrt=0)
 
     def test_pad2d(self):
         check(lambda t: ops.pad2d(t, 2), (1, 2, 3, 3))
@@ -281,10 +260,6 @@ class TestFunctionalGrad:
     def test_mse(self):
         target = np.random.default_rng(0).normal(size=(5,))
         check(lambda t: F.mse_loss(t, target), (5,))
-
-    def test_l1(self):
-        target = np.random.default_rng(0).normal(size=(5,))
-        check(lambda t: F.l1_loss(t, target), (5,), seed=9)
 
     def test_gumbel_softmax_fixed_noise(self):
         noise = np.random.default_rng(1).gumbel(size=(3, 4))

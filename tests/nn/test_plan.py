@@ -229,12 +229,14 @@ class TestProgramModes:
         program = StepProgram("t")
         xs, labels = batches(1)
         with nn.plans(False):
-            assert not nn.plans_enabled()
             train_steps(model, opt, xs, labels, program)
-        assert nn.plans_enabled()
         stats = program.stats()
         assert stats["eager_steps"] == 1
         assert stats["plans_compiled"] == 0
+        # leaving the context turns plans back on
+        after = StepProgram("t")
+        train_steps(model, opt, xs, labels, after)
+        assert after.stats()["plans_compiled"] == 1
 
     def test_nested_trace_rejected(self):
         program = StepProgram("t")

@@ -6,7 +6,6 @@ import pytest
 from repro import nn
 from repro.hardware.flops import arch_cost, count_macs, count_params
 from repro.predictor.analytic import AnalyticCostPredictor
-from repro.predictor.dataset import encode_architectures
 
 
 class TestExactness:
@@ -32,7 +31,7 @@ class TestExactness:
     def test_batch_predict_matches_scalar(self, full_space, rng):
         predictor = AnalyticCostPredictor(full_space)
         archs = full_space.sample_many(5, rng)
-        feats = encode_architectures(full_space, archs)
+        feats = full_space.encode_many(archs)
         batch = predictor.predict(feats)
         scalars = [predictor.predict_arch(a) for a in archs]
         assert np.allclose(batch, scalars)

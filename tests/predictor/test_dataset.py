@@ -7,7 +7,6 @@ from repro.predictor.dataset import (
     PredictorDataset,
     collect_energy_dataset,
     collect_latency_dataset,
-    encode_architectures,
 )
 from repro.hardware.energy import EnergyModel
 
@@ -15,17 +14,17 @@ from repro.hardware.energy import EnergyModel
 class TestEncode:
     def test_shape(self, tiny_space, rng):
         archs = tiny_space.sample_many(5, rng)
-        feats = encode_architectures(tiny_space, archs)
+        feats = tiny_space.encode_many(archs)
         assert feats.shape == (5, tiny_space.num_layers * tiny_space.num_operators)
 
     def test_rows_are_flattened_one_hots(self, tiny_space, rng):
         arch = tiny_space.sample(rng)
-        feats = encode_architectures(tiny_space, [arch])
+        feats = tiny_space.encode_many([arch])
         expected = arch.one_hot(tiny_space.num_operators).reshape(-1)
         assert np.array_equal(feats[0], expected)
 
     def test_row_sums_equal_num_layers(self, tiny_space, rng):
-        feats = encode_architectures(tiny_space, tiny_space.sample_many(10, rng))
+        feats = tiny_space.encode_many(tiny_space.sample_many(10, rng))
         assert np.allclose(feats.sum(axis=1), tiny_space.num_layers)
 
 

@@ -21,19 +21,10 @@ class TestRMSE:
         assert np.isclose(metrics.rmse(truth + 2.0, truth), 2.0)
 
 
-class TestMAEMax:
-    def test_mae(self):
-        assert metrics.mae(np.array([1.0, -1.0]), np.zeros(2)) == 1.0
-
-    def test_max_error(self):
-        assert metrics.max_error(np.array([1.0, -5.0]), np.zeros(2)) == 5.0
-
-
 class TestRankCorrelation:
     def test_perfect_order(self):
         pred = np.array([1.0, 2.0, 3.0, 4.0])
         assert metrics.kendall_tau(pred, pred * 10) == pytest.approx(1.0)
-        assert metrics.spearman_rho(pred, pred ** 3) == pytest.approx(1.0)
 
     def test_reversed_order(self):
         pred = np.array([1.0, 2.0, 3.0, 4.0])
@@ -43,4 +34,4 @@ class TestRankCorrelation:
         rng = np.random.default_rng(0)
         truth = rng.normal(size=50)
         distorted = np.exp(truth)  # monotone transform
-        assert metrics.spearman_rho(distorted, truth) == pytest.approx(1.0)
+        assert metrics.kendall_tau(distorted, truth) == pytest.approx(1.0)

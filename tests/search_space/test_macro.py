@@ -12,7 +12,8 @@ class TestLightNASLayout:
 
     def test_strides_halve_resolution_to_7(self):
         macro = MacroConfig.lightnas()
-        assert macro.final_resolution == 7  # 224 / 2 (stem) / 2^4 (stages)
+        # 224 / 2 (stem) / 2^4 (stages)
+        assert macro.searchable_layers()[-1].out_resolution == 7
 
     def test_layer_geometry_chain_consistent(self):
         layers = MacroConfig.lightnas().searchable_layers()

@@ -1,7 +1,5 @@
 """Tests of Architecture encoding and the SearchSpace container."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,19 +31,9 @@ class TestArchitecture:
             Architecture((0, 8)).one_hot(7)
 
     def test_from_one_hot_round_trip(self):
+        """Eq. 4's argmax decodes an exact one-hot matrix back."""
         arch = Architecture((2, 0, 5, 6))
-        assert Architecture.from_one_hot(arch.one_hot(7)) == arch
-
-    def test_from_one_hot_rejects_soft(self):
-        with pytest.raises(ValueError):
-            Architecture.from_one_hot(np.full((2, 3), 1 / 3))
-
-    def test_from_one_hot_rejects_multi_hot(self):
-        matrix = np.zeros((2, 3))
-        matrix[0, 0] = matrix[0, 1] = 1.0
-        matrix[1, 0] = 1.0
-        with pytest.raises(ValueError):
-            Architecture.from_one_hot(matrix)
+        assert Architecture.from_alpha(arch.one_hot(7)) == arch
 
     def test_from_alpha_argmax(self):
         alpha = np.array([[0.1, 2.0, 0.0], [5.0, 1.0, 1.0]])
@@ -55,30 +43,9 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             Architecture.from_alpha(np.zeros(5))
 
-    def test_json_round_trip(self):
-        arch = Architecture((1, 2, 3))
-        assert Architecture.from_json(arch.to_json()) == arch
-        payload = json.loads(arch.to_json())
-        assert payload["op_indices"] == [1, 2, 3]
-
     def test_depth_counts_non_skip(self):
         arch = Architecture((6, 0, 6, 1))
         assert arch.depth(skip_index=6) == 2
-
-    def test_mutate_changes_exactly_one_layer(self):
-        arch = Architecture((0,) * 10)
-        mutant = arch.mutate(np.random.default_rng(0), 7)
-        diffs = sum(a != b for a, b in zip(arch.op_indices, mutant.op_indices))
-        assert diffs == 1
-
-    def test_mutate_never_keeps_same_op(self):
-        rng = np.random.default_rng(1)
-        arch = Architecture((3, 3, 3))
-        for _ in range(20):
-            mutant = arch.mutate(rng, 7)
-            layer = [i for i in range(3)
-                     if mutant.op_indices[i] != arch.op_indices[i]]
-            assert len(layer) == 1
 
     def test_hashable_equality(self):
         assert Architecture((1, 2)) == Architecture((1, 2))
@@ -142,14 +109,7 @@ class TestSearchSpace:
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=21))
 def test_one_hot_round_trip_property(indices):
     arch = Architecture(tuple(indices))
-    assert Architecture.from_one_hot(arch.one_hot(7)) == arch
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=21))
-def test_json_round_trip_property(indices):
-    arch = Architecture(tuple(indices))
-    assert Architecture.from_json(arch.to_json()) == arch
+    assert Architecture.from_alpha(arch.one_hot(7)) == arch
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,13 +118,3 @@ def test_sampling_always_valid_property(seed):
     space = SearchSpace(MacroConfig.tiny())
     arch = space.sample(np.random.default_rng(seed))
     space.validate(arch)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=4, max_size=4),
-       st.integers(min_value=0, max_value=2 ** 31 - 1))
-def test_mutation_stays_in_space_property(indices, seed):
-    space = SearchSpace(MacroConfig.tiny())
-    arch = Architecture(tuple(indices))
-    mutant = arch.mutate(np.random.default_rng(seed), space.num_operators)
-    space.validate(mutant)
