@@ -42,7 +42,7 @@ def _lambda_task(ctx, lam: float) -> FleetTask:
 
 
 def test_fig3_fbnet_lambda_sweep(ctx, jobs, benchmark):
-    fleet = RunFleet(jobs=jobs, seed=0)
+    fleet = RunFleet(jobs=jobs)
     values = fleet.run([_lambda_task(ctx, lam)
                         for lam in LAMBDA_GRID]).values()
     rows = []

@@ -37,7 +37,7 @@ def _stability_task(ctx, target: float, seed: int) -> FleetTask:
 
 
 def test_fig7_stability_across_seeds(ctx, jobs, benchmark):
-    fleet = RunFleet(jobs=jobs, seed=0)
+    fleet = RunFleet(jobs=jobs)
     grid = [(target, seed) for target in TARGETS for seed in SEEDS]
     values = fleet.run([_stability_task(ctx, target, seed)
                         for target, seed in grid]).values()

@@ -3,28 +3,29 @@
 The run-fleet executor's contract is twofold: fanning independent runs
 across forked workers must be (1) **bit-identical** to the sequential run
 and (2) actually faster on multi-core hosts.  This benchmark measures both
-on the workloads the executor ships wired into:
+on the search grids the executor serves:
 
 * **sweep** — one LightNAS search per latency target (the gated workload);
-* **stability** — a (targets × seeds) multi-seed campaign;
-* **calibration** — per-device proxy-transfer calibration over a fleet;
-* **campaign shards** — a sharded predictor measurement campaign.
+* **stability** — a (targets × seeds) multi-seed campaign.
 
-Every workload is run at each jobs level and its results are compared
-against the jobs=1 reference — parity is asserted unconditionally, not
-just under ``--check``.
+Each workload runs every jobs level once per round, for ``ROUNDS`` rounds,
+in an order that reverses every round, and each result is compared against
+the first jobs=1 result — parity is asserted unconditionally, not just
+under ``--check``.  A level's speedup is the median over rounds of the
+jobs=1 wall divided by that level's wall in the same round, so one
+scheduler stall cannot decide a gate; every round is recorded in the JSON.
 
 Honest efficiency accounting: wall-clock speedup is bounded by physical
 cores, not by the jobs count, so the speedup gates are **core-aware**:
 
 1. parity: every workload's jobs=N results equal the jobs=1 results;
-2. ≥ 2.0× wall-clock speedup at 4 jobs on the sweep workload — enforced
-   when the host has ≥ 4 cpus;
-3. ≥ 1.3× at 2 jobs — enforced when the host has ≥ 2 cpus;
+2. ≥ 2.0× median wall-clock speedup at 4 jobs on the sweep workload —
+   enforced when the host has ≥ 4 cpus;
+3. ≥ 1.3× median at 2 jobs — enforced when the host has ≥ 2 cpus;
 4. on a single-core host the speedup gates are recorded as skipped and a
-   bounded-overhead gate applies instead (4-job wall ≤ 1.6× 1-job wall —
-   forking, pickling and journal merging must stay cheap even when
-   parallelism cannot pay).
+   bounded-overhead gate applies instead (median 4-job wall ≤ 1.6× the
+   1-job wall of its round — forking, pickling and journal merging must
+   stay cheap even when parallelism cannot pay).
 
 Run standalone::
 
@@ -38,21 +39,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import time
-
-import numpy as np
 
 from repro.core.lightnas import LightNAS, LightNASConfig
 from repro.experiments.shared import fit_latency_predictor
-from repro.fleet import ProxyTransfer, generate_fleet
 from repro.hardware.latency import LatencyModel
-from repro.predictor.dataset import collect_latency_dataset_sharded
 from repro.runtime.parallel import FleetTask, RunFleet
 from repro.search_space.macro import MacroConfig
 from repro.search_space.space import SearchSpace
 
 #: Tiny-space latency targets for the sweep workload (ms).
 _SWEEP_TARGETS = (1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0, 3.2)
+
+#: Timed rounds per workload; each round runs every jobs level once.
+ROUNDS = 5
 
 
 def _jobs_grid(cores: int) -> list:
@@ -107,7 +108,7 @@ def stability_tasks(space, predictor, targets, seeds, epochs, steps):
 
 
 def timed_fleet(make_tasks, jobs: int):
-    fleet = RunFleet(jobs=jobs, seed=0)
+    fleet = RunFleet(jobs=jobs)
     start = time.perf_counter()
     report = fleet.run(make_tasks())
     wall = time.perf_counter() - start
@@ -115,32 +116,48 @@ def timed_fleet(make_tasks, jobs: int):
 
 
 def run_workload(name: str, make_tasks, jobs_grid) -> dict:
-    """Time one workload across the jobs grid; assert parity vs jobs=1."""
+    """Time one workload over ``ROUNDS`` rounds of the jobs grid, reversing
+    the order every round; assert parity vs the first jobs=1 result."""
     reference = None
-    base_wall = None
-    levels = {}
-    for jobs in jobs_grid:
-        values, wall, stats = timed_fleet(make_tasks, jobs)
-        # canonicalise through JSON so tuples/lists compare structurally;
-        # float values must round-trip bit-exactly for parity to hold
-        canon = json.loads(json.dumps(values))
-        if reference is None:
-            reference, base_wall = canon, wall
-        else:
+    walls = {jobs: [] for jobs in jobs_grid}
+    utilization = {jobs: [] for jobs in jobs_grid}
+    spawned = {}
+    for round_index in range(ROUNDS):
+        order = jobs_grid if round_index % 2 == 0 else jobs_grid[::-1]
+        for jobs in order:
+            values, wall, stats = timed_fleet(make_tasks, jobs)
+            # canonicalise through JSON so tuples/lists compare
+            # structurally; floats must round-trip bit-exactly
+            canon = json.loads(json.dumps(values))
+            if reference is None:
+                reference = canon
             assert canon == reference, (
                 f"{name}: jobs={jobs} results differ from jobs=1 — "
                 f"determinism contract broken")
+            walls[jobs].append(wall)
+            utilization[jobs].append(stats["utilization"])
+            spawned[jobs] = stats["workers_spawned"]
+    levels = {}
+    for jobs in jobs_grid:
+        # same-round ratios: both walls saw the same host conditions
+        ratios = [base / wall for base, wall in zip(walls[1], walls[jobs])]
+        speedup = statistics.median(ratios)
         levels[str(jobs)] = {
-            "wall_s": round(wall, 4),
-            "speedup": round(base_wall / wall, 4) if wall > 0 else 0.0,
-            "efficiency": round(base_wall / wall / jobs, 4)
-            if wall > 0 else 0.0,
-            "utilization": stats.get("utilization", 0.0),
-            "workers_spawned": stats.get("workers_spawned", 0),
+            "wall_s": round(statistics.median(walls[jobs]), 4),
+            "speedup": round(speedup, 4),
+            "efficiency": round(speedup / jobs, 4),
+            "utilization": round(statistics.median(utilization[jobs]), 4),
+            "workers_spawned": spawned[jobs],
+            "rounds": [{"wall_s": round(wall, 4),
+                        "speedup": round(ratio, 4)}
+                       for wall, ratio in zip(walls[jobs], ratios)],
         }
-        print(f"  {name}: jobs={jobs} wall={wall:.2f}s "
-              f"speedup={levels[str(jobs)]['speedup']:.2f}x")
-    return {"tasks": len(reference), "parity": True, "jobs": levels}
+        print(f"  {name}: jobs={jobs} median wall="
+              f"{levels[str(jobs)]['wall_s']:.2f}s median speedup="
+              f"{speedup:.2f}x (rounds "
+              + ", ".join(f"{r:.2f}" for r in ratios) + ")")
+    return {"tasks": len(reference), "parity": True, "rounds": ROUNDS,
+            "jobs": levels}
 
 
 def run(args) -> dict:
@@ -171,53 +188,6 @@ def run(args) -> dict:
                                 max(10, args.steps // 2)),
         jobs_grid)
 
-    # --- fleet calibration ------------------------------------------
-    devices = (generate_fleet("phone", args.devices // 2)
-               + generate_fleet("mcu", args.devices - args.devices // 2))
-    calibration = {}
-    reference_maps = None
-    for jobs in (1, min(4, max(jobs_grid))):
-        start = time.perf_counter()
-        transfer = ProxyTransfer.calibrate(
-            predictor, space, devices, num_samples=args.calibration,
-            seed=0, proxy_device=latency_model.device.name,
-            fleet=RunFleet(jobs=jobs, seed=0) if jobs > 1 else None)
-        wall = time.perf_counter() - start
-        payload = transfer.to_payload()
-        if reference_maps is None:
-            reference_maps = payload
-        else:
-            assert payload == reference_maps, (
-                "calibration: fanned maps differ from sequential maps")
-        calibration[str(jobs)] = {"wall_s": round(wall, 4)}
-        print(f"  calibration: jobs={jobs} wall={wall:.2f}s "
-              f"({len(devices)} devices)")
-    calibration["devices"] = len(devices)
-    calibration["parity"] = True
-    workloads["calibration"] = calibration
-
-    # --- sharded predictor campaign ---------------------------------
-    campaign = {}
-    reference_data = None
-    for jobs in (1, min(4, max(jobs_grid))):
-        start = time.perf_counter()
-        data = collect_latency_dataset_sharded(
-            latency_model, args.campaign, 0,
-            shard_size=max(1, args.campaign // 8),
-            fleet=RunFleet(jobs=jobs, seed=0) if jobs > 1 else None)
-        wall = time.perf_counter() - start
-        if reference_data is None:
-            reference_data = data
-        else:
-            assert np.array_equal(data.features, reference_data.features)
-            assert np.array_equal(data.targets, reference_data.targets)
-        campaign[str(jobs)] = {"wall_s": round(wall, 4)}
-        print(f"  campaign: jobs={jobs} wall={wall:.2f}s "
-              f"({args.campaign} samples)")
-    campaign["samples"] = args.campaign
-    campaign["parity"] = True
-    workloads["campaign_shards"] = campaign
-
     # --- core-aware gates -------------------------------------------
     sweep_levels = workloads["sweep"]["jobs"]
     speedup_4j = sweep_levels.get("4", {}).get("speedup", 0.0)
@@ -238,14 +208,16 @@ def run(args) -> dict:
             f"host has {cores} core(s), gate skipped",
         },
         "single_core_overhead": {
-            # jobs=4 wall may not exceed 1.6x jobs=1 wall: the executor's
+            # jobs=4 wall may not exceed 1.6x the jobs=1 wall of its round
+            # (median over rounds): the executor's
             # fork/pickle/merge overhead must stay small even when
             # parallelism cannot pay
             "required": 1.6,
-            "measured": round(sweep_levels["4"]["wall_s"]
-                              / sweep_levels["1"]["wall_s"], 4)
-            if "4" in sweep_levels and sweep_levels["1"]["wall_s"] > 0
-            else 0.0,
+            "measured": round(statistics.median(
+                four["wall_s"] / one["wall_s"]
+                for one, four in zip(sweep_levels["1"]["rounds"],
+                                     sweep_levels["4"]["rounds"])), 4)
+            if "4" in sweep_levels else 0.0,
             "enforced": cores < 2,
         },
     }
@@ -253,11 +225,11 @@ def run(args) -> dict:
     if args.check:
         if gates["speedup_4_jobs"]["enforced"]:
             assert speedup_4j >= 2.0, (
-                f"sweep speedup at 4 jobs is {speedup_4j:.2f}x on a "
+                f"median sweep speedup at 4 jobs is {speedup_4j:.2f}x on a "
                 f"{cores}-core host, need >= 2.0x")
         if gates["speedup_2_jobs"]["enforced"]:
             assert speedup_2j >= 1.3, (
-                f"sweep speedup at 2 jobs is {speedup_2j:.2f}x on a "
+                f"median sweep speedup at 2 jobs is {speedup_2j:.2f}x on a "
                 f"{cores}-core host, need >= 1.3x")
         if gates["single_core_overhead"]["enforced"]:
             overhead = gates["single_core_overhead"]["measured"]
@@ -270,7 +242,7 @@ def run(args) -> dict:
         "jobs_grid": jobs_grid,
         "config": {"targets": len(targets), "epochs": args.epochs,
                    "steps": args.steps, "seeds": len(seeds),
-                   "devices": len(devices), "campaign": args.campaign},
+                   "rounds": ROUNDS},
         "workloads": workloads,
         "gates": gates,
         "checks_passed": bool(args.check),
@@ -287,12 +259,6 @@ def main() -> None:
                         help="search epochs per run (default 60)")
     parser.add_argument("--steps", type=int, default=40,
                         help="steps per epoch (default 40)")
-    parser.add_argument("--devices", type=int, default=8,
-                        help="calibration fleet size (default 8)")
-    parser.add_argument("--calibration", type=int, default=100,
-                        help="calibration pairs per device")
-    parser.add_argument("--campaign", type=int, default=4000,
-                        help="sharded campaign size (default 4000)")
     parser.add_argument("--check", action="store_true",
                         help="assert the core-aware speedup/overhead gates")
     args = parser.parse_args()
@@ -304,19 +270,15 @@ def main() -> None:
 
     rows = []
     for name, workload in results["workloads"].items():
-        levels = workload.get("jobs", workload)
-        for jobs in sorted(int(k) for k in levels if k.isdigit()):
-            info = levels[str(jobs)]
-            rows.append([name, jobs, info["wall_s"],
-                         info.get("speedup", "—"),
-                         info.get("efficiency", "—"),
-                         info.get("utilization", "—")])
+        for jobs, info in workload["jobs"].items():
+            rows.append([name, jobs, info["wall_s"], info["speedup"],
+                         info["efficiency"], info["utilization"]])
     print(render_table(
-        ["workload", "jobs", "wall s", "speedup", "efficiency",
-         "utilization"],
+        ["workload", "jobs", "median wall s", "median speedup",
+         "efficiency", "utilization"],
         rows,
         title=f"run-fleet scaling — {results['cpu_count']} core(s), "
-              f"parity asserted at every level"))
+              f"{ROUNDS} rounds, parity asserted at every level"))
     for gate, info in results["gates"].items():
         state = ("enforced" if info.get("enforced") else "skipped")
         print(f"gate {gate}: {state}"

@@ -83,11 +83,12 @@ python -m pytest -x -q tests/runtime/test_parallel.py::TestFleetParity \
     tests/runtime/test_parallel.py::TestFleetFaults
 
 # Run-fleet benchmark at reduced size with a 2-worker floor: parity is
-# asserted at every jobs level; the >= 2x speedup gate at 4 jobs applies
-# on >= 4-core hosts (core-aware — single-core hosts assert a bounded
-# fork/merge overhead instead); BENCH_parallel.json is a CI artifact.
+# asserted at every jobs level; the speedup gates take the median of 5
+# alternating rounds (>= 1.3x at 2 jobs on >= 2-core hosts, >= 2x at 4
+# jobs on >= 4-core hosts; single-core hosts assert a bounded fork/merge
+# overhead instead); BENCH_parallel.json is a CI artifact.
 python benchmarks/bench_parallel.py --targets 4 --epochs 30 --steps 20 \
-    --campaign 2000 --check
+    --check
 
 # The fleet subsystem's guarantees get a named run: strict-monotone
 # transfer maps (Hypothesis properties), fleet-name resolution everywhere,

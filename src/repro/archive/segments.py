@@ -56,7 +56,6 @@ __all__ = [
     "SEGMENT_VERSION",
     "ArchiveError",
     "Segment",
-    "discard_segments",
     "load_current_segment",
     "segment_root_for",
     "write_segment",
@@ -291,11 +290,6 @@ def _collect_garbage(root: str, keep: str) -> List[str]:
             shutil.rmtree(full, ignore_errors=True)
             removed.append(entry)
     return removed
-
-
-def discard_segments(archive_path: str) -> None:
-    """Drop every segment of an archive (forces log-replay on next open)."""
-    shutil.rmtree(segment_root_for(archive_path), ignore_errors=True)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ Table-1 and ablation benchmarks consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -19,8 +19,8 @@ Gives the library a downstream-usable surface without writing any code:
   an mmap + tail replay instead of a full log parse.
 * ``fleet``     — parametric device fleets: list generated devices,
   retarget an archive sweep to N devices through proxy transfer maps,
-  calibrate per-device transfer maps (``--jobs`` fans devices across
-  workers), or run one constrained search against a fleet device.
+  calibrate per-device transfer maps, or run one constrained search
+  against a fleet device.
 
 Architectures are passed as comma-separated operator indices, e.g.
 ``--arch 1,1,5,5,...`` (one per searchable layer), matching
@@ -194,7 +194,7 @@ def _journal(args) -> RunJournal:
     return RunJournal(args.trace) if getattr(args, "trace", "") else NullJournal()
 
 
-def _run_cli_fleet(args, tasks: List[FleetTask], *, seed: int) -> List:
+def _run_cli_fleet(args, tasks: List[FleetTask]) -> List:
     """Run tasks through a :class:`RunFleet` built from the shared flags.
 
     Returns the task values in task order.  Failures abort with a
@@ -203,7 +203,7 @@ def _run_cli_fleet(args, tasks: List[FleetTask], *, seed: int) -> List:
     table lives in the journal: ``repro trace-summary``).
     """
     journal = _journal(args)
-    fleet = RunFleet(jobs=args.jobs, seed=seed, journal=journal,
+    fleet = RunFleet(jobs=args.jobs, journal=journal,
                      checkpoint_root=getattr(args, "checkpoint_dir", "")
                      or None)
     try:
@@ -468,7 +468,7 @@ def _run_grid(args, targets: List[float], seeds: List[int],
     tasks = [_sweep_task(config, name(config), predictor, oracle,
                          true_value, args, grid)
              for config in configs]
-    return _run_cli_fleet(args, tasks, seed=min(seeds))
+    return _run_cli_fleet(args, tasks)
 
 
 def cmd_sweep(args) -> int:
@@ -933,15 +933,11 @@ def cmd_fleet_calibrate(args) -> int:
     latency_model = LatencyModel(space)
     proxy = latency_model.device
     predictor = _proxy_predictor(space, latency_model)
-    # one task per device: the shared calibration set and the fitted
-    # proxy predictor are built here, pre-fork, and inherited by workers
-    fleet = RunFleet(jobs=args.jobs, seed=args.seed)
     try:
         transfer = ProxyTransfer.calibrate(
             predictor, space, devices, num_samples=args.calibration,
-            seed=args.seed, proxy_device=proxy.name,
-            fleet=fleet if args.jobs > 1 else None)
-    except (ValueError, TaskFailure) as exc:
+            seed=args.seed, proxy_device=proxy.name)
+    except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     rows = []
     for device in devices:
@@ -1217,8 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf_calibrate = fleet_sub.add_parser(
         "calibrate",
-        help="fit per-device proxy transfer maps and save them as JSON "
-             "(--jobs fans the devices across forked workers)")
+        help="fit per-device proxy transfer maps and save them as JSON")
     pf_calibrate.add_argument("--devices", default="",
                               help="comma-separated device names (fleet or "
                                    "static); overrides --fleet")
@@ -1238,7 +1233,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(ProxyTransfer.from_payload reads it "
                                    "back)")
     pf_calibrate.add_argument("--tiny", action="store_true")
-    _add_jobs_flag(pf_calibrate)
     pf_calibrate.set_defaults(func=cmd_fleet_calibrate)
 
     pf_search = fleet_sub.add_parser(

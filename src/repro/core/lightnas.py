@@ -65,7 +65,7 @@ from ..runtime.checkpoint import (
 )
 from ..runtime.telemetry import NullJournal, PhaseTimers, RunJournal
 from ..search_space.macro import MacroConfig
-from ..search_space.space import Architecture, SearchSpace
+from ..search_space.space import SearchSpace
 from .gumbel import GumbelSampler, TemperatureSchedule
 from .lambda_opt import LagrangeMultiplier
 from .objective import ConstrainedObjective

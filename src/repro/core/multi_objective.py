@@ -20,14 +20,14 @@ reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..proxy.accuracy_model import AccuracyOracle
-from ..search_space.space import Architecture, SearchSpace
+from ..search_space.space import SearchSpace
 from .gumbel import GumbelSampler, TemperatureSchedule
 from .lambda_opt import LagrangeMultiplier
 from .result import SearchResult, SearchTrajectory

@@ -26,7 +26,6 @@ from .generator import (
     generate_device,
     generate_fleet,
     parse_fleet_name,
-    register_family,
 )
 from .retarget import (
     device_report,
@@ -50,7 +49,6 @@ __all__ = [
     "generate_fleet",
     "isotonic_fit",
     "parse_fleet_name",
-    "register_family",
     "retarget_archive",
     "retarget_index",
 ]

@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from ..hardware.device import (
 
 __all__ = ["FamilySpec", "FLEET_FAMILIES", "DEFAULT_FLEET_SEED",
            "generate_device", "generate_fleet", "fleet_device",
-           "fleet_name", "parse_fleet_name", "register_family"]
+           "fleet_name", "parse_fleet_name"]
 
 #: Canonical seed of the unsuffixed names (``phone-03`` ≡ ``phone-03@s0``).
 DEFAULT_FLEET_SEED = 0
@@ -284,17 +283,6 @@ _EDGE_GPU = FamilySpec(
 FLEET_FAMILIES: Dict[str, FamilySpec] = {
     spec.name: spec for spec in (_PHONE, _MCU, _SERVER_CPU, _EDGE_GPU)
 }
-
-
-def register_family(spec: FamilySpec) -> None:
-    """Add a custom family; its names become resolvable immediately."""
-    if spec.name in FLEET_FAMILIES:
-        raise ValueError(f"fleet family {spec.name!r} already registered")
-    if not _NAME_RE.match(f"{spec.name}-00"):
-        raise ValueError(
-            f"family name {spec.name!r} must be lowercase [a-z0-9-], "
-            f"starting with a letter")
-    FLEET_FAMILIES[spec.name] = spec
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ saved next to an archive and reloaded by the service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -230,9 +230,9 @@ class ProxyTransfer:
     ``calibrate`` measures one shared calibration set (default 100
     architectures — ~100× smaller than the paper's per-device campaign) on
     every target device of the fleet and fits a :class:`MonotoneMap` per
-    device from the proxy predictor's outputs; ``predict_device`` /
-    ``transfer_many`` then retarget any number of proxy predictions to any
-    device with one interpolation pass.
+    device from the proxy predictor's outputs; ``transfer_many`` then
+    retargets any number of proxy predictions to any device with one
+    interpolation pass.
     """
 
     def __init__(self, maps: Dict[str, MonotoneMap], *,
@@ -263,19 +263,12 @@ class ProxyTransfer:
         """Retarget a batch of proxy-predicted latencies to one device."""
         return self.map_for(device).transfer_many(proxy_values)
 
-    def predict_device(self, device: str, proxy_predictor,
-                       archs) -> np.ndarray:
-        """Proxy predictions of ``archs``, retargeted to ``device``."""
-        return self.transfer_many(
-            device, proxy_predictor.predict_population(archs))
-
     # ------------------------------------------------------------------
     @classmethod
     def calibrate(cls, proxy_predictor, space: SearchSpace,
                   devices: Sequence[DeviceProfile], *,
                   num_samples: int = 100, seed: int = 0,
-                  proxy_device: str = "",
-                  fleet=None) -> "ProxyTransfer":
+                  proxy_device: str = "") -> "ProxyTransfer":
         """Fit one map per target device from a shared calibration set.
 
         One set of ``num_samples`` architectures is sampled once; each
@@ -285,12 +278,10 @@ class ProxyTransfer:
         order — recalibrating a grown fleet reuses identical measurements
         for the devices already present).
 
-        ``fleet`` (a :class:`~repro.runtime.parallel.RunFleet`) fans the
-        per-device measurement + fit across worker processes.  Because
-        every device already owns an independent RNG stream, the fanned
-        calibration is bit-identical to the sequential one — the shared
-        ``ops``/``proxy_values`` arrays are built pre-fork and inherited
-        copy-on-write.
+        The devices are fit one after another in this process.  A fit is
+        one cost table, ~100 measurements and one isotonic regression, a
+        few milliseconds, so forking workers for them costs more than it
+        saves.
         """
         if num_samples < 2:
             raise ValueError("need at least 2 calibration samples")
@@ -300,28 +291,11 @@ class ProxyTransfer:
         ops = space.sample_indices(num_samples,
                                    np.random.default_rng([seed, 0]))
         proxy_values = proxy_predictor.predict_population(ops)
-
-        def fit_device(i: int, device: DeviceProfile) -> MonotoneMap:
-            model = LatencyModel(space, device)
-            measured = model.measure_many(
+        maps = {}
+        for i, device in enumerate(devices):
+            measured = LatencyModel(space, device).measure_many(
                 ops, np.random.default_rng([seed, 1, i]))
-            return MonotoneMap.fit(proxy_values, measured)
-
-        if fleet is not None and len(devices) > 1:
-            from ..runtime.parallel import FleetTask
-            tasks = [
-                FleetTask(name=device.name,
-                          fn=lambda ctx, i=i, device=device:
-                          fit_device(i, device),
-                          header={"device": device.name})
-                for i, device in enumerate(devices)
-            ]
-            fitted = fleet.run(tasks).values()  # loud on any failure
-            maps = {device.name: fmap
-                    for device, fmap in zip(devices, fitted)}
-        else:
-            maps = {device.name: fit_device(i, device)
-                    for i, device in enumerate(devices)}
+            maps[device.name] = MonotoneMap.fit(proxy_values, measured)
         return cls(maps, proxy_device=proxy_device, calibration_seed=seed)
 
     # ------------------------------------------------------------------

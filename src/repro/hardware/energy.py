@@ -80,10 +80,6 @@ class EnergyMeter:
         self.rng = rng
         self._drift = 0.0
 
-    def reset(self) -> None:
-        """Reset the drift state (device returned to ambient temperature)."""
-        self._drift = 0.0
-
     def measure(self, arch: Architecture) -> float:
         """One noisy, drift-corrupted energy measurement (mJ)."""
         d = self.model.device

@@ -12,13 +12,10 @@ from .modules import (
     BatchNorm2d,
     Conv2d,
     Dropout,
-    Flatten,
     GlobalAvgPool,
-    Identity,
     Linear,
     Module,
     Parameter,
-    ReLU,
     ReLU6,
     Sequential,
     SqueezeExcite,
@@ -38,9 +35,8 @@ __all__ = [
     "Tensor", "no_grad", "functional", "ops", "optim", "init",
     "profiler", "set_default_dtype", "get_default_dtype", "dtype_scope",
     "tensor_allocations",
-    "Module", "Parameter", "Sequential", "Identity", "Linear", "Conv2d",
-    "BatchNorm2d", "ReLU", "ReLU6", "Dropout", "GlobalAvgPool",
-    "Flatten", "SqueezeExcite",
+    "Module", "Parameter", "Sequential", "Linear", "Conv2d",
+    "BatchNorm2d", "ReLU6", "Dropout", "GlobalAvgPool", "SqueezeExcite",
     "Optimizer", "SGD", "Adam", "GradientAscent", "CosineSchedule",
     "plan", "PlanError", "StepProgram", "plans",
 ]

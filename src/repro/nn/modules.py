@@ -5,7 +5,7 @@ latency/energy predictors:
 
 * :class:`Linear`, :class:`Conv2d` (with groups, i.e. depthwise),
   :class:`BatchNorm2d`, activations, :class:`Dropout`,
-  :class:`GlobalAvgPool`, :class:`Sequential`, :class:`Identity`.
+  :class:`GlobalAvgPool`, :class:`Sequential`.
 * :class:`SqueezeExcite` for the Table-4 SE ablation.
 
 The :class:`Module` base class mirrors the small part of ``torch.nn.Module``
@@ -23,9 +23,8 @@ from . import init, ops
 from .tensor import Tensor, get_default_dtype
 
 __all__ = [
-    "Module", "Parameter", "Sequential", "Identity", "Linear", "Conv2d",
-    "BatchNorm2d", "ReLU", "ReLU6", "Dropout", "GlobalAvgPool",
-    "Flatten", "SqueezeExcite",
+    "Module", "Parameter", "Sequential", "Linear", "Conv2d",
+    "BatchNorm2d", "ReLU6", "Dropout", "GlobalAvgPool", "SqueezeExcite",
 ]
 
 
@@ -168,13 +167,6 @@ class Sequential(Module):
         return self.layers[idx]
 
 
-class Identity(Module):
-    """The SkipConnect operator: returns its input unchanged."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 class Linear(Module):
     """Fully-connected layer ``y = x W^T + b``."""
 
@@ -306,11 +298,6 @@ class BatchNorm2d(Module):
         return normed * gamma + beta
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.relu(x)
-
-
 class ReLU6(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu6(x)
@@ -343,11 +330,6 @@ class GlobalAvgPool(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.avg_pool_global(x)
-
-
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.reshape(x, (x.shape[0], -1))
 
 
 class SqueezeExcite(Module):

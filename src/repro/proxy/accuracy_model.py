@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
 from ..search_space.space import Architecture, SearchSpace
 
 __all__ = ["AccuracyOracle", "EvalResult"]

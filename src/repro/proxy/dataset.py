@@ -17,7 +17,7 @@ Images are NCHW float arrays normalised to roughly zero mean / unit scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 

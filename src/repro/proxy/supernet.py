@@ -24,7 +24,7 @@ sub-network of the supernet (the "equality principle").
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 

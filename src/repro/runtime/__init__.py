@@ -14,9 +14,9 @@ engine shares:
   near-zero-cost no-op mode, plus a reader for ``python -m repro
   trace-summary``.
 * :mod:`repro.runtime.parallel` — the :class:`~repro.runtime.parallel.
-  RunFleet` executor fanning independent runs (sweep targets, stability
-  seeds, fleet-device calibrations, campaign shards) across forked worker
-  processes, bit-identical to the sequential run and fault-tolerant.
+  RunFleet` executor fanning the searches of a grid (sweep targets,
+  stability seeds) across forked worker processes, bit-identical to the
+  sequential run and fault-tolerant.
 """
 
 from .checkpoint import (

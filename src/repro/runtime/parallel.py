@@ -1,12 +1,13 @@
 """Parallel run-fleet executor: fork-based fan-out for independent runs.
 
-"You only search once" makes every *multi-run* workload embarrassingly
-parallel: a λ/target sweep is one independent search per target, the
-Fig. 7 stability study one per seed, fleet calibration one measurement
-campaign per device, and a predictor campaign a set of independent
-measurement shards.  :class:`RunFleet` fans those tasks across ``jobs``
-worker processes while keeping the results **bit-identical** to the
-sequential run:
+"You only search once" learns λ instead of tuning it, so every search
+of a grid is independent: a λ/target sweep is one search per target, the
+Fig. 7 stability study one per (target, seed).  :class:`RunFleet` serves
+only such grids (``repro sweep``/``stability --jobs`` and the Fig. 3/
+Fig. 7 drivers); fleet calibration and predictor campaigns are
+milliseconds of work and run in-process.  It fans the tasks across
+``jobs`` worker processes while keeping the results **bit-identical** to
+the sequential run:
 
 * **Pre-fork construction + copy-on-write sharing.**  Tasks are plain
   closures built in the parent *before* the workers fork, so big read-only
@@ -15,9 +16,7 @@ sequential run:
   semantics at ~zero per-worker setup cost.  Nothing is pickled on the way
   *in* — only each task's (small) result comes back through a pipe.
 * **Deterministic decomposition.**  Parallelism never changes *what* is
-  computed, only *where*: each task owns an explicit RNG stream
-  (``ctx.rng`` = ``default_rng([fleet_seed, task_index])`` for tasks that
-  want one; engine tasks usually carry their own seeds) and its own
+  computed, only *where*: each search carries its own seed and owns its
   checkpoint sub-directory, so ``jobs=1`` and ``jobs=N`` produce
   bit-identical values and individually resumable runs.
 * **Ordered journal merge.**  Each task writes its own JSON-lines journal
@@ -56,8 +55,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from .telemetry import NullJournal, RunJournal
 
@@ -100,20 +97,10 @@ class TaskContext:
 
     index: int
     name: str
-    fleet_seed: int
     attempt: int
     in_worker: bool
     journal: RunJournal
     checkpoint_dir: Optional[str] = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The task's own spawned stream: ``default_rng([seed, index])``.
-
-        Independent of fleet size and of every other task, so any task
-        that consumes it computes the same numbers at any ``jobs``.
-        """
-        return np.random.default_rng([self.fleet_seed, self.index])
 
 
 @dataclass
@@ -215,8 +202,6 @@ class RunFleet:
     jobs:
         Worker processes.  ``1`` (default) runs in-process without
         forking; ``N > 1`` requires ``os.fork``.
-    seed:
-        Fleet seed feeding every task's ``ctx.rng`` stream.
     journal:
         The caller's :class:`RunJournal`.  When enabled, each task writes
         its own journal file which is merged here, in task order, after
@@ -233,7 +218,7 @@ class RunFleet:
         (exceptions inside the task are deterministic and never retried).
     """
 
-    def __init__(self, jobs: int = 1, *, seed: int = 0,
+    def __init__(self, jobs: int = 1, *,
                  journal: Optional[RunJournal] = None,
                  checkpoint_root: Optional[str] = None,
                  task_timeout: Optional[float] = None,
@@ -249,7 +234,6 @@ class RunFleet:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.jobs = jobs
-        self.seed = seed
         self.journal = journal if journal is not None else NullJournal()
         self.checkpoint_root = checkpoint_root
         self.task_timeout = task_timeout
@@ -272,7 +256,6 @@ class RunFleet:
             "fleet_header",
             jobs=self.jobs,
             tasks=len(tasks),
-            seed=self.seed,
             task_names=names,
         )
         start = time.perf_counter()
@@ -317,8 +300,7 @@ class RunFleet:
         if self.checkpoint_root:
             checkpoint_dir = os.path.join(
                 self.checkpoint_root, task.subdir or f"task_{index:03d}")
-        return TaskContext(index=index, name=task.name,
-                           fleet_seed=self.seed, attempt=attempt,
+        return TaskContext(index=index, name=task.name, attempt=attempt,
                            in_worker=in_worker, journal=journal,
                            checkpoint_dir=checkpoint_dir)
 

@@ -274,7 +274,6 @@ def summarize_fleet(events: List[dict]) -> Optional[dict]:
             fleet = {
                 "jobs": event.get("jobs"),
                 "declared_tasks": event.get("tasks"),
-                "seed": event.get("seed"),
                 "tasks": [],
                 "retries": [],
                 "stats": {},

@@ -24,7 +24,7 @@ allocation the layer-wise search finds, and loses accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

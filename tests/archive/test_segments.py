@@ -2,15 +2,12 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.archive.segments import (
-    discard_segments,
-    load_current_segment,
-    segment_root_for,
-)
+from repro.archive.segments import load_current_segment, segment_root_for
 from repro.archive.store import ArchitectureArchive, ArchiveError
 
 L, K = 4, 7  # tiny-space geometry used throughout
@@ -175,7 +172,7 @@ class TestCompactAndBoot:
         fill(arc, 8)
         arc.compact()
         arc.close()
-        discard_segments(str(tmp_path / "arc.jsonl"))
+        shutil.rmtree(segment_root_for(str(tmp_path / "arc.jsonl")))
         reopened = make_archive(tmp_path)
         assert reopened.boot["mode"] == "log-replay"
         reopened.close()

@@ -198,7 +198,7 @@ def test_jobs4_fan_out_matches_sequential(tiny_space, tiny_predictor):
                 out.append(FleetTask(name=f"t{target:g}_s{seed}", fn=fn))
         return out
 
-    sequential = RunFleet(jobs=1, seed=0).run(tasks()).values()
-    fanned = RunFleet(jobs=4, seed=0).run(tasks()).values()
+    sequential = RunFleet(jobs=1).run(tasks()).values()
+    fanned = RunFleet(jobs=4).run(tasks()).values()
     assert sequential == fanned
     assert all(value["replays"] == 10 * 8 - 1 for value in fanned)

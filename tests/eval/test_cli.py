@@ -241,7 +241,7 @@ class TestFleetCalibrate:
         output = tmp_path / "maps.json"
         assert main(["fleet", "calibrate", "--tiny",
                      "--fleet", "phone=2", "--calibration", "30",
-                     "--jobs", "2", "--output", str(output)]) == 0
+                     "--output", str(output)]) == 0
         out = capsys.readouterr().out
         assert "proxy transfer maps" in out
         with open(output) as handle:
@@ -284,14 +284,12 @@ class TestCountFlags:
          "--epochs", "1", "--jobs", "0"],
         ["sweep", "--tiny", "--targets", "2.0", "--epochs", "1",
          "--jobs", "-1"],
-        ["fleet", "calibrate", "--tiny", "--fleet", "phone=1",
-         "--jobs", "0"],
         ["search", "--tiny", "--target", "2.3", "--epochs", "1",
          "--checkpoint-dir", "{tmp}", "--checkpoint-every", "0"],
         ["sweep", "--tiny", "--targets", "2.0", "--epochs", "1",
          "--checkpoint-dir", "{tmp}", "--checkpoint-every", "-2"],
-    ], ids=["stability-jobs", "sweep-jobs", "calibrate-jobs",
-            "search-checkpoint-every", "sweep-checkpoint-every"])
+    ], ids=["stability-jobs", "sweep-jobs", "search-checkpoint-every",
+            "sweep-checkpoint-every"])
     def test_nonpositive_count_exits_naming_the_flag(self, argv, capsys,
                                                       tmp_path):
         """Regression: --jobs 0 raised ValueError from RunFleet and

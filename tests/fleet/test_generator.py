@@ -12,9 +12,7 @@ from repro.fleet import (
     generate_device,
     generate_fleet,
     parse_fleet_name,
-    register_family,
 )
-from repro.fleet.generator import PROXY
 from repro.hardware.device import resolve_device
 from repro.hardware.latency import LatencyModel
 
@@ -119,23 +117,3 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="batch_size"):
             FamilySpec(name="bad", description="", batch_size=0,
                        speed=(1.0, 2.0))
-
-    def test_register_family(self):
-        spec = FamilySpec(name="tpu-pod", description="test-only",
-                          batch_size=4, speed=(0.1, 0.2))
-        register_family(spec)
-        try:
-            device = resolve_device("tpu-pod-00")
-            assert device.batch_size == 4
-            # speed < 1 means faster than the proxy (per inference)
-            assert device.peak_macs_per_ms / device.batch_size > \
-                PROXY.peak_macs_per_ms / PROXY.batch_size
-            with pytest.raises(ValueError, match="already registered"):
-                register_family(spec)
-        finally:
-            del FLEET_FAMILIES["tpu-pod"]
-
-    def test_register_family_rejects_bad_names(self):
-        with pytest.raises(ValueError, match="lowercase"):
-            register_family(FamilySpec(name="Bad_Name", description="",
-                                       batch_size=1, speed=(1.0, 2.0)))

@@ -150,15 +150,6 @@ class TestProxyTransfer:
         assert transferred.min() > 0.5 * truth.min()
         assert transferred.max() < 2.0 * truth.max()
 
-    def test_predict_device_composes(self, calibrated, tiny_space):
-        proxy, fleet, transfer = calibrated
-        ops = tiny_space.sample_indices(8, np.random.default_rng(5))
-        name = fleet[0].name
-        direct = transfer.transfer_many(name,
-                                        proxy.predict_population(ops))
-        assert np.array_equal(
-            transfer.predict_device(name, proxy, ops), direct)
-
     def test_unknown_device_names_calibrated_ones(self, calibrated):
         _, _, transfer = calibrated
         with pytest.raises(ValueError, match="phone-00"):

@@ -64,14 +64,6 @@ class TestEnergyMeter:
         lag1 = np.corrcoef(residuals[:-1], residuals[1:])[0, 1]
         assert lag1 > 0.5
 
-    def test_reset_clears_drift(self, full_space, full_energy_model):
-        meter = EnergyMeter(full_energy_model, np.random.default_rng(3))
-        arch = Architecture((1,) * 21)
-        for _ in range(100):
-            meter.measure(arch)
-        meter.reset()
-        assert meter._drift == 0.0
-
     def test_measure_many(self, full_space, full_energy_model, rng):
         meter = EnergyMeter(full_energy_model, np.random.default_rng(4))
         archs = full_space.sample_many(5, rng)

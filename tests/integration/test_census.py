@@ -19,10 +19,13 @@ string).  These do not count:
 
 A module is used when its name is, or when one of its definitions is.
 
-Code that only tests reach is code to delete.  The allowlist holds the
-names that a test keeps as its reference implementation, the hooks the
-standard library calls by name, and the known test-only names not yet
-deleted, each with the tests that reach it.
+Code that only tests reach is code to delete.  The allowlist holds only
+the names that a test keeps as its reference implementation, each with
+the tests that compare against it, and the hooks the standard library
+calls by name.
+
+A second walk checks imports: a name that a module imports and no code in
+that module reads is flagged too.
 """
 
 from __future__ import annotations
@@ -55,16 +58,6 @@ ALLOWED = {
     "_Handler.do_POST": "http.server dispatches on the request method",
     "_Handler.log_message": "http.server's logging hook",
     "_ReusePortHTTPServer.server_bind": "socketserver's bind hook",
-    # Reached only by tests, not yet deleted: the next ones to go.
-    "discard_segments": "tests/archive/test_segments.py",
-    "register_family": "tests/fleet/test_generator.py",
-    "ProxyTransfer.predict_device": "tests/fleet/test_transfer.py",
-    "EnergyMeter.reset": "tests/hardware/test_energy.py",
-    "collect_energy_dataset_sharded": "tests/runtime/test_parallel.py",
-    "Identity": "tests/nn/test_modules.py",
-    "ReLU": "tests/nn/test_modules.py, tests/nn/test_plan.py, "
-            "tests/nn/test_optim.py",
-    "Flatten": "tests/nn/test_modules.py",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -221,3 +214,65 @@ def test_allowlist_is_current():
     flagged = {entry.partition(":")[2] for entry in _census()}
     stale = sorted(set(ALLOWED) - flagged)
     assert not stale, f"no longer need an allowlist entry: {stale}"
+
+
+def _annotation_names(tree: ast.Module) -> Iterator[str]:
+    """Names read inside string annotations (``-> "PredictorDataset"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield from _WORD.findall(sub.value)
+
+
+def _unused_imports(path: Path) -> List[str]:
+    """``line: name`` for each name the module imports and never reads.
+
+    A read is a bare name anywhere in the module's code, a name in a
+    string annotation, or an entry of ``__all__`` (a deliberate
+    re-export).  An import line marked ``# noqa: F401`` is kept on
+    purpose.
+    """
+    text = path.read_text()
+    tree = ast.parse(text, filename=str(path))
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(_annotation_names(tree))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(elt.value for elt in ast.walk(node.value)
+                        if isinstance(elt, ast.Constant))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.partition(".")[0]
+            marked = {node.lineno, getattr(alias, "lineno", node.lineno)}
+            if bound in read or any("noqa: F401" in lines[line - 1]
+                                    for line in marked):
+                continue
+            unused.append(f"{alias.lineno}: {bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    """Package ``__init__`` files only re-export, so they are skipped."""
+    flagged = [f"{path.relative_to(ROOT)}:{entry}"
+               for path in sorted(PACKAGE.rglob("*.py"))
+               if path.name != "__init__.py"
+               for entry in _unused_imports(path)]
+    assert not flagged, ("imported but never read; delete the import, or "
+                         "mark a deliberate one `# noqa: F401`:\n  "
+                         + "\n  ".join(flagged))

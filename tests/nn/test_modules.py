@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import Tensor
+from repro.nn import Tensor, ops
+
+
+class ReLU(nn.Module):
+    """Test-local activation module around ``ops.relu``."""
+
+    def forward(self, x):
+        return ops.relu(x)
 
 
 @pytest.fixture
@@ -14,7 +21,7 @@ def rng():
 
 class TestModuleRegistration:
     def test_parameters_recursive(self, rng):
-        model = nn.Sequential(nn.Linear(4, 8, rng), nn.ReLU(), nn.Linear(8, 2, rng))
+        model = nn.Sequential(nn.Linear(4, 8, rng), ReLU(), nn.Linear(8, 2, rng))
         # 2 weights + 2 biases
         assert len(model.parameters()) == 4
 
@@ -163,22 +170,14 @@ class TestSqueezeExcite:
 
 
 class TestContainersAndPooling:
-    def test_identity(self):
-        x = Tensor(np.ones((2, 2)))
-        assert nn.Identity()(x) is x
-
     def test_global_avg_pool(self):
         x = np.arange(16.0).reshape(1, 2, 2, 4)
         out = nn.GlobalAvgPool()(Tensor(x)).data
         assert out.shape == (1, 2)
         assert np.allclose(out[0], [x[0, 0].mean(), x[0, 1].mean()])
 
-    def test_flatten(self):
-        out = nn.Flatten()(Tensor(np.zeros((3, 2, 2, 2))))
-        assert out.shape == (3, 8)
-
     def test_sequential_iteration_and_indexing(self, rng):
-        a, b = nn.ReLU(), nn.ReLU6()
+        a, b = ReLU(), nn.ReLU6()
         seq = nn.Sequential(a, b)
         assert len(seq) == 2
         assert seq[0] is a

@@ -4,16 +4,9 @@ import os
 import signal
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.lightnas import LightNAS, LightNASConfig
-from repro.fleet import ProxyTransfer, generate_fleet
-from repro.predictor.dataset import (
-    campaign_shards,
-    collect_energy_dataset_sharded,
-    collect_latency_dataset_sharded,
-)
 from repro.runtime.parallel import (
     FleetTask,
     RunFleet,
@@ -66,20 +59,10 @@ def search_tasks(space, predictor, targets, seeds=(0,)):
 
 class TestFleetBasics:
     def test_values_in_task_order(self):
-        fleet = RunFleet(jobs=1, seed=0)
+        fleet = RunFleet(jobs=1)
         tasks = [FleetTask(name=f"t{i}", fn=lambda ctx, i=i: i * i)
                  for i in range(5)]
         assert fleet.run(tasks).values() == [0, 1, 4, 9, 16]
-
-    def test_task_rng_is_spawned_per_index(self):
-        fleet = RunFleet(jobs=1, seed=42)
-        tasks = [FleetTask(name=f"t{i}",
-                           fn=lambda ctx: float(ctx.rng.random()))
-                 for i in range(3)]
-        values = fleet.run(tasks).values()
-        expected = [float(np.random.default_rng([42, i]).random())
-                    for i in range(3)]
-        assert values == expected
 
     def test_rejects_duplicate_task_names(self):
         fleet = RunFleet(jobs=1)
@@ -95,7 +78,7 @@ class TestFleetBasics:
         def boom(ctx):
             raise ValueError("deterministic bug")
 
-        fleet = RunFleet(jobs=1, seed=0)
+        fleet = RunFleet(jobs=1)
         report = fleet.run([FleetTask(name="boom", fn=boom),
                             FleetTask(name="fine", fn=lambda ctx: "ok")])
         bad, good = report.results
@@ -108,7 +91,7 @@ class TestFleetBasics:
             report.values()
 
     def test_stats_shape(self):
-        fleet = RunFleet(jobs=1, seed=0)
+        fleet = RunFleet(jobs=1)
         report = fleet.run([FleetTask(name="t", fn=lambda ctx: None)])
         for key in ("jobs", "tasks", "completed", "failed", "cancelled",
                     "retries", "workers_spawned", "wall_s", "task_wall_s",
@@ -122,10 +105,10 @@ class TestFleetBasics:
     def test_forked_values_match_inline(self):
         tasks = lambda: [  # noqa: E731 - tiny local factory
             FleetTask(name=f"t{i}",
-                      fn=lambda ctx, i=i: (i, float(ctx.rng.random())))
+                      fn=lambda ctx: (ctx.index, ctx.index ** 2 / 7))
             for i in range(6)]
-        inline = RunFleet(jobs=1, seed=7).run(tasks()).values()
-        forked = RunFleet(jobs=3, seed=7).run(tasks()).values()
+        inline = RunFleet(jobs=1).run(tasks()).values()
+        forked = RunFleet(jobs=3).run(tasks()).values()
         assert inline == forked
 
 
@@ -135,9 +118,9 @@ class TestFleetParity:
 
     def test_sweep_parity(self, tiny_space, tiny_predictor):
         targets = (2.0, 2.4, 2.8)
-        sequential = RunFleet(jobs=1, seed=0).run(
+        sequential = RunFleet(jobs=1).run(
             search_tasks(tiny_space, tiny_predictor, targets)).values()
-        fanned = RunFleet(jobs=4, seed=0).run(
+        fanned = RunFleet(jobs=4).run(
             search_tasks(tiny_space, tiny_predictor, targets)).values()
         assert sequential == fanned  # archs, metrics AND trajectories
 
@@ -147,7 +130,7 @@ class TestFleetParity:
 
         def run_with(jobs, name):
             journal = RunJournal(str(tmp_path / name))
-            fleet = RunFleet(jobs=jobs, seed=0, journal=journal)
+            fleet = RunFleet(jobs=jobs, journal=journal)
             values = fleet.run(search_tasks(tiny_space, tiny_predictor,
                                             targets, seeds)).values()
             journal.close()
@@ -164,7 +147,7 @@ class TestFleetParity:
     def test_journal_attribution_and_fleet_summary(self, tiny_space,
                                                    tiny_predictor, tmp_path):
         journal = RunJournal(str(tmp_path / "fleet.jsonl"))
-        fleet = RunFleet(jobs=2, seed=0, journal=journal)
+        fleet = RunFleet(jobs=2, journal=journal)
         report = fleet.run(search_tasks(tiny_space, tiny_predictor,
                                         (2.0, 2.5)))
         journal.close()
@@ -183,62 +166,12 @@ class TestFleetParity:
         assert digest["stats"] == report.stats
         assert digest["phase_timers"]  # aggregated across both tasks
 
-    def test_sharded_campaign_parity(self, tiny_latency_model,
-                                     tiny_energy_model):
-        sequential = collect_latency_dataset_sharded(
-            tiny_latency_model, 600, 5, shard_size=100)
-        fanned = collect_latency_dataset_sharded(
-            tiny_latency_model, 600, 5, shard_size=100,
-            fleet=RunFleet(jobs=4, seed=0))
-        assert np.array_equal(sequential.features, fanned.features)
-        assert np.array_equal(sequential.targets, fanned.targets)
-
-        seq_energy = collect_energy_dataset_sharded(
-            tiny_energy_model, 300, 5, shard_size=80)
-        par_energy = collect_energy_dataset_sharded(
-            tiny_energy_model, 300, 5, shard_size=80,
-            fleet=RunFleet(jobs=3, seed=0))
-        assert np.array_equal(seq_energy.targets, par_energy.targets)
-
-    def test_calibrate_parity(self, tiny_space, tiny_latency_model,
-                              tiny_predictor):
-        devices = generate_fleet("phone", 2) + generate_fleet("mcu", 2)
-        sequential = ProxyTransfer.calibrate(
-            tiny_predictor, tiny_space, devices, num_samples=40, seed=0)
-        fanned = ProxyTransfer.calibrate(
-            tiny_predictor, tiny_space, devices, num_samples=40, seed=0,
-            fleet=RunFleet(jobs=4, seed=0))
-        assert sequential.to_payload() == fanned.to_payload()
-
-
-class TestShardLayout:
-    def test_campaign_shards_cover_exactly(self):
-        assert campaign_shards(10, 4) == [(0, 4), (1, 4), (2, 2)]
-        assert campaign_shards(3, 100) == [(0, 3)]
-        assert sum(c for _, c in campaign_shards(4001, 250)) == 4001
-
-    def test_campaign_shards_validate(self):
-        with pytest.raises(ValueError):
-            campaign_shards(0, 10)
-        with pytest.raises(ValueError):
-            campaign_shards(10, 0)
-
-    def test_shard_layout_is_jobs_invariant(self, tiny_latency_model):
-        # the dataset depends on shard_size (part of the layout), never on
-        # who executes the shards
-        a = collect_latency_dataset_sharded(tiny_latency_model, 200, 9,
-                                            shard_size=50)
-        b = collect_latency_dataset_sharded(tiny_latency_model, 200, 9,
-                                            shard_size=50,
-                                            fleet=RunFleet(jobs=1))
-        assert np.array_equal(a.targets, b.targets)
-
 
 @needs_fork
 class TestFleetFaults:
     def test_sigkill_mid_task_retried_once(self, tmp_path):
         journal = RunJournal(str(tmp_path / "faults.jsonl"))
-        fleet = RunFleet(jobs=2, seed=0, journal=journal)
+        fleet = RunFleet(jobs=2, journal=journal)
 
         def victim(ctx):
             if ctx.attempt == 0 and ctx.in_worker:
@@ -273,7 +206,7 @@ class TestFleetFaults:
                 os.kill(os.getpid(), signal.SIGKILL)
             return "unreachable"
 
-        fleet = RunFleet(jobs=2, seed=0)
+        fleet = RunFleet(jobs=2)
         report = fleet.run([
             FleetTask(name="doomed", fn=always_dies),
             FleetTask(name="fine", fn=lambda ctx: "ok"),
@@ -292,7 +225,7 @@ class TestFleetFaults:
                 time.sleep(30)
             return "recovered"
 
-        fleet = RunFleet(jobs=2, seed=0, task_timeout=1.0)
+        fleet = RunFleet(jobs=2, task_timeout=1.0)
         report = fleet.run([FleetTask(name="hang", fn=hangs_once)])
         assert report.values() == ["recovered"]
         assert report.results[0].retries == 1
