@@ -20,7 +20,7 @@ from conftest import emit
 from repro import nn
 from repro.baselines.gradient import FBNetSearch, GradientNASConfig
 from repro.core.lambda_opt import LagrangeMultiplier
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNASConfig, run_grid
 from repro.experiments.reporting import render_table, save_json
 
 TARGETS = (20.0, 26.0)
@@ -29,14 +29,20 @@ LAMBDA_GRID = (0.001, 0.002, 0.004, 0.008, 0.015, 0.03, 0.06, 0.12)
 
 
 def test_ablation_learned_vs_fixed_lambda(ctx, benchmark):
+    # learned λ: one run per target, plus the μ-damping pair below (default
+    # μ vs pure dual ascent)
+    configs = [LightNASConfig.paper(target, space=ctx.space, seed=0,
+                                    epochs=60, steps_per_epoch=40)
+               for target in TARGETS] + [
+        LightNASConfig.paper(24.0, space=ctx.space, seed=3, epochs=50,
+                             steps_per_epoch=30, penalty_mu=mu)
+        for mu in (1.0, 0.0)]
+    *learned, res_mu, res_pure = run_grid(
+        configs, ctx.latency_predictor,
+        names=[f"target_{t:g}" for t in TARGETS] + ["mu_1", "mu_0"]).values()
     rows = []
     fixed_runs_needed = []
-    for target in TARGETS:
-        # learned λ: one run
-        result = LightNAS(
-            LightNASConfig.paper(target, space=ctx.space, seed=0,
-                                 epochs=60, steps_per_epoch=40),
-            predictor=ctx.latency_predictor).search()
+    for target, result in zip(TARGETS, learned):
         ours_error = abs(ctx.latency_model.latency_ms(result.architecture)
                          - target)
 
@@ -76,14 +82,6 @@ def test_ablation_learned_vs_fixed_lambda(ctx, benchmark):
     assert min(fixed_runs_needed) >= 3  # the §2.2 trial-and-error
 
     # μ-damping sanity: default μ is at least as accurate as pure dual ascent
-    res_mu = LightNAS(
-        LightNASConfig.paper(24.0, space=ctx.space, seed=3, epochs=50,
-                             steps_per_epoch=30),
-        predictor=ctx.latency_predictor).search()
-    res_pure = LightNAS(
-        LightNASConfig.paper(24.0, space=ctx.space, seed=3, epochs=50,
-                             steps_per_epoch=30, penalty_mu=0.0),
-        predictor=ctx.latency_predictor).search()
     err_mu = abs(ctx.latency_model.latency_ms(res_mu.architecture) - 24.0)
     err_pure = abs(ctx.latency_model.latency_ms(res_pure.architecture) - 24.0)
     assert err_mu <= err_pure + 0.5

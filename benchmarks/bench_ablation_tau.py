@@ -14,21 +14,11 @@ import numpy as np
 from conftest import emit
 from repro import nn
 from repro.core.gumbel import GumbelSampler, TemperatureSchedule
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNASConfig, run_grid
 from repro.experiments.reporting import render_table, save_json
 
 TARGET = 24.0
 SEEDS = (0, 1, 2)
-
-
-def run_with_schedule(ctx, tau_initial, tau_floor, seed):
-    config = LightNASConfig.paper(TARGET, space=ctx.space, seed=seed,
-                                  epochs=50, steps_per_epoch=30,
-                                  tau_initial=tau_initial, tau_floor=tau_floor)
-    result = LightNAS(config, predictor=ctx.latency_predictor).search()
-    error = abs(ctx.latency_model.latency_ms(result.architecture) - TARGET)
-    top1 = ctx.oracle.evaluate(result.architecture).top1
-    return error, top1
 
 
 def test_ablation_tau_schedule(ctx, benchmark):
@@ -37,14 +27,23 @@ def test_ablation_tau_schedule(ctx, benchmark):
         "frozen hot τ=5": (5.0, 4.999),
         "frozen cold τ=0.1": (0.10001, 0.1),
     }
+    grid = [(name, seed) for name in schedules for seed in SEEDS]
+    configs = [LightNASConfig.paper(TARGET, space=ctx.space, seed=seed,
+                                    epochs=50, steps_per_epoch=30,
+                                    tau_initial=schedules[name][0],
+                                    tau_floor=schedules[name][1])
+               for name, seed in grid]
+    results = run_grid(configs, ctx.latency_predictor,
+                       names=[f"{name}_seed_{seed}"
+                              for name, seed in grid]).values()
     rows = []
     summary = {}
-    for name, (t0, tf) in schedules.items():
-        errors, tops = [], []
-        for seed in SEEDS:
-            error, top1 = run_with_schedule(ctx, t0, tf, seed)
-            errors.append(error)
-            tops.append(top1)
+    for name in schedules:
+        archs = [result.architecture
+                 for (run, _), result in zip(grid, results) if run == name]
+        errors = [abs(ctx.latency_model.latency_ms(arch) - TARGET)
+                  for arch in archs]
+        tops = [ctx.oracle.evaluate(arch).top1 for arch in archs]
         summary[name] = (float(np.mean(errors)), float(np.mean(tops)))
         rows.append([name, np.mean(errors), np.max(errors), np.mean(tops)])
 

@@ -16,7 +16,7 @@ The timed kernel is one analytic-predictor inference (exact and cheap).
 import numpy as np
 
 from conftest import emit
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNASConfig, run_grid
 from repro.core.multi_objective import (
     Constraint,
     MultiConstraintConfig,
@@ -35,10 +35,11 @@ def test_ext_constraint_generality(ctx, benchmark):
     rows = []
 
     achieved = []
-    for target in MACS_TARGETS:
-        config = LightNASConfig.paper(target, space=ctx.space, seed=0,
-                                      metric_name="macs_m")
-        result = LightNAS(config, predictor=macs_predictor).search()
+    configs = [LightNASConfig.paper(target, space=ctx.space, seed=0,
+                                    metric_name="macs_m")
+               for target in MACS_TARGETS]
+    results = run_grid(configs, macs_predictor).values()
+    for target, result in zip(MACS_TARGETS, results):
         macs = count_macs(ctx.space, result.architecture) / 1e6
         top1 = ctx.oracle.evaluate(result.architecture).top1
         achieved.append(macs)

@@ -14,7 +14,7 @@ The timed kernel is architecture derivation from α (Eq. 4).
 import numpy as np
 
 from conftest import emit
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNASConfig, run_grid
 from repro.experiments.reporting import render_table, save_json
 from repro.search_space.space import Architecture
 
@@ -36,9 +36,10 @@ def summarize(space, arch):
 def test_fig6_lightnet_structures(ctx, lightnets, benchmark):
     rows = []
     summaries = {}
-    for target in TIGHT_TARGETS:
-        config = LightNASConfig.paper(target, space=ctx.space, seed=1)
-        result = LightNAS(config, predictor=ctx.latency_predictor).search()
+    configs = [LightNASConfig.paper(target, space=ctx.space, seed=1)
+               for target in TIGHT_TARGETS]
+    results = run_grid(configs, ctx.latency_predictor).values()
+    for target, result in zip(TIGHT_TARGETS, results):
         summaries[target] = summarize(ctx.space, result.architecture)
         summaries[target]["latency"] = ctx.latency_model.latency_ms(
             result.architecture)

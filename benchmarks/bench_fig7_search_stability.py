@@ -12,43 +12,27 @@ The timed kernel is one full α/λ update step of the search engine.
 import numpy as np
 
 from conftest import emit
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNAS, LightNASConfig, run_grid
 from repro.experiments.reporting import ascii_series, render_table, save_json
-from repro.runtime.parallel import FleetTask, RunFleet
 
 TARGETS = (20.0, 24.0, 28.0)
 SEEDS = (0, 1, 2)
 
 
-def _stability_task(ctx, target: float, seed: int) -> FleetTask:
-    # one independent (target, seed) search per task; the shared predictor
-    # is captured pre-fork, only (final, trajectory) comes back
-    def fn(task_ctx):
-        config = LightNASConfig.paper(target, space=ctx.space, seed=seed,
-                                      epochs=60, steps_per_epoch=40)
-        result = LightNAS(config, predictor=ctx.latency_predictor).search()
-        return {
-            "final": ctx.latency_model.latency_ms(result.architecture),
-            "trajectory": list(result.trajectory.predicted_metric),
-        }
-
-    return FleetTask(name=f"target_{target:g}_seed_{seed}", fn=fn,
-                     header={"target": target, "seed": seed})
-
-
 def test_fig7_stability_across_seeds(ctx, jobs, benchmark):
-    fleet = RunFleet(jobs=jobs)
-    grid = [(target, seed) for target in TARGETS for seed in SEEDS]
-    values = fleet.run([_stability_task(ctx, target, seed)
-                        for target, seed in grid]).values()
-    by_target = {target: [v for (t, _), v in zip(grid, values)
-                          if t == target] for target in TARGETS}
+    # one independent (target, seed) search each
+    configs = [LightNASConfig.paper(target, space=ctx.space, seed=seed,
+                                    epochs=60, steps_per_epoch=40)
+               for target in TARGETS for seed in SEEDS]
+    results = run_grid(configs, ctx.latency_predictor, jobs=jobs).values()
 
     rows = []
     series = {}
     for target in TARGETS:
-        finals = [v["final"] for v in by_target[target]]
-        trajectories = [v["trajectory"] for v in by_target[target]]
+        runs = [result for config, result in zip(configs, results)
+                if config.target == target]
+        finals = [ctx.latency_model.latency_ms(r.architecture) for r in runs]
+        trajectories = [r.trajectory.predicted_metric for r in runs]
         mean_traj = np.mean(np.array(trajectories), axis=0)
         series[target] = mean_traj.tolist()
         rows.append([f"{target:.0f} ms",

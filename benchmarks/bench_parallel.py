@@ -5,8 +5,21 @@ across forked workers must be (1) **bit-identical** to the sequential run
 and (2) actually faster on multi-core hosts.  This benchmark measures both
 on the search grids the executor serves:
 
-* **sweep** — one LightNAS search per latency target (the gated workload);
-* **stability** — a (targets × seeds) multi-seed campaign.
+* **sweep** — one LightNAS search per latency target on the paper space,
+  the space ``repro sweep``/``stability`` search by default (the gated
+  workload, 32 targets);
+* **stability** — a (targets × seeds) multi-seed campaign on the tiny
+  space (reported, not gated).
+
+Both run through ``run_grid``, which stacks each worker's share of the
+grid (the whole grid at jobs=1) into one α-step.  A stacked step costs
+little more for S slots than for one until the per-slot work dominates
+the per-step dispatch: on a 2-CPU VM a 4-slot tiny-space grid took
+0.13–0.19 s against 0.12–0.14 s for one slot, so no split of it can be
+much faster than jobs=1, while a 16-slot paper-space grid took 0.82–0.86 s
+against 0.59–0.60 s over 2 workers.  The gated sweep is therefore a
+paper-space grid large enough for its shares to be real work; the small
+tiny-space stability grid shows what ``--jobs`` costs when they are not.
 
 Each workload runs every jobs level once per round, for ``ROUNDS`` rounds,
 in an order that reverses every round, and each result is compared against
@@ -30,8 +43,8 @@ cores, not by the jobs count, so the speedup gates are **core-aware**:
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
-    PYTHONPATH=src python benchmarks/bench_parallel.py --targets 4 \
-        --epochs 30 --steps 20 --check     # CI smoke
+    PYTHONPATH=src python benchmarks/bench_parallel.py --epochs 30 \
+        --steps 20 --check                  # CI smoke
 """
 
 from __future__ import annotations
@@ -42,15 +55,17 @@ import os
 import statistics
 import time
 
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNASConfig, run_grid
 from repro.experiments.shared import fit_latency_predictor
 from repro.hardware.latency import LatencyModel
-from repro.runtime.parallel import FleetTask, RunFleet
 from repro.search_space.macro import MacroConfig
 from repro.search_space.space import SearchSpace
 
-#: Tiny-space latency targets for the sweep workload (ms).
-_SWEEP_TARGETS = (1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0, 3.2)
+#: Paper-space latency targets for the sweep workload (ms).
+_SWEEP_TARGETS = tuple(18.0 + 0.5 * i for i in range(32))
+
+#: Tiny-space latency targets for the stability workload (ms).
+_STABILITY_TARGETS = (1.8, 2.0)
 
 #: Timed rounds per workload; each round runs every jobs level once.
 ROUNDS = 5
@@ -61,61 +76,28 @@ def _jobs_grid(cores: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# Workloads: each returns a fresh task list (tasks are rebuilt per jobs
-# level so no state can leak between timed runs)
+# Workloads: search grids, each worker's share stacked into one α-step
 # ----------------------------------------------------------------------
 
-def sweep_tasks(space, predictor, targets, epochs, steps):
-    configs = [LightNASConfig.paper(target, space=space, seed=0,
-                                    epochs=epochs, steps_per_epoch=steps)
-               for target in targets]
-
-    def make(config):
-        def fn(ctx):
-            result = LightNAS(config, predictor=predictor).search()
-            return {
-                "target": config.target,
-                "arch": list(result.architecture.op_indices),
-                "predicted": float(result.predicted_metric),
-                "trajectory": list(result.trajectory.predicted_metric),
-            }
-
-        return FleetTask(name=f"target_{config.target:g}", fn=fn,
-                         header={"target": config.target})
-
-    return [make(config) for config in configs]
+def grid_configs(space, targets, seeds, epochs, steps):
+    return [LightNASConfig.paper(target, space=space, seed=seed,
+                                 epochs=epochs, steps_per_epoch=steps)
+            for target in targets for seed in seeds]
 
 
-def stability_tasks(space, predictor, targets, seeds, epochs, steps):
-    grid = [(target, seed) for target in targets for seed in seeds]
-
-    def make(target, seed):
-        def fn(ctx):
-            config = LightNASConfig.paper(target, space=space, seed=seed,
-                                          epochs=epochs,
-                                          steps_per_epoch=steps)
-            result = LightNAS(config, predictor=predictor).search()
-            return {
-                "target": target, "seed": seed,
-                "arch": list(result.architecture.op_indices),
-                "predicted": float(result.predicted_metric),
-            }
-
-        return FleetTask(name=f"target_{target:g}_seed_{seed}", fn=fn,
-                         header={"target": target, "seed": seed})
-
-    return [make(target, seed) for target, seed in grid]
-
-
-def timed_fleet(make_tasks, jobs: int):
-    fleet = RunFleet(jobs=jobs)
+def timed_grid(configs, predictor, jobs: int):
     start = time.perf_counter()
-    report = fleet.run(make_tasks())
+    report = run_grid(configs, predictor, jobs=jobs)
     wall = time.perf_counter() - start
-    return report.values(), wall, report.stats
+    values = [{"target": result.target,
+               "arch": list(result.architecture.op_indices),
+               "predicted": float(result.predicted_metric),
+               "trajectory": list(result.trajectory.predicted_metric)}
+              for result in report.values()]
+    return values, wall, report.stats
 
 
-def run_workload(name: str, make_tasks, jobs_grid) -> dict:
+def run_workload(name: str, configs, predictor, jobs_grid) -> dict:
     """Time one workload over ``ROUNDS`` rounds of the jobs grid, reversing
     the order every round; assert parity vs the first jobs=1 result."""
     reference = None
@@ -125,7 +107,7 @@ def run_workload(name: str, make_tasks, jobs_grid) -> dict:
     for round_index in range(ROUNDS):
         order = jobs_grid if round_index % 2 == 0 else jobs_grid[::-1]
         for jobs in order:
-            values, wall, stats = timed_fleet(make_tasks, jobs)
+            values, wall, stats = timed_grid(configs, predictor, jobs)
             # canonicalise through JSON so tuples/lists compare
             # structurally; floats must round-trip bit-exactly
             canon = json.loads(json.dumps(values))
@@ -163,10 +145,11 @@ def run_workload(name: str, make_tasks, jobs_grid) -> dict:
 def run(args) -> dict:
     cores = os.cpu_count() or 1
     jobs_grid = _jobs_grid(cores)
-    space = SearchSpace(MacroConfig.tiny())
-    latency_model = LatencyModel(space)
-    predictor, _ = fit_latency_predictor(space, latency_model,
-                                         num_samples=1500)
+    paper = SearchSpace()
+    paper_predictor, _ = fit_latency_predictor(paper, LatencyModel(paper))
+    tiny = SearchSpace(MacroConfig.tiny())
+    tiny_predictor, _ = fit_latency_predictor(tiny, LatencyModel(tiny),
+                                              num_samples=1500)
     targets = _SWEEP_TARGETS[:args.targets]
     seeds = tuple(range(args.seeds))
 
@@ -175,18 +158,15 @@ def run(args) -> dict:
 
     # --- sweep (the gated workload) ---------------------------------
     workloads["sweep"] = run_workload(
-        "sweep",
-        lambda: sweep_tasks(space, predictor, targets,
-                            args.epochs, args.steps),
-        jobs_grid)
+        "sweep", grid_configs(paper, targets, (0,), args.epochs, args.steps),
+        paper_predictor, jobs_grid)
 
     # --- stability ---------------------------------------------------
     workloads["stability"] = run_workload(
         "stability",
-        lambda: stability_tasks(space, predictor, targets[:2], seeds,
-                                max(10, args.epochs // 2),
-                                max(10, args.steps // 2)),
-        jobs_grid)
+        grid_configs(tiny, _STABILITY_TARGETS, seeds,
+                     max(10, args.epochs // 2), max(10, args.steps // 2)),
+        tiny_predictor, jobs_grid)
 
     # --- core-aware gates -------------------------------------------
     sweep_levels = workloads["sweep"]["jobs"]
@@ -251,8 +231,8 @@ def run(args) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--targets", type=int, default=4,
-                        help="sweep targets (max 8, default 4)")
+    parser.add_argument("--targets", type=int, default=32,
+                        help="sweep targets (max 32, default 32)")
     parser.add_argument("--seeds", type=int, default=2,
                         help="stability seeds per target (default 2)")
     parser.add_argument("--epochs", type=int, default=60,

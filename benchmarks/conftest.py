@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNASConfig, run_grid
 from repro.experiments.reporting import results_dir
 from repro.experiments.shared import full_context
 from repro.search_space.space import Architecture
@@ -26,9 +26,10 @@ SEARCH_SEED = 1
 def pytest_addoption(parser):
     parser.addoption(
         "--jobs", type=int, default=1,
-        help="fan the multi-run benchmark loops (Fig. 3 λ grid, Fig. 7 "
-             "seed grid) across N forked worker processes; recorded "
-             "results are bit-identical to --jobs 1")
+        help="fan the Fig. 3 λ grid and the Fig. 7 seed grid across N "
+             "forked worker processes, each running its share of the grid "
+             "as one stacked α-step (the whole grid at --jobs 1); the "
+             "recorded results are bit-identical either way")
 
 
 @pytest.fixture(scope="session")
@@ -52,11 +53,11 @@ def lightnets(ctx):
             payload = json.load(handle)
         return {float(k): Architecture(tuple(v)) for k, v in payload.items()}
 
-    searched = {}
-    for target in TABLE2_TARGETS:
-        config = LightNASConfig.paper(target, space=ctx.space, seed=SEARCH_SEED)
-        result = LightNAS(config, predictor=ctx.latency_predictor).search()
-        searched[target] = result.architecture
+    configs = [LightNASConfig.paper(target, space=ctx.space, seed=SEARCH_SEED)
+               for target in TABLE2_TARGETS]
+    results = run_grid(configs, ctx.latency_predictor).values()
+    searched = {target: result.architecture
+                for target, result in zip(TABLE2_TARGETS, results)}
     os.makedirs(os.path.dirname(cache_file), exist_ok=True)
     with open(cache_file, "w") as handle:
         json.dump({str(k): list(v.op_indices) for k, v in searched.items()},

@@ -7,7 +7,7 @@ classification backbones transfer to better detectors, and LightNets reach
 comparable AP at lower detection latency.
 """
 
-from repro import LightNAS, LightNASConfig
+from repro import LightNASConfig, run_grid
 from repro.baselines import ScalingBaseline
 from repro.eval import DetectionEvaluator
 from repro.experiments import full_context, render_table
@@ -25,9 +25,10 @@ def main() -> None:
     uniform = Architecture((ScalingBaseline.UNIFORM_OP,) * ctx.space.num_layers)
     results.append(evaluator.evaluate(uniform, name="MobileNetV2"))
 
-    for target in TARGETS_MS:
-        config = LightNASConfig.paper(target, space=ctx.space, seed=1)
-        searched = LightNAS(config, predictor=ctx.latency_predictor).search()
+    configs = [LightNASConfig.paper(target, space=ctx.space, seed=1)
+               for target in TARGETS_MS]
+    searches = run_grid(configs, ctx.latency_predictor).values()
+    for target, searched in zip(TARGETS_MS, searches):
         results.append(evaluator.evaluate(searched.architecture,
                                           name=f"LightNet-{target:.0f}ms"))
         print(f"  searched backbone for {target:.0f} ms")

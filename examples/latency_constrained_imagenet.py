@@ -9,7 +9,7 @@ Reproduces the §4.2 workflow on the full search space (7^21 candidates):
    multi-adds), compared against the manual MobileNetV2 baseline.
 """
 
-from repro import LightNAS, LightNASConfig
+from repro import LightNASConfig, run_grid
 from repro.baselines import ScalingBaseline
 from repro.eval import ImageNetEvaluator
 from repro.experiments import full_context, render_table
@@ -29,9 +29,11 @@ def main() -> None:
     rows.append(["MobileNetV2 (manual)", "-", reference.top1, reference.top5,
                  reference.latency_ms, "-"])
 
-    for target in TARGETS_MS:
-        config = LightNASConfig.paper(target, space=ctx.space, seed=1)
-        result = LightNAS(config, predictor=ctx.latency_predictor).search()
+    # one search per target, run as one grid
+    configs = [LightNASConfig.paper(target, space=ctx.space, seed=1)
+               for target in TARGETS_MS]
+    results = run_grid(configs, ctx.latency_predictor).values()
+    for target, result in zip(TARGETS_MS, results):
         row = evaluator.evaluate(result.architecture,
                                  name=f"LightNet-{target:.0f}ms")
         rows.append([row.name, f"{target:.0f}", row.top1, row.top5,

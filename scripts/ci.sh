@@ -41,11 +41,15 @@ python -m pytest -x -q tests/core/test_surrogate_plan.py \
     tests/core/test_plan_op_set.py tests/nn/test_plan.py::TestInvalidation \
     tests/core/test_lightnas.py::TestSupernetSearch
 
-# A stability/sweep grid runs as one stacked α-step: every slot of a
-# SearchBatch (S = 1, 2, 4; latency, energy and MACs predictors) equals its
-# sequential search bit for bit, a 4-slot grid's journals sum to one plan
-# compile, a killed grid resumes bit-for-bit with same-epoch slots sharing a
-# batch again, and bad --targets exit naming the flag.
+# Every search grid runs through run_grid, which stacks each worker's
+# share into one α-step per shared config: every slot of a run_grid batch (S = 1, 2, 4; latency,
+# energy and MACs predictors) equals its sequential search bit for bit, a
+# 4-slot grid's journals sum to one plan compile, a grid of 3 τ schedules
+# × 2 seeds runs as three 2-slot batches
+# (test_grid_runs_one_batch_per_shared_config), a killed grid resumes
+# bit-for-bit with same-epoch slots sharing a batch again, at --jobs 2
+# each worker stacks its share of a 2 × 2 CLI grid, and bad --targets
+# exit naming the flag.
 python -m pytest -x -q tests/core/test_search_batch.py \
     tests/core/test_resume_parity.py::TestGridResumeParity \
     tests/eval/test_cli.py::TestSweep tests/eval/test_cli.py::TestStability
@@ -77,18 +81,18 @@ python benchmarks/bench_nn_engine.py --steps 8 --repeat 2 --check
 python benchmarks/bench_step_replay.py --check
 
 # The run-fleet executor's contracts get a named run: the jobs=1 vs
-# jobs=4 determinism parity suite and the SIGKILL/timeout fault-injection
-# suite (a retried task must succeed with exactly one task_retry event).
+# jobs=4 determinism parity suite and the SIGKILL fault-injection suite
+# (a retried task must succeed with exactly one task_retry event).
 python -m pytest -x -q tests/runtime/test_parallel.py::TestFleetParity \
     tests/runtime/test_parallel.py::TestFleetFaults
 
-# Run-fleet benchmark at reduced size with a 2-worker floor: parity is
-# asserted at every jobs level; the speedup gates take the median of 5
-# alternating rounds (>= 1.3x at 2 jobs on >= 2-core hosts, >= 2x at 4
-# jobs on >= 4-core hosts; single-core hosts assert a bounded fork/merge
-# overhead instead); BENCH_parallel.json is a CI artifact.
-python benchmarks/bench_parallel.py --targets 4 --epochs 30 --steps 20 \
-    --check
+# Run-fleet benchmark at reduced epochs with a 2-worker floor: parity is
+# asserted at every jobs level; the speedup gates, on the 32-search
+# paper-space sweep, take the median of 5 alternating rounds (>= 1.3x at
+# 2 jobs on >= 2-core hosts, >= 2x at 4 jobs on >= 4-core hosts;
+# single-core hosts assert a bounded fork/merge overhead instead);
+# BENCH_parallel.json is a CI artifact.
+python benchmarks/bench_parallel.py --epochs 30 --steps 20 --check
 
 # The fleet subsystem's guarantees get a named run: strict-monotone
 # transfer maps (Hypothesis properties), fleet-name resolution everywhere,

@@ -38,6 +38,7 @@ __version__ = "1.0.0"
 _LAZY_EXPORTS = {
     "LightNAS": ("repro.core.lightnas", "LightNAS"),
     "LightNASConfig": ("repro.core.lightnas", "LightNASConfig"),
+    "run_grid": ("repro.core.lightnas", "run_grid"),
     "SearchResult": ("repro.core.result", "SearchResult"),
     "Architecture": ("repro.search_space.space", "Architecture"),
     "SearchSpace": ("repro.search_space.space", "SearchSpace"),
@@ -64,7 +65,7 @@ def __getattr__(name: str):
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from .archive.cache import EvalCache
     from .archive.store import ArchitectureArchive, ArchiveError
-    from .core.lightnas import LightNAS, LightNASConfig
+    from .core.lightnas import LightNAS, LightNASConfig, run_grid
     from .core.result import SearchResult
     from .runtime.checkpoint import CheckpointError
     from .runtime.telemetry import RunJournal

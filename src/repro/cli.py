@@ -7,8 +7,9 @@ Gives the library a downstream-usable surface without writing any code:
 * ``predict``   — predict all metrics for an architecture (or a batch file).
 * ``evaluate``  — Table-2-style evaluation row for an architecture.
 * ``sweep``     — one search per target; prints the comparison table
-  (at ``--jobs 1`` the searches run as one stacked α-step; ``--jobs N``
-  fans them across forked worker processes — bit-identical either way).
+  (the searches run as one stacked α-step; ``--jobs N`` splits them
+  into N shares, each stacked on its own forked worker — bit-identical
+  either way).
 * ``stability`` — Fig.-7-style multi-seed stability campaign: one search
   per (target, seed) pair, mean ± std per target (``--jobs`` as above).
 * ``serve``     — batched JSON prediction/query API over HTTP
@@ -43,7 +44,7 @@ import numpy as np
 from .archive import query as archive_query
 from .archive.store import ArchitectureArchive, ArchiveError
 from .core.lightnas import LightNAS, LightNASConfig, METRIC_ALIASES, \
-    SearchGrid
+    run_grid
 from .eval.imagenet import ImageNetEvaluator
 from .experiments.reporting import render_table
 from .experiments.shared import fit_energy_predictor, fit_latency_predictor
@@ -58,7 +59,7 @@ from .hardware.latency import LatencyModel
 from .predictor.analytic import AnalyticCostPredictor
 from .proxy.accuracy_model import AccuracyOracle
 from .runtime.checkpoint import CheckpointError, latest_checkpoint
-from .runtime.parallel import FleetTask, RunFleet, TaskFailure
+from .runtime.parallel import TaskFailure
 from .runtime.telemetry import NullJournal, RunJournal, read_journal, \
     summarize_fleet, summarize_runs
 from .search_space.macro import MacroConfig
@@ -192,45 +193,6 @@ def _resume_path(args) -> Optional[str]:
 
 def _journal(args) -> RunJournal:
     return RunJournal(args.trace) if getattr(args, "trace", "") else NullJournal()
-
-
-def _run_cli_fleet(args, tasks: List[FleetTask]) -> List:
-    """Run tasks through a :class:`RunFleet` built from the shared flags.
-
-    Returns the task values in task order.  Failures abort with a
-    ``SystemExit`` after dumping worker tracebacks to stderr; with
-    ``--jobs > 1`` a one-line pool summary goes to stderr (the full stats
-    table lives in the journal: ``repro trace-summary``).
-    """
-    journal = _journal(args)
-    fleet = RunFleet(jobs=args.jobs, journal=journal,
-                     checkpoint_root=getattr(args, "checkpoint_dir", "")
-                     or None)
-    try:
-        report = fleet.run(tasks)
-    finally:
-        journal.close()
-    if report.interrupted:
-        done = sum(1 for r in report.results if r.ok)
-        raise SystemExit(
-            f"interrupted: {done}/{len(report.results)} tasks completed")
-    try:
-        values = report.values()
-    except TaskFailure as exc:
-        for failure in report.failures():
-            if failure.traceback:
-                print(failure.traceback, file=sys.stderr)
-        raise SystemExit(f"error: {exc}")
-    stats = report.stats
-    if args.jobs > 1:
-        cpus = _usable_cpus()
-        oversubscribed = (f" (--jobs {args.jobs} exceeds the {cpus} usable "
-                          f"CPUs)" if args.jobs > cpus else "")
-        print(f"fleet: {stats['completed']}/{stats['tasks']} tasks on "
-              f"{stats['jobs']} workers, {stats['retries']} retries, "
-              f"utilization {stats['utilization'] * 100:.0f}%"
-              f"{oversubscribed}", file=sys.stderr)
-    return values
 
 
 def _usable_cpus() -> int:
@@ -384,59 +346,15 @@ def _parse_targets(args) -> List[float]:
                        name=lambda t: f"{t:g}")
 
 
-def _sweep_task(config, name: str, predictor, oracle, true_value, args,
-                grid: Optional[SearchGrid]) -> FleetTask:
-    """One search task: built in the parent, run in a worker.
-
-    Everything heavy (the fitted predictor, cost tables) is captured by
-    the closure *before* the fleet forks, so workers share it
-    copy-on-write; the task returns only a small plain-dict row.  With a
-    ``grid`` (``--jobs 1``) the search is registered there, so the grid's
-    searches run as stacked batches.
-    """
-    target = config.target
-    if grid is not None:
-        # the sub-directory name is part of the checkpoint layout contract:
-        # a jobs=1 sweep must resume a jobs=N sweep's checkpoints and back
-        grid.add(config, predictor,
-                 resume_dir=(os.path.join(args.checkpoint_dir, name)
-                             if args.resume else None))
-
-    def fn(ctx):
-        resume_from = None
-        if args.resume and ctx.checkpoint_dir:
-            resume_from = latest_checkpoint(ctx.checkpoint_dir)
-        result = LightNAS(config, predictor=predictor).search(
-            checkpoint_dir=ctx.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            resume_from=resume_from,
-            journal=ctx.journal,
-            grid=grid,
-        )
-        evaluation = oracle.evaluate(result.architecture)
-        return {
-            "target": target,
-            "seed": config.seed,
-            "true_value": true_value(result.architecture),
-            "predicted": float(result.predicted_metric),
-            "top1": evaluation.top1,
-            "top5": evaluation.top5,
-            "arch": list(result.architecture.op_indices),
-        }
-
-    return FleetTask(name=name, fn=fn, subdir=name,
-                     header={"target": target, "seed": config.seed,
-                             "metric": config.metric_name})
-
-
 def _run_grid(args, targets: List[float], seeds: List[int],
               name) -> List[dict]:
-    """One search per (target, seed), targets outer; ``name(config)`` names
-    each task and its checkpoint sub-directory.  Returns the result rows
-    in task order.
+    """One search per (target, seed), targets outer, through
+    :func:`run_grid`; ``name(config)`` names each task and its checkpoint
+    sub-directory.  Returns the result rows in task order.
 
-    With ``--jobs 1`` the searches share one :class:`SearchGrid`, so they
-    run as stacked batches; forked workers run theirs as batches of one.
+    Failures abort with a ``SystemExit`` after dumping worker tracebacks to
+    stderr; with ``--jobs > 1`` a one-line pool summary goes to stderr (the
+    full stats table lives in the journal: ``repro trace-summary``).
     """
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("error: --resume requires --checkpoint-dir")
@@ -457,18 +375,57 @@ def _run_grid(args, targets: List[float], seeds: List[int],
         # the parent, before any worker forks.
         configs = [LightNASConfig.paper(target, space=space, seed=seed,
                                         metric_name=args.metric,
-                                        compute_dtype=args.dtype,
                                         profile_ops=args.profile_ops,
                                         **overrides)
                    for target in targets for seed in seeds]
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    # the sub-directory names are part of the checkpoint layout contract:
+    # a --jobs 1 grid must resume a --jobs N grid's checkpoints and back
+    names = [name(config) for config in configs]
+    journal = _journal(args)
+    try:
+        report = run_grid(configs, predictor, jobs=args.jobs,
+                          journal=journal,
+                          checkpoint_root=args.checkpoint_dir or None,
+                          checkpoint_every=args.checkpoint_every,
+                          resume=args.resume, names=names)
+    finally:
+        journal.close()
+    if report.interrupted:
+        done = sum(1 for r in report.results if r.ok)
+        raise SystemExit(
+            f"interrupted: {done}/{len(report.results)} tasks completed")
+    try:
+        results = report.values()
+    except TaskFailure as exc:
+        for failure in report.failures():
+            if failure.traceback:
+                print(failure.traceback, file=sys.stderr)
+        raise SystemExit(f"error: {exc}")
+    stats = report.stats
+    if args.jobs > 1:
+        cpus = _usable_cpus()
+        oversubscribed = (f" (--jobs {args.jobs} exceeds the {cpus} usable "
+                          f"CPUs)" if args.jobs > cpus else "")
+        print(f"fleet: {stats['completed']}/{stats['tasks']} tasks on "
+              f"{stats['jobs']} workers, {stats['retries']} retries, "
+              f"utilization {stats['utilization'] * 100:.0f}%"
+              f"{oversubscribed}", file=sys.stderr)
     oracle = AccuracyOracle(space)
-    grid = SearchGrid() if args.jobs == 1 else None
-    tasks = [_sweep_task(config, name(config), predictor, oracle,
-                         true_value, args, grid)
-             for config in configs]
-    return _run_cli_fleet(args, tasks)
+    rows = []
+    for config, result in zip(configs, results):
+        evaluation = oracle.evaluate(result.architecture)
+        rows.append({
+            "target": config.target,
+            "seed": config.seed,
+            "true_value": true_value(result.architecture),
+            "predicted": float(result.predicted_metric),
+            "top1": evaluation.top1,
+            "top5": evaluation.top5,
+            "arch": list(result.architecture.op_indices),
+        })
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -845,12 +802,22 @@ def _parse_fleet_devices(args) -> List:
     return devices
 
 
-def _proxy_predictor(space: SearchSpace, latency_model: LatencyModel):
-    """The proxy device's campaign latency predictor (cached)."""
-    samples = 1500 if space.num_layers <= 8 else 10_000
-    predictor, _ = fit_latency_predictor(space, latency_model,
-                                         num_samples=samples)
-    return predictor
+def _proxy_transfer(args, space: SearchSpace, devices: List):
+    """The proxy device, its campaign latency predictor (cached) and its
+    transfer maps to ``devices``, calibrated on ``--calibration``
+    architectures with ``--seed``; exits on a calibration it rejects."""
+    from .fleet import ProxyTransfer
+
+    latency_model = LatencyModel(space)
+    proxy = latency_model.device
+    predictor = _metric_predictor("latency", space, latency_model, None)
+    try:
+        transfer = ProxyTransfer.calibrate(
+            predictor, space, devices, num_samples=args.calibration,
+            seed=args.seed, proxy_device=proxy.name)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    return proxy, predictor, transfer
 
 
 def cmd_fleet_list(args) -> int:
@@ -892,19 +859,11 @@ def cmd_fleet_list(args) -> int:
 
 
 def cmd_fleet_retarget(args) -> int:
-    from .fleet import ProxyTransfer, retarget_archive
+    from .fleet import retarget_archive
 
     space = _space(args)
     devices = _parse_fleet_devices(args)
-    latency_model = LatencyModel(space)
-    proxy = latency_model.device
-    predictor = _proxy_predictor(space, latency_model)
-    try:
-        transfer = ProxyTransfer.calibrate(
-            predictor, space, devices, num_samples=args.calibration,
-            seed=args.seed, proxy_device=proxy.name)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    _, predictor, transfer = _proxy_transfer(args, space, devices)
     try:
         archive = ArchitectureArchive(args.archive, space=space)
     except ArchiveError as exc:
@@ -926,19 +885,9 @@ def cmd_fleet_retarget(args) -> int:
 
 
 def cmd_fleet_calibrate(args) -> int:
-    from .fleet import ProxyTransfer
-
     space = _space(args)
     devices = _parse_fleet_devices(args)
-    latency_model = LatencyModel(space)
-    proxy = latency_model.device
-    predictor = _proxy_predictor(space, latency_model)
-    try:
-        transfer = ProxyTransfer.calibrate(
-            predictor, space, devices, num_samples=args.calibration,
-            seed=args.seed, proxy_device=proxy.name)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    proxy, _, transfer = _proxy_transfer(args, space, devices)
     rows = []
     for device in devices:
         fmap = transfer.map_for(device.name)
@@ -957,19 +906,9 @@ def cmd_fleet_calibrate(args) -> int:
 
 
 def cmd_fleet_search(args) -> int:
-    from .fleet import ProxyTransfer
-
     space = _space(args)
-    try:
-        device = resolve_device(args.device)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    latency_model = LatencyModel(space)
-    proxy = latency_model.device
-    predictor = _proxy_predictor(space, latency_model)
-    transfer = ProxyTransfer.calibrate(
-        predictor, space, [device], num_samples=args.calibration,
-        seed=args.seed, proxy_device=proxy.name)
+    device = _device(args)
+    proxy, predictor, transfer = _proxy_transfer(args, space, [device])
     fleet_map = transfer.map_for(device.name)
 
     # Strict monotonicity makes the transfer map bijective, so a latency
@@ -1043,6 +982,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--output", default="",
                           help="also write the result JSON to this path")
     p_search.add_argument("--verbose", action="store_true")
+    p_search.add_argument("--dtype", choices=("float64", "float32"),
+                          default="float64",
+                          help="supernet compute dtype, for --tiny only; "
+                               "float64 (default) keeps seeded runs "
+                               "bit-identical, float32 trades precision "
+                               "for speed.  Surrogate searches always run "
+                               "in float64 and reject float32")
     _add_runtime_flags(p_search)
     p_search.set_defaults(func=cmd_search)
 
@@ -1295,13 +1241,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", default="",
                         help="write a JSON-lines run journal to this path "
                              "(read it back with: repro trace-summary)")
-    parser.add_argument("--dtype", choices=("float64", "float32"),
-                        default="float64",
-                        help="supernet compute dtype, for 'search --tiny' "
-                             "only; float64 (default) keeps seeded runs "
-                             "bit-identical, float32 trades precision for "
-                             "speed.  Surrogate searches always run in "
-                             "float64 and reject float32")
     parser.add_argument("--profile-ops", action="store_true",
                         help="record per-op wall time in the journal epochs "
                              "(view with: repro trace-summary --ops)")

@@ -8,7 +8,7 @@ architecture satisfying a hard metric constraint in one search run.
 
 from .gumbel import GumbelSampler, TemperatureSchedule
 from .lambda_opt import LagrangeMultiplier
-from .lightnas import LightNAS, LightNASConfig, SearchBatch, SearchGrid
+from .lightnas import LightNAS, LightNASConfig, run_grid
 from .multi_objective import Constraint, MultiConstraintConfig, MultiConstraintLightNAS
 from .objective import ConstrainedObjective
 from .result import SearchResult, SearchTrajectory
@@ -20,8 +20,7 @@ __all__ = [
     "ConstrainedObjective",
     "LightNAS",
     "LightNASConfig",
-    "SearchBatch",
-    "SearchGrid",
+    "run_grid",
     "Constraint",
     "MultiConstraintConfig",
     "MultiConstraintLightNAS",

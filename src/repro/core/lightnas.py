@@ -25,15 +25,16 @@ Two validation-loss modes share the engine:
     paper's contribution) are identical.
 
 Since λ needs no tuning, a target sweep or a multi-seed study is a set of
-independent surrogate searches.  :class:`SearchBatch` runs such searches
-as one stacked α-step, bit-identical per search, and :class:`SearchGrid`
-lets each of them keep its own :meth:`LightNAS.search` call; a lone
-surrogate search is a batch of one.
+independent searches.  :func:`run_grid` runs such a grid; in one process it
+stacks the grid's surrogate searches into :class:`SearchBatch` es, each one
+α-step for all its searches and bit-identical per search.  A lone surrogate
+search is a batch of one.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -63,6 +64,7 @@ from ..runtime.checkpoint import (
     restore_rng,
     rng_state_json,
 )
+from ..runtime.parallel import FleetReport, FleetTask, RunFleet
 from ..runtime.telemetry import NullJournal, PhaseTimers, RunJournal
 from ..search_space.macro import MacroConfig
 from ..search_space.space import SearchSpace
@@ -71,7 +73,7 @@ from .lambda_opt import LagrangeMultiplier
 from .objective import ConstrainedObjective
 from .result import SearchResult, SearchTrajectory
 
-__all__ = ["LightNASConfig", "LightNAS", "SearchBatch", "SearchGrid",
+__all__ = ["LightNASConfig", "LightNAS", "SearchBatch", "run_grid",
            "METRIC_ALIASES", "CANONICAL_METRICS"]
 
 #: canonical unit-suffixed metric names used across predictors and results
@@ -142,6 +144,10 @@ class LightNASConfig:
             )
         if self.target <= 0:
             raise ValueError("constraint target must be positive")
+        for name, value in (("epochs", self.epochs),
+                            ("steps_per_epoch", self.steps_per_epoch)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.epochs <= self.warmup_epochs and self.mode == "supernet":
             raise ValueError("epochs must exceed warmup_epochs in supernet mode")
         self.metric_name = METRIC_ALIASES.get(self.metric_name, self.metric_name)
@@ -374,7 +380,7 @@ class LightNAS:
         checkpoint_every: int = 10,
         resume_from: Optional[str] = None,
         journal: Optional[RunJournal] = None,
-        grid: Optional["SearchGrid"] = None,
+        _grid: Optional["_SearchGrid"] = None,
     ) -> SearchResult:
         """Run the one-time search and return the derived architecture.
 
@@ -394,40 +400,40 @@ class LightNAS:
         journal:
             A :class:`repro.runtime.telemetry.RunJournal` receiving
             structured per-epoch events (defaults to the no-op journal).
-        grid:
-            A :class:`SearchGrid` this surrogate search was registered
-            with: its α-epochs then run stacked with the grid's other
-            searches, bit-identical to running alone.  Without one, the
-            search is a batch of one.
         """
         # the search runs in float64 whatever the caller's default dtype;
         # supernet mode scopes its compute dtype inside
         with nn.dtype_scope("float64"):
             return self._search(verbose, checkpoint_dir, checkpoint_every,
-                                resume_from, journal, grid)
+                                resume_from, journal, _grid)
 
     def _search(self, verbose: bool, checkpoint_dir: Optional[str],
                 checkpoint_every: int, resume_from: Optional[str],
                 journal: Optional[RunJournal],
-                grid: Optional["SearchGrid"]) -> SearchResult:
+                grid: Optional["_SearchGrid"]) -> SearchResult:
         cfg = self.config
         supernet = cfg.mode == "supernet"
         journal = journal if journal is not None else NullJournal()
         timers = PhaseTimers()
         run_start = time.perf_counter()
-        state = self._start(resume_from)
         schedule = TemperatureSchedule(cfg.tau_initial, cfg.tau_floor, cfg.epochs)
         sampler = GumbelSampler(schedule, self.rng)
         header = {}
         if supernet:
+            state = self._start(resume_from)
             alpha_schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
                                                final_lr=cfg.alpha_lr * 0.1)
             w_schedule = nn.CosineSchedule(cfg.w_lr, cfg.epochs)
             plan_stats = self.programs.stats
         else:
-            # the surrogate α-epochs run as one slot of a stacked batch
-            slot = (grid if grid is not None else SearchGrid()).join(
-                self, state)
+            # the surrogate α-epochs run as one slot of a stacked batch: of
+            # the run_grid share this search is registered with (which
+            # loaded its start state), or of a batch of one
+            if grid is None:
+                grid = _SearchGrid()
+                grid.add(self, resume_from)
+            slot = grid.join(self)
+            state = slot.state
             header["batch_slots"] = slot.batch.size
             plan_stats = slot.plan_stats
 
@@ -470,7 +476,7 @@ class LightNAS:
                                 sampler, state.alpha, epoch)
                 else:
                     with timers.phase("update_alpha"):
-                        epoch_steps, mean_loss = slot.run_epoch(epoch, state)
+                        epoch_steps, mean_loss = slot.run_epoch(epoch)
                     state.steps += epoch_steps
 
                 with timers.phase("derive"):
@@ -842,31 +848,23 @@ class SearchBatch:
         return self._parked[row].pop(epoch)
 
 
-def _start_of(engine: "LightNAS", state: _SearchState) -> str:
-    """Digest of what a slot's dynamics start from (compared on joining a
-    batch)."""
-    opt = state.alpha_opt.state_arrays()
-    return fingerprint_of(
-        state.start_epoch, state.steps, rng_state_json(engine.rng),
-        state.lam.value, state.alpha.data.tobytes(),
-        *(opt[key].tobytes() for key in sorted(opt)))
-
-
 class _Slot:
-    """One search's row in a :class:`SearchBatch`, with its own counters."""
+    """One search's row in a :class:`SearchBatch`: its state, advanced
+    epoch by epoch from the batch, and its own counters."""
 
     def __init__(self, batch: SearchBatch, row: int, engine: "LightNAS",
-                 start: str) -> None:
+                 state: _SearchState) -> None:
         self.batch = batch
         self.row = row
         self.engine = engine
-        self.start = start
+        self.state = state
         self.counts = dict.fromkeys(_COUNTERS, 0)
 
-    def run_epoch(self, epoch: int, state: _SearchState) -> Tuple[int, float]:
-        """Move ``state`` (and the engine's RNG) to the end of ``epoch``;
+    def run_epoch(self, epoch: int) -> Tuple[int, float]:
+        """Move the state (and the engine's RNG) to the end of ``epoch``;
         returns ``(steps, mean_valid_loss)``."""
         end = self.batch.take(self.row, epoch)
+        state = self.state
         np.copyto(state.alpha.data, end.alpha)
         state.alpha_opt.load_state_arrays({"t": end.t, "m.0": end.m,
                                            "v.0": end.v})
@@ -885,74 +883,121 @@ class _Slot:
         return {**self.counts, "arena_bytes": plan.nbytes if compiled else 0}
 
 
-class SearchGrid:
-    """The surrogate searches of one grid, stacked into batches on demand.
+class _SearchGrid:
+    """The surrogate searches one process runs of a :func:`run_grid` call
+    (all of them at ``jobs=1``, one worker's share at ``jobs=N``), stacked
+    into batches on demand.
 
-    Register every search with :meth:`add` before any of them runs, then
-    pass the grid to each one's ``LightNAS.search(grid=...)`` — still one
-    call, journal, trajectory and checkpoint series per search.  The first
-    search to start builds a :class:`SearchBatch` of itself and every
-    registered search not yet started that shares its predictor and config
-    (all but target and seed) and starts at the same epoch: fresh searches
-    together, resumed ones with those resuming at the same next epoch.
-    Those later take their epochs from the batch instead of computing
-    them.  A search the grid does not know, or whose starting state is not
-    the one its batch started from, runs as a batch of one.
-
-    The searches must run in one process: a forked worker would compute
-    its peers' epochs only to throw them away.
+    :meth:`add` registers each engine and loads its start state, fresh or
+    from the checkpoint it resumes from.  The first registered search to
+    start builds a :class:`SearchBatch` of itself and every registered
+    search not yet started that shares its config (all but target and
+    seed) and starts at the same epoch: fresh searches together, resumed
+    ones with those resuming at the same next epoch.  Those later take
+    their epochs from the batch instead of computing them.  A bad
+    checkpoint is raised by its own search.
     """
 
     def __init__(self) -> None:
-        self._pending: Dict[str, Tuple[LightNASConfig, Any,
-                                       Optional[str]]] = {}
-        self._slots: Dict[str, _Slot] = {}
+        self._pending: Dict[int, Tuple["LightNAS", Any]] = {}
+        self._slots: Dict[int, _Slot] = {}
 
-    def add(self, config: LightNASConfig, predictor: Any,
-            resume_dir: Optional[str] = None) -> None:
-        """Register a search; ``resume_dir`` is the checkpoint directory
-        it resumes from (its latest checkpoint, if it holds one)."""
-        key = _config_key(config)
-        if key in self._pending:
-            raise ValueError(f"the grid already holds the search with target "
-                             f"{config.target:g} and seed {config.seed}")
-        self._pending[key] = (config, predictor, resume_dir)
+    def add(self, engine: "LightNAS", resume_from: Optional[str]) -> None:
+        """Register ``engine``'s search, resuming from ``resume_from``."""
+        try:
+            start = engine._start(resume_from)
+        except CheckpointError as exc:
+            start = exc
+        self._pending[id(engine)] = (engine, start)
 
-    def join(self, engine: "LightNAS", state: _SearchState) -> _Slot:
-        """The batch slot that runs ``engine``'s α-epochs from ``state``."""
-        key = engine._fingerprint()
-        start = _start_of(engine, state)
-        slot = self._slots.pop(key, None)
-        if (slot is not None and slot.engine.predictor is engine.predictor
-                and slot.start == start):
-            slot.engine = engine
+    def join(self, engine: "LightNAS") -> _Slot:
+        """The batch slot that runs ``engine``'s α-epochs."""
+        slot = self._slots.pop(id(engine), None)
+        if slot is not None:
             return slot
+        _, state = self._pending.pop(id(engine))
+        if isinstance(state, CheckpointError):
+            raise state
         engines, states = [engine], [state]
-        spec = self._pending.pop(key, None)
-        if spec is not None and spec[1] is engine.predictor:
-            shared = _config_key(engine.config, shared=True)
-            for other, (config, predictor, resume_dir) in list(
-                    self._pending.items()):
-                if (predictor is not engine.predictor
-                        or _config_key(config, shared=True) != shared):
-                    continue
-                peer = LightNAS(config, predictor=predictor,
-                                oracle=engine.oracle)
-                try:
-                    peer_state = peer._start(
-                        latest_checkpoint(resume_dir) if resume_dir else None)
-                except CheckpointError:
-                    continue  # its own search reports the bad checkpoint
-                if (peer_state.start_epoch, peer_state.steps) != (
-                        state.start_epoch, state.steps):
-                    continue
-                del self._pending[other]
-                engines.append(peer)
-                states.append(peer_state)
+        shared = _config_key(engine.config, shared=True)
+        for key, (peer, start) in list(self._pending.items()):
+            if (isinstance(start, CheckpointError)
+                    or _config_key(peer.config, shared=True) != shared
+                    or (start.start_epoch, start.steps)
+                    != (state.start_epoch, state.steps)):
+                continue
+            del self._pending[key]
+            engines.append(peer)
+            states.append(start)
         batch = SearchBatch(engines, states)
         engine.programs = batch.program
         for row in range(1, batch.size):
-            peer = engines[row]
-            self._slots[peer._fingerprint()] = _Slot(
-                batch, row, peer, _start_of(peer, states[row]))
-        return _Slot(batch, 0, engine, start)
+            self._slots[id(engines[row])] = _Slot(batch, row, engines[row],
+                                                  states[row])
+        return _Slot(batch, 0, engine, state)
+
+
+def run_grid(configs: Sequence[LightNASConfig], predictor: Any, *,
+             jobs: int = 1, journal: Optional[RunJournal] = None,
+             checkpoint_root: Optional[str] = None,
+             checkpoint_every: int = 10, resume: bool = False,
+             names: Optional[Sequence[str]] = None) -> FleetReport:
+    """Run one search per config, all with ``predictor``.
+
+    The grid is a :class:`RunFleet` of ``jobs`` workers with one task per
+    search; each search keeps its own ``LightNAS.search`` call, journal
+    (merged into ``journal``) and checkpoint sub-directory
+    ``checkpoint_root/<name>``.  ``names`` name the tasks and
+    sub-directories (default ``target_<T>_seed_<S>``; they must be
+    unique), and ``resume`` starts each search from the latest checkpoint
+    in its sub-directory.  The report's values are the searches'
+    :class:`SearchResult` s, in config order.
+
+    Each worker runs its share of the grid (:meth:`RunFleet.shares`; at
+    ``jobs=1`` the whole grid) with its surrogate searches stacked: those
+    sharing every config field but target and seed, and starting at the
+    same epoch, run as one :class:`SearchBatch`.  Each result is
+    bit-identical to the search run alone, at every ``jobs``.
+    """
+    if names is None:
+        names = [f"target_{c.target:g}_seed_{c.seed}" for c in configs]
+    if len(names) != len(configs):
+        raise ValueError(f"{len(names)} names for {len(configs)} configs")
+    if resume and not checkpoint_root:
+        raise ValueError("resume needs a checkpoint_root")
+    seen = set()
+    for config in configs:
+        key = _config_key(config)
+        if key in seen:
+            raise ValueError(f"the grid already holds the search with target "
+                             f"{config.target:g} and seed {config.seed}")
+        seen.add(key)
+    fleet = RunFleet(jobs=jobs, journal=journal,
+                     checkpoint_root=checkpoint_root)
+    grids: List[_SearchGrid] = []
+    for share in fleet.shares(len(configs)):
+        grids.extend([_SearchGrid()] * len(share))
+
+    def task(config: LightNASConfig, name: str,
+             grid: _SearchGrid) -> FleetTask:
+        engine = LightNAS(config, predictor=predictor)
+        resume_from = (latest_checkpoint(os.path.join(checkpoint_root, name))
+                       if resume else None)
+        if config.mode == "surrogate":
+            grid.add(engine, resume_from)
+        else:
+            grid = None
+
+        def fn(ctx):
+            # a registered search starts from the state its grid loaded
+            return engine.search(checkpoint_dir=ctx.checkpoint_dir,
+                                 checkpoint_every=checkpoint_every,
+                                 resume_from=None if grid is not None
+                                 else resume_from,
+                                 journal=ctx.journal, _grid=grid)
+
+        return FleetTask(name=name, fn=fn, subdir=name,
+                         header={"target": config.target, "seed": config.seed,
+                                 "metric": config.metric_name})
+
+    return fleet.run([task(*args) for args in zip(configs, names, grids)])

@@ -15,6 +15,12 @@ the sequential run:
   memory-mapped segments) is inherited by every worker through fork
   semantics at ~zero per-worker setup cost.  Nothing is pickled on the way
   *in* — only each task's (small) result comes back through a pipe.
+* **Fixed shares.**  Each worker runs one contiguous share of the tasks
+  (:meth:`RunFleet.shares`), in order, so the tasks of a share can pool
+  their work: ``run_grid`` stacks a share's searches into one α-step
+  (so their journals' ``batch_slots`` and plan counters follow the
+  share, not the grid).  A worker that finishes its share idles rather
+  than take another's.
 * **Deterministic decomposition.**  Parallelism never changes *what* is
   computed, only *where*: each search carries its own seed and owns its
   checkpoint sub-directory, so ``jobs=1`` and ``jobs=N`` produce
@@ -28,8 +34,8 @@ the sequential run:
   A merged ``jobs=N`` journal is therefore identical to the ``jobs=1``
   journal up to wall-clock fields and worker attribution.
 * **Fault tolerance.**  A worker that dies mid-task (crash, OOM kill,
-  SIGKILL) or exceeds ``task_timeout`` has its task retried once on a
-  freshly forked worker; a second death reports a structured failure
+  SIGKILL) has its task retried once on a freshly forked worker; a
+  second death reports a structured failure
   without sinking the rest of the fleet.  Exceptions *inside* a task are
   deterministic, so they are never retried — they come back as failed
   :class:`TaskResult`\\ s with the worker's traceback.  SIGINT drains
@@ -66,6 +72,9 @@ _FRAME = struct.Struct("!III")
 #: command frame: task index + attempt (``_STOP`` tells a worker to exit)
 _CMD = struct.Struct("!II")
 _STOP = 0xFFFFFFFF
+#: fresh-worker retries of a task whose worker died (exceptions inside a
+#: task are deterministic and never retried)
+_MAX_RETRIES = 1
 
 
 class TaskFailure(RuntimeError):
@@ -154,11 +163,13 @@ class FleetReport:
 class _Worker:
     """Parent-side handle of one forked worker process."""
 
-    __slots__ = ("id", "pid", "cmd_w", "res_r", "buffer", "task",
-                 "attempt", "started", "busy_s")
+    __slots__ = ("id", "share", "pid", "cmd_w", "res_r", "buffer", "task",
+                 "attempt", "started")
 
-    def __init__(self, worker_id: int, pid: int, cmd_w: int, res_r: int):
+    def __init__(self, worker_id: int, share: int, pid: int, cmd_w: int,
+                 res_r: int):
         self.id = worker_id
+        self.share = share          # the share of the tasks it runs
         self.pid = pid
         self.cmd_w = cmd_w          # parent → worker task assignments
         self.res_r = res_r          # worker → parent result frames
@@ -166,7 +177,6 @@ class _Worker:
         self.task: Optional[int] = None
         self.attempt = 0
         self.started = 0.0
-        self.busy_s = 0.0
 
     def close(self) -> None:
         for fd in (self.cmd_w, self.res_r):
@@ -210,36 +220,31 @@ class RunFleet:
         If set, task ``i`` checkpoints under
         ``checkpoint_root/<task.subdir or task_%03d>`` — the same layout a
         sequential run would use, so per-task resume works at any ``jobs``.
-    task_timeout:
-        Seconds a single task attempt may run before its worker is killed
-        and the task retried (``None`` = no timeout).
-    max_retries:
-        Fresh-worker retries per task after a worker death/timeout
-        (exceptions inside the task are deterministic and never retried).
     """
 
     def __init__(self, jobs: int = 1, *,
                  journal: Optional[RunJournal] = None,
-                 checkpoint_root: Optional[str] = None,
-                 task_timeout: Optional[float] = None,
-                 max_retries: int = 1) -> None:
+                 checkpoint_root: Optional[str] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if jobs > 1 and not hasattr(os, "fork"):
             raise ValueError(
                 "jobs > 1 needs os.fork, which this platform does not "
                 "provide; run with jobs=1")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.jobs = jobs
         self.journal = journal if journal is not None else NullJournal()
         self.checkpoint_root = checkpoint_root
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
 
     # ------------------------------------------------------------------
+    def shares(self, count: int) -> List[range]:
+        """How ``count`` tasks split across the workers: ``min(jobs,
+        count)`` contiguous, near-equal runs of task indices, fixed by the
+        count alone.  Each worker runs one share, in order, so tasks of a
+        share can share work (``run_grid`` stacks a share's searches)."""
+        pool = min(self.jobs, count)
+        return [range(w * count // pool, (w + 1) * count // pool)
+                for w in range(pool)]
+
     def run(self, tasks: Sequence[FleetTask]) -> FleetReport:
         """Execute every task; results come back in task order."""
         tasks = list(tasks)
@@ -261,8 +266,6 @@ class RunFleet:
         start = time.perf_counter()
         interrupted = False
         try:
-            # jobs>1 forks even for one task: the forked path is what
-            # enforces task_timeout and isolates crashes
             if self.jobs == 1:
                 results, spawned, interrupted = self._run_inline(
                     tasks, scratch)
@@ -344,7 +347,7 @@ class RunFleet:
     # ------------------------------------------------------------------
     # jobs>1: forked pool
     # ------------------------------------------------------------------
-    def _spawn(self, worker_id: int, tasks, scratch) -> _Worker:
+    def _spawn(self, worker_id: int, share: int, tasks, scratch) -> _Worker:
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
         # buffered writes (the journal, verbose prints) must not be
@@ -362,7 +365,7 @@ class RunFleet:
                 os._exit(1)
         os.close(cmd_r)
         os.close(res_w)
-        return _Worker(worker_id, pid, cmd_w, res_r)
+        return _Worker(worker_id, share, pid, cmd_w, res_r)
 
     def _worker_loop(self, cmd_r: int, res_w: int, tasks, scratch) -> None:
         # the parent orchestrates shutdown: on Ctrl-C the terminal signals
@@ -404,8 +407,11 @@ class RunFleet:
             _write_all(res_w, payload)
 
     def _run_forked(self, tasks, scratch):
-        pending: List[tuple] = [(i, 0) for i in range(len(tasks))]
-        pending.reverse()  # pop() from the low-index end
+        # one queue per share, popped from the low-index end; a worker
+        # runs only its own share, and a replacement for a dead worker
+        # takes over the rest of it
+        queues: List[List[tuple]] = [[(i, 0) for i in reversed(share)]
+                                     for share in self.shares(len(tasks))]
         slots: Dict[int, Optional[TaskResult]] = {i: None
                                                   for i in range(len(tasks))}
         retries: Dict[int, int] = {}
@@ -417,9 +423,9 @@ class RunFleet:
         sel = selectors.DefaultSelector()
         workers: Dict[int, _Worker] = {}  # keyed by res_r fd
 
-        def spawn_worker():
+        def spawn_worker(share: int) -> _Worker:
             nonlocal next_worker_id, spawned
-            worker = self._spawn(next_worker_id, tasks, scratch)
+            worker = self._spawn(next_worker_id, share, tasks, scratch)
             next_worker_id += 1
             spawned += 1
             workers[worker.res_r] = worker
@@ -427,9 +433,10 @@ class RunFleet:
             return worker
 
         def assign(worker: _Worker) -> None:
-            if not pending:
+            queue = queues[worker.share]
+            if not queue:
                 return
-            index, attempt = pending.pop()
+            index, attempt = queue.pop()
             worker.task = index
             worker.attempt = attempt
             worker.started = time.perf_counter()
@@ -438,7 +445,7 @@ class RunFleet:
             except OSError:
                 # worker died before it could take the task; requeue and
                 # let the EOF path below reap + respawn
-                pending.append((index, attempt))
+                queue.append((index, attempt))
                 worker.task = None
 
         def finish(worker: _Worker, result: TaskResult) -> None:
@@ -459,15 +466,15 @@ class RunFleet:
                 pass
 
         def worker_died(worker: _Worker, reason: str) -> None:
-            """A worker vanished (crash/kill/timeout): retry or fail its
-            task on a *fresh* worker, then replace the dead one."""
+            """A worker vanished (crash or kill): retry or fail its
+            task on a *fresh* worker, which takes over its share."""
             nonlocal outstanding
             index = worker.task
             if index is not None:
                 count = retries.get(index, 0)
-                if count < self.max_retries:
+                if count < _MAX_RETRIES:
                     retries[index] = count + 1
-                    pending.append((index, worker.attempt + 1))
+                    queues[worker.share].append((index, worker.attempt + 1))
                 else:
                     slots[index] = TaskResult(
                         index=index, name=tasks[index].name, status="failed",
@@ -477,34 +484,14 @@ class RunFleet:
                     outstanding -= 1
                 worker.task = None
             reap(worker)
-            assign_all()
-
-        def assign_all() -> None:
-            while pending:
-                idle = [w for w in workers.values() if w.task is None]
-                if not idle:
-                    if len(workers) < min(self.jobs, outstanding):
-                        idle = [spawn_worker()]
-                    else:
-                        break
-                assign(idle[0])
+            if queues[worker.share]:
+                assign(spawn_worker(worker.share))
 
         try:
-            for _ in range(min(self.jobs, len(tasks))):
-                spawn_worker()
-            assign_all()
+            for share in range(len(queues)):
+                assign(spawn_worker(share))
             while outstanding > 0:
-                timeout = None
-                if self.task_timeout is not None:
-                    now = time.perf_counter()
-                    deadlines = [
-                        worker.started + self.task_timeout - now
-                        for worker in workers.values()
-                        if worker.task is not None
-                    ]
-                    if deadlines:
-                        timeout = max(0.0, min(deadlines))
-                for key, _ in sel.select(timeout=timeout):
+                for key, _ in sel.select():
                     worker: _Worker = key.data
                     done = self._drain_worker(worker)
                     if done is None:      # EOF — the worker died
@@ -515,19 +502,6 @@ class RunFleet:
                         finish(worker, result)
                     if done:
                         assign(worker)
-                if self.task_timeout is not None:
-                    now = time.perf_counter()
-                    for worker in list(workers.values()):
-                        if worker.task is not None and \
-                                now - worker.started > self.task_timeout:
-                            try:
-                                os.kill(worker.pid, signal.SIGKILL)
-                            except ProcessLookupError:
-                                pass
-                            worker_died(
-                                worker,
-                                f"task exceeded {self.task_timeout:g}s "
-                                f"timeout")
         except KeyboardInterrupt:
             interrupted = True
         finally:
@@ -636,8 +610,7 @@ class RunFleet:
                 self.journal.event(
                     "task_retry", task=result.index, name=task.name,
                     attempt=attempt,
-                    reason="worker death or timeout — retried on a fresh "
-                           "worker")
+                    reason="worker death — retried on a fresh worker")
             self.journal.event(
                 "task_header",
                 task=result.index,

@@ -22,11 +22,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.lightnas import LightNAS, LightNASConfig, SearchGrid
+from repro.core.lightnas import LightNAS, LightNASConfig, run_grid
 from repro.proxy.dataset import SyntheticTask
-from repro.runtime.checkpoint import (CheckpointError, latest_checkpoint,
-                                      load_checkpoint)
-from repro.runtime.parallel import FleetTask, RunFleet
+from repro.runtime.checkpoint import CheckpointError, load_checkpoint
 from repro.runtime.telemetry import NullJournal, RunJournal, read_journal
 
 SURROGATE_EPOCHS = 8
@@ -194,34 +192,20 @@ def _grid_config(tiny_space, target, seed) -> LightNASConfig:
                           batch_size=8, seed=seed)
 
 
-def _run_grid(root, tiny_space, tiny_predictor, tiny_oracle, resume,
-              journal=None, kill=None):
+def _run_grid(root, tiny_space, tiny_predictor, resume, journal=None):
     """The grid as ``repro stability --jobs 1`` runs it: one fleet task
-    and checkpoint sub-directory per slot, all slots in one SearchGrid."""
-    grid = SearchGrid()
-    tasks = []
-    for index, (target, seed) in enumerate(GRID):
-        config = _grid_config(tiny_space, target, seed)
-        name = f"slot{index}"
-        grid.add(config, tiny_predictor,
-                 resume_dir=os.path.join(root, name) if resume else None)
-
-        def fn(ctx, config=config, index=index):
-            killer = kill is not None and kill[0] == index
-            return LightNAS(config, predictor=tiny_predictor,
-                            oracle=tiny_oracle).search(
-                checkpoint_dir=ctx.checkpoint_dir, checkpoint_every=1,
-                resume_from=(latest_checkpoint(ctx.checkpoint_dir)
-                             if resume else None),
-                journal=KillAtEpoch(kill[1]) if killer else ctx.journal,
-                grid=grid)
-        tasks.append(FleetTask(name=name, fn=fn, subdir=name))
-    return RunFleet(jobs=1, checkpoint_root=root, journal=journal).run(tasks)
+    and checkpoint sub-directory per slot, all slots in one grid."""
+    configs = [_grid_config(tiny_space, target, seed)
+               for target, seed in GRID]
+    return run_grid(configs, tiny_predictor, journal=journal,
+                    checkpoint_root=root, checkpoint_every=1, resume=resume,
+                    names=[f"slot{index}" for index in range(len(GRID))])
 
 
 class TestGridResumeParity:
     def test_killed_grid_resumes_bit_for_bit(self, tmp_path, tiny_space,
-                                             tiny_predictor, tiny_oracle):
+                                             tiny_predictor, tiny_oracle,
+                                             monkeypatch):
         reference_root = str(tmp_path / "reference")
         references = [
             LightNAS(_grid_config(tiny_space, target, seed),
@@ -231,10 +215,17 @@ class TestGridResumeParity:
             for i, (target, seed) in enumerate(GRID)]
 
         root = str(tmp_path / "grid")
-        # slot 2 dies at epoch 5 (its epochs 0-4 are checkpointed), after
-        # slots 0 and 1 finished; slot 3 never starts
-        report = _run_grid(root, tiny_space, tiny_predictor, tiny_oracle,
-                           resume=False, kill=(2, 5))
+        # slot 2 (the only one at target 2.6) dies at epoch 5 (its epochs
+        # 0-4 are checkpointed), after slots 0 and 1 finished; slot 3
+        # never starts
+        def epoch(journal, **fields):
+            if fields["target"] == GRID[2][0] and fields["epoch"] == 5:
+                raise KeyboardInterrupt("injected crash at epoch 5")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NullJournal, "epoch", epoch)
+            report = _run_grid(root, tiny_space, tiny_predictor,
+                               resume=False)
         assert report.interrupted
         assert [r.status for r in report.results] == [
             "ok", "ok", "cancelled", "cancelled"]
@@ -246,8 +237,8 @@ class TestGridResumeParity:
                     os.remove(path)
 
         journal = RunJournal(str(tmp_path / "resume.jsonl"))
-        resumed = _run_grid(root, tiny_space, tiny_predictor, tiny_oracle,
-                            resume=True, journal=journal).values()
+        resumed = _run_grid(root, tiny_space, tiny_predictor, resume=True,
+                            journal=journal).values()
         journal.close()
         headers = [e for e in read_journal(journal.path)
                    if e["event"] == "run_header"]

@@ -2,9 +2,9 @@
 per slot.
 
 :class:`SearchBatch` stacks S searches that differ only in target and
-seed into one ``(S, L, K)`` α-step; :class:`SearchGrid` builds those
-batches on demand while each search keeps its own ``LightNAS.search``
-call.  Pinned contracts:
+seed into one ``(S, L, K)`` α-step; :func:`run_grid` builds those batches
+while each search keeps its own ``LightNAS.search`` call.  Pinned
+contracts:
 
 * at S = 1, 2 and 4, with mixed targets and seeds and the latency MLP,
   energy MLP and analytic MACs predictors, every slot's result,
@@ -14,8 +14,8 @@ call.  Pinned contracts:
 * one stacked plan serves the whole grid: summed over a 4-slot grid's
   journals, ``plan_stats`` read 1 compile, and each slot reports its own
   N−1 replays and the batch's slot count;
-* a slot whose starting state changed after its batch was built runs as a
-  batch of one, still bit-identical;
+* a grid whose configs differ in a shared field runs one batch per
+  shared config, still bit-identical;
 * slots must share everything but target and seed.
 """
 
@@ -27,12 +27,11 @@ import pytest
 
 from repro import nn
 from repro.core.lightnas import (LightNAS, LightNASConfig, SearchBatch,
-                                 SearchGrid)
+                                 run_grid)
 from repro.predictor.analytic import AnalyticCostPredictor
 from repro.predictor.dataset import collect_energy_dataset
 from repro.predictor.mlp import MLPPredictor
 from repro.runtime.checkpoint import load_checkpoint
-from repro.runtime.parallel import FleetTask, RunFleet
 from repro.runtime.telemetry import RunJournal, read_journal
 
 EPOCHS = 5
@@ -69,17 +68,16 @@ def configs(space, metric, base, slots):
             for scale, seed in SLOTS[:slots]]
 
 
-def run(configs, predictor, root, grid=None):
-    """One search per config, in order, each checkpointing every epoch."""
-    if grid is not None:
-        for config in configs:
-            grid.add(config, predictor)
-    results = []
-    for index, config in enumerate(configs):
-        results.append(LightNAS(config, predictor=predictor).search(
-            checkpoint_dir=os.path.join(root, f"slot{index}"),
-            checkpoint_every=1, grid=grid))
-    return results
+def run(configs, predictor, root, stacked=False):
+    """One search per config, each checkpointing every epoch into its own
+    sub-directory: in order, or stacked through ``run_grid``."""
+    names = [f"slot{index}" for index in range(len(configs))]
+    if stacked:
+        return run_grid(configs, predictor, checkpoint_root=root,
+                        checkpoint_every=1, names=names).values()
+    return [LightNAS(config, predictor=predictor).search(
+                checkpoint_dir=os.path.join(root, name), checkpoint_every=1)
+            for config, name in zip(configs, names)]
 
 
 def assert_same_search(a, b):
@@ -116,7 +114,7 @@ def test_each_slot_equals_its_sequential_search(full_space, predictors,
     grid_configs = configs(full_space, metric, base, slots)
     sequential = run(grid_configs, predictor, str(tmp_path / "seq"))
     stacked = run(grid_configs, predictor, str(tmp_path / "grid"),
-                  grid=SearchGrid())
+                  stacked=True)
     for index, (a, b) in enumerate(zip(stacked, sequential)):
         assert_same_search(a, b)
         assert_same_checkpoints(str(tmp_path / "grid" / f"slot{index}"),
@@ -129,26 +127,16 @@ def test_eager_grid_equals_compiled_sequential(full_space, full_predictor,
     sequential = run(grid_configs, full_predictor, str(tmp_path / "seq"))
     with nn.plans(False):
         stacked = run(grid_configs, full_predictor, str(tmp_path / "grid"),
-                      grid=SearchGrid())
+                      stacked=True)
     for a, b in zip(stacked, sequential):
         assert_same_search(a, b)
 
 
 def test_grid_journals_share_one_compile(full_space, full_predictor,
                                          tmp_path):
-    grid = SearchGrid()
-    tasks = []
-    for config in configs(full_space, "latency_ms", 24.0, 4):
-        grid.add(config, full_predictor)
-
-        def fn(ctx, config=config):
-            result = LightNAS(config, predictor=full_predictor).search(
-                journal=ctx.journal, grid=grid)
-            return result.final_lambda
-        tasks.append(FleetTask(name=f"t{config.target:g}_s{config.seed}",
-                               fn=fn))
     journal = RunJournal(str(tmp_path / "grid.jsonl"))
-    RunFleet(jobs=1, journal=journal).run(tasks).values()
+    run_grid(configs(full_space, "latency_ms", 24.0, 4), full_predictor,
+             journal=journal).values()
     journal.close()
     events = read_journal(journal.path)
     headers = [e for e in events if e["event"] == "run_header"]
@@ -165,27 +153,34 @@ def test_grid_journals_share_one_compile(full_space, full_predictor,
     assert all(s["arena_bytes"] == 0 for s in stats[1:])
 
 
-def test_changed_start_runs_as_a_batch_of_one(full_space, full_predictor,
+def test_grid_runs_one_batch_per_shared_config(full_space, full_predictor,
                                               tmp_path):
-    first, second = configs(full_space, "latency_ms", 24.0, 2)
-    directory = str(tmp_path / "ckpts")
-    reference = LightNAS(second, predictor=full_predictor).search(
-        checkpoint_dir=directory, checkpoint_every=2)
-
-    grid = SearchGrid()
-    grid.add(first, full_predictor)
-    grid.add(second, full_predictor)  # registered as a fresh search ...
-    LightNAS(first, predictor=full_predictor).search(grid=grid)
-    journal = RunJournal(str(tmp_path / "second.jsonl"))
-    # ... but resumed from epoch 2 when its own search starts
-    resumed = LightNAS(second, predictor=full_predictor).search(
-        resume_from=os.path.join(directory, "ckpt_epoch00001.npz"),
-        journal=journal, grid=grid)
+    """Shaped like the τ ablation: 3 schedules × 2 seeds at one target run
+    as three 2-slot batches, each slot equal to its sequential search."""
+    grid_configs = [
+        LightNASConfig.paper(24.0, space=full_space, seed=seed,
+                             epochs=EPOCHS, steps_per_epoch=STEPS,
+                             tau_initial=tau_initial, tau_floor=tau_floor)
+        for tau_initial, tau_floor in ((5.0, 0.1), (5.0, 4.999),
+                                       (0.10001, 0.1))
+        for seed in (0, 1)]
+    names = [f"tau_{c.tau_initial:g}_{c.tau_floor:g}_seed_{c.seed}"
+             for c in grid_configs]
+    journal = RunJournal(str(tmp_path / "grid.jsonl"))
+    stacked = run_grid(grid_configs, full_predictor, journal=journal,
+                       names=names).values()
     journal.close()
-    assert_same_search(resumed, reference)
-    (header,) = [e for e in read_journal(journal.path)
-                 if e["event"] == "run_header"]
-    assert header["batch_slots"] == 1
+    sequential = [LightNAS(config, predictor=full_predictor).search()
+                  for config in grid_configs]
+    for a, b in zip(stacked, sequential):
+        assert_same_search(a, b)
+    events = read_journal(journal.path)
+    assert [e["batch_slots"] for e in events
+            if e["event"] == "run_header"] == [2] * 6
+    # one compile per batch, taken by its first slot
+    assert [e["plan_stats"]["plans_compiled"] for e in events
+            if e["event"] == "run_end" and "plan_stats" in e] == [
+        1, 0, 1, 0, 1, 0]
 
 
 def test_slots_must_share_all_but_target_and_seed(full_space,
@@ -200,8 +195,9 @@ def test_slots_must_share_all_but_target_and_seed(full_space,
 
 
 def test_grid_rejects_a_duplicate_search(full_space, full_predictor):
-    grid = SearchGrid()
+    """Two equal configs are one search run twice, whatever their names."""
     (config,) = configs(full_space, "latency_ms", 24.0, 1)
-    grid.add(config, full_predictor)
-    with pytest.raises(ValueError, match="already holds"):
-        grid.add(config, full_predictor)
+    for names in (None, ["a", "b"]):
+        with pytest.raises(ValueError, match="already holds the search "
+                                             "with target 24 and seed 0"):
+            run_grid([config, config], full_predictor, names=names)

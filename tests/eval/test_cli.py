@@ -100,14 +100,33 @@ class TestSearch:
         ["sweep", "--targets", "250,300"],
         ["stability", "--targets", "300", "--seeds", "0"],
     ])
-    def test_surrogate_rejects_float32(self, command):
+    def test_surrogate_rejects_float32(self, command, capsys):
         """Regression: --dtype float32 on a surrogate search printed output
         byte-identical to float64 while changing the checkpoint
-        fingerprint; it must exit naming where --dtype applies."""
+        fingerprint; it must exit naming where --dtype applies.  sweep and
+        stability run only surrogate searches, so they have no --dtype."""
         with pytest.raises(SystemExit) as excinfo:
             main(command + ["--metric", "macs", "--dtype", "float32"])
-        assert "--dtype applies only to --tiny supernet searches" in str(
-            excinfo.value)
+        if command[0] == "search":
+            assert "--dtype applies only to --tiny supernet searches" in str(
+                excinfo.value)
+        else:
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --dtype" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["search", "--target", "24", "--metric", "macs"],
+        ["search", "--tiny", "--target", "2.3"],
+        ["sweep", "--tiny", "--targets", "2.0"],
+        ["stability", "--tiny", "--targets", "2.0", "--seeds", "0"],
+    ], ids=["search", "search-tiny", "sweep", "stability"])
+    def test_nonpositive_epochs_exit_naming_the_field(self, command):
+        """Regression: --epochs -3 died in CosineSchedule with "total_steps
+        must be positive" (a traceback from search, a failed task from
+        stability)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--epochs", "-3"])
+        assert str(excinfo.value) == "error: epochs must be >= 1, got -3"
 
 
 class TestSweep:
@@ -175,23 +194,28 @@ class TestStability:
         assert "--targets" in str(excinfo.value)
 
     def test_jobs1_grid_is_one_stacked_search(self, capsys, tmp_path):
-        """At --jobs 1 the 2×2 grid runs as one stacked α-step: the table
-        is byte-identical to --jobs 2 (batches of one), and the journals
-        share one compiled plan across the four slots."""
+        """At --jobs 1 the 2×2 grid runs as one stacked α-step, at --jobs 2
+        each worker stacks its half: the tables are byte-identical, and
+        each stack's slots share one compiled plan."""
         base = ["stability", "--tiny", "--targets", "2.0,2.5",
                 "--seeds", "0,1", "--epochs", "12"]
-        assert main(base + ["--jobs", "2"]) == 0
-        fanned = capsys.readouterr().out
-        trace = str(tmp_path / "grid.jsonl")
-        assert main(base + ["--trace", trace]) == 0
-        assert capsys.readouterr().out == fanned
 
-        events = [json.loads(line) for line in open(trace)]
-        headers = [e for e in events if e["event"] == "run_header"]
-        assert [h["batch_slots"] for h in headers] == [4, 4, 4, 4]
-        stats = [e["plan_stats"] for e in events
-                 if e["event"] == "run_end" and "plan_stats" in e]
-        assert [s["plans_compiled"] for s in stats] == [1, 0, 0, 0]
+        def grid(jobs):
+            trace = str(tmp_path / f"grid{jobs}.jsonl")
+            assert main(base + ["--jobs", str(jobs), "--trace", trace]) == 0
+            out = capsys.readouterr().out
+            events = [json.loads(line) for line in open(trace)]
+            slots = [e["batch_slots"] for e in events
+                     if e["event"] == "run_header"]
+            compiles = [e["plan_stats"]["plans_compiled"] for e in events
+                        if e["event"] == "run_end" and "plan_stats" in e]
+            return out, slots, compiles, trace
+
+        fanned, slots, compiles, _ = grid(2)
+        assert (slots, compiles) == ([2, 2, 2, 2], [1, 0, 1, 0])
+        out, slots, compiles, trace = grid(1)
+        assert out == fanned
+        assert (slots, compiles) == ([4, 4, 4, 4], [1, 0, 0, 0])
         assert main(["trace-summary", trace]) == 0
         assert capsys.readouterr().out.count("shared by 4 slots") == 4
 
@@ -247,6 +271,17 @@ class TestFleetCalibrate:
         with open(output) as handle:
             payload = json.load(handle)
         assert set(payload["maps"]) == {"phone-00", "phone-01"}
+
+
+class TestFleetSearch:
+    def test_bad_calibration_exits_with_error(self):
+        """Regression: a calibration of one sample raised a ValueError
+        traceback from fleet search, where calibrate and retarget exit."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "search", "--tiny", "--device", "phone-00",
+                  "--target", "30", "--calibration", "1"])
+        assert str(excinfo.value).startswith("error: ")
+        assert "calibration samples" in str(excinfo.value)
 
 
 class TestRuntimeFlags:

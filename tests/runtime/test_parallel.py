@@ -2,7 +2,6 @@
 
 import os
 import signal
-import time
 
 import pytest
 
@@ -102,6 +101,23 @@ class TestFleetBasics:
         assert report.stats["completed"] == 1
 
     @needs_fork
+    def test_shares_are_contiguous_and_fixed_by_the_count(self):
+        assert RunFleet(jobs=1).shares(3) == [range(0, 3)]
+        assert RunFleet(jobs=2).shares(5) == [range(0, 2), range(2, 5)]
+        assert RunFleet(jobs=4).shares(2) == [range(0, 1), range(1, 2)]
+        assert RunFleet(jobs=2).shares(0) == []
+
+    @needs_fork
+    def test_each_worker_runs_one_share(self):
+        report = RunFleet(jobs=2).run([
+            FleetTask(name=f"t{i}", fn=lambda ctx: os.getpid())
+            for i in range(5)])
+        pids = report.values()
+        assert [r.worker for r in report.results] == [0, 0, 1, 1, 1]
+        assert len({pids[0], pids[1]}) == 1
+        assert len(set(pids[2:])) == 1 and pids[0] != pids[2]
+
+    @needs_fork
     def test_forked_values_match_inline(self):
         tasks = lambda: [  # noqa: E731 - tiny local factory
             FleetTask(name=f"t{i}",
@@ -187,13 +203,12 @@ class TestFleetFaults:
         assert report.values() == ["survived", 0, 1, 2]
         assert report.results[0].retries == 1
         assert report.stats["retries"] == 1
-        # attempt 0 ran on worker 0 (initial assignment is in task order)
-        # and worker 0 was killed, so the retry must land on a different,
-        # live worker: either a fresh replacement (3 spawns) or the other
-        # initial worker if it had already drained its queue (2 spawns) —
-        # which one wins is a scheduling race.
-        assert report.results[0].worker != 0
-        assert report.stats["workers_spawned"] in (2, 3)
+        # attempt 0 ran on worker 0, which owns the share (victim, ok0);
+        # worker 0 was killed, so a fresh worker takes over that share
+        # and retries the victim
+        assert report.results[0].worker == 2
+        assert report.results[1].worker == 2
+        assert report.stats["workers_spawned"] == 3
 
         events = read_journal(journal.path)
         retries = [e for e in events if e["event"] == "task_retry"]
@@ -218,14 +233,3 @@ class TestFleetFaults:
         assert fine.ok and fine.value == "ok"
         with pytest.raises(TaskFailure, match="doomed"):
             report.values()
-
-    def test_hung_task_times_out_and_retries(self):
-        def hangs_once(ctx):
-            if ctx.attempt == 0:
-                time.sleep(30)
-            return "recovered"
-
-        fleet = RunFleet(jobs=2, task_timeout=1.0)
-        report = fleet.run([FleetTask(name="hang", fn=hangs_once)])
-        assert report.values() == ["recovered"]
-        assert report.results[0].retries == 1
