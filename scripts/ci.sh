@@ -81,8 +81,10 @@ python benchmarks/bench_nn_engine.py --steps 8 --repeat 2 --check
 python benchmarks/bench_step_replay.py --check
 
 # The run-fleet executor's contracts get a named run: the jobs=1 vs
-# jobs=4 determinism parity suite and the SIGKILL fault-injection suite
-# (a retried task must succeed with exactly one task_retry event).
+# jobs=4 determinism parity suite and the fault-injection suite (a
+# SIGKILLed task must succeed on its retry with exactly one task_retry
+# event, and a Ctrl-C keeps the results already sent, cancels the rest,
+# leaves no worker behind and still merges a readable journal).
 python -m pytest -x -q tests/runtime/test_parallel.py::TestFleetParity \
     tests/runtime/test_parallel.py::TestFleetFaults
 

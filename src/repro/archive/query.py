@@ -168,6 +168,12 @@ def paginate(rows: np.ndarray, offset: int = 0,
 def describe_rows(index: ArchiveIndex, rows: np.ndarray,
                   device: Optional[str] = None) -> List[dict]:
     """JSON-ready dicts for selected rows (CLI / service responses)."""
+    columns = range(len(index.devices))
+    if device:
+        try:
+            columns = [index.device_position(device)]
+        except ValueError:  # the server's default device may hold no costs
+            columns = []
     out: List[dict] = []
     for row in np.asarray(rows, dtype=np.int64).tolist():
         entry: Dict[str, object] = {
@@ -178,11 +184,8 @@ def describe_rows(index: ArchiveIndex, rows: np.ndarray,
             value = float(getattr(index, metric)[row])
             if np.isfinite(value):
                 entry[metric] = value
-        devices = [device] if device else index.devices
-        for name in devices:
-            if name not in index.devices:
-                continue
-            d = index.devices.index(name)
+        for d in columns:
+            name = index.devices[d]
             metrics = {
                 metric: float(index.cost[row, d, m])
                 for m, metric in enumerate(DEVICE_COST_METRICS)

@@ -279,17 +279,16 @@ class ArchiveService:
         so without this check a typoed or un-retargeted device name would
         return a 200 whose rows simply lack that device's costs.  Only the
         explicit payload value is validated — the server-side default
-        device keeps its historical behaviour.  Raises ``ValueError``,
+        device keeps its historical behaviour — and it matches a stored
+        name as :meth:`ArchiveIndex.device_position` does (by the device
+        profile both resolve to).  Raises ``ValueError``,
         which ``_dispatch`` maps to a JSON 400 naming the archive's
         devices (fleet devices join the list once ``repro fleet retarget
         --write-back`` records them).
         """
         device = payload.get("device")
-        if device and device not in index.devices:
-            known = ", ".join(index.devices) or "(none)"
-            raise ValueError(
-                f"unknown device {device!r} for this archive; "
-                f"known devices: {known}")
+        if device:
+            index.device_position(device)
 
     def query(self, payload: dict) -> dict:
         self._count("query")

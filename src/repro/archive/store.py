@@ -49,6 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..hardware.device import resolve_device
 from .segments import (
     ArchiveError,
     Segment,
@@ -81,6 +82,15 @@ DEVICE_COST_METRICS = ("latency_ms", "energy_mj",
 GLOBAL_METRICS = ("macs_m", "params_m", "score")
 
 _METRIC_POS = {name: i for i, name in enumerate(DEVICE_COST_METRICS)}
+
+
+def _profile_name(device: str) -> Optional[str]:
+    """The device profile ``device`` names, or None for a name no profile
+    knows (those match verbatim only)."""
+    try:
+        return resolve_device(device).name
+    except ValueError:
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -220,19 +230,34 @@ class ArchiveIndex:
     def __len__(self) -> int:
         return len(self.ops)
 
+    def device_position(self, device: str) -> int:
+        """Axis-1 position of ``device``'s costs.
+
+        Archives keep device names as written; a requested name matches a
+        stored one when the two are equal or resolve to the same device
+        profile (``xavier`` finds costs written as
+        ``jetson-agx-xavier-maxn`` and back).  Raises ``ValueError``
+        naming the archive's devices when none matches.
+        """
+        if device in self.devices:
+            return self.devices.index(device)
+        profile = _profile_name(device)
+        if profile is not None:
+            for d, name in enumerate(self.devices):
+                if _profile_name(name) == profile:
+                    return d
+        raise ValueError(
+            f"device {device!r} has no records in this archive; known "
+            f"devices: {', '.join(self.devices) or '(none)'}")
+
     def device_column(self, device: str, metric: str) -> np.ndarray:
         """The ``(N,)`` column of one per-device cost metric."""
         if metric not in DEVICE_COST_METRICS:
             raise ValueError(
                 f"unknown device metric {metric!r}; expected one of "
                 f"{DEVICE_COST_METRICS}")
-        try:
-            d = self.devices.index(device)
-        except ValueError:
-            raise ValueError(
-                f"device {device!r} has no records in this archive; "
-                f"known devices: {self.devices or '(none)'}") from None
-        return self.cost[:, d, DEVICE_COST_METRICS.index(metric)]
+        return self.cost[:, self.device_position(device),
+                         DEVICE_COST_METRICS.index(metric)]
 
     def column(self, metric: str, device: Optional[str] = None) -> np.ndarray:
         """A ``(N,)`` metric column, resolving per-device metrics."""

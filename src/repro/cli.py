@@ -8,8 +8,8 @@ Gives the library a downstream-usable surface without writing any code:
 * ``evaluate``  — Table-2-style evaluation row for an architecture.
 * ``sweep``     — one search per target; prints the comparison table
   (the searches run as one stacked α-step; ``--jobs N`` splits them
-  into N shares, each stacked on its own forked worker — bit-identical
-  either way).
+  into N shares, each stacked on its own forked worker, N capped at the
+  usable CPUs — bit-identical either way).
 * ``stability`` — Fig.-7-style multi-seed stability campaign: one search
   per (target, seed) pair, mean ± std per target (``--jobs`` as above).
 * ``serve``     — batched JSON prediction/query API over HTTP
@@ -193,14 +193,6 @@ def _resume_path(args) -> Optional[str]:
 
 def _journal(args) -> RunJournal:
     return RunJournal(args.trace) if getattr(args, "trace", "") else NullJournal()
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where supported)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API (macOS)
-        return os.cpu_count() or 1
 
 
 def cmd_search(args) -> int:
@@ -405,13 +397,13 @@ def _run_grid(args, targets: List[float], seeds: List[int],
         raise SystemExit(f"error: {exc}")
     stats = report.stats
     if args.jobs > 1:
-        cpus = _usable_cpus()
-        oversubscribed = (f" (--jobs {args.jobs} exceeds the {cpus} usable "
-                          f"CPUs)" if args.jobs > cpus else "")
+        # run_grid caps the workers at the usable CPUs
+        capped = (f" (--jobs {args.jobs} capped at {stats['jobs']} usable "
+                  f"CPUs)" if stats["jobs"] < args.jobs else "")
         print(f"fleet: {stats['completed']}/{stats['tasks']} tasks on "
               f"{stats['jobs']} workers, {stats['retries']} retries, "
               f"utilization {stats['utilization'] * 100:.0f}%"
-              f"{oversubscribed}", file=sys.stderr)
+              f"{capped}", file=sys.stderr)
     oracle = AccuracyOracle(space)
     rows = []
     for config, result in zip(configs, results):
@@ -622,8 +614,10 @@ def cmd_query(args) -> int:
         if args.stats:
             print(json.dumps(archive.stats(), indent=2))
             return 0
-        device = resolve_device(args.device).name if args.device else None
+        device = args.device or None
         index = archive.index()
+        if device:
+            index.device_position(device)  # loud on a device with no costs
         if args.pareto:
             if device is None:
                 raise SystemExit("error: --pareto requires --device")
@@ -1225,8 +1219,9 @@ def _positive_int(text: str) -> int:
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="fan the independent runs across N forked "
-                             "worker processes; results are bit-identical "
-                             "to --jobs 1 (needs os.fork)")
+                             "worker processes, at most one per usable "
+                             "CPU; results are bit-identical to --jobs 1 "
+                             "(needs os.fork)")
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:

@@ -64,6 +64,7 @@ from ..runtime.checkpoint import (
     restore_rng,
     rng_state_json,
 )
+from ..runtime import parallel
 from ..runtime.parallel import FleetReport, FleetTask, RunFleet
 from ..runtime.telemetry import NullJournal, PhaseTimers, RunJournal
 from ..search_space.macro import MacroConfig
@@ -944,8 +945,9 @@ def run_grid(configs: Sequence[LightNASConfig], predictor: Any, *,
              names: Optional[Sequence[str]] = None) -> FleetReport:
     """Run one search per config, all with ``predictor``.
 
-    The grid is a :class:`RunFleet` of ``jobs`` workers with one task per
-    search; each search keeps its own ``LightNAS.search`` call, journal
+    The grid is a :class:`RunFleet` with one task per search and ``jobs``
+    workers, capped at the usable CPUs (more would only time-slice the
+    same cores); each search keeps its own ``LightNAS.search`` call, journal
     (merged into ``journal``) and checkpoint sub-directory
     ``checkpoint_root/<name>``.  ``names`` name the tasks and
     sub-directories (default ``target_<T>_seed_<S>``; they must be
@@ -972,8 +974,8 @@ def run_grid(configs: Sequence[LightNASConfig], predictor: Any, *,
             raise ValueError(f"the grid already holds the search with target "
                              f"{config.target:g} and seed {config.seed}")
         seen.add(key)
-    fleet = RunFleet(jobs=jobs, journal=journal,
-                     checkpoint_root=checkpoint_root)
+    fleet = RunFleet(jobs=min(jobs, parallel.usable_cpus()),
+                     journal=journal, checkpoint_root=checkpoint_root)
     grids: List[_SearchGrid] = []
     for share in fleet.shares(len(configs)):
         grids.extend([_SearchGrid()] * len(share))
@@ -996,7 +998,7 @@ def run_grid(configs: Sequence[LightNASConfig], predictor: Any, *,
                                  else resume_from,
                                  journal=ctx.journal, _grid=grid)
 
-        return FleetTask(name=name, fn=fn, subdir=name,
+        return FleetTask(name=name, fn=fn,
                          header={"target": config.target, "seed": config.seed,
                                  "metric": config.metric_name})
 

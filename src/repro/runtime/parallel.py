@@ -15,12 +15,14 @@ the sequential run:
   memory-mapped segments) is inherited by every worker through fork
   semantics at ~zero per-worker setup cost.  Nothing is pickled on the way
   *in* — only each task's (small) result comes back through a pipe.
-* **Fixed shares.**  Each worker runs one contiguous share of the tasks
-  (:meth:`RunFleet.shares`), in order, so the tasks of a share can pool
+* **Fixed shares.**  Each worker is forked with one contiguous share of
+  the tasks (:meth:`RunFleet.shares`) and runs it, in order, through the
+  same task loop that ``jobs=1`` runs in-process.  It takes no commands:
+  it sends each result down a pipe and exits when its share is done, so
+  end-of-file marks the end of a share.  The tasks of a share can pool
   their work: ``run_grid`` stacks a share's searches into one α-step
   (so their journals' ``batch_slots`` and plan counters follow the
-  share, not the grid).  A worker that finishes its share idles rather
-  than take another's.
+  share, not the grid).
 * **Deterministic decomposition.**  Parallelism never changes *what* is
   computed, only *where*: each search carries its own seed and owns its
   checkpoint sub-directory, so ``jobs=1`` and ``jobs=N`` produce
@@ -33,14 +35,16 @@ the sequential run:
   carrying pool statistics and the phase timers aggregated across tasks.
   A merged ``jobs=N`` journal is therefore identical to the ``jobs=1``
   journal up to wall-clock fields and worker attribution.
-* **Fault tolerance.**  A worker that dies mid-task (crash, OOM kill,
-  SIGKILL) has its task retried once on a freshly forked worker; a
-  second death reports a structured failure
-  without sinking the rest of the fleet.  Exceptions *inside* a task are
-  deterministic, so they are never retried — they come back as failed
-  :class:`TaskResult`\\ s with the worker's traceback.  SIGINT drains
-  cleanly: completed results are kept, outstanding tasks are marked
-  cancelled, and the journal merge still happens.
+* **Fault tolerance.**  A worker that dies (crash, OOM kill, SIGKILL)
+  reaches end-of-file with tasks of its share still pending; the first
+  of them is the task it was running.  That task is retried once on a
+  fresh worker forked with the rest of the share; a second death reports
+  a structured failure, and a fresh worker takes the remaining tasks.
+  Exceptions *inside* a task are deterministic, so they are never
+  retried — they come back as failed :class:`TaskResult`\\ s with the
+  worker's traceback.  Ctrl-C drains the pool: the live workers are
+  SIGTERMed, every result they sent before is kept, the tasks without a
+  result are marked cancelled, and the journal merge still happens.
 
 ``jobs=1`` (the default everywhere) never forks — it runs the identical
 task/journal/merge pipeline in-process, so platforms without ``os.fork``
@@ -49,7 +53,7 @@ and recorded benchmark results are unaffected.
 
 from __future__ import annotations
 
-import errno
+import json
 import os
 import pickle
 import selectors
@@ -58,23 +62,30 @@ import signal
 import struct
 import sys
 import tempfile
+import threading
 import time
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .telemetry import NullJournal, RunJournal
 
 __all__ = ["FleetReport", "FleetTask", "RunFleet", "TaskContext",
-           "TaskFailure", "TaskResult"]
+           "TaskFailure", "TaskResult", "usable_cpus"]
 
-#: result-frame header: task index, attempt, length of the pickled envelope
-_FRAME = struct.Struct("!III")
-#: command frame: task index + attempt (``_STOP`` tells a worker to exit)
-_CMD = struct.Struct("!II")
-_STOP = 0xFFFFFFFF
+#: result-frame header: length of the pickled :class:`TaskResult`
+_FRAME = struct.Struct("!I")
 #: fresh-worker retries of a task whose worker died (exceptions inside a
 #: task are deterministic and never retried)
 _MAX_RETRIES = 1
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS)
+        return os.cpu_count() or 1
 
 
 class TaskFailure(RuntimeError):
@@ -87,16 +98,15 @@ class FleetTask:
 
     ``fn`` runs in a worker process (or in-process for ``jobs=1``) and
     receives a :class:`TaskContext`; its return value must be picklable
-    (plain dicts/arrays — engine results qualify).  ``subdir`` names the
-    task's checkpoint sub-directory under the fleet's ``checkpoint_root``
-    (defaults to a zero-padded task index); ``header`` rides along on the
-    merged journal's ``task_header`` event so ``trace-summary`` can
-    attribute the task's epochs (e.g. ``{"target": 24.0, "seed": 1}``).
+    (plain dicts/arrays — engine results qualify).  ``name`` also names
+    the task's checkpoint sub-directory under the fleet's
+    ``checkpoint_root``; ``header`` rides along on the merged journal's
+    ``task_header`` event so ``trace-summary`` can attribute the task's
+    epochs (e.g. ``{"target": 24.0, "seed": 1}``).
     """
 
     name: str
     fn: Callable[["TaskContext"], Any]
-    subdir: str = ""
     header: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -161,40 +171,17 @@ class FleetReport:
 # ----------------------------------------------------------------------
 
 class _Worker:
-    """Parent-side handle of one forked worker process."""
+    """Parent-side handle of one forked worker and the share it runs."""
 
-    __slots__ = ("id", "share", "pid", "cmd_w", "res_r", "buffer", "task",
-                 "attempt", "started")
+    __slots__ = ("id", "pid", "res_r", "pending", "buffer")
 
-    def __init__(self, worker_id: int, share: int, pid: int, cmd_w: int,
-                 res_r: int):
+    def __init__(self, worker_id: int, pid: int, res_r: int,
+                 pending: List[int]):
         self.id = worker_id
-        self.share = share          # the share of the tasks it runs
         self.pid = pid
-        self.cmd_w = cmd_w          # parent → worker task assignments
         self.res_r = res_r          # worker → parent result frames
+        self.pending = pending      # its tasks without a result, in order
         self.buffer = b""
-        self.task: Optional[int] = None
-        self.attempt = 0
-        self.started = 0.0
-
-    def close(self) -> None:
-        for fd in (self.cmd_w, self.res_r):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-
-
-def _read_exact(fd: int, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = os.read(fd, count)
-        if not chunk:
-            return b""
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -217,9 +204,9 @@ class RunFleet:
         its own journal file which is merged here, in task order, after
         the fleet drains.
     checkpoint_root:
-        If set, task ``i`` checkpoints under
-        ``checkpoint_root/<task.subdir or task_%03d>`` — the same layout a
-        sequential run would use, so per-task resume works at any ``jobs``.
+        If set, each task checkpoints under ``checkpoint_root/<task.name>``
+        — the same layout a sequential run would use, so per-task resume
+        works at any ``jobs``.
     """
 
     def __init__(self, jobs: int = 1, *,
@@ -264,22 +251,38 @@ class RunFleet:
             task_names=names,
         )
         start = time.perf_counter()
-        interrupted = False
+        done: Dict[int, TaskResult] = {}   # what the task loop returned
+        lost: Dict[int, TaskResult] = {}   # tasks whose worker died twice
+        retries: Dict[int, int] = {}
+
+        def emit(result: TaskResult) -> None:
+            done[result.index] = result
+
         try:
             if self.jobs == 1:
-                results, spawned, interrupted = self._run_inline(
-                    tasks, scratch)
+                spawned, interrupted = 0, False
+                try:
+                    self._run_tasks(tasks, range(len(tasks)), 0, False,
+                                    scratch, emit)
+                except KeyboardInterrupt:
+                    interrupted = True
             else:
-                results, spawned, interrupted = self._run_forked(
-                    tasks, scratch)
+                spawned, interrupted = self._run_forked(
+                    tasks, scratch, emit, retries, lost)
             wall_s = time.perf_counter() - start
-            self._merge_journals(tasks, results, scratch)
+            results = [done.get(index) or lost.get(index)
+                       or TaskResult(index=index, name=task.name,
+                                     status="cancelled", error="interrupted",
+                                     retries=retries.get(index, 0))
+                       for index, task in enumerate(tasks)]
+            phase_timers = self._merge_journals(tasks, results, scratch,
+                                                done)
             stats = self._stats(results, wall_s, spawned,
                                 min(self.jobs, len(tasks)))
             self.journal.run_end(
                 engine="runfleet",
                 fleet_stats=stats,
-                phase_timers=self._aggregate_timers(tasks, results, scratch),
+                phase_timers=phase_timers,
                 wall_time_s=round(wall_s, 6),
             )
             return FleetReport(results=results, stats=stats,
@@ -301,54 +304,51 @@ class RunFleet:
             journal = RunJournal(self._task_journal_path(scratch, index))
         checkpoint_dir = None
         if self.checkpoint_root:
-            checkpoint_dir = os.path.join(
-                self.checkpoint_root, task.subdir or f"task_{index:03d}")
+            checkpoint_dir = os.path.join(self.checkpoint_root, task.name)
         return TaskContext(index=index, name=task.name, attempt=attempt,
                            in_worker=in_worker, journal=journal,
                            checkpoint_dir=checkpoint_dir)
 
-    # ------------------------------------------------------------------
-    # jobs=1: the identical pipeline, no fork
-    # ------------------------------------------------------------------
-    def _run_inline(self, tasks, scratch):
-        results = []
-        for index, task in enumerate(tasks):
-            ctx = self._context(task, index, attempt=0, in_worker=False,
-                                scratch=scratch)
+    def _run_tasks(self, tasks, indices, first_attempt: int,
+                   in_worker: bool, scratch,
+                   emit: Callable[[TaskResult], None]) -> None:
+        """The one task loop: run ``tasks[i]`` for each ``i`` of
+        ``indices``, in order, and hand each result to ``emit``.
+
+        ``jobs=1`` runs every task through it in-process; a forked worker
+        runs its share.  The first task runs as attempt ``first_attempt``
+        (a retry after a worker death), the others as attempt 0.  An
+        exception inside a task is deterministic, so it becomes a failed
+        result and is never retried.
+        """
+        for position, index in enumerate(indices):
+            task = tasks[index]
+            ctx = self._context(task, index,
+                                first_attempt if position == 0 else 0,
+                                in_worker, scratch)
+            result = TaskResult(index=index, name=task.name, status="ok",
+                                worker=0)
             start_wall = time.perf_counter()
             start_cpu = time.process_time()
             try:
-                value = task.fn(ctx)
-                results.append(TaskResult(
-                    index=index, name=task.name, status="ok", value=value,
-                    wall_s=time.perf_counter() - start_wall,
-                    cpu_s=time.process_time() - start_cpu, worker=0))
-            except KeyboardInterrupt:
-                results.append(TaskResult(
-                    index=index, name=task.name, status="cancelled",
-                    error="interrupted"))
-                results.extend(
-                    TaskResult(index=i, name=t.name, status="cancelled",
-                               error="interrupted")
-                    for i, t in enumerate(tasks) if i > index)
-                return results, 0, True
-            except Exception as exc:  # deterministic → no retry
-                import traceback as tb
-                results.append(TaskResult(
-                    index=index, name=task.name, status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=tb.format_exc(),
-                    wall_s=time.perf_counter() - start_wall,
-                    cpu_s=time.process_time() - start_cpu, worker=0))
+                result.value = task.fn(ctx)
+            except Exception as exc:
+                result.status = "failed"
+                result.error = f"{type(exc).__name__}: {exc}"
+                result.traceback = traceback.format_exc()
             finally:
                 ctx.journal.close()
-        return results, 0, False
+            result.wall_s = time.perf_counter() - start_wall
+            result.cpu_s = time.process_time() - start_cpu
+            emit(result)
 
     # ------------------------------------------------------------------
-    # jobs>1: forked pool
+    # jobs>1: one forked worker per share
     # ------------------------------------------------------------------
-    def _spawn(self, worker_id: int, share: int, tasks, scratch) -> _Worker:
-        cmd_r, cmd_w = os.pipe()
+    def _spawn(self, worker_id: int, tasks, indices: List[int],
+               attempt: int, scratch) -> _Worker:
+        """Fork a worker that runs ``indices`` through :meth:`_run_tasks`,
+        sends each result down a pipe, and exits."""
         res_r, res_w = os.pipe()
         # buffered writes (the journal, verbose prints) must not be
         # duplicated into the child
@@ -356,254 +356,142 @@ class RunFleet:
         sys.stderr.flush()
         pid = os.fork()
         if pid == 0:  # child
-            os.close(cmd_w)
             os.close(res_r)
+            code = 1
             try:
-                self._worker_loop(cmd_r, res_w, tasks, scratch)
-                os._exit(0)
-            except BaseException:
-                os._exit(1)
-        os.close(cmd_r)
-        os.close(res_w)
-        return _Worker(worker_id, share, pid, cmd_w, res_r)
+                # the parent orchestrates shutdown: on Ctrl-C the terminal
+                # signals the whole process group, so workers ignore
+                # SIGINT and wait for the parent's SIGTERM instead
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    def _worker_loop(self, cmd_r: int, res_w: int, tasks, scratch) -> None:
-        # the parent orchestrates shutdown: on Ctrl-C the terminal signals
-        # the whole process group, so workers must ignore SIGINT and wait
-        # for the parent's SIGTERM instead of dying mid-write
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        while True:
-            frame = _read_exact(cmd_r, _CMD.size)
-            if not frame:
-                return
-            index, attempt = _CMD.unpack(frame)
-            if index == _STOP:
-                return
-            task = tasks[index]
-            ctx = self._context(task, index, attempt=attempt, in_worker=True,
-                                scratch=scratch)
-            start_cpu = time.process_time()
-            envelope: Dict[str, Any]
-            try:
-                value = task.fn(ctx)
-                envelope = {"status": "ok", "value": value}
-            except Exception as exc:
-                import traceback as tb
-                envelope = {"status": "failed",
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "traceback": tb.format_exc()}
+                def send(result: TaskResult) -> None:
+                    try:
+                        payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                    except Exception as exc:
+                        payload = pickle.dumps(replace(
+                            result, status="failed", value=None,
+                            error=f"unpicklable task result: {exc}"),
+                            pickle.HIGHEST_PROTOCOL)
+                    _write_all(res_w, _FRAME.pack(len(payload)) + payload)
+
+                self._run_tasks(tasks, indices, attempt, True, scratch, send)
+                code = 0
             finally:
-                ctx.journal.close()
-            envelope["cpu_s"] = time.process_time() - start_cpu
-            try:
-                payload = pickle.dumps(envelope, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                payload = pickle.dumps(
-                    {"status": "failed",
-                     "error": f"unpicklable task result: {exc}",
-                     "traceback": "", "cpu_s": envelope["cpu_s"]},
-                    pickle.HIGHEST_PROTOCOL)
-            _write_all(res_w, _FRAME.pack(index, attempt, len(payload)))
-            _write_all(res_w, payload)
+                os._exit(code)
+        os.close(res_w)
+        return _Worker(worker_id, pid, res_r, list(indices))
 
-    def _run_forked(self, tasks, scratch):
-        # one queue per share, popped from the low-index end; a worker
-        # runs only its own share, and a replacement for a dead worker
-        # takes over the rest of it
-        queues: List[List[tuple]] = [[(i, 0) for i in reversed(share)]
-                                     for share in self.shares(len(tasks))]
-        slots: Dict[int, Optional[TaskResult]] = {i: None
-                                                  for i in range(len(tasks))}
-        retries: Dict[int, int] = {}
-        outstanding = len(tasks)
-        next_worker_id = 0
+    def _run_forked(self, tasks, scratch, emit, retries: Dict[int, int],
+                    lost: Dict[int, TaskResult]):
+        """Fork one worker per share and collect what they send until
+        every worker has exited.  Returns ``(workers spawned,
+        interrupted)``.
+
+        Ctrl-C only sets a flag, so it never lands mid-read; the loop then
+        SIGTERMs the live workers and reads each pipe to end-of-file, which
+        keeps every result sent before the kill.
+        """
+        sel = selectors.DefaultSelector()
         spawned = 0
         interrupted = False
 
-        sel = selectors.DefaultSelector()
-        workers: Dict[int, _Worker] = {}  # keyed by res_r fd
-
-        def spawn_worker(share: int) -> _Worker:
-            nonlocal next_worker_id, spawned
-            worker = self._spawn(next_worker_id, share, tasks, scratch)
-            next_worker_id += 1
-            spawned += 1
-            workers[worker.res_r] = worker
-            sel.register(worker.res_r, selectors.EVENT_READ, worker)
-            return worker
-
-        def assign(worker: _Worker) -> None:
-            queue = queues[worker.share]
-            if not queue:
-                return
-            index, attempt = queue.pop()
-            worker.task = index
-            worker.attempt = attempt
-            worker.started = time.perf_counter()
-            try:
-                _write_all(worker.cmd_w, _CMD.pack(index, attempt))
-            except OSError:
-                # worker died before it could take the task; requeue and
-                # let the EOF path below reap + respawn
-                queue.append((index, attempt))
-                worker.task = None
-
-        def finish(worker: _Worker, result: TaskResult) -> None:
-            nonlocal outstanding
-            result.name = tasks[result.index].name
-            result.retries = retries.get(result.index, 0)
-            slots[result.index] = result
-            worker.task = None
-            outstanding -= 1
-
-        def reap(worker: _Worker) -> None:
-            sel.unregister(worker.res_r)
-            workers.pop(worker.res_r, None)
-            worker.close()
-            try:
-                os.waitpid(worker.pid, 0)
-            except ChildProcessError:
-                pass
-
-        def worker_died(worker: _Worker, reason: str) -> None:
-            """A worker vanished (crash or kill): retry or fail its
-            task on a *fresh* worker, which takes over its share."""
-            nonlocal outstanding
-            index = worker.task
-            if index is not None:
-                count = retries.get(index, 0)
-                if count < _MAX_RETRIES:
-                    retries[index] = count + 1
-                    queues[worker.share].append((index, worker.attempt + 1))
-                else:
-                    slots[index] = TaskResult(
-                        index=index, name=tasks[index].name, status="failed",
-                        error=f"worker died ({reason}) after "
-                              f"{count + 1} attempt(s)",
-                        retries=count, worker=worker.id)
-                    outstanding -= 1
-                worker.task = None
-            reap(worker)
-            if queues[worker.share]:
-                assign(spawn_worker(worker.share))
-
-        try:
-            for share in range(len(queues)):
-                assign(spawn_worker(share))
-            while outstanding > 0:
-                for key, _ in sel.select():
-                    worker: _Worker = key.data
-                    done = self._drain_worker(worker)
-                    if done is None:      # EOF — the worker died
-                        worker_died(worker, "worker process exited "
-                                            "mid-task")
-                        continue
-                    for result in done:
-                        finish(worker, result)
-                    if done:
-                        assign(worker)
-        except KeyboardInterrupt:
+        def on_sigint(signum, frame) -> None:
+            nonlocal interrupted
             interrupted = True
-        finally:
-            self._shutdown(sel, workers)
 
-        results = []
-        for index, task in enumerate(tasks):
-            result = slots[index]
-            if result is None:
-                result = TaskResult(index=index, name=task.name,
-                                    status="cancelled",
-                                    error="interrupted",
-                                    retries=retries.get(index, 0))
-            results.append(result)
-        return results, spawned, interrupted
+        def spawn(indices: List[int]) -> None:
+            nonlocal spawned
+            worker = self._spawn(spawned, tasks, indices,
+                                 retries.get(indices[0], 0), scratch)
+            sel.register(worker.res_r, selectors.EVENT_READ, worker)
+            spawned += 1
 
-    def _drain_worker(self, worker: _Worker) -> Optional[List[TaskResult]]:
-        """Read whatever the worker sent; None means EOF (worker death)."""
-        try:
+        def receive(worker: _Worker) -> bool:
+            """Emit the results the worker sent; False at end-of-file."""
             chunk = os.read(worker.res_r, 1 << 20)
-        except OSError as exc:
-            if exc.errno == errno.EAGAIN:
-                return []
-            return None
-        if not chunk:
-            return None
-        worker.buffer += chunk
-        done: List[TaskResult] = []
-        while len(worker.buffer) >= _FRAME.size:
-            index, attempt, length = _FRAME.unpack(
-                worker.buffer[:_FRAME.size])
-            if len(worker.buffer) < _FRAME.size + length:
-                break
-            payload = worker.buffer[_FRAME.size:_FRAME.size + length]
-            worker.buffer = worker.buffer[_FRAME.size + length:]
-            try:
-                envelope = pickle.loads(payload)
-            except Exception as exc:
-                envelope = {"status": "failed",
-                            "error": f"undecodable task result: {exc}",
-                            "traceback": "", "cpu_s": 0.0}
-            done.append(TaskResult(
-                index=index, name="", status=envelope["status"],
-                value=envelope.get("value"),
-                error=envelope.get("error", ""),
-                traceback=envelope.get("traceback", ""),
-                wall_s=time.perf_counter() - worker.started,
-                cpu_s=float(envelope.get("cpu_s", 0.0)),
-                worker=worker.id))
-        return done
+            worker.buffer += chunk
+            while len(worker.buffer) >= _FRAME.size:
+                end = _FRAME.size + _FRAME.unpack_from(worker.buffer)[0]
+                if len(worker.buffer) < end:
+                    break
+                result = pickle.loads(worker.buffer[_FRAME.size:end])
+                worker.buffer = worker.buffer[end:]
+                result.worker = worker.id
+                result.retries = retries.get(result.index, 0)
+                worker.pending.remove(result.index)
+                emit(result)
+            return bool(chunk)
 
-    def _shutdown(self, sel, workers: Dict[int, _Worker]) -> None:
-        for worker in workers.values():
-            try:
-                _write_all(worker.cmd_w, _CMD.pack(_STOP, 0))
-            except OSError:
-                pass
-            try:
-                os.close(worker.cmd_w)
-            except OSError:
-                pass
-        deadline = time.monotonic() + 5.0
-        for worker in workers.values():
-            remaining = max(0.0, deadline - time.monotonic())
-            if not self._wait_worker(worker, remaining):
-                for sig in (signal.SIGTERM, signal.SIGKILL):
-                    try:
-                        os.kill(worker.pid, sig)
-                    except ProcessLookupError:
-                        break
-                    if self._wait_worker(worker, 2.0):
-                        break
-            try:
-                sel.unregister(worker.res_r)
-            except (KeyError, ValueError):
-                pass
-            try:
-                os.close(worker.res_r)
-            except OSError:
-                pass
-        sel.close()
+        def close(worker: _Worker) -> None:
+            sel.unregister(worker.res_r)
+            os.close(worker.res_r)
+            os.waitpid(worker.pid, 0)
 
-    @staticmethod
-    def _wait_worker(worker: _Worker, timeout: float) -> bool:
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                pid, _ = os.waitpid(worker.pid, os.WNOHANG)
-            except ChildProcessError:
-                return True
-            if pid == worker.pid:
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.01)
+        def died(worker: _Worker) -> None:
+            """The worker exited with tasks pending, the first of them the
+            one it was running: retry that task once on a fresh worker
+            with the rest of the share; after a second death record a
+            failure and give the rest to a fresh worker."""
+            index, rest = worker.pending[0], worker.pending
+            count = retries.get(index, 0)
+            if count < _MAX_RETRIES:
+                retries[index] = count + 1
+            else:
+                lost[index] = TaskResult(
+                    index=index, name=tasks[index].name, status="failed",
+                    error=f"worker died (worker process exited mid-task) "
+                          f"after {count + 1} attempt(s)",
+                    retries=count, worker=worker.id)
+                rest = rest[1:]
+            if rest:
+                spawn(rest)
+
+        previous = None
+        if threading.current_thread() is threading.main_thread():
+            previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            for share in self.shares(len(tasks)):
+                spawn(list(share))
+            while sel.get_map() and not interrupted:
+                # the timeout bounds how long a Ctrl-C waits to be seen
+                for key, _ in sel.select(timeout=0.1):
+                    worker = key.data
+                    if not receive(worker):
+                        close(worker)
+                        if worker.pending:
+                            died(worker)
+        finally:
+            if previous is not None:
+                signal.signal(signal.SIGINT, previous)
+            # after a Ctrl-C (or an error) no worker outlives the fleet
+            workers = [key.data for key in sel.get_map().values()]
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGTERM)
+            for worker in workers:
+                while receive(worker):
+                    pass
+                close(worker)
+            sel.close()
+        return spawned, interrupted
 
     # ------------------------------------------------------------------
     # Journal merge + stats
     # ------------------------------------------------------------------
-    def _merge_journals(self, tasks, results, scratch) -> None:
+    def _merge_journals(self, tasks, results, scratch,
+                        journaled) -> Dict[str, Dict]:
+        """Stitch the task journals into the fleet journal in task order,
+        each behind its ``task_header``, and sum their ``run_end`` phase
+        timers across tasks.
+
+        Only the journals of the tasks in ``journaled`` (those the task
+        loop finished) are read, each once; a malformed line in one is an
+        error naming the file.  A cancelled task, or one whose worker died
+        twice, adds its header alone: its journal may end mid-line.
+        """
         if scratch is None:
-            return
+            return {}
+        totals: Dict[str, float] = {}
+        calls: Dict[str, int] = {}
         for result in results:
             task = tasks[result.index]
             for attempt in range(result.retries):
@@ -625,40 +513,27 @@ class RunFleet:
             if result.status == "failed" and result.error:
                 self.journal.event("task_error", task=result.index,
                                    name=task.name, error=result.error)
-            path = self._task_journal_path(scratch, result.index)
-            if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as handle:
-                    self.journal.append_lines(handle)
-
-    def _aggregate_timers(self, tasks, results, scratch) -> Dict[str, Dict]:
-        """Sum each task journal's ``run_end`` phase timers across tasks."""
-        if scratch is None:
-            return {}
-        import json
-
-        totals: Dict[str, float] = {}
-        calls: Dict[str, int] = {}
-        for result in results:
-            path = self._task_journal_path(scratch, result.index)
-            if not os.path.exists(path):
+            if result.index not in journaled:
                 continue
+            path = self._task_journal_path(scratch, result.index)
             with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json.loads(line)
-                    except ValueError:
-                        continue
-                    if event.get("event") != "run_end":
-                        continue
-                    for name, info in (event.get("phase_timers")
-                                       or {}).items():
-                        totals[name] = totals.get(name, 0.0) \
-                            + float(info.get("total_s", 0.0))
-                        calls[name] = calls.get(name, 0) \
-                            + int(info.get("calls", 0))
+                lines = handle.readlines()
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    event = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed journal "
+                                     f"line ({exc})") from exc
+                if event.get("event") != "run_end":
+                    continue
+                for name, info in (event.get("phase_timers") or {}).items():
+                    totals[name] = totals.get(name, 0.0) \
+                        + float(info.get("total_s", 0.0))
+                    calls[name] = calls.get(name, 0) \
+                        + int(info.get("calls", 0))
+            self.journal.append_lines(lines)
         return {name: {"total_s": round(totals[name], 6),
                        "calls": calls[name]}
                 for name in sorted(totals)}

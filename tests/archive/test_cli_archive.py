@@ -13,7 +13,7 @@ from repro.archive.store import ArchitectureArchive
 from repro.cli import build_parser, main
 from repro.hardware.flops import count_macs_many, count_params_many
 from repro.hardware.latency import LatencyModel
-from repro.hardware.device import EDGE_NANO
+from repro.hardware.device import EDGE_NANO, XAVIER_MAXN
 
 
 @pytest.fixture
@@ -131,6 +131,35 @@ class TestQueryCommand:
                      "--device", "edge-nano"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] > 0
+
+    def test_alias_written_archive_answers_either_name(self, tmp_path,
+                                                      tiny_space, capsys):
+        """Device names match by the profile they resolve to, so an archive
+        written with device="xavier" answers --device xavier and the full
+        profile name alike (regression: --device was resolved to the
+        profile name, which the archive did not hold)."""
+        rng = np.random.default_rng(3)
+        path = str(tmp_path / "alias.jsonl")
+        ops = tiny_space.sample_indices(12, rng)
+        with ArchitectureArchive(path, space=tiny_space) as arc:
+            arc.add_population(
+                ops, device="xavier",
+                latency_ms=LatencyModel(tiny_space).latency_many(ops),
+                score=rng.uniform(60, 76, size=len(ops)))
+        payloads = []
+        for name in ("xavier", XAVIER_MAXN.name):
+            assert main(["query", "--archive", path, "--pareto",
+                         "--device", name]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["count"] > 0
+        assert all("xavier" in entry["devices"]
+                   for entry in payloads[0]["results"])
+
+    def test_unknown_device_names_the_archive_devices(self, tiny_archive):
+        path, _ = tiny_archive
+        with pytest.raises(SystemExit, match=EDGE_NANO.name):
+            main(["query", "--archive", path, "--device", "gpuzilla"])
 
     def test_pareto_needs_device(self, tiny_archive):
         path, _ = tiny_archive

@@ -15,6 +15,7 @@ import pytest
 from repro.archive.service import ArchiveService, BatchingPredictor, \
     make_server
 from repro.archive.store import ArchitectureArchive
+from repro.hardware.device import XAVIER_MAXN
 from repro.predictor.analytic import AnalyticCostPredictor
 
 
@@ -280,6 +281,16 @@ class TestHTTPEndpoints:
             assert info.value.code == 400, path
             error = json.loads(info.value.read())["error"]
             assert "gpuzilla" in error and "xavier" in error, path
+
+    def test_device_matched_by_its_profile(self, server):
+        """The archive holds "xavier" costs; a request naming the same
+        device by its full profile name gets the same rows (regression:
+        it was a 400 naming "xavier" as the only known device)."""
+        base, _ = server
+        alias = post(base, "/pareto", {"device": "xavier"})
+        full = post(base, "/pareto", {"device": XAVIER_MAXN.name})
+        assert full["results"] == alias["results"]
+        assert full["count"] > 0
 
     def test_known_device_still_served(self, server):
         base, ops = server

@@ -244,8 +244,8 @@ class TestFleetFooter:
                                                       monkeypatch):
         """The footer and trace-summary report utilization, not a
         "speedup" (Σ task wall / fleet wall measures concurrency), and the
-        footer says when --jobs exceeds the usable CPUs."""
-        monkeypatch.setattr("repro.cli._usable_cpus", lambda: 1)
+        footer says when --jobs is capped at the usable CPUs."""
+        monkeypatch.setattr("repro.runtime.parallel.usable_cpus", lambda: 1)
         trace = str(tmp_path / "fleet.jsonl")
         assert main(["stability", "--tiny", "--targets", "2.0",
                      "--seeds", "0,1", "--epochs", "2", "--jobs", "2",
@@ -253,7 +253,7 @@ class TestFleetFooter:
         err = capsys.readouterr().err
         assert "utilization" in err
         assert "speedup" not in err
-        assert "--jobs 2 exceeds the 1 usable CPUs" in err
+        assert "--jobs 2 capped at 1 usable CPUs" in err
         assert main(["trace-summary", trace]) == 0
         summary = capsys.readouterr().out
         assert "worker utilization" in summary

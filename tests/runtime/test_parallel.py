@@ -2,10 +2,11 @@
 
 import os
 import signal
+import time
 
 import pytest
 
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNAS, LightNASConfig, run_grid
 from repro.runtime.parallel import (
     FleetTask,
     RunFleet,
@@ -127,6 +128,29 @@ class TestFleetBasics:
         forked = RunFleet(jobs=3).run(tasks()).values()
         assert inline == forked
 
+    @needs_fork
+    def test_run_grid_caps_workers_at_usable_cpus(self, tiny_space,
+                                                  tiny_predictor,
+                                                  monkeypatch):
+        """More workers than CPUs only time-slice the same cores, so a
+        grid pinned to one CPU runs in-process at any --jobs."""
+        configs = [LightNASConfig.paper(target, space=tiny_space, seed=0,
+                                        epochs=4, steps_per_epoch=4)
+                   for target in (2.0, 2.5)]
+
+        def outcome(report):
+            return [(list(result.architecture.op_indices),
+                     float(result.predicted_metric),
+                     list(result.trajectory.predicted_metric))
+                    for result in report.values()]
+
+        reference = outcome(run_grid(configs, tiny_predictor))
+        monkeypatch.setattr("repro.runtime.parallel.usable_cpus", lambda: 1)
+        report = run_grid(configs, tiny_predictor, jobs=4)
+        assert report.stats["workers_spawned"] == 0
+        assert report.stats["jobs"] == 1
+        assert outcome(report) == reference
+
 
 @needs_fork
 class TestFleetParity:
@@ -233,3 +257,36 @@ class TestFleetFaults:
         assert fine.ok and fine.value == "ok"
         with pytest.raises(TaskFailure, match="doomed"):
             report.values()
+
+    def test_ctrl_c_keeps_sent_results_and_cancels_the_rest(self, tmp_path):
+        """Ctrl-C drains the pool: the result sent before the interrupt is
+        kept, the tasks without one are cancelled, no worker outlives the
+        fleet, and the merged journal still parses."""
+        journal = RunJournal(str(tmp_path / "interrupted.jsonl"))
+
+        def interrupt(ctx):
+            os.kill(os.getppid(), signal.SIGINT)
+            time.sleep(60)  # until the parent's SIGTERM
+
+        def hang(ctx):
+            time.sleep(60)
+
+        # shares: worker 0 runs (first, interrupt), worker 1 the rest
+        tasks = [FleetTask(name="first", fn=lambda ctx: "done"),
+                 FleetTask(name="interrupt", fn=interrupt),
+                 FleetTask(name="hang0", fn=hang),
+                 FleetTask(name="hang1", fn=hang)]
+        report = RunFleet(jobs=2, journal=journal).run(tasks)
+        journal.close()
+
+        assert report.interrupted
+        assert [r.status for r in report.results] == [
+            "ok", "cancelled", "cancelled", "cancelled"]
+        assert report.results[0].value == "done"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        events = read_journal(journal.path)
+        headers = [e for e in events if e["event"] == "task_header"]
+        assert [h["status"] for h in headers] == [
+            "ok", "cancelled", "cancelled", "cancelled"]
+        assert events[-1]["fleet_stats"]["cancelled"] == 3
