@@ -40,6 +40,9 @@ cores, not by the jobs count, so the speedup gates are **core-aware**:
    1-job wall of its round — forking, pickling and journal merging must
    stay cheap even when parallelism cannot pay).
 
+"Cpus" are the ones this process may run on (its affinity mask), so a run
+pinned with ``taskset -c 0`` is held to the single-core gate.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
@@ -51,13 +54,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import time
 
 from repro.core.lightnas import LightNASConfig, run_grid
 from repro.experiments.shared import fit_latency_predictor
 from repro.hardware.latency import LatencyModel
+from repro.runtime.parallel import usable_cpus
 from repro.search_space.macro import MacroConfig
 from repro.search_space.space import SearchSpace
 
@@ -143,7 +146,7 @@ def run_workload(name: str, configs, predictor, jobs_grid) -> dict:
 
 
 def run(args) -> dict:
-    cores = os.cpu_count() or 1
+    cores = usable_cpus()
     jobs_grid = _jobs_grid(cores)
     paper = SearchSpace()
     paper_predictor, _ = fit_latency_predictor(paper, LatencyModel(paper))

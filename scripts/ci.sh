@@ -30,6 +30,12 @@ python -m pytest -x -q tests/core/test_resume_parity.py \
 # unless they use them.
 python -m pytest -x -q tests/integration/test_startup.py
 
+# Census: every definition in src/repro has a shipped caller, every import
+# is read, and every config field and defaulted parameter is set by some
+# shipped file (KEPT_OPTIONS names the exceptions and why).  A reintroduced
+# test-only definition or single-valued knob fails here by name.
+python -m pytest -x -q tests/integration/test_census.py
+
 # Surrogate searches compile one α-step plan: compiled vs nn.plans(False)
 # eager bit-identity, the 1-compile/N−1-replay counters, the frozen
 # predictor, resume and jobs=4 parity, and a float64 search under a

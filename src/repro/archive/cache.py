@@ -1,8 +1,9 @@
 """Memoizing evaluation cache backed by the architecture archive.
 
-The search baselines (evolution, random, RL) re-evaluate the same genotypes
-constantly — across a population, across generations, and across runs.
-:class:`EvalCache` sits between an engine and its cost models: repeated
+Evolution search re-evaluates the same genotypes constantly — across a
+population, across generations, and across runs.  :class:`EvalCache`
+sits between :class:`~repro.baselines.evolution.EvolutionSearch` and its
+cost models: repeated
 genotypes are served from memory (preloaded from an
 :class:`~repro.archive.store.ArchitectureArchive` when one is given)
 instead of re-running the MLP predictor or the accuracy oracle, and newly
@@ -14,9 +15,8 @@ rerun against a populated archive yields the same
 :class:`~repro.core.result.SearchResult` as a cold run.  Three properties
 make that hold:
 
-* the predictor and oracle are pure functions of the genotype (all
-  measurement noise stays outside the cache — RL's noisy latency
-  measurements are never cached),
+* the predictor and oracle are pure functions of the genotype (no noisy
+  measurement goes through the cache),
 * ``predict_population`` on a row subset is bit-identical to the same rows
   inside a larger batch (regression-tested in
   ``tests/archive/test_cache.py``), so computing only the missing rows of a
@@ -79,7 +79,8 @@ class EvalCache:
     Parameters
     ----------
     predictor:
-        The engine's metric predictor (optional — RL caches only fitness).
+        The engine's metric predictor (optional: a cache can memoize only
+        fitness).
     oracle:
         The engine's accuracy oracle (optional).
     archive:

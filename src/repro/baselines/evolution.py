@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,19 +30,14 @@ from ..archive.cache import EvalCache
 from ..core.result import SearchResult, SearchTrajectory
 from ..predictor.mlp import MLPPredictor
 from ..proxy.accuracy_model import AccuracyOracle
-from ..runtime.checkpoint import (
-    CheckpointError,
-    CheckpointManager,
-    fingerprint_of,
-    load_checkpoint,
-    resolve_checkpoint,
-    restore_rng,
-    rng_state_json,
-)
+from ..runtime.checkpoint import fingerprint_of
 from ..runtime.telemetry import NullJournal, RunJournal
 from ..search_space.space import Architecture, SearchSpace
 
 __all__ = ["EvolutionConfig", "EvolutionSearch"]
+
+#: give up after this many consecutive infeasible mutants per cycle
+MAX_REJECTS = 200
 
 
 @dataclass
@@ -55,8 +50,6 @@ class EvolutionConfig:
     tournament_size: int = 16
     cycles: int = 400
     seed: int = 0
-    #: give up after this many consecutive infeasible mutants per cycle
-    max_rejects: int = 200
 
     def __post_init__(self) -> None:
         if self.tournament_size > self.population_size:
@@ -107,7 +100,7 @@ class EvolutionSearch:
         return self.oracle.evaluate(arch).top1
 
     def _random_feasible(self) -> Architecture:
-        for _ in range(self.config.max_rejects):
+        for _ in range(MAX_REJECTS):
             arch = self.space.sample(self.rng)
             if self._feasible(arch):
                 return arch
@@ -129,7 +122,7 @@ class EvolutionSearch:
         call per rejection sample.
         """
         feasible: List[Architecture] = []
-        budget = self.config.max_rejects * count
+        budget = MAX_REJECTS * count
         drawn = 0
         batch = max(2 * count, 32)
         while len(feasible) < count and drawn < budget:
@@ -148,7 +141,7 @@ class EvolutionSearch:
         """First feasible single-op mutant of ``parent``, scored in batches."""
         parent_ops = np.asarray(parent.op_indices, dtype=np.int64)
         num_ops = self.space.num_operators
-        remaining = self.config.max_rejects
+        remaining = MAX_REJECTS
         while remaining > 0:
             batch = min(remaining, 64)
             remaining -= batch
@@ -170,84 +163,34 @@ class EvolutionSearch:
         cfg = self.config
         return fingerprint_of(
             "evolution", cfg.target, cfg.population_size, cfg.tournament_size,
-            cfg.cycles, cfg.seed, cfg.max_rejects, self.space.num_layers,
+            cfg.cycles, cfg.seed, MAX_REJECTS, self.space.num_layers,
             self.space.num_operators, repr(self.space.macro),
         )
-
-    def _capture_state(self, cycle: int, population, best_arch, best_fit,
-                       evaluations: int, trajectory: SearchTrajectory
-                       ) -> Tuple[Dict, Dict]:
-        meta = {
-            "kind": "evolution",
-            "fingerprint": self._fingerprint(),
-            "next_cycle": cycle + 1,
-            "evaluations": evaluations,
-            "best_fitness": best_fit,
-            "rng_state": rng_state_json(self.rng),
-        }
-        arrays = {
-            "population_ops": np.array([a.op_indices for a, _ in population],
-                                       dtype=np.int64),
-            "population_fitness": np.array([f for _, f in population],
-                                           dtype=np.float64),
-            "best_ops": np.array(best_arch.op_indices, dtype=np.int64),
-        }
-        arrays.update(trajectory.as_arrays())
-        return meta, arrays
 
     # ------------------------------------------------------------------
     def search(
         self,
         verbose: bool = False,
         *,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every: int = 100,
-        resume_from: Optional[str] = None,
         journal: Optional[RunJournal] = None,
     ) -> SearchResult:
         cfg = self.config
         journal = journal if journal is not None else NullJournal()
         run_start = time.perf_counter()
         population: Deque[Tuple[Architecture, float]] = deque()
-        start_cycle = 0
-        if resume_from is not None:
-            path = resolve_checkpoint(resume_from)
-            meta, arrays = load_checkpoint(path)
-            if meta.get("kind") != "evolution":
-                raise CheckpointError(
-                    f"checkpoint {path!r} belongs to engine "
-                    f"{meta.get('kind')!r}, not to evolution search"
-                )
-            if meta.get("fingerprint") != self._fingerprint():
-                raise CheckpointError(
-                    f"checkpoint {path!r} was written by a run with a "
-                    f"different configuration; resume with the original one"
-                )
-            for row, fit in zip(arrays["population_ops"].tolist(),
-                                arrays["population_fitness"]):
-                population.append((Architecture(tuple(row)), float(fit)))
-            best_arch = Architecture(tuple(arrays["best_ops"].tolist()))
-            best_fit = float(meta["best_fitness"])
-            evaluations = int(meta["evaluations"])
-            start_cycle = int(meta["next_cycle"])
-            restore_rng(self.rng, meta["rng_state"])
-            trajectory = SearchTrajectory.from_arrays(arrays)
-        else:
-            for arch in self._random_feasible_population(cfg.population_size):
-                population.append((arch, self._fitness(arch)))
-            trajectory = SearchTrajectory()
-            best_arch, best_fit = max(population, key=lambda item: item[1])
-            evaluations = cfg.population_size
-        manager = (CheckpointManager(checkpoint_dir, every=checkpoint_every)
-                   if checkpoint_dir else None)
+        for arch in self._random_feasible_population(cfg.population_size):
+            population.append((arch, self._fitness(arch)))
+        trajectory = SearchTrajectory()
+        best_arch, best_fit = max(population, key=lambda item: item[1])
+        evaluations = cfg.population_size
         journal.run_header(
             engine=self.name, metric_name="latency_ms", target=cfg.target,
             seed=cfg.seed, cycles=cfg.cycles,
-            population_size=cfg.population_size, start_epoch=start_cycle,
+            population_size=cfg.population_size,
             fingerprint=self._fingerprint(),
         )
 
-        for cycle in range(start_cycle, cfg.cycles):
+        for cycle in range(cfg.cycles):
             contestants = [
                 population[i]
                 for i in self.rng.choice(len(population), size=cfg.tournament_size,
@@ -274,12 +217,6 @@ class EvolutionSearch:
                               architecture=list(best_arch.op_indices))
                 if verbose:
                     print(f"[{self.name}] cycle {cycle:4d} best top-1 {best_fit:.2f}")
-            if manager is not None and manager.due(cycle):
-                meta, arrays = self._capture_state(cycle, population, best_arch,
-                                                   best_fit, evaluations,
-                                                   trajectory)
-                path = manager.save(cycle, meta, arrays)
-                journal.event("checkpoint", epoch=cycle, path=path)
 
         journal.run_end(
             final_predicted_metric=round(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..core.gumbel import TemperatureSchedule
+from ..core.gumbel import TemperatureSchedule, alpha_optimizer
 from ..core.result import SearchResult, SearchTrajectory
 from ..predictor.mlp import MLPPredictor
 from ..proxy.accuracy_model import AccuracyOracle
@@ -58,8 +58,6 @@ class GradientNASConfig:
     space: SearchSpace = field(default_factory=SearchSpace)
     epochs: int = 90
     steps_per_epoch: int = 50
-    alpha_lr: float = 1e-3
-    alpha_weight_decay: float = 1e-3
     #: fixed trade-off coefficient λ of Eq. (3); ignored by DARTS/SNAS
     latency_lambda: float = 0.0
     tau_initial: float = 5.0
@@ -109,8 +107,7 @@ class GradientNAS:
         """Run the baseline search; λ stays fixed throughout (Eq. 3)."""
         cfg = self.config
         alpha = nn.Parameter(self.space.uniform_alpha(), name="alpha")
-        optimizer = nn.Adam([alpha], lr=cfg.alpha_lr,
-                            weight_decay=cfg.alpha_weight_decay)
+        optimizer = alpha_optimizer(alpha)
         trajectory = SearchTrajectory()
         steps = 0
         for epoch in range(cfg.epochs):

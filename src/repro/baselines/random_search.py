@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..archive.cache import EvalCache
 from ..core.result import SearchResult, SearchTrajectory
 from ..predictor.mlp import MLPPredictor
 from ..proxy.accuracy_model import AccuracyOracle
@@ -38,33 +37,15 @@ class RandomSearch:
     name = "random"
 
     def __init__(self, config: RandomSearchConfig, predictor: MLPPredictor,
-                 oracle: Optional[AccuracyOracle] = None,
-                 cache: Optional[EvalCache] = None) -> None:
+                 oracle: Optional[AccuracyOracle] = None) -> None:
         self.config = config
         self.space = config.space
         self.predictor = predictor
         self.oracle = oracle or AccuracyOracle(self.space)
         self.rng = np.random.default_rng(config.seed)
-        if cache is not None and cache.predictor is not predictor:
-            raise ValueError(
-                "the EvalCache must wrap this engine's predictor")
-        self.cache = cache
-
-    # ------------------------------------------------------------------
-    def _predict_arch(self, arch: Architecture) -> float:
-        if self.cache is not None:
-            return self.cache.predict_arch(arch)
-        return self.predictor.predict_arch(arch)
-
-    def _quick_top1(self, arch: Architecture) -> float:
-        if self.cache is not None and self.cache.oracle is self.oracle:
-            return self.cache.fitness(arch, epochs=50)
-        return self.oracle.evaluate(arch, epochs=50).top1
 
     def search(self, verbose: bool = False, *,
                journal: Optional[RunJournal] = None) -> SearchResult:
-        # One-shot vectorized sampling: no loop state worth checkpointing,
-        # so this baseline gets telemetry only.
         cfg = self.config
         journal = journal if journal is not None else NullJournal()
         run_start = time.perf_counter()
@@ -77,12 +58,10 @@ class RandomSearch:
         # Sample and feasibility-score the whole population in one shot;
         # only the survivors pay the (per-architecture) quick evaluation.
         ops = self.space.sample_indices(cfg.num_samples, self.rng)
-        preds = (self.cache.predict_population(ops)
-                 if self.cache is not None
-                 else self.predictor.predict_population(ops))
+        preds = self.predictor.predict_population(ops)
         for i in np.nonzero(preds <= cfg.target)[0]:
             arch = Architecture(tuple(ops[i].tolist()))
-            top1 = self._quick_top1(arch)
+            top1 = self.oracle.evaluate(arch, epochs=50).top1
             if top1 > best_top1:
                 best, best_top1 = arch, top1
                 trajectory.record(int(i), float(preds[i]), 0.0, -top1, 0.0, arch)
@@ -97,20 +76,17 @@ class RandomSearch:
                 f"no feasible architecture in {cfg.num_samples} samples for "
                 f"target {cfg.target}"
             )
+        predicted = self.predictor.predict_arch(best)
         journal.run_end(
-            final_predicted_metric=round(
-                float(self._predict_arch(best)), 6),
+            final_predicted_metric=round(float(predicted), 6),
             best_top1=round(best_top1, 4),
             architecture=list(best.op_indices),
             num_search_steps=cfg.num_samples,
             wall_time_s=round(time.perf_counter() - run_start, 6),
-            **(self.cache.counters() if self.cache is not None else {}),
         )
-        if self.cache is not None:
-            self.cache.flush(engine=self.name, seed=cfg.seed)
         return SearchResult(
             architecture=best,
-            predicted_metric=self._predict_arch(best),
+            predicted_metric=predicted,
             target=cfg.target,
             final_lambda=0.0,
             trajectory=trajectory,

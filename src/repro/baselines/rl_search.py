@@ -17,27 +17,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..archive.cache import EvalCache
 from ..core.result import SearchResult, SearchTrajectory
 from ..hardware.latency import LatencyModel
 from ..proxy.accuracy_model import AccuracyOracle
-from ..runtime.checkpoint import (
-    CheckpointError,
-    CheckpointManager,
-    fingerprint_of,
-    load_checkpoint,
-    resolve_checkpoint,
-    restore_rng,
-    rng_state_json,
-)
+from ..runtime.checkpoint import fingerprint_of
 from ..runtime.telemetry import NullJournal, RunJournal
 from ..search_space.space import Architecture, SearchSpace
 
 __all__ = ["RLSearchConfig", "RLSearch"]
+
+#: REINFORCE step size of the policy logits
+POLICY_LR = 0.15
+#: MnasNet's hard-constraint reward exponent ``w``
+REWARD_EXPONENT = -0.07
+#: decay of the moving-average reward baseline
+BASELINE_MOMENTUM = 0.95
 
 
 @dataclass
@@ -48,9 +46,6 @@ class RLSearchConfig:
     target: float = 24.0
     iterations: int = 600
     batch_archs: int = 8
-    policy_lr: float = 0.15
-    reward_exponent: float = -0.07
-    baseline_momentum: float = 0.95
     seed: int = 0
 
 
@@ -64,31 +59,19 @@ class RLSearch:
         config: RLSearchConfig,
         latency_model: LatencyModel,
         oracle: Optional[AccuracyOracle] = None,
-        cache: Optional[EvalCache] = None,
     ) -> None:
         self.config = config
         self.space = config.space
         self.latency_model = latency_model
         self.oracle = oracle or AccuracyOracle(self.space)
         self.rng = np.random.default_rng(config.seed)
-        # Only the deterministic oracle rewards are cacheable: the noisy
-        # on-device latency measurements consume the seeded RNG stream and
-        # must stay live for runs to stay reproducible.
-        if cache is not None and cache.oracle is not self.oracle:
-            raise ValueError("the EvalCache must wrap this engine's oracle")
-        self.cache = cache
-
-    def _quick_top1(self, arch: Architecture) -> float:
-        if self.cache is not None:
-            return self.cache.fitness(arch, epochs=50)
-        return self.oracle.evaluate(arch, epochs=50).top1
 
     # ------------------------------------------------------------------
     def _latency_penalty(self, top1: float, latency: float) -> float:
         """MnasNet hard-constraint reward: penalise only above the target."""
         if latency <= self.config.target:
             return top1
-        return top1 * (latency / self.config.target) ** self.config.reward_exponent
+        return top1 * (latency / self.config.target) ** REWARD_EXPONENT
 
     def _sample_batch(self, probs: np.ndarray, count: int) -> np.ndarray:
         """Sample ``count`` architectures from the factorised policy.
@@ -104,41 +87,16 @@ class RLSearch:
     def _fingerprint(self) -> str:
         cfg = self.config
         return fingerprint_of(
-            "rl", cfg.target, cfg.iterations, cfg.batch_archs, cfg.policy_lr,
-            cfg.reward_exponent, cfg.baseline_momentum, cfg.seed,
+            "rl", cfg.target, cfg.iterations, cfg.batch_archs, POLICY_LR,
+            REWARD_EXPONENT, BASELINE_MOMENTUM, cfg.seed,
             self.space.num_layers, self.space.num_operators,
             repr(self.space.macro),
         )
-
-    def _capture_state(self, iteration: int, logits: np.ndarray,
-                       baseline: float, best_arch: Optional[Architecture],
-                       best_reward: float, evaluations: int,
-                       trajectory: SearchTrajectory) -> Tuple[Dict, Dict]:
-        meta = {
-            "kind": "rl",
-            "fingerprint": self._fingerprint(),
-            "next_iteration": iteration + 1,
-            "evaluations": evaluations,
-            "baseline": baseline,
-            "best_reward": best_reward,
-            "rng_state": rng_state_json(self.rng),
-        }
-        arrays = {
-            "logits": logits.copy(),
-            "best_ops": np.array(
-                best_arch.op_indices if best_arch is not None else [],
-                dtype=np.int64),
-        }
-        arrays.update(trajectory.as_arrays())
-        return meta, arrays
 
     def search(
         self,
         verbose: bool = False,
         *,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every: int = 100,
-        resume_from: Optional[str] = None,
         journal: Optional[RunJournal] = None,
     ) -> SearchResult:
         cfg = self.config
@@ -150,38 +108,13 @@ class RLSearch:
         best_arch: Optional[Architecture] = None
         best_reward = -np.inf
         evaluations = 0
-        start_iteration = 0
-        if resume_from is not None:
-            path = resolve_checkpoint(resume_from)
-            meta, arrays = load_checkpoint(path)
-            if meta.get("kind") != "rl":
-                raise CheckpointError(
-                    f"checkpoint {path!r} belongs to engine "
-                    f"{meta.get('kind')!r}, not to RL search"
-                )
-            if meta.get("fingerprint") != self._fingerprint():
-                raise CheckpointError(
-                    f"checkpoint {path!r} was written by a run with a "
-                    f"different configuration; resume with the original one"
-                )
-            logits = arrays["logits"].copy()
-            baseline = float(meta["baseline"])
-            best_reward = float(meta["best_reward"])
-            if arrays["best_ops"].size:
-                best_arch = Architecture(tuple(arrays["best_ops"].tolist()))
-            evaluations = int(meta["evaluations"])
-            start_iteration = int(meta["next_iteration"])
-            restore_rng(self.rng, meta["rng_state"])
-            trajectory = SearchTrajectory.from_arrays(arrays)
-        manager = (CheckpointManager(checkpoint_dir, every=checkpoint_every)
-                   if checkpoint_dir else None)
         journal.run_header(
             engine=self.name, metric_name="latency_ms", target=cfg.target,
             seed=cfg.seed, iterations=cfg.iterations,
-            start_epoch=start_iteration, fingerprint=self._fingerprint(),
+            fingerprint=self._fingerprint(),
         )
 
-        for iteration in range(start_iteration, cfg.iterations):
+        for iteration in range(cfg.iterations):
             probs = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs /= probs.sum(axis=1, keepdims=True)
             grad = np.zeros_like(logits)
@@ -191,20 +124,18 @@ class RLSearch:
             latencies = self.latency_model.measure_many(batch_ops, self.rng)
             for choices, latency in zip(batch_ops.tolist(), latencies):
                 arch = Architecture(tuple(choices))
-                top1 = self._quick_top1(arch) / 100.0
+                top1 = self.oracle.evaluate(arch, epochs=50).top1 / 100.0
                 reward = self._latency_penalty(top1, float(latency))
                 evaluations += 1
                 if reward > best_reward:
                     best_arch, best_reward = arch, reward
                 advantage = reward - baseline
-                baseline = (
-                    cfg.baseline_momentum * baseline
-                    + (1 - cfg.baseline_momentum) * reward
-                )
+                baseline = (BASELINE_MOMENTUM * baseline
+                            + (1 - BASELINE_MOMENTUM) * reward)
                 # ∇ log π for a factorised categorical policy
                 grad -= probs * advantage
                 grad[np.arange(len(choices)), choices] += advantage
-            logits += cfg.policy_lr * grad / cfg.batch_archs
+            logits += POLICY_LR * grad / cfg.batch_archs
             if iteration % 25 == 0:
                 current = Architecture(tuple(int(i) for i in logits.argmax(axis=1)))
                 current_latency = self.latency_model.latency_ms(current)
@@ -219,12 +150,6 @@ class RLSearch:
                               architecture=list(current.op_indices))
                 if verbose:
                     print(f"[{self.name}] iter {iteration:4d} best reward {best_reward:.4f}")
-            if manager is not None and manager.due(iteration):
-                meta, arrays = self._capture_state(
-                    iteration, logits, baseline, best_arch, best_reward,
-                    evaluations, trajectory)
-                path = manager.save(iteration, meta, arrays)
-                journal.event("checkpoint", epoch=iteration, path=path)
 
         assert best_arch is not None
         journal.run_end(
@@ -234,11 +159,7 @@ class RLSearch:
             architecture=list(best_arch.op_indices),
             num_search_steps=evaluations,
             wall_time_s=round(time.perf_counter() - run_start, 6),
-            **(self.cache.counters() if self.cache is not None else {}),
         )
-        if self.cache is not None:
-            self.cache.flush(engine=self.name, seed=cfg.seed,
-                             config_fingerprint=self._fingerprint())
         return SearchResult(
             architecture=best_arch,
             predicted_metric=self.latency_model.latency_ms(best_arch),

@@ -43,9 +43,9 @@ class ScalingBaseline:
     #: MobileNetV2 stacks exactly this block.
     UNIFORM_OP = 1
 
-    def __init__(self, base_macro: Optional[MacroConfig] = None,
-                 device: DeviceProfile = XAVIER_MAXN, seed: int = 0) -> None:
-        self.base_macro = base_macro or MacroConfig.lightnas()
+    def __init__(self, device: DeviceProfile = XAVIER_MAXN,
+                 seed: int = 0) -> None:
+        self.base_macro = MacroConfig.lightnas()
         self.device = device
         self.seed = seed
 
@@ -67,15 +67,16 @@ class ScalingBaseline:
                                     epochs=epochs)
 
     # ------------------------------------------------------------------
-    def fit_width_to_latency(self, target_ms: float, epochs: int = 360,
-                             tolerance: float = 0.05) -> ScaledModel:
-        """Binary-search the width multiplier to meet a latency target."""
+    def fit_width_to_latency(self, target_ms: float,
+                             epochs: int = 360) -> ScaledModel:
+        """Binary-search the width multiplier to meet a latency target
+        (within 0.05 ms)."""
         low, high = 0.25, 2.5
         resolution = self.base_macro.input_resolution
         for _ in range(30):
             mid = 0.5 * (low + high)
             latency = self._evaluate_scale(mid, resolution, epochs).latency_ms
-            if abs(latency - target_ms) <= tolerance:
+            if abs(latency - target_ms) <= 0.05:
                 break
             if latency > target_ms:
                 high = mid

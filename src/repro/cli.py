@@ -48,10 +48,8 @@ from .core.lightnas import LightNAS, LightNASConfig, METRIC_ALIASES, \
 from .eval.imagenet import ImageNetEvaluator
 from .experiments.reporting import render_table
 from .experiments.shared import fit_energy_predictor, fit_latency_predictor
-from .hardware.device import device_hints, known_devices, resolve_device
-# importing the fleet package registers its device-name resolver, so every
-# --device flag (and the archive service) accepts fleet names like phone-03
 from . import fleet as fleet_pkg
+from .hardware.device import device_hints, known_devices, resolve_device
 from .hardware.energy import EnergyModel
 from .hardware.flops import count_macs, count_macs_many, count_params, \
     count_params_many
@@ -96,15 +94,14 @@ def _device(args):
 def _device_help(default: str = "") -> str:
     """``--device`` help text derived from the device registry.
 
-    Static names come from ``DEVICE_ALIASES`` (deduplicated), dynamic name
-    patterns from the registered resolvers (fleet families) — so the help
-    can never drift from what ``resolve_device`` actually accepts.
+    Static names come from ``DEVICE_ALIASES`` (deduplicated), name
+    patterns from the fleet families — so the help can never drift from
+    what ``resolve_device`` actually accepts.
     """
     names = ", ".join(known_devices())
-    hints = device_hints()
-    extra = f"; fleet devices: {', '.join(hints)}" if hints else ""
+    hints = ", ".join(device_hints())
     tail = f" (default {default})" if default else ""
-    return f"device profile: {names}{extra}{tail}"
+    return f"device profile: {names}; fleet devices: {hints}{tail}"
 
 
 def _read_arch_file(path: str, space: SearchSpace) -> np.ndarray:

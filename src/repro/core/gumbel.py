@@ -22,7 +22,23 @@ from .. import nn
 from ..nn import functional as F
 from ..search_space.space import Architecture
 
-__all__ = ["TemperatureSchedule", "GumbelSampler"]
+__all__ = ["TemperatureSchedule", "GumbelSampler", "alpha_optimizer",
+           "alpha_schedule"]
+
+#: Adam on the architecture parameters α, as in §4.1: lr 1e-3 and weight
+#: decay 1e-3, the learning rate cosine-annealed to a tenth of itself
+ALPHA_LR = 1e-3
+ALPHA_WEIGHT_DECAY = 1e-3
+
+
+def alpha_optimizer(alpha: nn.Parameter) -> nn.Adam:
+    """The α optimizer every differentiable search uses."""
+    return nn.Adam([alpha], lr=ALPHA_LR, weight_decay=ALPHA_WEIGHT_DECAY)
+
+
+def alpha_schedule(epochs: int) -> nn.CosineSchedule:
+    """The α learning-rate schedule over ``epochs`` epochs."""
+    return nn.CosineSchedule(ALPHA_LR, epochs, final_lr=ALPHA_LR * 0.1)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,8 @@ class LagrangeMultiplier:
     Parameters
     ----------
     lr:
-        Ascent learning rate η_λ (the paper fixes 5e-4).
-    initial:
-        Starting value (the paper initialises λ = 0).
+        Ascent learning rate η_λ (the paper fixes 5e-4).  λ starts at 0,
+        as in the paper.
     clamp_min:
         Optional lower bound.  The default (``None``) allows λ < 0, which
         is required for the constraint to *pull up* architectures whose
@@ -42,11 +41,11 @@ class LagrangeMultiplier:
         LAT(α)=T" relies on.
     """
 
-    def __init__(self, lr: float = 5e-4, initial: float = 0.0,
+    def __init__(self, lr: float = 5e-4,
                  clamp_min: float | None = None) -> None:
         if lr <= 0:
             raise ValueError("λ learning rate must be positive")
-        self.param = nn.Parameter([initial], name="lambda")
+        self.param = nn.Parameter([0.0], name="lambda")
         self._optimizer = nn.GradientAscent([self.param], lr=lr, floor=clamp_min)
         self.history: List[float] = []
 

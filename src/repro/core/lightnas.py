@@ -69,7 +69,8 @@ from ..runtime.parallel import FleetReport, FleetTask, RunFleet
 from ..runtime.telemetry import NullJournal, PhaseTimers, RunJournal
 from ..search_space.macro import MacroConfig
 from ..search_space.space import SearchSpace
-from .gumbel import GumbelSampler, TemperatureSchedule
+from .gumbel import (ALPHA_LR, ALPHA_WEIGHT_DECAY, GumbelSampler,
+                     TemperatureSchedule, alpha_optimizer, alpha_schedule)
 from .lambda_opt import LagrangeMultiplier
 from .objective import ConstrainedObjective
 from .result import SearchResult, SearchTrajectory
@@ -84,6 +85,12 @@ CANONICAL_METRICS = ("latency_ms", "energy_mj", "macs_m")
 #: :meth:`LightNASConfig.__post_init__`)
 METRIC_ALIASES = {"latency": "latency_ms", "energy": "energy_mj",
                   "macs": "macs_m"}
+
+#: SGD on the supernet weights w (supernet mode), as in §4.1: lr 0.1
+#: (cosine-annealed), momentum 0.9, weight decay 3e-5
+W_LR = 0.1
+W_MOMENTUM = 0.9
+W_WEIGHT_DECAY = 3e-5
 
 
 @dataclass
@@ -105,13 +112,7 @@ class LightNASConfig:
     warmup_epochs: int = 10
     batch_size: int = 128
 
-    alpha_lr: float = 1e-3
-    alpha_weight_decay: float = 1e-3
-    w_lr: float = 0.1
-    w_momentum: float = 0.9
-    w_weight_decay: float = 3e-5
     lambda_lr: float = 5e-4
-    lambda_initial: float = 0.0
     #: augmented-Lagrangian damping weight (0 disables; see objective.py)
     penalty_mu: float = 1.0
 
@@ -280,15 +281,12 @@ class LightNAS:
         alpha = nn.Parameter(self.space.uniform_alpha(), name="alpha")
         w_opt = None
         if cfg.mode == "supernet":
-            w_opt = nn.SGD(self.supernet.parameters(), lr=cfg.w_lr,
-                           momentum=cfg.w_momentum,
-                           weight_decay=cfg.w_weight_decay)
+            w_opt = nn.SGD(self.supernet.parameters(), lr=W_LR,
+                           momentum=W_MOMENTUM, weight_decay=W_WEIGHT_DECAY)
         return _SearchState(
             alpha=alpha,
-            alpha_opt=nn.Adam([alpha], lr=cfg.alpha_lr,
-                              weight_decay=cfg.alpha_weight_decay),
-            lam=LagrangeMultiplier(lr=cfg.lambda_lr,
-                                   initial=cfg.lambda_initial),
+            alpha_opt=alpha_optimizer(alpha),
+            lam=LagrangeMultiplier(lr=cfg.lambda_lr),
             trajectory=SearchTrajectory(),
             w_opt=w_opt,
         )
@@ -422,9 +420,8 @@ class LightNAS:
         header = {}
         if supernet:
             state = self._start(resume_from)
-            alpha_schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
-                                               final_lr=cfg.alpha_lr * 0.1)
-            w_schedule = nn.CosineSchedule(cfg.w_lr, cfg.epochs)
+            alpha_sched = alpha_schedule(cfg.epochs)
+            w_schedule = nn.CosineSchedule(W_LR, cfg.epochs)
             plan_stats = self.programs.stats
         else:
             # the surrogate α-epochs run as one slot of a stacked batch: of
@@ -461,7 +458,7 @@ class LightNAS:
                            else nullcontext(None))
             with epoch_scope as op_prof:
                 if supernet:
-                    alpha_schedule.apply(state.alpha_opt, epoch)
+                    alpha_sched.apply(state.alpha_opt, epoch)
                     w_schedule.apply(state.w_opt, epoch)
                     with timers.phase("train_weights"):
                         self._train_weights_epoch(sampler, state.alpha,
@@ -648,8 +645,8 @@ def _config_key(cfg: LightNASConfig, shared: bool = False) -> str:
     parts = [
         "lightnas", cfg.mode, target, cfg.metric_name, cfg.epochs,
         cfg.steps_per_epoch, cfg.warmup_epochs, cfg.batch_size,
-        cfg.alpha_lr, cfg.alpha_weight_decay, cfg.w_lr, cfg.w_momentum,
-        cfg.w_weight_decay, cfg.lambda_lr, cfg.lambda_initial,
+        ALPHA_LR, ALPHA_WEIGHT_DECAY, W_LR, W_MOMENTUM, W_WEIGHT_DECAY,
+        cfg.lambda_lr, 0.0,  # λ starts at 0
         cfg.penalty_mu, cfg.tau_initial, cfg.tau_floor, seed,
         cfg.space.num_layers, cfg.space.num_operators,
         repr(cfg.space.macro),
@@ -773,15 +770,13 @@ class SearchBatch:
         self.epoch = first.start_epoch
         self.alpha = nn.Parameter(np.stack([s.alpha.data for s in states]),
                                   name="alpha")
-        self.alpha_opt = nn.Adam([self.alpha], lr=cfg.alpha_lr,
-                                 weight_decay=cfg.alpha_weight_decay)
+        self.alpha_opt = alpha_optimizer(self.alpha)
         self.alpha_opt.load_state_arrays({
             "t": opt_states[0]["t"],
             "m.0": np.stack([opt["m.0"] for opt in opt_states]),
             "v.0": np.stack([opt["v.0"] for opt in opt_states]),
         })
-        self.alpha_schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
-                                                final_lr=cfg.alpha_lr * 0.1)
+        self.alpha_schedule = alpha_schedule(cfg.epochs)
         self.lam = nn.Parameter([s.lam.value for s in states], name="lambda")
         self.lam_opt = nn.GradientAscent([self.lam], lr=cfg.lambda_lr,
                                          floor=None)

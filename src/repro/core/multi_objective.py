@@ -28,7 +28,8 @@ import numpy as np
 from .. import nn
 from ..proxy.accuracy_model import AccuracyOracle
 from ..search_space.space import SearchSpace
-from .gumbel import GumbelSampler, TemperatureSchedule
+from .gumbel import (GumbelSampler, TemperatureSchedule, alpha_optimizer,
+                     alpha_schedule)
 from .lambda_opt import LagrangeMultiplier
 from .result import SearchResult, SearchTrajectory
 
@@ -58,8 +59,6 @@ class MultiConstraintConfig:
     constraints: Sequence[Constraint]
     epochs: int = 90
     steps_per_epoch: int = 50
-    alpha_lr: float = 1e-3
-    alpha_weight_decay: float = 1e-3
     lambda_lr: float = 0.01
     penalty_mu: float = 1.0
     tau_initial: float = 5.0
@@ -98,10 +97,8 @@ class MultiConstraintLightNAS:
         """
         cfg = self.config
         alpha = nn.Parameter(self.space.uniform_alpha(), name="alpha")
-        alpha_opt = nn.Adam([alpha], lr=cfg.alpha_lr,
-                            weight_decay=cfg.alpha_weight_decay)
-        alpha_schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
-                                           final_lr=cfg.alpha_lr * 0.1)
+        alpha_opt = alpha_optimizer(alpha)
+        alpha_sched = alpha_schedule(cfg.epochs)
         # inequality duals: clamped at zero
         multipliers = {c.name: LagrangeMultiplier(lr=cfg.lambda_lr, clamp_min=0.0)
                        for c in cfg.constraints}
@@ -111,7 +108,7 @@ class MultiConstraintLightNAS:
         steps = 0
 
         for epoch in range(cfg.epochs):
-            alpha_schedule.apply(alpha_opt, epoch)
+            alpha_sched.apply(alpha_opt, epoch)
             for _ in range(cfg.steps_per_epoch):
                 _, gates = sampler.sample_gates(alpha, epoch)
                 _, det_gates = sampler.sample_gates(alpha, epoch,

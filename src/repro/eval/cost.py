@@ -89,7 +89,6 @@ def simulated_gpu_hours(
     num_steps: int,
     paths_per_step: int,
     trained_samples: int = 0,
-    amortised: float = 0.0,
 ) -> float:
     """Cost of what an engine actually executed, in GPU-hour equivalents.
 
@@ -100,14 +99,15 @@ def simulated_gpu_hours(
         :class:`repro.core.result.SearchResult`).
     trained_samples:
         Candidates trained from scratch (RL-style accounting).
-    amortised:
-        One-off substrate cost (e.g. the OFA supernet).
+
+    One-off substrate costs (:data:`OFA_AMORTISED_GPU_HOURS`) are not
+    executed steps, so they are not part of this model.
     """
     if num_steps < 0 or paths_per_step < 0 or trained_samples < 0:
         raise ValueError("cost inputs must be non-negative")
     hours = num_steps * paths_per_step * GPU_HOURS_PER_PATH_STEP
     hours += trained_samples * GPU_HOURS_PER_TRAINED_SAMPLE
-    return hours + amortised
+    return hours
 
 
 def total_design_cost(method: str, explicit_gpu_hours: Optional[float] = None

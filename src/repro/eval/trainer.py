@@ -24,6 +24,12 @@ from ..search_space.space import Architecture, SearchSpace
 
 __all__ = ["TrainReport", "train_standalone", "accuracy"]
 
+#: peak SGD learning rate of the cosine schedule
+BASE_LR = 0.1
+#: epochs of linear warm-up from ``BASE_LR / 5``
+WARMUP_EPOCHS = 2
+WEIGHT_DECAY = 4e-5
+
 
 @dataclass
 class TrainReport:
@@ -63,31 +69,22 @@ def train_standalone(
     task: SyntheticTask,
     epochs: int = 20,
     batch_size: int = 32,
-    base_lr: float = 0.1,
-    warmup_epochs: int = 2,
-    weight_decay: float = 4e-5,
-    dropout: float = 0.2,
-    with_se_last: int = 0,
     seed: int = 0,
-    compute_dtype: str = "float64",
 ) -> TrainReport:
     """Train ``arch`` from scratch on ``task`` and report accuracies.
 
-    ``compute_dtype="float32"`` opts the whole run into the engine's
-    reduced-precision mode (same semantics as
-    ``LightNASConfig.compute_dtype``); the float64 default keeps seeded
-    runs bit-identical to the historical engine.
+    The run is float64 whatever the caller's default dtype, so seeded
+    runs stay bit-identical to the historical engine.
     """
     rng = np.random.default_rng(seed)
-    with nn.dtype_scope(compute_dtype):
-        model = build_standalone(space, arch, rng, dropout=dropout,
-                                 with_se_last=with_se_last)
-        optimizer = nn.SGD(model.parameters(), lr=base_lr, momentum=0.9,
-                           weight_decay=weight_decay)
+    with nn.dtype_scope("float64"):
+        model = build_standalone(space, arch, rng)
+        optimizer = nn.SGD(model.parameters(), lr=BASE_LR, momentum=0.9,
+                           weight_decay=WEIGHT_DECAY)
         schedule = nn.CosineSchedule(
-            base_lr, total_steps=epochs,
-            warmup_steps=min(warmup_epochs, epochs - 1),
-            warmup_start_lr=base_lr / 5.0,
+            BASE_LR, total_steps=epochs,
+            warmup_steps=min(WARMUP_EPOCHS, epochs - 1),
+            warmup_start_lr=BASE_LR / 5.0,
         )
         num_classes = space.macro.num_classes
         losses: List[float] = []

@@ -38,9 +38,10 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def ascii_series(values: Sequence[float], width: int = 60, height: int = 10,
-                 label: str = "") -> str:
-    """Down-sampled ASCII line plot of one series (for trajectory figures)."""
+def ascii_series(values: Sequence[float], label: str = "") -> str:
+    """Down-sampled 60 × 10 ASCII line plot of one series (for trajectory
+    figures)."""
+    width, height = 60, 10
     values = list(values)
     if not values:
         return f"{label}: (empty)"

@@ -195,24 +195,21 @@ def fit_latency_predictor(
 def fit_energy_predictor(
     space: SearchSpace,
     energy_model: EnergyModel,
-    seed: int = CAMPAIGN_SEED,
     num_samples: int = CAMPAIGN_SIZE,
-    use_cache: bool = True,
 ) -> tuple:
     """Fit (or load) the energy predictor of Figure 8; returns (pred, rmse)."""
     return _fit_predictor("energy", collect_energy_dataset, energy_model,
-                          space, seed, num_samples, use_cache, None,
+                          space, CAMPAIGN_SEED, num_samples, True, None,
                           FIT_EPOCHS, FIT_BATCH)
 
 
-def full_context(use_cache: bool = True) -> ExperimentContext:
+def full_context() -> ExperimentContext:
     """The standard full-space experiment context (cached predictor)."""
     space = SearchSpace()
     device = XAVIER_MAXN
     latency_model = LatencyModel(space, device)
     energy_model = EnergyModel(space, device, latency_model=latency_model)
-    predictor, rmse = fit_latency_predictor(space, latency_model,
-                                            use_cache=use_cache)
+    predictor, rmse = fit_latency_predictor(space, latency_model)
     return ExperimentContext(
         space=space,
         device=device,

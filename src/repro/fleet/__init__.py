@@ -13,8 +13,6 @@ Turns the single-device reproduction into an N-device retargeting system
 * :mod:`repro.fleet.retarget` — one archive sweep (or one search) served
   to every device of the fleet: per-device constraint satisfaction and
   Pareto fronts through the existing archive/query/serve stack.
-
-Importing this package registers the fleet name resolver.
 """
 
 from .generator import (

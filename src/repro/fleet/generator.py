@@ -34,10 +34,9 @@ process — archives, services and calibration files can refer to fleet
 devices by name alone.  A non-default seed is spelled into the name
 (``phone-03@s7``), keeping names content-addressed.
 
-Importing :mod:`repro.fleet` registers :func:`fleet_device` as a
-:func:`~repro.hardware.device.resolve_device` resolver, so every CLI /
-service / archive path that resolves devices accepts fleet names with no
-further wiring.
+:func:`~repro.hardware.device.resolve_device` falls back on
+:func:`fleet_device`, so every CLI / service / archive path that resolves
+devices accepts fleet names with no further wiring.
 """
 
 from __future__ import annotations
@@ -49,11 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..hardware.device import (
-    DeviceProfile,
-    XAVIER_MAXN,
-    register_resolver,
-)
+from ..hardware.device import DeviceProfile, XAVIER_MAXN
 
 __all__ = ["FamilySpec", "FLEET_FAMILIES", "DEFAULT_FLEET_SEED",
            "generate_device", "generate_fleet", "fleet_device",
@@ -310,21 +305,11 @@ def generate_fleet(family: str, count: int,
 
 
 def fleet_device(name: str) -> Optional[DeviceProfile]:
-    """Resolve a fleet device name, or ``None`` if not fleet-shaped.
-
-    This is the hook plugged into
-    :func:`repro.hardware.device.resolve_device`.
-    """
+    """Resolve a fleet device name, or ``None`` if not fleet-shaped
+    (the fallback of :func:`repro.hardware.device.resolve_device`)."""
     parsed = parse_fleet_name(name)
     if parsed is None:
         return None
     family, index, seed = parsed
     return FLEET_FAMILIES[family].sample(index, seed)
 
-
-def _hints() -> List[str]:
-    return [f"{family}-<NN>[@s<seed>]"
-            for family in sorted(FLEET_FAMILIES)]
-
-
-register_resolver(fleet_device, _hints)

@@ -31,11 +31,10 @@ the paper's 20–30 ms band, and energy in the few-hundred-mJ band of Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List
 
 __all__ = ["DeviceProfile", "XAVIER_MAXN", "EDGE_NANO", "DEVICE_ALIASES",
-           "resolve_device", "register_resolver", "known_devices",
-           "device_hints"]
+           "resolve_device", "known_devices", "device_hints"]
 
 
 @dataclass(frozen=True)
@@ -126,22 +125,6 @@ DEVICE_ALIASES = {
 }
 
 
-#: Pluggable resolvers consulted after the static alias table.  Each entry
-#: is ``(resolve, hint)``: ``resolve(name)`` returns a profile or ``None``,
-#: ``hint()`` returns human-readable name patterns for error messages and
-#: ``--device`` help.  The fleet subsystem registers its parametric device
-#: families here (``repro.fleet.generator``), which is what lets every
-#: existing CLI/service/archive path accept fleet devices by name.
-_RESOLVERS: List[Tuple[Callable[[str], Optional[DeviceProfile]],
-                       Callable[[], List[str]]]] = []
-
-
-def register_resolver(resolve: Callable[[str], Optional[DeviceProfile]],
-                      hint: Callable[[], List[str]]) -> None:
-    """Extend :func:`resolve_device` with a dynamic device namespace."""
-    _RESOLVERS.append((resolve, hint))
-
-
 def known_devices() -> List[str]:
     """Sorted, deduplicated static device names (aliases + profile names).
 
@@ -155,24 +138,25 @@ def known_devices() -> List[str]:
 
 def device_hints() -> List[str]:
     """Name patterns accepted beyond the static table (fleet families)."""
-    hints: List[str] = []
-    for _, hint in _RESOLVERS:
-        hints.extend(hint())
-    return hints
+    from ..fleet.generator import FLEET_FAMILIES
+
+    return [f"{family}-<NN>[@s<seed>]" for family in sorted(FLEET_FAMILIES)]
 
 
 def resolve_device(name: str) -> DeviceProfile:
-    """Look up a device by CLI alias, full profile name, or fleet name."""
+    """Look up a device by CLI alias, full profile name, or fleet name
+    (``phone-03``, ``phone-03@s7``: see :mod:`repro.fleet.generator`)."""
     if name in DEVICE_ALIASES:
         return DEVICE_ALIASES[name]
     for profile in DEVICE_ALIASES.values():
         if profile.name == name:
             return profile
-    for resolve, _ in _RESOLVERS:
-        profile = resolve(name)
-        if profile is not None:
-            return profile
+    # imported here: the fleet generator builds on this module's profiles
+    from ..fleet.generator import fleet_device
+
+    profile = fleet_device(name)
+    if profile is not None:
+        return profile
     known = ", ".join(known_devices())
-    hints = device_hints()
-    extra = f"; fleet devices: {', '.join(hints)}" if hints else ""
-    raise ValueError(f"unknown device {name!r}; known: {known}{extra}")
+    raise ValueError(f"unknown device {name!r}; known: {known}; "
+                     f"fleet devices: {', '.join(device_hints())}")

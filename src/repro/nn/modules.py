@@ -339,9 +339,9 @@ class SqueezeExcite(Module):
     layers of the searched LightNets.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, reduction: int = 4) -> None:
+    def __init__(self, channels: int, rng: np.random.Generator) -> None:
         super().__init__()
-        hidden = max(1, channels // reduction)
+        hidden = max(1, channels // 4)  # reduction ratio 4
         self.channels = channels
         self.fc1 = Linear(channels, hidden, rng)
         self.fc2 = Linear(hidden, channels, rng)

@@ -14,7 +14,7 @@ from .dataset import (
     collect_latency_dataset,
 )
 from .metrics import kendall_tau, rmse
-from .mlp import MLPPredictor, TrainingLog
+from .mlp import MLPPredictor
 
 __all__ = [
     "AnalyticCostPredictor",
@@ -22,7 +22,6 @@ __all__ = [
     "collect_latency_dataset",
     "collect_energy_dataset",
     "MLPPredictor",
-    "TrainingLog",
     "rmse",
     "kendall_tau",
 ]

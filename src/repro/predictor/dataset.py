@@ -16,9 +16,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ..hardware.energy import EnergyMeter, EnergyModel
-from ..hardware.flops import count_macs_many, count_params_many
 from ..hardware.latency import LatencyModel
-from ..search_space.space import Architecture, SearchSpace
+from ..search_space.space import Architecture
 
 __all__ = ["PredictorDataset", "collect_latency_dataset",
            "collect_energy_dataset"]
@@ -70,52 +69,20 @@ class PredictorDataset:
         return take(first), take(second)
 
 
-def _record_campaign(archive, space: SearchSpace, ops: np.ndarray, *,
-                     device: str, engine: str,
-                     latency_ms=None, energy_mj=None,
-                     measured_latency_ms=None, measured_energy_mj=None) -> None:
-    """Write-through one measurement campaign into an archive.
-
-    Recording only — the campaign itself never *reads* the archive, so a
-    seeded campaign stays bit-identical whether or not one is attached.
-    """
-    archive.add_population(
-        ops,
-        device=device,
-        latency_ms=latency_ms,
-        energy_mj=energy_mj,
-        measured_latency_ms=measured_latency_ms,
-        measured_energy_mj=measured_energy_mj,
-        macs_m=count_macs_many(space, ops) / 1e6,
-        params_m=count_params_many(space, ops) / 1e6,
-        engine=engine,
-    )
-
-
 def collect_latency_dataset(
     latency_model: LatencyModel,
     num_samples: int,
     rng: np.random.Generator,
-    archive=None,
 ) -> PredictorDataset:
     """Sample architectures and measure latency, as in the paper's campaign.
 
     Sampling, measurement, and encoding are all population-level numpy
     operations; the generator is consumed exactly as by the historical
     per-architecture loop, so seeded campaigns are bit-identical to it.
-    When an :class:`~repro.archive.store.ArchitectureArchive` is given,
-    every sample is recorded with both the noiseless model latency and the
-    noisy measurement.
     """
     space = latency_model.space
     ops = space.sample_indices(num_samples, rng)
     targets = latency_model.measure_many(ops, rng)
-    if archive is not None:
-        _record_campaign(archive, space, ops,
-                         device=latency_model.device.name,
-                         engine="latency-campaign",
-                         latency_ms=latency_model.latency_many(ops),
-                         measured_latency_ms=targets)
     return PredictorDataset(space.encode_many(ops), targets,
                             space.indices_to_archs(ops))
 
@@ -124,19 +91,12 @@ def collect_energy_dataset(
     energy_model: EnergyModel,
     num_samples: int,
     rng: np.random.Generator,
-    archive=None,
 ) -> PredictorDataset:
     """Sample architectures and measure energy with temperature drift."""
     space = energy_model.space
     ops = space.sample_indices(num_samples, rng)
     meter = EnergyMeter(energy_model, rng)
     targets = meter.measure_many(ops)
-    if archive is not None:
-        _record_campaign(archive, space, ops,
-                         device=energy_model.device.name,
-                         engine="energy-campaign",
-                         energy_mj=energy_model.energy_many(ops),
-                         measured_energy_mj=targets)
     return PredictorDataset(space.encode_many(ops), targets,
                             space.indices_to_archs(ops))
 

@@ -20,8 +20,7 @@ original units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -30,15 +29,10 @@ from ..nn import functional as F
 from ..search_space.space import Architecture, SearchSpace
 from .dataset import PredictorDataset
 
-__all__ = ["MLPPredictor", "TrainingLog"]
+__all__ = ["MLPPredictor"]
 
-
-@dataclass
-class TrainingLog:
-    """Per-epoch training diagnostics of a predictor fit."""
-
-    train_loss: List[float] = field(default_factory=list)
-    valid_rmse: List[float] = field(default_factory=list)
+#: rows per encode + forward in :meth:`MLPPredictor.predict_population`
+CHUNK_ROWS = 65536
 
 
 class MLPPredictor:
@@ -120,16 +114,17 @@ class MLPPredictor:
         feat = arch.one_hot(self.space.num_operators).reshape(1, -1)
         return float(self.predict(feat)[0])
 
-    def predict_population(self, archs, chunk_size: int = 65536) -> np.ndarray:
+    def predict_population(self, archs) -> np.ndarray:
         """Predict a population: ``(N, L)`` op indices (or a sequence of
         architectures) → ``(N,)`` metric values, one encode + one forward
-        per chunk (chunking bounds the transient one-hot matrix's memory)."""
+        per chunk of :data:`CHUNK_ROWS` rows (chunking bounds the transient
+        one-hot matrix's memory)."""
         ops = self.space.as_index_matrix(archs)
-        if len(ops) <= chunk_size:
+        if len(ops) <= CHUNK_ROWS:
             return self.predict(self.space.encode_many(ops))
         return np.concatenate([
-            self.predict(self.space.encode_many(ops[start:start + chunk_size]))
-            for start in range(0, len(ops), chunk_size)
+            self.predict(self.space.encode_many(ops[start:start + CHUNK_ROWS]))
+            for start in range(0, len(ops), CHUNK_ROWS)
         ])
 
     # ------------------------------------------------------------------
@@ -138,19 +133,16 @@ class MLPPredictor:
     def fit(
         self,
         train: PredictorDataset,
-        valid: Optional[PredictorDataset] = None,
         epochs: int = 150,
         batch_size: int = 256,
         lr: float = 1e-3,
         weight_decay: float = 1e-5,
-        cosine_decay: bool = True,
-        verbose: bool = False,
-    ) -> TrainingLog:
+    ) -> None:
         """Fit with Adam on mean-squared error over normalised targets.
 
-        ``cosine_decay`` anneals the learning rate to zero over ``epochs``,
-        which is what lets the predictor reach the measurement-noise floor
-        on large campaigns (Figure 5 Left).
+        A cosine schedule anneals the learning rate to zero over
+        ``epochs``, which is what lets the predictor reach the
+        measurement-noise floor on large campaigns (Figure 5 Left).
         """
         if len(train) < 2:
             raise ValueError("need at least 2 training samples")
@@ -162,14 +154,11 @@ class MLPPredictor:
         x = np.asarray(train.features, dtype=np.float64)
         y = (np.asarray(train.targets, dtype=np.float64) - self.target_mean) / self.target_std
         optimizer = nn.Adam(self._model.parameters(), lr=lr, weight_decay=weight_decay)
-        schedule = nn.CosineSchedule(lr, epochs) if cosine_decay else None
-        log = TrainingLog()
+        schedule = nn.CosineSchedule(lr, epochs)
 
         for epoch in range(epochs):
-            if schedule is not None:
-                schedule.apply(optimizer, epoch)
+            schedule.apply(optimizer, epoch)
             order = self._shuffle_rng.permutation(len(y))
-            epoch_loss = 0.0
             for start in range(0, len(y), batch_size):
                 idx = order[start : start + batch_size]
                 xb, yb = nn.Tensor(x[idx]), y[idx]
@@ -178,17 +167,9 @@ class MLPPredictor:
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()
-                epoch_loss += loss.item() * len(idx)
-            log.train_loss.append(epoch_loss / len(y))
-            if valid is not None:
-                log.valid_rmse.append(self.rmse(valid))
-            if verbose and (epoch % 10 == 0 or epoch == epochs - 1):
-                tail = f" valid RMSE {log.valid_rmse[-1]:.4f}" if valid is not None else ""
-                print(f"[predictor] epoch {epoch:3d} loss {log.train_loss[-1]:.5f}{tail}")
         self.fitted = True
         self._set_trainable(False)
         self._refresh_fast_weights()
-        return log
 
     def _forward_normalised(self, features: nn.Tensor) -> nn.Tensor:
         h = features

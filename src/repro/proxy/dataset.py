@@ -45,8 +45,6 @@ class SyntheticTask:
         proxy default is 10).
     resolution:
         Square image size; must match the macro config the supernet uses.
-    channels:
-        Image channels (3, like RGB).
     train_size / valid_size:
         Fold sizes.
     noise:
@@ -59,7 +57,6 @@ class SyntheticTask:
         self,
         num_classes: int = 10,
         resolution: int = 16,
-        channels: int = 3,
         train_size: int = 512,
         valid_size: int = 256,
         noise: float = 0.35,
@@ -71,7 +68,7 @@ class SyntheticTask:
             raise ValueError("resolution must be at least 4")
         self.num_classes = num_classes
         self.resolution = resolution
-        self.channels = channels
+        self.channels = 3  # like RGB
         self.noise = noise
         rng = np.random.default_rng(seed)
         self._templates = self._make_templates(rng)

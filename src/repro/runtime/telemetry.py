@@ -79,12 +79,12 @@ class RunJournal:
 
     enabled = True
 
-    def __init__(self, path: str, append: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._handle = open(path, "a" if append else "w", encoding="utf-8")
+        self._handle = open(path, "w", encoding="utf-8")
         self._start = time.perf_counter()
 
     # ------------------------------------------------------------------

@@ -29,7 +29,8 @@ from typing import Tuple
 import numpy as np
 
 from .. import nn
-from ..core.gumbel import GumbelSampler, TemperatureSchedule
+from ..core.gumbel import (GumbelSampler, TemperatureSchedule,
+                          alpha_optimizer, alpha_schedule)
 from ..core.lambda_opt import LagrangeMultiplier
 from .space import Architecture, SearchSpace
 
@@ -86,8 +87,6 @@ class CellSearchConfig:
     target: float = 24.0
     epochs: int = 90
     steps_per_epoch: int = 50
-    alpha_lr: float = 1e-3
-    alpha_weight_decay: float = 1e-3
     lambda_lr: float = 0.01
     penalty_mu: float = 1.0
     tau_initial: float = 5.0
@@ -117,10 +116,8 @@ class CellConstrainedSearch:
         cfg = self.config
         alpha = nn.Parameter(
             np.zeros((cfg.cell_size, self.space.num_operators)), name="cell-alpha")
-        optimizer = nn.Adam([alpha], lr=cfg.alpha_lr,
-                            weight_decay=cfg.alpha_weight_decay)
-        schedule = nn.CosineSchedule(cfg.alpha_lr, cfg.epochs,
-                                     final_lr=cfg.alpha_lr * 0.1)
+        optimizer = alpha_optimizer(alpha)
+        schedule = alpha_schedule(cfg.epochs)
         lam = LagrangeMultiplier(lr=cfg.lambda_lr)
         sampler = GumbelSampler(
             TemperatureSchedule(cfg.tau_initial, cfg.tau_floor, cfg.epochs),

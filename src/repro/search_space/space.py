@@ -13,7 +13,7 @@ provides sampling, validation and batch encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -79,18 +79,13 @@ class SearchSpace:
     Parameters
     ----------
     macro:
-        Stage layout; defaults to the paper's L = 22 configuration.
-    operators:
-        Candidate vocabulary; defaults to the paper's K = 7 list.
+        Stage layout; defaults to the paper's L = 22 configuration.  The
+        candidate vocabulary is the paper's K = 7 list.
     """
 
-    def __init__(
-        self,
-        macro: Optional[MacroConfig] = None,
-        operators: Optional[Sequence[OperatorSpec]] = None,
-    ) -> None:
+    def __init__(self, macro: Optional[MacroConfig] = None) -> None:
         self.macro = macro or MacroConfig.lightnas()
-        self.operators: List[OperatorSpec] = list(operators or LIGHTNAS_OPERATORS)
+        self.operators: List[OperatorSpec] = list(LIGHTNAS_OPERATORS)
         self._layers = self.macro.searchable_layers()
 
     # ------------------------------------------------------------------

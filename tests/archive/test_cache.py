@@ -13,10 +13,7 @@ from repro.archive.cache import EvalCache, model_fingerprint, \
     oracle_fingerprint
 from repro.archive.store import ArchitectureArchive
 from repro.baselines.evolution import EvolutionConfig, EvolutionSearch
-from repro.baselines.random_search import RandomSearch, RandomSearchConfig
-from repro.baselines.rl_search import RLSearch, RLSearchConfig
-from repro.predictor.dataset import collect_energy_dataset, \
-    collect_latency_dataset
+from repro.predictor.dataset import collect_latency_dataset
 from repro.proxy.accuracy_model import AccuracyOracle
 from repro.runtime.telemetry import RunJournal, read_journal
 from repro.search_space.space import Architecture
@@ -155,16 +152,6 @@ class TestEngineWiring:
                                  cycles=2)
         with pytest.raises(ValueError, match="wrap this engine's predictor"):
             EvolutionSearch(config, tiny_predictor, tiny_oracle, cache=cache)
-        with pytest.raises(ValueError, match="wrap this engine's predictor"):
-            RandomSearch(RandomSearchConfig(space=tiny_space, target=5.0),
-                         tiny_predictor, tiny_oracle, cache=cache)
-
-    def test_rl_cache_must_wrap_the_oracle(self, tiny_space,
-                                           tiny_latency_model, tiny_oracle):
-        cache = EvalCache(oracle=AccuracyOracle(tiny_space, seed=99))
-        config = RLSearchConfig(space=tiny_space, iterations=2)
-        with pytest.raises(ValueError, match="wrap this engine's oracle"):
-            RLSearch(config, tiny_latency_model, tiny_oracle, cache=cache)
 
 
 def run_evolution(tiny_space, tiny_predictor, tiny_oracle, cache=None,
@@ -214,69 +201,3 @@ class TestWarmArchiveDeterminism:
         # the whole rerun was answered from the archive: the predictor and
         # oracle were never invoked for a genotype the cold run evaluated
         assert run_end["fitness_misses"] == 0
-
-    def test_random_search_warm_rerun(self, tmp_path, tiny_space,
-                                      tiny_predictor, tiny_oracle):
-        path = str(tmp_path / "arc.jsonl")
-        config = RandomSearchConfig(space=tiny_space, target=4.0,
-                                    num_samples=60, seed=3)
-
-        cold = RandomSearch(config, tiny_predictor, tiny_oracle).search()
-        with ArchitectureArchive(path, space=tiny_space) as arc:
-            cache = EvalCache(tiny_predictor, tiny_oracle, archive=arc)
-            RandomSearch(config, tiny_predictor, tiny_oracle,
-                         cache=cache).search()
-        with ArchitectureArchive(path, space=tiny_space) as arc:
-            warm_cache = EvalCache(tiny_predictor, tiny_oracle, archive=arc)
-            warm = RandomSearch(config, tiny_predictor, tiny_oracle,
-                                cache=warm_cache).search()
-            assert warm_cache.hits > 0 and warm_cache.misses == 0
-        assert warm.architecture == cold.architecture
-        assert warm.predicted_metric == cold.predicted_metric
-
-    def test_rl_cached_run_matches_uncached(self, tiny_space,
-                                            tiny_latency_model, tiny_oracle):
-        # RL latency measurements consume the RNG and stay uncached; only
-        # the oracle rewards memoize, so cached == uncached bit-for-bit
-        config = RLSearchConfig(space=tiny_space, target=4.0, iterations=6,
-                                batch_archs=4, seed=2)
-        plain = RLSearch(config, tiny_latency_model, tiny_oracle).search()
-        cache = EvalCache(oracle=tiny_oracle)
-        cached = RLSearch(config, tiny_latency_model, tiny_oracle,
-                          cache=cache).search()
-        assert cached.architecture == plain.architecture
-        assert cached.predicted_metric == plain.predicted_metric
-        assert cache.fitness_hits + cache.fitness_misses == 6 * 4
-
-
-class TestDatasetWriteThrough:
-    def test_latency_campaign_records_and_stays_identical(
-            self, tmp_path, tiny_space, tiny_latency_model):
-        path = str(tmp_path / "arc.jsonl")
-        with ArchitectureArchive(path, space=tiny_space) as arc:
-            recorded = collect_latency_dataset(
-                tiny_latency_model, 30, np.random.default_rng(8),
-                archive=arc)
-            assert len(arc) > 0
-            record = next(arc.records())
-            device = tiny_latency_model.device.name
-            assert record.provenance["engine"] == "latency-campaign"
-            assert "latency_ms" in record.devices[device]
-            assert "measured_latency_ms" in record.devices[device]
-            assert record.macs_m is not None and record.params_m is not None
-        plain = collect_latency_dataset(tiny_latency_model, 30,
-                                        np.random.default_rng(8))
-        np.testing.assert_array_equal(recorded.targets, plain.targets)
-        np.testing.assert_array_equal(recorded.features, plain.features)
-
-    def test_energy_campaign_records(self, tmp_path, tiny_space,
-                                     tiny_energy_model):
-        path = str(tmp_path / "arc.jsonl")
-        with ArchitectureArchive(path, space=tiny_space) as arc:
-            collect_energy_dataset(tiny_energy_model, 20,
-                                   np.random.default_rng(9), archive=arc)
-            record = next(arc.records())
-            device = tiny_energy_model.device.name
-            assert record.provenance["engine"] == "energy-campaign"
-            assert "energy_mj" in record.devices[device]
-            assert "measured_energy_mj" in record.devices[device]

@@ -1,8 +1,5 @@
 """Tests of evolution, RL, random-search and scaling baselines."""
 
-import glob
-import os
-
 import numpy as np
 import pytest
 
@@ -48,25 +45,6 @@ class TestEvolution:
     def test_evaluation_count(self, result):
         assert result.num_search_steps >= 12  # at least the initial population
 
-    def test_resume_parity(self, tmp_path, tiny_space, tiny_predictor,
-                           tiny_oracle, result):
-        def engine():
-            cfg = EvolutionConfig(space=tiny_space, target=TINY_TARGET,
-                                  population_size=12, tournament_size=4,
-                                  cycles=60, seed=0)
-            return EvolutionSearch(cfg, tiny_predictor, tiny_oracle)
-
-        directory = str(tmp_path / "evo")
-        engine().search(checkpoint_dir=directory, checkpoint_every=20)
-        # drop the newest checkpoint so the resume replays the last 20 cycles
-        os.remove(sorted(glob.glob(os.path.join(directory, "*.npz")))[-1])
-        resumed = engine().search(resume_from=directory)
-        assert resumed.summary() == result.summary()
-        assert resumed.trajectory.predicted_metric == \
-            result.trajectory.predicted_metric
-        assert resumed.trajectory.architectures == \
-            result.trajectory.architectures
-
 
 class TestRL:
     @pytest.fixture(scope="class")
@@ -103,24 +81,6 @@ class TestRL:
 
     def test_counts_trained_samples(self, result):
         assert result.num_search_steps == 40 * 4
-
-    def test_resume_parity(self, tmp_path, tiny_space, tiny_latency_model,
-                           tiny_oracle, result):
-        def engine():
-            cfg = RLSearchConfig(space=tiny_space, target=TINY_TARGET,
-                                 iterations=40, batch_archs=4, seed=0)
-            return RLSearch(cfg, tiny_latency_model, tiny_oracle)
-
-        directory = str(tmp_path / "rl")
-        engine().search(checkpoint_dir=directory, checkpoint_every=10)
-        # drop the newest checkpoint so the resume replays the last 10 rounds
-        os.remove(sorted(glob.glob(os.path.join(directory, "*.npz")))[-1])
-        resumed = engine().search(resume_from=directory)
-        assert resumed.summary() == result.summary()
-        assert resumed.trajectory.predicted_metric == \
-            result.trajectory.predicted_metric
-        assert resumed.trajectory.architectures == \
-            result.trajectory.architectures
 
 
 class TestRandomSearch:

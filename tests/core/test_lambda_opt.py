@@ -18,9 +18,6 @@ class TestLambdaDynamics:
     def test_initial_value(self):
         assert LagrangeMultiplier(lr=0.1).value == 0.0
 
-    def test_custom_initial(self):
-        assert LagrangeMultiplier(lr=0.1, initial=0.5).value == 0.5
-
     def test_increases_when_over_target(self):
         """LAT > T ⇒ excess > 0 ⇒ λ must grow (stronger penalty)."""
         lam = LagrangeMultiplier(lr=0.1)
@@ -46,7 +43,8 @@ class TestLambdaDynamics:
             assert np.sign(lam.value) == np.sign(excess)
 
     def test_zero_excess_fixed_point(self):
-        lam = LagrangeMultiplier(lr=0.1, initial=0.3)
+        lam = LagrangeMultiplier(lr=0.1)
+        ascend_with_excess(lam, 3.0)
         ascend_with_excess(lam, 0.0)
         assert np.isclose(lam.value, 0.3)
 

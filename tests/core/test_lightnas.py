@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import gumbel, lightnas
 from repro.core.lightnas import LightNAS, LightNASConfig
 from repro.experiments.shared import fit_latency_predictor
 from repro.hardware.latency import LatencyModel
@@ -19,12 +20,9 @@ class TestConfig:
         cfg = LightNASConfig()
         assert cfg.epochs == 90
         assert cfg.warmup_epochs == 10
-        assert cfg.alpha_lr == 1e-3
-        assert cfg.alpha_weight_decay == 1e-3
-        assert cfg.w_lr == 0.1
-        assert cfg.w_momentum == 0.9
-        assert cfg.w_weight_decay == 3e-5
-        assert cfg.lambda_initial == 0.0
+        assert (gumbel.ALPHA_LR, gumbel.ALPHA_WEIGHT_DECAY) == (1e-3, 1e-3)
+        assert (lightnas.W_LR, lightnas.W_MOMENTUM,
+                lightnas.W_WEIGHT_DECAY) == (0.1, 0.9, 3e-5)
         assert cfg.tau_initial == 5.0
 
     def test_invalid_mode(self):

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.core.lightnas import LightNAS, LightNASConfig, run_grid
 from repro.proxy.dataset import SyntheticTask
-from repro.runtime.checkpoint import CheckpointError, load_checkpoint
+from repro.runtime.checkpoint import (CheckpointError, load_checkpoint,
+                                     save_checkpoint)
 from repro.runtime.telemetry import NullJournal, RunJournal, read_journal
 
 SURROGATE_EPOCHS = 8
@@ -163,16 +164,15 @@ class TestResumeFailureModes:
             engine.search(resume_from=directory)
 
     def test_wrong_engine_kind_fails_loud(self, tmp_path, tiny_space,
-                                          tiny_predictor, tiny_oracle,
-                                          tiny_latency_model):
-        from repro.baselines.rl_search import RLSearch, RLSearchConfig
-
+                                          tiny_predictor, tiny_oracle):
         directory = self._checkpointed_dir(tmp_path, tiny_space,
                                            tiny_predictor, tiny_oracle)
-        cfg = RLSearchConfig(space=tiny_space, target=2.3, iterations=5,
-                             batch_archs=2, seed=0)
-        engine = RLSearch(cfg, tiny_latency_model, tiny_oracle)
-        with pytest.raises(CheckpointError, match="belongs to engine"):
+        # a checkpoint that an engine of another kind wrote
+        latest = sorted(glob.glob(os.path.join(directory, "*.npz")))[-1]
+        meta, arrays = load_checkpoint(latest)
+        save_checkpoint(latest, {**meta, "kind": "rl"}, arrays)
+        engine = _surrogate_engine(tiny_space, tiny_predictor, tiny_oracle)
+        with pytest.raises(CheckpointError, match="belongs to engine 'rl'"):
             engine.search(resume_from=directory)
 
     def test_empty_directory_fails_loud(self, tmp_path, tiny_space,

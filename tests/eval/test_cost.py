@@ -37,8 +37,9 @@ class TestSimulatedCost:
         assert hours == pytest.approx(40_000.0)
 
     def test_amortised_term(self):
-        hours = cost.simulated_gpu_hours("ofa-evolution", 0, 0, amortised=1200.0)
-        assert hours == pytest.approx(1200.0)
+        # OFA's supernet cost is one-off, outside the executed-step model
+        assert cost.simulated_gpu_hours("ofa-evolution", 0, 0) == 0.0
+        assert cost.OFA_AMORTISED_GPU_HOURS == pytest.approx(1200.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

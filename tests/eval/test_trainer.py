@@ -11,7 +11,7 @@ class TestTrainStandalone:
     def report(self, tiny_space, tiny_task):
         arch = Architecture((1,) * tiny_space.num_layers)
         return train_standalone(tiny_space, arch, tiny_task, epochs=10,
-                                batch_size=24, base_lr=0.08, seed=0)
+                                batch_size=24, seed=0)
 
     def test_loss_decreases(self, report):
         assert report.train_losses[-1] < report.train_losses[0]

@@ -1,5 +1,9 @@
 """Parametric device families: reproducibility and name resolution."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -96,6 +100,19 @@ class TestNames:
         seeded = resolve_device("edge-gpu-04@s2")
         assert seeded == generate_device("edge-gpu", 4, seed=2)
         assert seeded != device
+
+    def test_fleet_names_resolve_without_importing_the_fleet(self):
+        """A fresh process resolves fleet names through the device module
+        alone, before anything imports :mod:`repro.fleet`."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        code = ("from repro.hardware.device import resolve_device; "
+                "print(resolve_device('phone-03').name)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == generate_device("phone", 3).name
 
     def test_resolve_device_error_mentions_fleet_patterns(self):
         with pytest.raises(ValueError) as info:

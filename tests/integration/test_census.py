@@ -26,6 +26,17 @@ calls by name.
 
 A second walk checks imports: a name that a module imports and no code in
 that module reads is flagged too.
+
+A third walk checks options, since a name-based definition census cannot
+see a parameter or a config field that no shipped caller sets.  A field
+with a default of a ``*Config`` dataclass, and a parameter with a default
+of any function or method, is an option.  It is set when some shipped file
+passes its name as a keyword (``f(seed=...)``, ``replace(cfg, seed=...)``)
+or as a string key of a dict literal (``{"seed": ...}`` overrides); a
+parameter is also set when a shipped call of a function of that name
+passes it positionally, or passes ``*args``/``**kwargs``.  An option that
+nothing shipped sets has one value in every shipped run: make it a
+constant.  ``KEPT_OPTIONS`` holds the exceptions, each with its reason.
 """
 
 from __future__ import annotations
@@ -58,6 +69,34 @@ ALLOWED = {
     "_Handler.do_POST": "http.server dispatches on the request method",
     "_Handler.log_message": "http.server's logging hook",
     "_ReusePortHTTPServer.server_bind": "socketserver's bind hook",
+}
+
+#: Options that no shipped caller sets, kept on purpose: ``name -> why``.
+KEPT_OPTIONS = {
+    # nn numerics and layer structure
+    "Adam.__init__(betas)": "nn numerics: Adam's moment decay rates",
+    "Adam.__init__(eps)": "nn numerics: Adam's denominator guard",
+    "BatchNorm2d.__init__(eps)": "nn numerics: the variance guard",
+    "Linear.__init__(bias)": "nn layer structure (tests/nn/test_modules.py, "
+                             "tests/nn/test_plan.py build bias-free layers)",
+    "Conv2d.__init__(bias)": "nn layer structure",
+    # inputs a test substitutes
+    "Tensor.backward(grad)": "the seed gradient of a non-scalar output "
+                             "(tests/nn gradient checks)",
+    "gumbel_softmax(rng)": "the noise source, when no noise tensor is given "
+                           "(tests/nn/test_functional.py)",
+    # test reference paths
+    "SuperNet.forward_weighted(threshold)":
+        "the multi-path reference regime's pruning "
+        "(tests/proxy/test_supernet.py)",
+    # set only by the test of their own branch; deleting them deletes
+    # those tests, so they wait for a later census round
+    "SearchSpace.sample_many(unique)":
+        "tests/search_space/test_space.py::TestSearchSpace::"
+        "test_sample_many_unique",
+    "SyntheticTask.batches(shuffle)":
+        "tests/proxy/test_dataset.py::TestBatching::"
+        "test_no_shuffle_is_ordered",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -276,3 +315,142 @@ def test_no_unused_imports():
     assert not flagged, ("imported but never read; delete the import, or "
                          "mark a deliberate one `# noqa: F401`:\n  "
                          + "\n  ".join(flagged))
+
+
+# ----------------------------------------------------------------------
+# Options: config fields and parameters that no shipped caller sets
+# ----------------------------------------------------------------------
+
+def _call_name(call: ast.Call) -> str:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_settings() -> Tuple[frozenset, Dict[str, int], frozenset]:
+    """What shipped code sets: keyword and dict-key names, the most
+    positional arguments any call of each name passes, and the names of
+    the functions some call passes ``*args``/``**kwargs`` to."""
+    names: Set[str] = set()
+    positional: Dict[str, int] = {}
+    splatted: Set[str] = set()
+    for path in _shipped_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.Dict):
+                names.update(key.value for key in node.keys
+                             if isinstance(key, ast.Constant)
+                             and isinstance(key.value, str))
+            elif isinstance(node, ast.Call):
+                callee = _call_name(node)
+                positional[callee] = max(positional.get(callee, 0),
+                                         len(node.args))
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    splatted.add(callee)
+    return frozenset(names), positional, frozenset(splatted)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        name = target.attr if isinstance(target, ast.Attribute) \
+            else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _unset_config_fields() -> List[str]:
+    """``module:Config.field`` for each defaulted field of a ``*Config``
+    dataclass that no shipped file sets by keyword or dict key."""
+    names = _shipped_settings()[0]
+    unset = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Config") and _is_dataclass(node)):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and item.value is not None
+                        and item.target.id not in names):
+                    unset.append(f"{_module_name(path)}:{node.name}."
+                                 f"{item.target.id}")
+    return unset
+
+
+def _functions(tree: ast.Module) -> Iterator[Tuple[str, str, ast.AST]]:
+    """(qualified name, name its callers use, node) per function/method;
+    a constructor is called by its class's name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    callee = node.name if item.name == "__init__" \
+                        else item.name
+                    yield f"{node.name}.{item.name}", callee, item
+
+
+def _unset_parameters() -> List[str]:
+    """``module:function(param)`` for each defaulted parameter that no
+    shipped call sets."""
+    names, positional, splatted = _shipped_settings()
+    unset = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, callee, node in _functions(tree):
+            if callee in splatted:
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            # a method's callers pass no ``self``/``cls``
+            offset = int("." in qualname and bool(params)
+                         and params[0].arg in ("self", "cls"))
+            first_default = len(params) - len(args.defaults)
+            options = [(arg.arg, i - offset)
+                       for i, arg in enumerate(params) if i >= first_default]
+            options += [(arg.arg, None) for arg, default
+                        in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
+            for param, position in options:
+                if param in names:
+                    continue
+                if (position is not None
+                        and positional.get(callee, 0) > position):
+                    continue
+                unset.append(f"{_module_name(path)}:{qualname}({param})")
+    return unset
+
+
+def test_every_config_field_is_set_by_shipped_code():
+    unset = _unset_config_fields()
+    assert not unset, (
+        "config fields that no shipped file sets (by keyword or dict key) "
+        "hold one value in every shipped run; make each a module constant:"
+        "\n  " + "\n  ".join(unset))
+
+
+def test_every_parameter_is_set_by_shipped_code():
+    unset = [entry for entry in _unset_parameters()
+             if entry.partition(":")[2] not in KEPT_OPTIONS]
+    assert not unset, (
+        "parameters that no shipped call sets hold one value in every "
+        "shipped run; make each a constant, or add the reason to keep it "
+        "to KEPT_OPTIONS:\n  " + "\n  ".join(unset))
+
+
+def test_kept_options_are_current():
+    """A kept option that gains a shipped caller, or is deleted, leaves
+    the list."""
+    flagged = {entry.partition(":")[2] for entry in _unset_parameters()}
+    stale = sorted(set(KEPT_OPTIONS) - flagged)
+    assert not stale, f"no longer need a KEPT_OPTIONS entry: {stale}"

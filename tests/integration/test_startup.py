@@ -1,6 +1,6 @@
 """Start-up contract: shipped commands import only what they run.
 
-scipy costs ~1 s and ~65 MB to import and the HTTP stack (``http.server``,
+scipy costs ~1.3 s and ~65 MB to import and the HTTP stack (``http.server``,
 ``email``, ``ssl``) tens of milliseconds, yet searches, sweeps, stability
 campaigns and predictions use neither.  scipy is reached only by energy
 measurement campaigns (``EnergyMeter.measure_many``) and rank-correlation

@@ -42,13 +42,13 @@ class TestRunJournal:
             journal.event("run_header", engine="x")
         assert len(read_journal(path)) == 1
 
-    def test_append_mode(self, tmp_path):
+    def test_reopening_starts_a_fresh_journal(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         with RunJournal(path) as journal:
             journal.event("run_header", engine="a")
-        with RunJournal(path, append=True) as journal:
+        with RunJournal(path) as journal:
             journal.event("run_header", engine="b")
-        assert len(read_journal(path)) == 2
+        assert [e["engine"] for e in read_journal(path)] == ["b"]
 
     def test_read_journal_loud_on_malformed_line(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
