@@ -6,12 +6,13 @@ surrogate α-step of ``repro search --target 24`` (accuracy-oracle
 capacity loss + fitted latency MLP + straight-through gates over the
 21×K architecture parameters, then Adam on α and the λ ascent).
 
-Every side runs the engine's own α-epoch loop (:class:`SearchBatch`): a
-batch of one compiles its step (the first step traces, every later step
-replays), a batch of one runs every step eagerly inside
-``nn.plans(False)``, the engine's one eager switch, and a batch of
-``--slots`` searches (the ``repro stability``/``sweep`` grid at
-``--jobs 1``) replays one stacked step for all of them.  The benchmark
+Every side runs the engine's own α-epoch loop,
+:meth:`SearchBatch.run_epoch`: a batch of one compiles its step (the first
+step traces, every later step replays), a batch of one runs every step
+eagerly inside ``nn.plans(False)`` (the eager reference, which no shipped
+command uses), and a batch of ``--slots`` searches (the ``repro
+stability``/``sweep`` grid at ``--jobs 1``) replays one stacked step for
+all of them.  The benchmark
 reports steady-state per-step wall time (best of ``--repeat`` paired
 rounds, the three sides alternating), the stacked step's time per slot,
 and the number of tracked :class:`~repro.nn.tensor.Tensor` allocations
@@ -50,10 +51,11 @@ def _alpha_epoch_runner(predictor, steps: int, compiled: bool,
                         slots: int = 1):
     """A zero-argument callable running one α-epoch of ``steps`` steps.
 
-    Builds the :class:`SearchBatch` :meth:`LightNAS.search` builds (slot
-    ``i`` searches target ``TARGET_MS + i`` with seed ``i``), so each call
-    runs exactly the shipped step (and its optimizer updates);
-    ``compiled=False`` runs it under ``nn.plans(False)``.
+    Builds the :class:`SearchBatch` :func:`run_grid` builds (slot ``i``
+    searches target ``TARGET_MS + i`` with seed ``i``), so each call runs
+    exactly the shipped step (and its optimizer updates) and moves every
+    slot's state to the epoch's end; ``compiled=False`` runs it under
+    ``nn.plans(False)``.
     """
     engines = [LightNAS(LightNASConfig.paper(TARGET_MS + i, seed=i,
                                              steps_per_epoch=steps),
@@ -67,7 +69,7 @@ def _alpha_epoch_runner(predictor, steps: int, compiled: bool,
         epoch = batch.epoch
         with nn.plans(compiled):
             for row in range(slots):
-                batch.take(row, epoch)
+                batch.run_epoch(row, epoch)
     return run_epoch, batch.program
 
 

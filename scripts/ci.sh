@@ -36,13 +36,16 @@ python -m pytest -x -q tests/integration/test_startup.py
 # test-only definition or single-valued knob fails here by name.
 python -m pytest -x -q tests/integration/test_census.py
 
-# Surrogate searches compile one α-step plan: compiled vs nn.plans(False)
-# eager bit-identity, the 1-compile/N−1-replay counters, the frozen
-# predictor, resume and jobs=4 parity, and a float64 search under a
-# float32 caller dtype.  Every shipped predictor kind compiles exactly
-# one plan from the 14 lowered op kinds; any other op kind, or a replay
-# with changed shapes, input names or dtype, raises.  Supernet searches
-# compile nothing (TestSupernetSearch).
+# Surrogate searches compile one α-step plan: compiled vs eager
+# bit-identity (nn.plans(False), the eager reference no shipped command
+# uses), the 1-compile/N−1-replay counters, the frozen predictor, resume
+# and jobs=4 parity, and float64 searches, lone and in a 2 × 2 run_grid,
+# under a float32 caller dtype.  Every shipped predictor kind compiles
+# exactly one plan from the 14 lowered op kinds; any other op kind, or a
+# replay with changed shapes, input names or dtype, raises.  Supernet
+# searches run their α-step outside any step program: their journal
+# carries no plan_stats and trace-summary no step-plan row
+# (TestSupernetSearch).
 python -m pytest -x -q tests/core/test_surrogate_plan.py \
     tests/core/test_plan_op_set.py tests/nn/test_plan.py::TestInvalidation \
     tests/core/test_lightnas.py::TestSupernetSearch
@@ -53,7 +56,8 @@ python -m pytest -x -q tests/core/test_surrogate_plan.py \
 # 4-slot grid's journals sum to one plan compile, a grid of 3 τ schedules
 # × 2 seeds runs as three 2-slot batches
 # (test_grid_runs_one_batch_per_shared_config), a killed grid resumes
-# bit-for-bit with same-epoch slots sharing a batch again, at --jobs 2
+# bit-for-bit with same-epoch slots sharing a batch again, a resumed grid
+# with one corrupt checkpoint fails only that search, at --jobs 2
 # each worker stacks its share of a 2 × 2 CLI grid, and bad --targets
 # exit naming the flag.
 python -m pytest -x -q tests/core/test_search_batch.py \
@@ -80,10 +84,10 @@ python benchmarks/bench_archive.py --cycles 12 --population 8 --check
 python benchmarks/bench_nn_engine.py --steps 8 --repeat 2 --check
 
 # Step-compiler benchmark with acceptance thresholds on the paper-config
-# surrogate alpha-step, replay vs eager (nn.plans(False)) vs a 4-slot
-# stacked replay in alternating rounds (>= 2x replayed step, >= 10x
-# tracked-allocation drop, <= 1/2 of a lone step per stacked slot); the
-# JSON is uploaded as the bench-step CI artifact.
+# surrogate alpha-step, replay vs eager (the nn.plans(False) reference)
+# vs a 4-slot stacked replay in alternating rounds (>= 2x replayed step,
+# >= 10x tracked-allocation drop, <= 1/2 of a lone step per stacked
+# slot); the JSON is uploaded as the bench-step CI artifact.
 python benchmarks/bench_step_replay.py --check
 
 # The run-fleet executor's contracts get a named run: the jobs=1 vs

@@ -268,35 +268,6 @@ class ArchiveIndex:
                 f"metric {metric!r} is per-device; pass device=...")
         return self.device_column(device, metric)
 
-    @staticmethod
-    def from_records(records: Sequence[ArchRecord],
-                     num_layers: int) -> "ArchiveIndex":
-        n = len(records)
-        ops = np.zeros((n, num_layers), dtype=np.int64)
-        score = np.full(n, np.nan)
-        macs = np.full(n, np.nan)
-        params = np.full(n, np.nan)
-        device_names = sorted({d for r in records for d in r.devices})
-        cost = np.full((n, len(device_names), len(DEVICE_COST_METRICS)),
-                       np.nan)
-        device_pos = {name: i for i, name in enumerate(device_names)}
-        for i, record in enumerate(records):
-            ops[i] = record.op_indices
-            if record.score is not None:
-                score[i] = record.score
-            if record.macs_m is not None:
-                macs[i] = record.macs_m
-            if record.params_m is not None:
-                params[i] = record.params_m
-            for device, metrics in record.devices.items():
-                for metric, value in metrics.items():
-                    column = _METRIC_POS.get(metric)
-                    if column is not None:
-                        cost[i, device_pos[device], column] = value
-        return ArchiveIndex(ops=ops, keys=tuple(r.key for r in records),
-                            score=score, macs_m=macs, params_m=params,
-                            devices=tuple(device_names), cost=cost)
-
 
 class _LiveIndex:
     """Growable stacked arrays, extended in place on every merge.
@@ -304,9 +275,10 @@ class _LiveIndex:
     This is the mutable twin of :class:`ArchiveIndex`: appends land in
     amortized O(1) (capacity-doubling), merges into an existing genotype
     write only the affected cells, and new device names insert a NaN
-    column at their *sorted* position so snapshots are bit-identical to
-    :meth:`ArchiveIndex.from_records` over the same records.  All access
-    is serialized by the owning archive's lock.
+    column at their *sorted* position, so a snapshot's device axis is
+    sorted whatever order the devices arrived in.  An archive with no
+    segment starts from an empty one, whose snapshot is the empty index.
+    All access is serialized by the owning archive's lock.
     """
 
     def __init__(self, num_layers: int, capacity: int = 64) -> None:
@@ -858,15 +830,13 @@ class ArchitectureArchive:
             return self._snapshot
 
     def _build_snapshot(self) -> ArchiveIndex:
-        if self._live is not None:
-            return self._live.snapshot(tuple(self._order))
-        if self._segment is not None:
+        if self._live is None and self._segment is not None:
             segment = self._segment
             return ArchiveIndex(
                 ops=segment.ops, keys=segment.keys, score=segment.score,
                 macs_m=segment.macs_m, params_m=segment.params_m,
                 devices=segment.devices, cost=segment.cost)
-        return ArchiveIndex.from_records([], self.num_layers)
+        return self._live_index().snapshot(tuple(self._order))
 
     def stats(self) -> dict:
         """Summary counters for the ``/stats`` endpoint and ``repro query``."""

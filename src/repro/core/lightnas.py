@@ -251,10 +251,8 @@ class LightNAS:
             # float64 (default) keeps seeded searches bit-identical
             with nn.dtype_scope(config.compute_dtype):
                 self.supernet = SuperNet(self.space, self.rng)
-        # runs this engine's α-steps: supernet steps eagerly (their sampled
-        # paths rarely repeat); a surrogate search points it at the
-        # compiled program of the SearchBatch it builds
-        self.programs = nn.StepProgram("lightnas")
+        #: the compiled α-step of the batch a surrogate search ran in
+        self.programs: Optional[nn.StepProgram] = None
 
     @staticmethod
     def predictor_recipe(seed: int) -> dict:
@@ -379,7 +377,7 @@ class LightNAS:
         checkpoint_every: int = 10,
         resume_from: Optional[str] = None,
         journal: Optional[RunJournal] = None,
-        _grid: Optional["_SearchGrid"] = None,
+        _batch: Optional[Tuple["SearchBatch", int]] = None,
     ) -> SearchResult:
         """Run the one-time search and return the derived architecture.
 
@@ -404,12 +402,12 @@ class LightNAS:
         # supernet mode scopes its compute dtype inside
         with nn.dtype_scope("float64"):
             return self._search(verbose, checkpoint_dir, checkpoint_every,
-                                resume_from, journal, _grid)
+                                resume_from, journal, _batch)
 
     def _search(self, verbose: bool, checkpoint_dir: Optional[str],
                 checkpoint_every: int, resume_from: Optional[str],
                 journal: Optional[RunJournal],
-                grid: Optional["_SearchGrid"]) -> SearchResult:
+                slot: Optional[Tuple["SearchBatch", int]]) -> SearchResult:
         cfg = self.config
         supernet = cfg.mode == "supernet"
         journal = journal if journal is not None else NullJournal()
@@ -422,18 +420,16 @@ class LightNAS:
             state = self._start(resume_from)
             alpha_sched = alpha_schedule(cfg.epochs)
             w_schedule = nn.CosineSchedule(W_LR, cfg.epochs)
-            plan_stats = self.programs.stats
         else:
-            # the surrogate α-epochs run as one slot of a stacked batch: of
-            # the run_grid share this search is registered with (which
-            # loaded its start state), or of a batch of one
-            if grid is None:
-                grid = _SearchGrid()
-                grid.add(self, resume_from)
-            slot = grid.join(self)
-            state = slot.state
-            header["batch_slots"] = slot.batch.size
-            plan_stats = slot.plan_stats
+            # the surrogate α-epochs run as one row of a stacked batch: the
+            # one run_grid built for this search (which loaded its start
+            # state), or a batch of one
+            if slot is None:
+                slot = SearchBatch([self], [self._start(resume_from)]), 0
+            batch, row = slot
+            state = batch.states[row]
+            header["batch_slots"] = batch.size
+            self.programs = batch.program
 
         manager = (CheckpointManager(checkpoint_dir, every=checkpoint_every)
                    if checkpoint_dir else None)
@@ -474,7 +470,7 @@ class LightNAS:
                                 sampler, state.alpha, epoch)
                 else:
                     with timers.phase("update_alpha"):
-                        epoch_steps, mean_loss = slot.run_epoch(epoch)
+                        epoch_steps, mean_loss = batch.run_epoch(row, epoch)
                     state.steps += epoch_steps
 
                 with timers.phase("derive"):
@@ -498,7 +494,8 @@ class LightNAS:
                 layers = op_prof.layers()
                 if layers:
                     epoch_fields["layer_profile"] = layers
-            epoch_fields["plan_stats"] = plan_stats()
+            if not supernet:
+                epoch_fields["plan_stats"] = batch.plan_stats(row)
             journal.epoch(**epoch_fields)
             if verbose:
                 print(
@@ -530,8 +527,9 @@ class LightNAS:
             num_search_steps=state.steps,
             wall_time_s=round(time.perf_counter() - run_start, 6),
             phase_timers=timers.as_dict(),
-            plan_stats=plan_stats(),
         )
+        if not supernet:
+            end_fields["plan_stats"] = batch.plan_stats(row)
         journal.run_end(**end_fields)
         return result
 
@@ -563,7 +561,7 @@ class LightNAS:
 
         Returns ``(steps, mean_valid_loss)``.  The step's ops follow the
         sampled single path, which rarely comes round again, so supernet
-        α-steps run eagerly (surrogate α-epochs run in a
+        α-steps run eagerly (surrogate α-epochs run a compiled step in a
         :class:`SearchBatch`).
         """
         cfg = self.config
@@ -575,15 +573,8 @@ class LightNAS:
             logits = self.supernet.forward_single_path(ts["images"], gates)
             return F.cross_entropy(logits, targets=ts["targets"])
 
-        def fn(ts):
-            return _alpha_step(sampler, alpha, lam.as_tensor(),
-                               self.objective, valid_loss, ts)
-
-        with nn.plans(False), nn.dtype_scope(cfg.compute_dtype):
+        with nn.dtype_scope(cfg.compute_dtype):
             for _ in range(cfg.steps_per_epoch):
-                noise = sampler.draw_noise(alpha.shape)
-                inputs = {"noise": noise,
-                          "inv_tau": 1.0 / sampler.schedule.at(epoch)}
                 alpha_opt.zero_grad()
                 lam.param.zero_grad()
                 self.supernet.train(True)
@@ -591,12 +582,16 @@ class LightNAS:
                 self.supernet.zero_grad()
                 batch = self.task.sample_batch(self.task.valid,
                                                cfg.batch_size)
-                inputs["images"] = batch.images
-                inputs["targets"] = F.one_hot(
-                    batch.labels, self.space.macro.num_classes)
-                out = self.programs.run(inputs, fn)
+                ts = {"noise": nn.Tensor(sampler.draw_noise(alpha.shape)),
+                      "inv_tau": nn.Tensor(1.0 / sampler.schedule.at(epoch)),
+                      "images": nn.Tensor(batch.images),
+                      "targets": nn.Tensor(F.one_hot(
+                          batch.labels, self.space.macro.num_classes))}
+                out = _alpha_step(sampler, alpha, lam.as_tensor(),
+                                  self.objective, valid_loss, ts)
+                out["loss"].backward()
                 alpha_opt.step()
-                loss_sum += float(out["valid_loss"])
+                loss_sum += float(out["valid_loss"].data)
                 lam.ascend()
                 steps += 1
         return steps, loss_sum / max(steps, 1)
@@ -678,7 +673,8 @@ def _alpha_step(sampler: GumbelSampler, alpha: nn.Tensor, lam: nn.Tensor,
                 objective: ConstrainedObjective,
                 valid_loss: Callable[[nn.Tensor, Dict], nn.Tensor],
                 ts: Dict[str, nn.Tensor]) -> Dict[str, nn.Tensor]:
-    """The one α-step objective (Eq. 10), as a :class:`nn.StepProgram` step.
+    """The one α-step objective (Eq. 10): a supernet search runs it eagerly,
+    a :class:`SearchBatch` compiles it as a :class:`nn.StepProgram` step.
 
     The per-step randomness (Gumbel noise, validation batch) and the
     annealed 1/τ are step *inputs* ``ts``.  The metric term uses the
@@ -741,9 +737,8 @@ class SearchBatch:
     stacked step once and replays it for all S slots, and an elementwise
     kernel on S slots costs little more than on one.
 
-    :meth:`run_epoch` advances every slot by one epoch and parks each
-    slot's end-of-epoch state; each slot's own ``LightNAS.search`` takes
-    its epochs with :meth:`take`.
+    Each slot's own ``LightNAS.search`` moves its state ``states[s]``
+    through the epochs with :meth:`run_epoch`.
     """
 
     def __init__(self, engines: Sequence["LightNAS"],
@@ -767,6 +762,7 @@ class SearchBatch:
                                  "the same epoch")
         self.config = cfg
         self.size = len(engines)
+        self.states = list(states)
         self.epoch = first.start_epoch
         self.alpha = nn.Parameter(np.stack([s.alpha.data for s in states]),
                                   name="alpha")
@@ -793,8 +789,36 @@ class SearchBatch:
             self.objective,
             lambda gates, ts: self.oracle.differentiable_loss(gates))
         self._parked: List[Dict[int, _EpochEnd]] = [{} for _ in engines]
+        self._counts = [dict.fromkeys(_COUNTERS, 0) for _ in engines]
 
-    def run_epoch(self, epoch: int, lead: int = 0) -> None:
+    def run_epoch(self, row: int, epoch: int) -> Tuple[int, float]:
+        """Move slot ``row``'s state (and its engine's RNG) to the end of
+        ``epoch``; returns ``(steps, mean_valid_loss)``.  The first slot to
+        need an epoch runs it for every slot; the others take its parked
+        end state."""
+        if epoch not in self._parked[row]:
+            self._advance(epoch, lead=row)
+        end = self._parked[row].pop(epoch)
+        state = self.states[row]
+        np.copyto(state.alpha.data, end.alpha)
+        state.alpha_opt.load_state_arrays({"t": end.t, "m.0": end.m,
+                                           "v.0": end.v})
+        state.lam.param.data[0] = end.lam
+        state.lam.history.extend(end.lam_history)
+        self.samplers[row].rng.bit_generator.state = end.rng_state
+        for key, count in end.counts.items():
+            self._counts[row][key] += count
+        return end.steps, end.mean_loss
+
+    def plan_stats(self, row: int) -> Dict[str, int]:
+        """Slot ``row``'s α-steps so far (each one traced, replayed or
+        eager), with the plan's compile and arena on the slot that
+        compiled it."""
+        counts, plan = self._counts[row], self.program.plan
+        compiled = counts["plans_compiled"] and plan is not None
+        return {**counts, "arena_bytes": plan.nbytes if compiled else 0}
+
+    def _advance(self, epoch: int, lead: int) -> None:
         """Advance every slot by epoch ``epoch`` (the batch's next one)
         and park each slot's end-of-epoch state.  ``lead`` is the slot
         whose search ran it: only its counters take the plan compile."""
@@ -836,102 +860,6 @@ class SearchBatch:
                 steps=steps, counts=counts)
         self.epoch += 1
 
-    def take(self, row: int, epoch: int) -> _EpochEnd:
-        """Slot ``row``'s state at the end of ``epoch``; the first slot to
-        need an epoch runs it for all."""
-        if epoch not in self._parked[row]:
-            self.run_epoch(epoch, lead=row)
-        return self._parked[row].pop(epoch)
-
-
-class _Slot:
-    """One search's row in a :class:`SearchBatch`: its state, advanced
-    epoch by epoch from the batch, and its own counters."""
-
-    def __init__(self, batch: SearchBatch, row: int, engine: "LightNAS",
-                 state: _SearchState) -> None:
-        self.batch = batch
-        self.row = row
-        self.engine = engine
-        self.state = state
-        self.counts = dict.fromkeys(_COUNTERS, 0)
-
-    def run_epoch(self, epoch: int) -> Tuple[int, float]:
-        """Move the state (and the engine's RNG) to the end of ``epoch``;
-        returns ``(steps, mean_valid_loss)``."""
-        end = self.batch.take(self.row, epoch)
-        state = self.state
-        np.copyto(state.alpha.data, end.alpha)
-        state.alpha_opt.load_state_arrays({"t": end.t, "m.0": end.m,
-                                           "v.0": end.v})
-        state.lam.param.data[0] = end.lam
-        state.lam.history.extend(end.lam_history)
-        self.engine.rng.bit_generator.state = end.rng_state
-        for key, count in end.counts.items():
-            self.counts[key] += count
-        return end.steps, end.mean_loss
-
-    def plan_stats(self) -> Dict[str, int]:
-        """This slot's α-steps (each one traced, replayed or eager), with
-        the shared plan's compile and arena on the slot that compiled it."""
-        plan = self.batch.program.plan
-        compiled = self.counts["plans_compiled"] and plan is not None
-        return {**self.counts, "arena_bytes": plan.nbytes if compiled else 0}
-
-
-class _SearchGrid:
-    """The surrogate searches one process runs of a :func:`run_grid` call
-    (all of them at ``jobs=1``, one worker's share at ``jobs=N``), stacked
-    into batches on demand.
-
-    :meth:`add` registers each engine and loads its start state, fresh or
-    from the checkpoint it resumes from.  The first registered search to
-    start builds a :class:`SearchBatch` of itself and every registered
-    search not yet started that shares its config (all but target and
-    seed) and starts at the same epoch: fresh searches together, resumed
-    ones with those resuming at the same next epoch.  Those later take
-    their epochs from the batch instead of computing them.  A bad
-    checkpoint is raised by its own search.
-    """
-
-    def __init__(self) -> None:
-        self._pending: Dict[int, Tuple["LightNAS", Any]] = {}
-        self._slots: Dict[int, _Slot] = {}
-
-    def add(self, engine: "LightNAS", resume_from: Optional[str]) -> None:
-        """Register ``engine``'s search, resuming from ``resume_from``."""
-        try:
-            start = engine._start(resume_from)
-        except CheckpointError as exc:
-            start = exc
-        self._pending[id(engine)] = (engine, start)
-
-    def join(self, engine: "LightNAS") -> _Slot:
-        """The batch slot that runs ``engine``'s α-epochs."""
-        slot = self._slots.pop(id(engine), None)
-        if slot is not None:
-            return slot
-        _, state = self._pending.pop(id(engine))
-        if isinstance(state, CheckpointError):
-            raise state
-        engines, states = [engine], [state]
-        shared = _config_key(engine.config, shared=True)
-        for key, (peer, start) in list(self._pending.items()):
-            if (isinstance(start, CheckpointError)
-                    or _config_key(peer.config, shared=True) != shared
-                    or (start.start_epoch, start.steps)
-                    != (state.start_epoch, state.steps)):
-                continue
-            del self._pending[key]
-            engines.append(peer)
-            states.append(start)
-        batch = SearchBatch(engines, states)
-        engine.programs = batch.program
-        for row in range(1, batch.size):
-            self._slots[id(engines[row])] = _Slot(batch, row, engines[row],
-                                                  states[row])
-        return _Slot(batch, 0, engine, state)
-
 
 def run_grid(configs: Sequence[LightNASConfig], predictor: Any, *,
              jobs: int = 1, journal: Optional[RunJournal] = None,
@@ -971,30 +899,46 @@ def run_grid(configs: Sequence[LightNASConfig], predictor: Any, *,
         seen.add(key)
     fleet = RunFleet(jobs=min(jobs, parallel.usable_cpus()),
                      journal=journal, checkpoint_root=checkpoint_root)
-    grids: List[_SearchGrid] = []
-    for share in fleet.shares(len(configs)):
-        grids.extend([_SearchGrid()] * len(share))
+    engines = [LightNAS(config, predictor=predictor) for config in configs]
+    resume_from = [latest_checkpoint(os.path.join(checkpoint_root, name))
+                   if resume else None for name in names]
+    # each search's (batch, row), or None for a supernet search and for one
+    # whose checkpoint does not load (its own search raises the error)
+    slots: List[Optional[Tuple[SearchBatch, int]]] = [None] * len(configs)
+    # the start states live in float64 whatever the caller's default dtype
+    with nn.dtype_scope("float64"):
+        for share in fleet.shares(len(configs)):
+            groups: Dict[Tuple, List[int]] = {}
+            states: Dict[int, _SearchState] = {}
+            for index in share:
+                if configs[index].mode != "surrogate":
+                    continue
+                try:
+                    states[index] = engines[index]._start(resume_from[index])
+                except CheckpointError:
+                    continue
+                key = (_config_key(configs[index], shared=True),
+                       states[index].start_epoch, states[index].steps)
+                groups.setdefault(key, []).append(index)
+            for rows in groups.values():
+                batch = SearchBatch([engines[i] for i in rows],
+                                    [states[i] for i in rows])
+                for row, index in enumerate(rows):
+                    slots[index] = batch, row
 
-    def task(config: LightNASConfig, name: str,
-             grid: _SearchGrid) -> FleetTask:
-        engine = LightNAS(config, predictor=predictor)
-        resume_from = (latest_checkpoint(os.path.join(checkpoint_root, name))
-                       if resume else None)
-        if config.mode == "surrogate":
-            grid.add(engine, resume_from)
-        else:
-            grid = None
-
+    def task(engine: LightNAS, name: str, path: Optional[str],
+             slot: Optional[Tuple[SearchBatch, int]]) -> FleetTask:
         def fn(ctx):
-            # a registered search starts from the state its grid loaded
+            # a stacked search starts from the state its batch loaded
             return engine.search(checkpoint_dir=ctx.checkpoint_dir,
                                  checkpoint_every=checkpoint_every,
-                                 resume_from=None if grid is not None
-                                 else resume_from,
-                                 journal=ctx.journal, _grid=grid)
+                                 resume_from=None if slot else path,
+                                 journal=ctx.journal, _batch=slot)
 
+        config = engine.config
         return FleetTask(name=name, fn=fn,
                          header={"target": config.target, "seed": config.seed,
                                  "metric": config.metric_name})
 
-    return fleet.run([task(*args) for args in zip(configs, names, grids)])
+    return fleet.run([task(*args) for args in
+                      zip(engines, names, resume_from, slots)])

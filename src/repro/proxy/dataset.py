@@ -105,14 +105,11 @@ class SyntheticTask:
         return Batch(images=images, labels=labels.astype(np.int64))
 
     # ------------------------------------------------------------------
-    def batches(self, fold: Batch, batch_size: int, shuffle: bool = True
-                ) -> Iterator[Batch]:
-        """Iterate minibatches over a fold."""
+    def batches(self, fold: Batch, batch_size: int) -> Iterator[Batch]:
+        """Iterate shuffled minibatches over a fold."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        order = (
-            self._batch_rng.permutation(len(fold)) if shuffle else np.arange(len(fold))
-        )
+        order = self._batch_rng.permutation(len(fold))
         for start in range(0, len(fold), batch_size):
             idx = order[start : start + batch_size]
             yield Batch(images=fold.images[idx], labels=fold.labels[idx])

@@ -177,29 +177,10 @@ class SearchSpace:
         np.put_along_axis(out, flat, 1.0, axis=1)
         return out
 
-    def sample_many(self, count: int, rng: np.random.Generator,
-                    unique: bool = False) -> List[Architecture]:
-        """Sample ``count`` architectures, optionally de-duplicated."""
-        if not unique:
-            return self.indices_to_archs(self.sample_indices(count, rng))
-        seen = set()
-        out: List[Architecture] = []
-        # The space is astronomically larger than any sample we draw, so
-        # rejection sampling terminates immediately in practice; the guard
-        # below protects tiny test spaces.
-        max_tries = 100 * count
-        tries = 0
-        while len(out) < count and tries < max_tries:
-            arch = self.sample(rng)
-            tries += 1
-            if arch.op_indices not in seen:
-                seen.add(arch.op_indices)
-                out.append(arch)
-        if len(out) < count:
-            raise ValueError(
-                f"could not draw {count} unique architectures from a space of size {self.size}"
-            )
-        return out
+    def sample_many(self, count: int,
+                    rng: np.random.Generator) -> List[Architecture]:
+        """Sample ``count`` architectures."""
+        return self.indices_to_archs(self.sample_indices(count, rng))
 
     def validate(self, arch: Architecture) -> None:
         """Raise if ``arch`` does not type-check against this space."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.cli import main
 from repro.core import gumbel, lightnas
 from repro.core.lightnas import LightNAS, LightNASConfig
 from repro.experiments.shared import fit_latency_predictor
@@ -193,23 +194,27 @@ class TestSupernetSearch:
         assert result.num_search_steps == (4 - 3) * 2
 
     def test_supernet_search_compiles_no_plans(self, tiny_predictor,
-                                               tmp_path):
+                                               tmp_path, capsys):
         """Supernet steps follow the sampled Gumbel path, which rarely
-        repeats, so they run eagerly: a full tiny search compiles nothing
-        and holds no arena (seed 1 once compiled 3 plans into 90 MB)."""
-        journal = RunJournal(str(tmp_path / "run.jsonl"))
+        repeats, so they run eagerly outside any step program (seed 1 once
+        compiled 3 plans into 90 MB): the journal carries no plan counters
+        and trace-summary shows no step-plan row."""
+        path = str(tmp_path / "run.jsonl")
+        journal = RunJournal(path)
         engine = LightNAS(LightNASConfig.tiny(latency_target_ms=1.0, seed=1),
                           predictor=tiny_predictor)
         result = engine.search(journal=journal)
         journal.close()
-        (run_end,) = [e for e in read_journal(journal.path)
-                      if e["event"] == "run_end"]
-        stats = run_end["plan_stats"]
-        assert stats["plans_compiled"] == 0
-        assert stats["arena_bytes"] == 0
-        assert stats["replays"] == 0
-        # the α-step runs through StepProgram's eager fallback
-        assert stats["eager_steps"] == result.num_search_steps
+        events = read_journal(path)
+        assert result.num_search_steps > 0
+        assert [e["event"] for e in events].count("epoch") == 16
+        assert not [e for e in events if "plan_stats" in e]
+        assert engine.programs is None
+        capsys.readouterr()
+        assert main(["trace-summary", path]) == 0
+        summary = capsys.readouterr().out
+        assert "phase timers" in summary
+        assert "step plans" not in summary
 
     def test_default_predictor_built_when_missing(self, tmp_path,
                                                   monkeypatch):

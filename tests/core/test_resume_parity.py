@@ -256,3 +256,39 @@ class TestGridResumeParity:
             assert set(arrays) == set(ref_arrays)
             for key in arrays:
                 assert np.array_equal(arrays[key], ref_arrays[key]), key
+
+    def test_corrupt_checkpoint_fails_only_its_search(self, tmp_path,
+                                                      tiny_space,
+                                                      tiny_predictor):
+        """A resumed grid with one search's latest checkpoint truncated:
+        that task alone fails, loudly, and the other searches still stack
+        and finish bit for bit."""
+        root = str(tmp_path / "grid")
+        references = _run_grid(root, tiny_space, tiny_predictor,
+                               resume=False).values()
+        # every search resumes at epoch 3, slot 1 from a truncated file
+        for index in range(len(GRID)):
+            for path in glob.glob(os.path.join(root, f"slot{index}",
+                                               "*.npz")):
+                if int(path[-9:-4]) >= 3:
+                    os.remove(path)
+        latest = os.path.join(root, "slot1", "ckpt_epoch00002.npz")
+        blob = open(latest, "rb").read()
+        with open(latest, "wb") as handle:
+            handle.write(blob[: len(blob) // 3])
+
+        journal = RunJournal(str(tmp_path / "resume.jsonl"))
+        report = _run_grid(root, tiny_space, tiny_predictor, resume=True,
+                           journal=journal)
+        journal.close()
+        assert [r.status for r in report.results] == [
+            "ok", "failed", "ok", "ok"]
+        assert report.results[1].error.startswith("CheckpointError: ")
+        assert "corrupt or truncated" in report.results[1].error
+        for index in (0, 2, 3):
+            _assert_identical(report.results[index].value,
+                              references[index])
+        headers = [e for e in read_journal(journal.path)
+                   if e["event"] == "run_header"]
+        assert [(h["start_epoch"], h["batch_slots"]) for h in headers] == [
+            (3, 3)] * 3

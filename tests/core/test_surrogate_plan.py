@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNAS, LightNASConfig, run_grid
 from repro.hardware.latency import LatencyModel
 from repro.predictor.analytic import AnalyticCostPredictor
 from repro.predictor.dataset import (collect_energy_dataset,
@@ -106,19 +106,34 @@ def test_journal_plan_stats_one_compile_replays_the_rest(
     assert stats["arena_bytes"] > 0
 
 
-def test_search_ignores_the_callers_default_dtype(full_space,
-                                                  full_predictor):
+@pytest.mark.parametrize("grid", [False, True], ids=["lone", "grid"])
+def test_search_ignores_the_callers_default_dtype(full_space, full_predictor,
+                                                  tmp_path, grid):
     """A surrogate search always runs in float64: a caller's float32
-    default dtype once leaked into α, λ and the step, shifting the
-    result."""
-    reference = paper_engine(full_space, full_predictor, 24.0,
-                             "latency_ms").search()
+    default dtype once leaked into α, λ and the step, shifting the result,
+    and later into the start states of a 2 × 2 ``run_grid``."""
+    slots = ([(20.0, 0), (20.0, 1), (24.0, 0), (24.0, 1)] if grid
+             else [(24.0, 1)])
+    configs = [LightNASConfig.paper(target, space=full_space, seed=seed,
+                                    epochs=EPOCHS, steps_per_epoch=STEPS)
+               for target, seed in slots]
+    references = [LightNAS(config, predictor=full_predictor).search()
+                  for config in configs]
+    journal = RunJournal(str(tmp_path / "run.jsonl"))
     with nn.dtype_scope("float32"):
-        engine = paper_engine(full_space, full_predictor, 24.0, "latency_ms")
-        result = engine.search()
+        if grid:
+            results = run_grid(configs, full_predictor,
+                               journal=journal).values()
+        else:
+            results = [LightNAS(configs[0], predictor=full_predictor).search(
+                journal=journal)]
         assert nn.get_default_dtype() == np.float32
-    assert_same_search(result, reference)
-    assert engine.programs.stats()["plans_compiled"] == 1
+    journal.close()
+    for result, reference in zip(results, references):
+        assert_same_search(result, reference)
+    assert sum(e["plan_stats"]["plans_compiled"]
+               for e in read_journal(journal.path)
+               if e["event"] == "run_end" and "plan_stats" in e) == 1
 
 
 def test_predictor_is_a_constant_of_the_step(full_space, full_predictor):

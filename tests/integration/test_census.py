@@ -89,14 +89,6 @@ KEPT_OPTIONS = {
     "SuperNet.forward_weighted(threshold)":
         "the multi-path reference regime's pruning "
         "(tests/proxy/test_supernet.py)",
-    # set only by the test of their own branch; deleting them deletes
-    # those tests, so they wait for a later census round
-    "SearchSpace.sample_many(unique)":
-        "tests/search_space/test_space.py::TestSearchSpace::"
-        "test_sample_many_unique",
-    "SyntheticTask.batches(shuffle)":
-        "tests/proxy/test_dataset.py::TestBatching::"
-        "test_no_shuffle_is_ordered",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

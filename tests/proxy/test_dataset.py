@@ -88,12 +88,6 @@ class TestBatching:
         sizes = [len(b) for b in task.batches(task.train, batch_size=8)]
         assert sizes == [8, 8, 8, 1]
 
-    def test_no_shuffle_is_ordered(self):
-        task = SyntheticTask(num_classes=3, resolution=8, train_size=10,
-                             valid_size=5, seed=0)
-        first = next(iter(task.batches(task.train, 10, shuffle=False)))
-        assert np.array_equal(first.labels, task.train.labels)
-
     def test_sample_batch_size(self):
         task = SyntheticTask(num_classes=3, resolution=8, train_size=10,
                              valid_size=5, seed=0)

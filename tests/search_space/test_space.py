@@ -72,15 +72,6 @@ class TestSearchSpace:
         archs = full_space.sample_many(50, rng)
         assert len(archs) == 50
 
-    def test_sample_many_unique(self, full_space, rng):
-        archs = full_space.sample_many(100, rng, unique=True)
-        assert len({a.op_indices for a in archs}) == 100
-
-    def test_sample_unique_exhaustion_raises(self, rng):
-        space = SearchSpace(MacroConfig.tiny(num_searchable_layers=2))
-        with pytest.raises(ValueError):
-            space.sample_many(space.num_operators ** 2 + 1, rng, unique=True)
-
     def test_validate_wrong_length(self, full_space):
         with pytest.raises(ValueError):
             full_space.validate(Architecture((0, 1)))
