@@ -42,12 +42,20 @@ python -m pytest -x -q tests/integration/test_census.py
 # and jobs=4 parity, and float64 searches, lone and in a 2 × 2 run_grid,
 # under a float32 caller dtype.  Every shipped predictor kind compiles
 # exactly one plan from the 14 lowered op kinds; any other op kind, or a
-# replay with changed shapes, input names or dtype, raises.  Supernet
-# searches run their α-step outside any step program: their journal
-# carries no plan_stats and trace-summary no step-plan row
-# (TestSupernetSearch).
+# replay with changed shapes, input names or dtype, raises.  The compiler
+# reads a backward closure's pairs by operand position: a step whose
+# sub/mul/div/matmul has a constant first operand replays bit-identical
+# to eager, and a closure that drops a pair raises (TestOperandPosition);
+# each closure returns None for a constant operand and the same bits for
+# the other (test_constant_operands.py).  Supernet searches run their
+# α-step outside any step program: their journal carries no plan_stats
+# and trace-summary no step-plan row, and the α-epoch freezes the
+# supernet, so no weight ends it holding a gradient, even when the step
+# raises (TestSupernetSearch).
 python -m pytest -x -q tests/core/test_surrogate_plan.py \
     tests/core/test_plan_op_set.py tests/nn/test_plan.py::TestInvalidation \
+    tests/nn/test_plan.py::TestOperandPosition \
+    tests/nn/test_constant_operands.py \
     tests/core/test_lightnas.py::TestSupernetSearch
 
 # Every search grid runs through run_grid, which stacks each worker's

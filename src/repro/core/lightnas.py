@@ -562,7 +562,9 @@ class LightNAS:
         Returns ``(steps, mean_valid_loss)``.  The step's ops follow the
         sampled single path, which rarely comes round again, so supernet
         α-steps run eagerly (surrogate α-epochs run a compiled step in a
-        :class:`SearchBatch`).
+        :class:`SearchBatch`).  The supernet is frozen for the epoch: the
+        α-step differentiates only α and λ (Eq. 12), so its backward
+        computes no weight gradient and the stem and layer 0 build no tape.
         """
         cfg = self.config
         alpha, alpha_opt, lam = state.alpha, state.alpha_opt, state.lam
@@ -573,27 +575,30 @@ class LightNAS:
             logits = self.supernet.forward_single_path(ts["images"], gates)
             return F.cross_entropy(logits, targets=ts["targets"])
 
-        with nn.dtype_scope(cfg.compute_dtype):
-            for _ in range(cfg.steps_per_epoch):
-                alpha_opt.zero_grad()
-                lam.param.zero_grad()
-                self.supernet.train(True)
-                # the α-step backward reaches the supernet weights
-                self.supernet.zero_grad()
-                batch = self.task.sample_batch(self.task.valid,
-                                               cfg.batch_size)
-                ts = {"noise": nn.Tensor(sampler.draw_noise(alpha.shape)),
-                      "inv_tau": nn.Tensor(1.0 / sampler.schedule.at(epoch)),
-                      "images": nn.Tensor(batch.images),
-                      "targets": nn.Tensor(F.one_hot(
-                          batch.labels, self.space.macro.num_classes))}
-                out = _alpha_step(sampler, alpha, lam.as_tensor(),
-                                  self.objective, valid_loss, ts)
-                out["loss"].backward()
-                alpha_opt.step()
-                loss_sum += float(out["valid_loss"].data)
-                lam.ascend()
-                steps += 1
+        self.supernet.set_trainable(False)
+        try:
+            with nn.dtype_scope(cfg.compute_dtype):
+                for _ in range(cfg.steps_per_epoch):
+                    alpha_opt.zero_grad()
+                    lam.param.zero_grad()
+                    self.supernet.train(True)
+                    batch = self.task.sample_batch(self.task.valid,
+                                                   cfg.batch_size)
+                    inv_tau = 1.0 / sampler.schedule.at(epoch)
+                    ts = {"noise": nn.Tensor(sampler.draw_noise(alpha.shape)),
+                          "inv_tau": nn.Tensor(inv_tau),
+                          "images": nn.Tensor(batch.images),
+                          "targets": nn.Tensor(F.one_hot(
+                              batch.labels, self.space.macro.num_classes))}
+                    out = _alpha_step(sampler, alpha, lam.as_tensor(),
+                                      self.objective, valid_loss, ts)
+                    out["loss"].backward()
+                    alpha_opt.step()
+                    loss_sum += float(out["valid_loss"].data)
+                    lam.ascend()
+                    steps += 1
+        finally:
+            self.supernet.set_trainable(True)
         return steps, loss_sum / max(steps, 1)
 
     def _warmup_valid_loss(self, sampler: GumbelSampler, alpha: nn.Parameter,

@@ -93,6 +93,18 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def set_trainable(self, trainable: bool) -> None:
+        """Freeze (``False``) or unfreeze every parameter, clearing ``.grad``.
+
+        A frozen parameter enters the tape as a constant: ops build no
+        closure for inputs that are all frozen, and backward closures
+        compute no contribution for it.  This is how a step differentiates
+        with respect to a chosen set of tensors.
+        """
+        for p in self.parameters():
+            p.requires_grad = trainable
+            p.grad = None
+
     def train(self, mode: bool = True) -> "Module":
         for module in self.modules():
             object.__setattr__(module, "training", mode)

@@ -1,17 +1,25 @@
 """Differentiable operations for :class:`repro.nn.Tensor`.
 
 Each function builds the forward value with numpy and registers a backward
-closure returning ``(parent, gradient_contribution)`` pairs.  Importing this
-module attaches the Python operator overloads (``+``, ``*``, ``@`` …) to
-:class:`Tensor`; :mod:`repro.nn` performs that import, so users never need to
-import this module directly.
+closure returning one ``(parent, gradient_contribution)`` pair per operand,
+in operand order.  Importing this module attaches the Python operator
+overloads (``+``, ``*``, ``@`` …) to :class:`Tensor`; :mod:`repro.nn`
+performs that import, so users never need to import this module directly.
 
 Engine notes
 ------------
 * **Tape-free eval**: every op checks the grad mode *before* constructing
   its backward closure, so forwards under ``nn.no_grad()`` allocate zero
   closures and capture no intermediates — validation passes cost only the
-  forward arithmetic.
+  forward arithmetic.  The same check skips the closure when no operand
+  requires grad, so a frozen module (``Module.set_trainable(False)``)
+  applied to a constant input builds no tape at all.
+* **Gradients only where used**: a closure computes a contribution only
+  for an operand that requires grad and returns ``None`` at the other
+  operands' positions (the pair list keeps operand order, which the
+  step-plan compiler reads as operand position).  Conv backwards skip
+  the weight gradient of a frozen weight, elementwise ops and ``matmul``
+  the gradient of a constant operand.
 * **Specialized convolution kernels**: ``conv2d`` dispatches depthwise
   (``groups == C_in``) and pointwise (1×1, ``groups == 1``) convolutions to
   direct strided-window einsum kernels that skip the im2col reshuffle and
@@ -125,7 +133,8 @@ def add(a: Tensor, b) -> Tensor:
         return Tensor(out)
 
     def backward(grad):
-        return [(a, _unbroadcast(grad, a.shape)), (b, _unbroadcast(grad, b.shape))]
+        return [(a, _unbroadcast(grad, a.shape) if a.requires_grad else None),
+                (b, _unbroadcast(grad, b.shape) if b.requires_grad else None)]
 
     return Tensor._make(out, (a, b), backward)
 
@@ -138,7 +147,8 @@ def sub(a: Tensor, b) -> Tensor:
         return Tensor(out)
 
     def backward(grad):
-        return [(a, _unbroadcast(grad, a.shape)), (b, _unbroadcast(-grad, b.shape))]
+        return [(a, _unbroadcast(grad, a.shape) if a.requires_grad else None),
+                (b, _unbroadcast(-grad, b.shape) if b.requires_grad else None)]
 
     return Tensor._make(out, (a, b), backward)
 
@@ -152,8 +162,10 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward(grad):
         return [
-            (a, _unbroadcast(grad * b.data, a.shape)),
-            (b, _unbroadcast(grad * a.data, b.shape)),
+            (a, _unbroadcast(grad * b.data, a.shape)
+             if a.requires_grad else None),
+            (b, _unbroadcast(grad * a.data, b.shape)
+             if b.requires_grad else None),
         ]
 
     return Tensor._make(out, (a, b), backward)
@@ -168,8 +180,10 @@ def div(a: Tensor, b) -> Tensor:
 
     def backward(grad):
         return [
-            (a, _unbroadcast(grad / b.data, a.shape)),
-            (b, _unbroadcast(-grad * a.data / (b.data ** 2), b.shape)),
+            (a, _unbroadcast(grad / b.data, a.shape)
+             if a.requires_grad else None),
+            (b, _unbroadcast(-grad * a.data / (b.data ** 2), b.shape)
+             if b.requires_grad else None),
         ]
 
     return Tensor._make(out, (a, b), backward)
@@ -292,15 +306,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return Tensor(out)
 
     def backward(grad):
-        if a.data.ndim == 1 and b.data.ndim == 1:  # inner product
-            return [(a, grad * b.data), (b, grad * a.data)]
-        if a.data.ndim == 1:  # (k,) @ (k, n)
-            return [(a, grad @ b.data.T), (b, np.outer(a.data, grad))]
-        if b.data.ndim == 1:  # (m, k) @ (k,)
-            return [(a, np.outer(grad, b.data)), (b, a.data.T @ grad)]
-        ga = grad @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ grad
-        return [(a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape))]
+        x, y = a.data, b.data
+        ga = gb = None
+        if x.ndim == 1 and y.ndim == 1:  # inner product
+            if a.requires_grad:
+                ga = grad * y
+            if b.requires_grad:
+                gb = grad * x
+        elif x.ndim == 1:  # (k,) @ (k, n)
+            if a.requires_grad:
+                ga = grad @ y.T
+            if b.requires_grad:
+                gb = np.outer(x, grad)
+        elif y.ndim == 1:  # (m, k) @ (k,)
+            if a.requires_grad:
+                ga = np.outer(grad, y)
+            if b.requires_grad:
+                gb = x.T @ grad
+        else:
+            if a.requires_grad:
+                ga = _unbroadcast(grad @ np.swapaxes(y, -1, -2), a.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(np.swapaxes(x, -1, -2) @ grad, b.shape)
+        return [(a, ga), (b, gb)]
 
     return Tensor._make(out, (a, b), backward)
 
@@ -508,7 +536,7 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         return Tensor(out)
 
     def backward(grad):
-        pairs = []
+        gx = gw = gb = None
         if x.requires_grad:
             # += into zeros (not assignment) matches the generic col2im,
             # which canonicalises -0.0 products to +0.0.  np.zeros (not
@@ -519,14 +547,13 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                     "nohw,oc->nchw", grad, w_mat, optimize=True)
             else:
                 gx += np.einsum("nohw,oc->nchw", grad, w_mat, optimize=True)
-            pairs.append((x, gx))
         if weight.requires_grad:
             gw = np.ascontiguousarray(
-                np.einsum("nohw,nchw->oc", grad, xd, optimize=True))
-            pairs.append((weight, gw[:, :, None, None]))
+                np.einsum("nohw,nchw->oc", grad, xd, optimize=True)
+            )[:, :, None, None]
         if bias is not None and bias.requires_grad:
-            pairs.append((bias, grad.sum(axis=(0, 2, 3))))
-        return pairs
+            gb = grad.sum(axis=(0, 2, 3))
+        return list(zip(parents, (gx, gw, gb)))
 
     return Tensor._make(out, parents, backward)
 
@@ -574,7 +601,7 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         return Tensor(out)
 
     def backward(grad):
-        pairs = []
+        gx = gw = gb = None
         if x.requires_grad:
             h, w = x.shape[2:]
             spans_y = [_tap_span(i, padding, stride, oh, h)
@@ -594,13 +621,12 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                        x0:x0 + stride * (q1 - q0):stride] += (
                         grad[:, :, p0:p1, q0:q1]
                         * w_sq[None, :, i, j, None, None])
-            pairs.append((x, gx))
         if weight.requires_grad:
-            gw = np.einsum("ncpq,ncijpq->cij", grad, cols, optimize=True)
-            pairs.append((weight, gw[:, None]))
+            gw = np.einsum("ncpq,ncijpq->cij", grad, cols,
+                           optimize=True)[:, None]
         if bias is not None and bias.requires_grad:
-            pairs.append((bias, grad.sum(axis=(0, 2, 3))))
-        return pairs
+            gb = grad.sum(axis=(0, 2, 3))
+        return list(zip(parents, (gx, gw, gb)))
 
     return Tensor._make(out, parents, backward)
 
@@ -634,7 +660,7 @@ def _conv2d_generic(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
     def backward(grad):
         grad_mat = grad.reshape(n, groups, co_g, oh * ow).transpose(0, 1, 3, 2)
-        pairs = []
+        gx = gw = gb = None
         if x.requires_grad:
             # dX columns: (n,g,p,k) = grad (n,g,p,o) @ w (g,o,k)
             gcols_mat = np.einsum("ngpo,gok->ngpk", grad_mat, w_mat,
@@ -642,14 +668,14 @@ def _conv2d_generic(x: Tensor, weight: Tensor, bias: Optional[Tensor],
             gcols = gcols_mat.reshape(n, groups, oh, ow, c_in_g, kh, kw)
             gcols = gcols.transpose(0, 1, 4, 5, 6, 2, 3).reshape(
                 n, c_in, kh, kw, oh, ow)
-            pairs.append((x, _col2im(gcols, (n, c_in, h, w), kh, kw, stride)))
+            gx = _col2im(gcols, (n, c_in, h, w), kh, kw, stride)
         if weight.requires_grad:
             # dW: (g, o, k) = sum_n,p grad (n,g,p,o) * cols (n,g,p,k)
-            gw = np.einsum("ngpo,ngpk->gok", grad_mat, cols_mat, optimize=True)
-            pairs.append((weight, gw.reshape(c_out, c_in_g, kh, kw)))
+            gw = np.einsum("ngpo,ngpk->gok", grad_mat, cols_mat,
+                           optimize=True).reshape(c_out, c_in_g, kh, kw)
         if bias is not None and bias.requires_grad:
-            pairs.append((bias, grad.sum(axis=(0, 2, 3))))
-        return pairs
+            gb = grad.sum(axis=(0, 2, 3))
+        return list(zip(parents, (gx, gw, gb)))
 
     return Tensor._make(out, parents, backward)
 

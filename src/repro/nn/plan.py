@@ -238,7 +238,8 @@ def _build_ste_forward(probs, axis, o):
 #
 # Each builder receives the node's fixed incoming-gradient array ``g`` and
 # the pairs of one real call of the traced closure that need a writer
-# (``writes`` maps pair index -> adopted array).  It returns a list of
+# (``writes`` maps operand position -> adopted array; the compiler checks
+# that a closure's pair ``i`` is operand ``i``).  It returns a list of
 # replay kernels, or None when it cannot reproduce the closure's
 # arithmetic bit-for-bit (e.g. a matmul with broadcast batch dims) — the
 # compile then raises :class:`PlanError`.  Kernels allocate no fresh
@@ -249,7 +250,7 @@ def _build_ste_forward(probs, axis, o):
 
 def _bwd_relu(b, rec, g, writes, plan):
     a = b["a"].data
-    B = writes[0][1]
+    B = writes[0]
     mask = plan.request(a.shape, np.bool_)
 
     def kernel():
@@ -260,18 +261,18 @@ def _bwd_relu(b, rec, g, writes, plan):
 
 def _bwd_exp(b, rec, g, writes, plan):
     o = rec.out.data
-    B = writes[0][1]
+    B = writes[0]
     return [lambda: np.multiply(g, o, out=B)]
 
 
 def _bwd_log(b, rec, g, writes, plan):
     a = b["a"].data
-    B = writes[0][1]
+    B = writes[0]
     return [lambda: np.divide(g, a, out=B)]
 
 
 def _bwd_neg(b, rec, g, writes, plan):
-    B = writes[0][1]
+    B = writes[0]
     return [lambda: np.negative(g, out=B)]
 
 
@@ -311,7 +312,7 @@ def _bind_unbroadcast(plan, src, B):
 def _bwd_mul(b, rec, g, writes, plan):
     operands = (_operand(b["b"]), _operand(b["a"]))
     kernels = []
-    for index, B in writes:
+    for index, B in writes.items():
         other = operands[index]
         if B.shape == g.shape:
             kernels.append(_ufunc2(np.multiply, g, other, B))
@@ -332,7 +333,7 @@ def _bwd_div(b, rec, g, writes, plan):
     x = _operand(b["a"])
     y = _operand(b["b"])
     kernels = []
-    for index, B in writes:
+    for index, B in writes.items():
         same = B.shape == g.shape
         if index == 0:
             if same:
@@ -369,7 +370,7 @@ def _bwd_div(b, rec, g, writes, plan):
 
 def _bwd_sub(b, rec, g, writes, plan):
     kernels = []
-    for index, B in writes:
+    for index, B in writes.items():
         same = B.shape == g.shape
         if index == 0:
             if same:
@@ -398,13 +399,13 @@ def _bwd_matmul(b, rec, g, writes, plan):
     y = _operand(b["b"])
     if x.ndim < 2 or y.ndim < 2:
         return None
-    for index, B in writes:
+    for index, B in writes.items():
         if B.shape != (x.shape if index == 0 else y.shape):
             return None  # broadcast batch dims
     xT = np.swapaxes(x, -1, -2)
     yT = np.swapaxes(y, -1, -2)
     kernels = []
-    for index, B in writes:
+    for index, B in writes.items():
         if index == 0:
             kernels.append(_ufunc2(np.matmul, g, yT, B))
         else:
@@ -580,10 +581,18 @@ class StepPlan:
                  if isinstance(c, np.generic) else c)
                 for p, c in pairs
             ]
-            writes: List[Tuple[int, np.ndarray]] = []
-            for i, (parent, contribution) in enumerate(pairs):
+            operands = _bind(rec)
+            names = _SIGNATURES[rec.kind][0]
+            writes: Dict[int, np.ndarray] = {}
+            for position, (parent, contribution) in enumerate(pairs):
                 if not parent.requires_grad:
                     continue
+                if (position >= len(names)
+                        or operands[names[position]] is not parent):
+                    raise PlanError(
+                        f"op {rec.kind!r}'s backward closure does not return "
+                        f"one pair per operand in operand order; cannot "
+                        f"compile")
                 if not isinstance(contribution, np.ndarray):
                     raise PlanError(
                         f"op {rec.kind!r} produced a non-array gradient "
@@ -593,10 +602,10 @@ class StepPlan:
                         and np.shares_memory(contribution, node_grad)):
                     continue  # standing view of the grad slot: auto-updates
                 self.adopt(contribution)
-                writes.append((i, contribution))
+                writes[position] = contribution
             if writes:
                 build = _BWD.get(rec.kind)
-                kernels = (build(_bind(rec), rec, node_grad, writes, self)
+                kernels = (build(operands, rec, node_grad, writes, self)
                            if build is not None else None)
                 if kernels is None:
                     raise PlanError(

@@ -237,9 +237,12 @@ class Tensor:
     def _make(data: np.ndarray, parents: Iterable["Tensor"], backward: BackwardFn) -> "Tensor":
         """Create a non-leaf tensor recording ``backward`` on the tape.
 
-        ``backward`` maps the output gradient to ``(parent, contribution)``
-        pairs; contributions for parents with ``requires_grad=False`` are
-        ignored by the backward sweep.
+        ``backward`` maps the output gradient to one ``(parent,
+        contribution)`` pair per operand, in operand order.  A closure
+        computes a contribution only for a parent that requires grad when
+        it is called and returns ``None`` in the others' place; the backward
+        sweep (and the step-plan compiler) skips every parent with
+        ``requires_grad=False`` before reading its contribution.
         """
         parents = tuple(parents)
         out = Tensor(data)

@@ -147,7 +147,7 @@ class MLPPredictor:
         if len(train) < 2:
             raise ValueError("need at least 2 training samples")
         self._fast_weights = None  # weights are about to change under Adam
-        self._set_trainable(True)
+        self._model.set_trainable(True)
         self.target_mean = float(train.targets.mean())
         self.target_std = float(train.targets.std()) or 1.0
 
@@ -168,7 +168,9 @@ class MLPPredictor:
                 loss.backward()
                 optimizer.step()
         self.fitted = True
-        self._set_trainable(False)
+        # fitted weights enter every search step as constants: the tape
+        # computes, stores and zeroes no gradient for them
+        self._model.set_trainable(False)
         self._refresh_fast_weights()
 
     def _forward_normalised(self, features: nn.Tensor) -> nn.Tensor:
@@ -195,13 +197,6 @@ class MLPPredictor:
         self.target_std = float(state.pop("__target_std"))
         self._model.load_state_dict(state)
         self.fitted = True
-        self._set_trainable(False)
+        self._model.set_trainable(False)  # frozen, like a fitted one
         self._refresh_fast_weights()
 
-    def _set_trainable(self, trainable: bool) -> None:
-        """Fitted weights enter every search step as constants: the tape
-        then computes, stores and zeroes no gradient for them.  Only
-        :meth:`fit` turns their gradients back on."""
-        for param in self._model.parameters():
-            param.requires_grad = trainable
-            param.grad = None

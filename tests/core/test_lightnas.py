@@ -216,6 +216,54 @@ class TestSupernetSearch:
         assert "phase timers" in summary
         assert "step plans" not in summary
 
+    @staticmethod
+    def _alpha_epoch(engine):
+        """One w-epoch (so the weights carry gradients), then one α-epoch."""
+        cfg = engine.config
+        state = engine._fresh_state()
+        sampler = gumbel.GumbelSampler(
+            gumbel.TemperatureSchedule(cfg.tau_initial, cfg.tau_floor,
+                                       cfg.epochs), engine.rng)
+        with nn.dtype_scope("float64"):
+            engine._train_weights_epoch(sampler, state.alpha, state.w_opt, 0)
+            assert any(p.grad is not None
+                       for p in engine.supernet.parameters())
+            engine._update_alpha_epoch(sampler, state, 1)
+        return state
+
+    def test_alpha_epoch_leaves_no_weight_gradient(self, tiny_predictor):
+        """The α-step differentiates only α and λ (Eq. 12): the supernet is
+        frozen for the epoch, so no weight ends it holding a gradient, and
+        every weight is trainable again for the next w-epoch."""
+        engine = LightNAS(LightNASConfig.tiny(latency_target_ms=2.3, seed=0,
+                                              steps_per_epoch=2),
+                          predictor=tiny_predictor)
+        state = self._alpha_epoch(engine)
+        assert state.alpha.grad is not None
+        params = engine.supernet.parameters()
+        assert params
+        assert all(p.grad is None for p in params)
+        assert all(p.requires_grad for p in params)
+
+    def test_alpha_epoch_unfreezes_when_the_step_raises(self, tiny_predictor,
+                                                        monkeypatch):
+        engine = LightNAS(LightNASConfig.tiny(latency_target_ms=2.3, seed=0,
+                                              steps_per_epoch=2),
+                          predictor=tiny_predictor)
+        frozen = []
+
+        def failing_step(*args, **kwargs):
+            frozen.append(not any(p.requires_grad
+                                  for p in engine.supernet.parameters()))
+            raise RuntimeError("alpha step failed")
+
+        monkeypatch.setattr(lightnas, "_alpha_step", failing_step)
+        with pytest.raises(RuntimeError, match="alpha step failed"):
+            self._alpha_epoch(engine)
+        assert frozen == [True]
+        params = engine.supernet.parameters()
+        assert all(p.requires_grad and p.grad is None for p in params)
+
     def test_default_predictor_built_when_missing(self, tmp_path,
                                                   monkeypatch):
         """The library fit is the recipe the CLI caches, and writes no

@@ -229,6 +229,61 @@ class TestInvalidation:
         assert conv.weight.grad is not None
 
 
+class TestOperandPosition:
+    """Backward writes are keyed by operand position: a constant first
+    operand leaves pair 0 to a parent that needs no gradient, and the
+    compiler must still lower the second operand's gradient as ``b``'s."""
+
+    @staticmethod
+    def _step(p, ts):
+        c, m = ts["c"], ts["m"]
+        h = ops.sub(c, p)           # constant minuend
+        h = ops.mul(c, h)           # constant left factor
+        h = ops.div(c, ops.exp(h))  # constant numerator
+        h = ops.matmul(m, h)        # constant left matrix
+        return {"loss": ops.mean(h * h)}
+
+    def test_constant_first_operand_replays_bit_identical(self):
+        rng = np.random.default_rng(4)
+        feeds = [{"c": rng.normal(size=(3, 4)), "m": rng.normal(size=(2, 3))}
+                 for _ in range(3)]
+        start = rng.normal(size=(3, 4))
+        runs = []
+        for planned in (False, True):
+            p = nn.Parameter(start.copy(), name="p")
+            opt = nn.SGD([p], lr=0.01)
+            program = StepProgram("t")
+            losses, grads = [], []
+            with nn.plans(planned):
+                for feed in feeds:
+                    opt.zero_grad()
+                    out = program.run(feed, lambda ts: self._step(p, ts))
+                    losses.append(float(out["loss"]))
+                    grads.append(p.grad.copy())
+                    opt.step()
+            runs.append((losses, grads, p.data.copy(), program.stats()))
+        (el, eg, ep, estats), (pl, pg, pp, pstats) = runs
+        assert estats["eager_steps"] == 3
+        assert (pstats["plans_compiled"], pstats["replays"]) == (1, 2)
+        assert el == pl
+        for e, g in zip(eg, pg):
+            assert np.array_equal(e, g)
+        assert np.array_equal(ep, pp)
+
+    def test_closure_that_drops_pairs_raises(self):
+        @ops._op("sub")
+        def dropping_sub(a, b):
+            def backward(grad):
+                return [(b, -grad)]  # no pair for the constant minuend
+            return nn.Tensor._make(a.data - b.data, (a, b), backward)
+
+        p = nn.Parameter(np.ones(3), name="p")
+        program = StepProgram("t")
+        with pytest.raises(PlanError, match="one pair per operand"):
+            program.run({"c": np.zeros(3)}, lambda ts: {
+                "loss": ops.mean(dropping_sub(ts["c"], p))})
+
+
 class TestProgramModes:
     def test_plans_context_falls_back_to_eager(self):
         model = make_model(np.random.default_rng(0))
