@@ -82,11 +82,6 @@ python -m pytest -x -q tests/nn/test_conv_fast_paths.py \
 # timing run (speedup thresholds are only checked at full size).
 python benchmarks/bench_perf_hotpaths.py --pop-n 200 --campaign-n 100 --predict-n 200
 
-# Tiny-N smoke of the warm-archive benchmark: asserts the warm evolution
-# rerun is bit-identical with a non-zero cache hit rate and writes
-# BENCH_archive.json.
-python benchmarks/bench_archive.py --cycles 12 --population 8 --check
-
 # nn-engine benchmark with acceptance thresholds (>= 3x depthwise fwd+bwd,
 # faster supernet epoch); BENCH_nn.json is kept as a CI artifact.
 python benchmarks/bench_nn_engine.py --steps 8 --repeat 2 --check

@@ -19,7 +19,7 @@ Embedded Platforms", including every substrate the paper depends on:
 * :mod:`repro.runtime` — bit-for-bit checkpoint/resume and JSON-lines
   run telemetry for the search engines.
 * :mod:`repro.archive` — persistent architecture archive, vectorized query
-  engine, memoizing evaluation cache, and the batched ``repro serve`` API.
+  engine, and the batched ``repro serve`` API.
 
 Quickstart
 ----------
@@ -46,7 +46,6 @@ _LAZY_EXPORTS = {
     "RunJournal": ("repro.runtime.telemetry", "RunJournal"),
     "ArchitectureArchive": ("repro.archive.store", "ArchitectureArchive"),
     "ArchiveError": ("repro.archive.store", "ArchiveError"),
-    "EvalCache": ("repro.archive.cache", "EvalCache"),
 }
 
 __all__ = list(_LAZY_EXPORTS) + ["__version__"]
@@ -63,7 +62,6 @@ def __getattr__(name: str):
 
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
-    from .archive.cache import EvalCache
     from .archive.store import ArchitectureArchive, ArchiveError
     from .core.lightnas import LightNAS, LightNASConfig, run_grid
     from .core.result import SearchResult

@@ -1,18 +1,16 @@
-"""Persistent architecture archive, query engine, cache, and service.
+"""Persistent architecture archive, query engine, and service.
 
-* :mod:`repro.archive.store` — append-only crash-safe on-disk archive with
-  an in-memory numpy index (:class:`ArchitectureArchive`).
+* :mod:`repro.archive.store` — append-only crash-safe on-disk archive
+  whose one in-memory form is the stacked numpy index
+  (:class:`ArchitectureArchive`).
 * :mod:`repro.archive.query` — vectorized top-k / Pareto / Hamming-NN
   queries over the stacked index.
-* :mod:`repro.archive.cache` — :class:`EvalCache`, the memoizing layer the
-  search baselines evaluate through.
 * :mod:`repro.archive.service` — the batched JSON API behind
   ``python -m repro serve``.  It pulls in the HTTP stack (``http.server``,
   ``email``, ``ssl``), so it loads on first access to one of its names
   rather than with the package.
 """
 
-from .cache import EvalCache, model_fingerprint, oracle_fingerprint
 from .query import describe_rows, hamming_neighbors, pareto_rows, top_k
 from .store import (
     ArchitectureArchive,
@@ -30,13 +28,10 @@ __all__ = [
     "ArchiveIndex",
     "ArchiveService",
     "BatchingPredictor",
-    "EvalCache",
     "arch_key",
     "describe_rows",
     "hamming_neighbors",
     "make_server",
-    "model_fingerprint",
-    "oracle_fingerprint",
     "pareto_rows",
     "repair_archive",
     "top_k",

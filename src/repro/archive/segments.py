@@ -21,8 +21,10 @@ Layout (``<archive>.segments/``)::
         macs_m.npy          (N,) float64
         params_m.npy        (N,) float64
         keys.npy            (N,) S16 content addresses
-        aux.jsonl           CRC-framed full record payloads (lazy read path
-                            for ``records()`` / ``get()`` / the EvalCache)
+
+A segment holds only the stacked index; every other field of a record
+(provenance included) stays in the WAL.  Segments written by older builds
+also hold an ``aux.jsonl`` of full record payloads; nothing reads it.
 
 Design rules, shared with :mod:`repro.archive.store`:
 
@@ -47,7 +49,7 @@ import shutil
 import tempfile
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,24 +143,6 @@ class Segment:
     def __len__(self) -> int:
         return len(self.keys)
 
-    # ------------------------------------------------------------------
-    def aux_payloads(self) -> Iterator[dict]:
-        """Full record payloads, row-aligned with the arrays (lazy read)."""
-        aux = os.path.join(self.path, "aux.jsonl")
-        try:
-            with open(aux, "r", encoding="utf-8", newline="\n") as handle:
-                for lineno, line in enumerate(handle, start=1):
-                    if not line.endswith("\n"):
-                        raise ArchiveError(
-                            f"{aux}:{lineno}: truncated record payload — "
-                            f"the segment is damaged; delete "
-                            f"{self.path!r} and recompact")
-                    yield unframe_line(line[:-1], aux, lineno)
-        except OSError as exc:
-            raise ArchiveError(
-                f"segment {self.path!r} has no readable aux.jsonl ({exc}) — "
-                f"delete the segment directory and recompact") from exc
-
 
 def segment_root_for(archive_path: str) -> str:
     """Where an archive's segments live (``<archive>.segments/``)."""
@@ -187,7 +171,6 @@ def write_segment(archive_path: str, *,
                   keys: Sequence[str],
                   ops: np.ndarray, cost: np.ndarray, score: np.ndarray,
                   macs_m: np.ndarray, params_m: np.ndarray,
-                  payloads: Sequence[dict],
                   wal_offset: int) -> str:
     """Atomically write a new segment and flip ``CURRENT`` to it.
 
@@ -197,8 +180,8 @@ def write_segment(archive_path: str, *,
     """
     n = len(keys)
     if not (len(ops) == len(cost) == len(score) == len(macs_m)
-            == len(params_m) == len(payloads) == n):
-        raise ValueError("segment arrays, keys, and payloads must align")
+            == len(params_m) == n):
+        raise ValueError("segment arrays and keys must align")
     root = segment_root_for(archive_path)
     os.makedirs(root, exist_ok=True)
     check_crc = _wal_check_crc(archive_path, wal_offset)
@@ -225,10 +208,6 @@ def write_segment(archive_path: str, *,
                 np.ascontiguousarray(params_m, dtype=np.float64))
         np.save(os.path.join(staging, "keys.npy"),
                 np.asarray([k.encode("ascii") for k in keys], dtype="S16"))
-        with open(os.path.join(staging, "aux.jsonl"), "w",
-                  encoding="utf-8", newline="\n") as handle:
-            for payload in payloads:
-                handle.write(frame_line(json.dumps(payload)))
         manifest = {
             "magic": SEGMENT_MAGIC, "version": SEGMENT_VERSION,
             "num_layers": int(num_layers),

@@ -19,8 +19,8 @@ soon as it is free, and requests that arrive during a forward join the
 next one, so a burst of R requests is answered with far fewer than R
 forwards, which ``/stats`` makes observable (``predict_requests`` vs
 ``predict_batches``).  Each architecture's prediction is bit-identical to a
-direct ``predict_population`` call (row-subset parity, see
-:mod:`repro.archive.cache`), so batching is invisible to clients.
+direct ``predict_population`` call (row-subset parity, regression-tested
+in ``tests/predictor/test_mlp.py``), so batching is invisible to clients.
 
 Scaling shape: archive queries run against immutable mmap-friendly
 :class:`~repro.archive.store.ArchiveIndex` snapshots (safe under the

@@ -24,12 +24,13 @@ Storage is split into two layers:
   written after the segment, instead of parsing the full log.  Serving
   workers share the mmap'd pages.
 
-The in-memory index is **incrementally extended and thread-safe**: every
-append updates growable stacked arrays in place (O(1) per record) under a
-lock, and :meth:`ArchitectureArchive.index` hands out immutable
-:class:`ArchiveIndex` snapshots — concurrent readers never observe a
-half-merged record, and a post-append query no longer re-stacks the whole
-archive.
+The stacked index is the archive's one in-memory form, and it is
+**incrementally extended and thread-safe**: every append updates growable
+stacked arrays in place (O(1) per record) under a lock, and
+:meth:`ArchitectureArchive.index` hands out immutable :class:`ArchiveIndex`
+snapshots — concurrent readers never observe a half-merged record, and a
+post-append query no longer re-stacks the whole archive.  Fields the index
+does not stack (provenance) are kept in the WAL only.
 
 Records are keyed by the SHA-1 of the architecture's one-hot encoding (the
 ᾱ matrix of Eq. 4), so the same genotype written by different engines/runs
@@ -45,7 +46,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from hashlib import sha1
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,14 +136,9 @@ class ArchRecord:
         Device-independent compute/size costs (millions).
     score:
         Accuracy-proxy score (oracle top-1), when evaluated.
-    extras:
-        Model-fingerprint-tagged cached values (e.g. MLP-predicted metrics
-        keyed ``"pred:<fingerprint>"``) — the :class:`~repro.archive.cache.
-        EvalCache` namespace.  Predictions depend on the predictor weights,
-        so they are never merged across fingerprints.
     provenance:
         ``{"engine", "seed", "fingerprint"}`` of the run that wrote the
-        record (last writer wins on merge).
+        record; kept in the WAL line, not in the index.
     """
 
     op_indices: Tuple[int, ...]
@@ -151,25 +147,7 @@ class ArchRecord:
     macs_m: Optional[float] = None
     params_m: Optional[float] = None
     score: Optional[float] = None
-    extras: Dict[str, float] = field(default_factory=dict)
     provenance: Dict[str, object] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "ArchRecord") -> None:
-        """Fold a later record for the same genotype into this one."""
-        if other.key != self.key:
-            raise ValueError("cannot merge records of different architectures")
-        for device, metrics in other.devices.items():
-            self.devices.setdefault(device, {}).update(metrics)
-        if other.macs_m is not None:
-            self.macs_m = other.macs_m
-        if other.params_m is not None:
-            self.params_m = other.params_m
-        if other.score is not None:
-            self.score = other.score
-        self.extras.update(other.extras)
-        if other.provenance:
-            self.provenance = dict(other.provenance)
 
     def to_payload(self) -> dict:
         payload: Dict[str, object] = {"key": self.key,
@@ -182,14 +160,14 @@ class ArchRecord:
             payload["params_m"] = self.params_m
         if self.score is not None:
             payload["score"] = self.score
-        if self.extras:
-            payload["extras"] = self.extras
         if self.provenance:
             payload["provenance"] = self.provenance
         return payload
 
     @staticmethod
     def from_payload(payload: dict) -> "ArchRecord":
+        # older builds also wrote an "extras" map of cached predictions;
+        # nothing reads it, so it is skipped
         return ArchRecord(
             op_indices=tuple(int(i) for i in payload["ops"]),
             key=str(payload["key"]),
@@ -198,8 +176,6 @@ class ArchRecord:
             macs_m=payload.get("macs_m"),
             params_m=payload.get("params_m"),
             score=payload.get("score"),
-            extras={str(k): float(v)
-                    for k, v in payload.get("extras", {}).items()},
             provenance=dict(payload.get("provenance", {})),
         )
 
@@ -461,12 +437,9 @@ class ArchitectureArchive:
         self.read_only = bool(read_only)
         self._use_segments = bool(use_segments)
         self._lock = threading.RLock()
-        self._records: Dict[str, ArchRecord] = {}   # key → merged record
-        self._pending: Dict[str, ArchRecord] = {}   # unmaterialized merges
-        self._order: List[str] = []                 # first-seen order
-        self._row_of: Dict[str, int] = {}           # key → index row
+        # key → index row, in row (first-seen) order
+        self._row_of: Dict[str, int] = {}
         self._segment: Optional[Segment] = None
-        self._aux_loaded = False
         self._live: Optional[_LiveIndex] = None
         self._snapshot: Optional[ArchiveIndex] = None
         self.boot: Dict[str, object] = {"mode": "new", "tail_records": 0}
@@ -548,7 +521,6 @@ class ArchitectureArchive:
     def _adopt_segment(self, segment: Segment, raw: bytes) -> None:
         """Boot from the mmap'd segment, replaying only the WAL tail."""
         self._segment = segment
-        self._order = list(segment.keys)
         self._row_of = {key: row for row, key in enumerate(segment.keys)}
         tail = raw[segment.wal_offset:]
         tail_lines = tail.decode("utf-8").split("\n")[:-1] if tail else []
@@ -563,7 +535,6 @@ class ArchitectureArchive:
         lines = raw[header_end:].decode("utf-8").split("\n")[:-1]
         for lineno, line in enumerate(lines, start=2):
             self._merge(self._parse_record(line, lineno))
-        self._aux_loaded = True   # every record is materialized
         self.boot = {"mode": "log-replay", "tail_records": len(lines)}
 
     def _parse_record(self, line: str, lineno: int) -> ArchRecord:
@@ -595,62 +566,15 @@ class ArchitectureArchive:
         return self._live
 
     def _merge(self, record: ArchRecord) -> None:
+        """Give a new genotype the next row; write a known one's fields
+        into its row (later values win, cell by cell)."""
         with self._lock:
             row = self._row_of.get(record.key)
             if row is None:
-                row = self._live_index().append(record)
-                self._row_of[record.key] = row
-                self._order.append(record.key)
-                self._records[record.key] = record
+                self._row_of[record.key] = self._live_index().append(record)
             else:
                 self._live_index().update(row, record)
-                existing = self._records.get(record.key)
-                if existing is not None:
-                    existing.merge(record)
-                else:
-                    # segment row not yet materialized — stage the merge
-                    pending = self._pending.get(record.key)
-                    if pending is None:
-                        self._pending[record.key] = record
-                    else:
-                        pending.merge(record)
             self._snapshot = None
-
-    def _ensure_records(self) -> None:
-        """Materialize every record (lazy segment aux read)."""
-        with self._lock:
-            if self._aux_loaded or self._segment is None:
-                self._aux_loaded = True
-                return
-            segment = self._segment
-            count = 0
-            for payload in segment.aux_payloads():
-                try:
-                    record = ArchRecord.from_payload(payload)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ArchiveError(
-                        f"segment {segment.path!r} row {count} has a "
-                        f"malformed payload ({exc}) — delete the segment "
-                        f"directory and recompact") from exc
-                if count >= len(segment) or record.key != segment.keys[count]:
-                    raise ArchiveError(
-                        f"segment {segment.path!r} aux payloads do not "
-                        f"align with its key array — the segment is "
-                        f"damaged; delete it and recompact")
-                pending = self._pending.pop(record.key, None)
-                if pending is not None:
-                    record.merge(pending)
-                # appends may have already created a record for this key?
-                # impossible: segment keys pre-exist in _row_of, so appends
-                # to them stage into _pending instead.
-                self._records[record.key] = record
-                count += 1
-            if count != len(segment):
-                raise ArchiveError(
-                    f"segment {segment.path!r} has {count} aux payloads "
-                    f"for {len(segment)} records — the segment is damaged; "
-                    f"delete it and recompact")
-            self._aux_loaded = True
 
     def _require_writable(self, what: str) -> None:
         if self._handle is None:
@@ -662,7 +586,7 @@ class ArchitectureArchive:
     # Writing
     # ------------------------------------------------------------------
     def add_record(self, record: ArchRecord, flush: bool = True) -> None:
-        """Append one record (merged into the in-memory view)."""
+        """Append one record to the WAL and merge it into the index."""
         if len(record.op_indices) != self.num_layers:
             raise ValueError(
                 f"record has {len(record.op_indices)} layers, archive "
@@ -685,7 +609,6 @@ class ArchitectureArchive:
             macs_m: Optional[float] = None,
             params_m: Optional[float] = None,
             score: Optional[float] = None,
-            extras: Optional[Dict[str, float]] = None,
             engine: str = "", seed: Optional[int] = None,
             config_fingerprint: str = "",
             flush: bool = True) -> ArchRecord:
@@ -712,7 +635,6 @@ class ArchitectureArchive:
             macs_m=None if macs_m is None else float(macs_m),
             params_m=None if params_m is None else float(params_m),
             score=None if score is None else float(score),
-            extras={k: float(v) for k, v in (extras or {}).items()},
             provenance=provenance,
         )
         self.add_record(record, flush=flush)
@@ -772,49 +694,29 @@ class ArchitectureArchive:
             self._require_writable("compact")
             self._handle.flush()
             wal_offset = os.path.getsize(self.path)
-            self._ensure_records()
             snapshot = self.index()
-            payloads = [self._records[key].to_payload()
-                        for key in self._order]
             return write_segment(
                 self.path,
                 num_layers=self.num_layers,
                 num_operators=self.num_operators,
                 devices=snapshot.devices,
                 cost_metrics=DEVICE_COST_METRICS,
-                keys=tuple(self._order),
+                keys=snapshot.keys,
                 ops=snapshot.ops, cost=snapshot.cost,
                 score=snapshot.score, macs_m=snapshot.macs_m,
-                params_m=snapshot.params_m,
-                payloads=payloads, wal_offset=wal_offset)
+                params_m=snapshot.params_m, wal_offset=wal_offset)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._order)
+            return len(self._row_of)
 
     def __contains__(self, op_indices) -> bool:
         key = arch_key(tuple(op_indices), self.num_operators)
         with self._lock:
             return key in self._row_of
-
-    def get(self, op_indices) -> Optional[ArchRecord]:
-        """The merged record for a genotype, or ``None``."""
-        key = arch_key(tuple(op_indices), self.num_operators)
-        with self._lock:
-            if key not in self._row_of:
-                return None
-            self._ensure_records()
-            return self._records.get(key)
-
-    def records(self) -> Iterator[ArchRecord]:
-        """Merged records in first-seen order."""
-        with self._lock:
-            self._ensure_records()
-            materialized = [self._records[key] for key in self._order]
-        yield from materialized
 
     def index(self) -> ArchiveIndex:
         """An immutable stacked snapshot (cached until the next append).
@@ -836,7 +738,7 @@ class ArchitectureArchive:
                 ops=segment.ops, keys=segment.keys, score=segment.score,
                 macs_m=segment.macs_m, params_m=segment.params_m,
                 devices=segment.devices, cost=segment.cost)
-        return self._live_index().snapshot(tuple(self._order))
+        return self._live_index().snapshot(tuple(self._row_of))
 
     def stats(self) -> dict:
         """Summary counters for the ``/stats`` endpoint and ``repro query``."""
@@ -859,11 +761,6 @@ class ArchitectureArchive:
         }
 
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
-
     def close(self) -> None:
         with self._lock:
             if self._handle is not None and not self._handle.closed:

@@ -26,7 +26,6 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from ..archive.cache import EvalCache
 from ..core.result import SearchResult, SearchTrajectory
 from ..predictor.mlp import MLPPredictor
 from ..proxy.accuracy_model import AccuracyOracle
@@ -38,6 +37,8 @@ __all__ = ["EvolutionConfig", "EvolutionSearch"]
 
 #: give up after this many consecutive infeasible mutants per cycle
 MAX_REJECTS = 200
+#: contestants drawn (without replacement) for each parent selection
+TOURNAMENT_SIZE = 16
 
 
 @dataclass
@@ -47,15 +48,13 @@ class EvolutionConfig:
     space: SearchSpace = field(default_factory=SearchSpace)
     target: float = 24.0
     population_size: int = 64
-    tournament_size: int = 16
     cycles: int = 400
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tournament_size > self.population_size:
-            raise ValueError("tournament cannot exceed the population")
-        if self.population_size < 2:
-            raise ValueError("population must hold at least 2 individuals")
+        if self.population_size < TOURNAMENT_SIZE:
+            raise ValueError(f"population must hold at least one tournament "
+                             f"({TOURNAMENT_SIZE} individuals)")
 
 
 class EvolutionSearch:
@@ -68,35 +67,18 @@ class EvolutionSearch:
         config: EvolutionConfig,
         predictor: MLPPredictor,
         oracle: Optional[AccuracyOracle] = None,
-        cache: Optional[EvalCache] = None,
     ) -> None:
         self.config = config
         self.space = config.space
         self.predictor = predictor
         self.oracle = oracle or AccuracyOracle(self.space)
         self.rng = np.random.default_rng(config.seed)
-        if cache is not None and cache.predictor is not predictor:
-            raise ValueError(
-                "the EvalCache must wrap this engine's predictor")
-        self.cache = cache
 
     # ------------------------------------------------------------------
-    def _predict_arch(self, arch: Architecture) -> float:
-        if self.cache is not None:
-            return self.cache.predict_arch(arch)
-        return self.predictor.predict_arch(arch)
-
-    def _predict_population(self, ops: np.ndarray) -> np.ndarray:
-        if self.cache is not None:
-            return self.cache.predict_population(ops)
-        return self.predictor.predict_population(ops)
-
     def _feasible(self, arch: Architecture) -> bool:
-        return self._predict_arch(arch) <= self.config.target
+        return self.predictor.predict_arch(arch) <= self.config.target
 
     def _fitness(self, arch: Architecture) -> float:
-        if self.cache is not None and self.cache.oracle is self.oracle:
-            return self.cache.fitness(arch)
         return self.oracle.evaluate(arch).top1
 
     def _random_feasible(self) -> Architecture:
@@ -128,7 +110,7 @@ class EvolutionSearch:
         while len(feasible) < count and drawn < budget:
             ops = self.space.sample_indices(batch, self.rng)
             drawn += batch
-            preds = self._predict_population(ops)
+            preds = self.predictor.predict_population(ops)
             for row in ops[preds <= self.config.target].tolist():
                 feasible.append(Architecture(tuple(row)))
                 if len(feasible) == count:
@@ -152,7 +134,7 @@ class EvolutionSearch:
             candidates[np.arange(batch), layers] = (
                 (candidates[np.arange(batch), layers] + shifts) % num_ops
             )
-            preds = self._predict_population(candidates)
+            preds = self.predictor.predict_population(candidates)
             hits = np.nonzero(preds <= self.config.target)[0]
             if hits.size:
                 return Architecture(tuple(candidates[hits[0]].tolist()))
@@ -162,7 +144,7 @@ class EvolutionSearch:
     def _fingerprint(self) -> str:
         cfg = self.config
         return fingerprint_of(
-            "evolution", cfg.target, cfg.population_size, cfg.tournament_size,
+            "evolution", cfg.target, cfg.population_size, TOURNAMENT_SIZE,
             cfg.cycles, cfg.seed, MAX_REJECTS, self.space.num_layers,
             self.space.num_operators, repr(self.space.macro),
         )
@@ -193,7 +175,7 @@ class EvolutionSearch:
         for cycle in range(cfg.cycles):
             contestants = [
                 population[i]
-                for i in self.rng.choice(len(population), size=cfg.tournament_size,
+                for i in self.rng.choice(len(population), size=TOURNAMENT_SIZE,
                                          replace=False)
             ]
             parent = max(contestants, key=lambda item: item[1])[0]
@@ -207,7 +189,7 @@ class EvolutionSearch:
             if fit > best_fit:
                 best_arch, best_fit = child, fit
             if cycle % 25 == 0:
-                predicted_best = self._predict_arch(best_arch)
+                predicted_best = self.predictor.predict_arch(best_arch)
                 trajectory.record(cycle, predicted_best,
                                   0.0, -best_fit, 0.0, best_arch)
                 journal.epoch(epoch=cycle,
@@ -220,19 +202,15 @@ class EvolutionSearch:
 
         journal.run_end(
             final_predicted_metric=round(
-                float(self._predict_arch(best_arch)), 6),
+                float(self.predictor.predict_arch(best_arch)), 6),
             best_top1=round(best_fit, 4),
             architecture=list(best_arch.op_indices),
             num_search_steps=evaluations,
             wall_time_s=round(time.perf_counter() - run_start, 6),
-            **(self.cache.counters() if self.cache is not None else {}),
         )
-        if self.cache is not None:
-            self.cache.flush(engine=self.name, seed=cfg.seed,
-                             config_fingerprint=self._fingerprint())
         return SearchResult(
             architecture=best_arch,
-            predicted_metric=self._predict_arch(best_arch),
+            predicted_metric=self.predictor.predict_arch(best_arch),
             target=cfg.target,
             final_lambda=0.0,
             trajectory=trajectory,

@@ -251,8 +251,6 @@ class LightNAS:
             # float64 (default) keeps seeded searches bit-identical
             with nn.dtype_scope(config.compute_dtype):
                 self.supernet = SuperNet(self.space, self.rng)
-        #: the compiled α-step of the batch a surrogate search ran in
-        self.programs: Optional[nn.StepProgram] = None
 
     @staticmethod
     def predictor_recipe(seed: int) -> dict:
@@ -429,7 +427,6 @@ class LightNAS:
             batch, row = slot
             state = batch.states[row]
             header["batch_slots"] = batch.size
-            self.programs = batch.program
 
         manager = (CheckpointManager(checkpoint_dir, every=checkpoint_every)
                    if checkpoint_dir else None)

@@ -17,8 +17,7 @@ class TestEvolution:
     @pytest.fixture(scope="class")
     def result(self, tiny_space, tiny_predictor, tiny_oracle):
         cfg = EvolutionConfig(space=tiny_space, target=TINY_TARGET,
-                              population_size=12, tournament_size=4,
-                              cycles=60, seed=0)
+                              population_size=16, cycles=60, seed=0)
         return EvolutionSearch(cfg, tiny_predictor, tiny_oracle).search()
 
     def test_respects_constraint(self, result, tiny_predictor):
@@ -36,14 +35,13 @@ class TestEvolution:
         assert best > mean_random
 
     def test_config_validation(self, tiny_space):
-        with pytest.raises(ValueError):
-            EvolutionConfig(space=tiny_space, population_size=4,
-                            tournament_size=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one tournament"):
+            EvolutionConfig(space=tiny_space, population_size=8)
+        with pytest.raises(ValueError, match="one tournament"):
             EvolutionConfig(space=tiny_space, population_size=1)
 
     def test_evaluation_count(self, result):
-        assert result.num_search_steps >= 12  # at least the initial population
+        assert result.num_search_steps >= 16  # at least the initial population
 
 
 class TestRL:

@@ -209,7 +209,6 @@ class TestSupernetSearch:
         assert result.num_search_steps > 0
         assert [e["event"] for e in events].count("epoch") == 16
         assert not [e for e in events if "plan_stats" in e]
-        assert engine.programs is None
         capsys.readouterr()
         assert main(["trace-summary", path]) == 0
         summary = capsys.readouterr().out

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.lightnas import LightNAS, LightNASConfig, SearchBatch
 from repro.nn import ops, plan
 from repro.nn.plan import PlanError, StepProgram
 from repro.predictor.analytic import AnalyticCostPredictor
@@ -64,19 +64,20 @@ def _search(space, predictor, metric, epochs=2, steps=3):
     config = LightNASConfig.paper(target, space=space, seed=0, epochs=epochs,
                                   steps_per_epoch=steps, metric_name=metric)
     engine = LightNAS(config, predictor=predictor)
-    engine.search()
-    return engine
+    batch = SearchBatch([engine], [engine._start(None)])
+    engine.search(_batch=(batch, 0))
+    return batch.program
 
 
 def test_each_shipped_predictor_compiles_one_plan(shipped_predictors):
     traced = set()
     for (space_name, metric), (space, predictor) in \
             shipped_predictors.items():
-        engine = _search(space, predictor, metric)
-        stats = engine.programs.stats()
+        program = _search(space, predictor, metric)
+        stats = program.stats()
         assert (stats["plans_compiled"], stats["replays"],
                 stats["eager_steps"]) == (1, 5, 0), (space_name, metric)
-        traced |= {rec.kind for rec in engine.programs.plan._records}
+        traced |= {rec.kind for rec in program.plan._records}
     # the compiler lowers the α-step's op kinds and nothing else
     assert set(plan._SIGNATURES) == LOWERED
     assert traced == LOWERED

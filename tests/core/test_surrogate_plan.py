@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.lightnas import LightNAS, LightNASConfig, run_grid
+from repro.core.lightnas import (LightNAS, LightNASConfig, SearchBatch,
+                                 run_grid)
 from repro.hardware.latency import LatencyModel
 from repro.predictor.analytic import AnalyticCostPredictor
 from repro.predictor.dataset import (collect_energy_dataset,
@@ -62,6 +63,13 @@ def paper_engine(space, predictor, target, metric, seed=1, epochs=EPOCHS):
     return LightNAS(config, predictor=predictor)
 
 
+def search_in_batch(engine, resume_from=None, **kwargs):
+    """Run ``engine``'s search as the lone slot of a batch built here;
+    returns the result and the batch's step program."""
+    batch = SearchBatch([engine], [engine._start(resume_from)])
+    return engine.search(_batch=(batch, 0), **kwargs), batch.program
+
+
 def assert_same_search(a, b):
     assert a.architecture == b.architecture
     assert a.predicted_metric == b.predicted_metric
@@ -78,14 +86,14 @@ def test_plans_on_and_off_are_bit_identical(full_space, predictors, metric):
     predictor, target = predictors[metric]
     planned_engine = paper_engine(full_space, predictor, target, metric)
     eager_engine = paper_engine(full_space, predictor, target, metric)
-    planned = planned_engine.search()
+    planned, planned_program = search_in_batch(planned_engine)
     with nn.plans(False):
-        eager = eager_engine.search()
+        eager, eager_program = search_in_batch(eager_engine)
     assert_same_search(planned, eager)
 
     steps = EPOCHS * STEPS
-    assert planned_engine.programs.stats()["replays"] == steps - 1
-    eager_stats = eager_engine.programs.stats()
+    assert planned_program.stats()["replays"] == steps - 1
+    eager_stats = eager_program.stats()
     assert eager_stats["plans_compiled"] == 0
     assert eager_stats["eager_steps"] == steps
 
@@ -94,7 +102,7 @@ def test_journal_plan_stats_one_compile_replays_the_rest(
         full_space, full_predictor, tmp_path):
     journal = RunJournal(str(tmp_path / "run.jsonl"))
     engine = paper_engine(full_space, full_predictor, 24.0, "latency_ms")
-    engine.search(journal=journal)
+    _, program = search_in_batch(engine, journal=journal)
     journal.close()
     (run_end,) = [e for e in read_journal(journal.path)
                   if e["event"] == "run_end"]
@@ -102,7 +110,7 @@ def test_journal_plan_stats_one_compile_replays_the_rest(
     steps = EPOCHS * STEPS
     assert stats == {"plans_compiled": 1, "eager_steps": 0,
                      "replays": steps - 1,
-                     "arena_bytes": engine.programs.plan.nbytes}
+                     "arena_bytes": program.plan.nbytes}
     assert stats["arena_bytes"] > 0
 
 
@@ -183,11 +191,11 @@ def test_resume_with_plans_is_bit_for_bit(full_space, full_predictor,
             checkpoint_dir=directory, checkpoint_every=1,
             journal=_KillAtEpoch(kill_epoch))
     engine = paper_engine(full_space, full_predictor, 24.0, "latency_ms")
-    resumed = engine.search(resume_from=directory)
+    resumed, program = search_in_batch(engine, resume_from=directory)
     assert_same_search(resumed, reference)
     # the resumed run compiled its own plan and replayed it
-    assert engine.programs.stats()["plans_compiled"] == 1
-    assert engine.programs.stats()["replays"] > 0
+    assert program.stats()["plans_compiled"] == 1
+    assert program.stats()["replays"] > 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -202,13 +210,13 @@ def test_jobs4_fan_out_matches_sequential(tiny_space, tiny_predictor):
 
                 def fn(ctx, config=config):
                     engine = LightNAS(config, predictor=tiny_predictor)
-                    result = engine.search()
+                    result, program = search_in_batch(engine)
                     return {
                         "arch": list(result.architecture.op_indices),
                         "lambda": result.final_lambda,
                         "trajectory": list(result.trajectory.predicted_metric),
                         "valid_loss": list(result.trajectory.valid_loss),
-                        "replays": engine.programs.stats()["replays"],
+                        "replays": program.stats()["replays"],
                     }
                 out.append(FleetTask(name=f"t{target:g}_s{seed}", fn=fn))
         return out

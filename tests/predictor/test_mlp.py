@@ -178,6 +178,19 @@ class TestPredictPopulation:
         # chunk height changes the BLAS kernel choice → rounding-level only
         assert np.allclose(whole, chunked, rtol=1e-12, atol=1e-12)
 
+    def test_predict_population_rows_independent_of_batch(
+            self, tiny_space, tiny_predictor):
+        """A row's prediction is the same bits whatever batch it rides in:
+        ``repro serve`` coalesces concurrent ``/predict`` requests into one
+        forward and must answer each exactly as a lone call would."""
+        rng = np.random.default_rng(0)
+        ops = tiny_space.sample_indices(64, rng)
+        full = tiny_predictor.predict_population(ops)
+        for sel in (np.arange(5), np.array([0, 13, 63]),
+                    np.arange(64)[::2], np.array([7])):
+            subset = tiny_predictor.predict_population(ops[sel])
+            assert np.array_equal(subset, full[sel])
+
     def test_accepts_architecture_sequence(self, tiny_space, tiny_predictor, rng):
         archs = tiny_space.sample_many(6, rng)
         from_archs = tiny_predictor.predict_population(archs)
