@@ -123,12 +123,18 @@ python benchmarks/bench_fleet.py --calibration 40 --mlp-samples 2000 \
     --mlp-devices 2 --eval 300 --archive-size 500 --check
 
 # Serve reads are pinned as equal to a full sort: top-k and nearest
-# selection against a full stable sort for every k, the prefiltered Pareto
-# sweep against the O(N²) definition (ties, ±0.0, ±inf, NaN) and a live
-# /pareto against a recompute after appends, merges and a new device; plus
-# the gated-predictor batching tests (one forward per queued burst, a
-# timed-out caller never forwarded) and the operator-index validation.
+# selection (nearest over the layer-major genotype block) against a full
+# stable sort for every k, the prefiltered Pareto sweep against the O(N²)
+# definition (ties, ±0.0, ±inf, NaN), page-at-once describe_rows against a
+# per-row reference, and a live /pareto against a recompute after appends,
+# merges and a new device.  Index snapshots are copy-on-write views: a held
+# snapshot must stay unchanged and read-only through a merge into its rows,
+# a new device column and capacity growth.  Plus the gated-predictor
+# batching tests (one forward per queued burst, a timed-out caller never
+# forwarded), the operator-index validation and the 400s naming a
+# malformed k, budgets or device.
 python -m pytest -x -q tests/eval/test_pareto.py tests/archive/test_query.py \
+    tests/archive/test_store.py::TestSnapshotIsolation \
     tests/archive/test_service.py::TestBatchingPredictor \
     tests/archive/test_service.py::TestRegressions \
     tests/archive/test_cli_archive.py::TestQueryCommand

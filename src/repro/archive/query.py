@@ -7,14 +7,19 @@ arrays — no Python loop over records:
 * :func:`pareto_rows` — the per-device cost/score Pareto frontier
   (delegating to :func:`repro.eval.pareto.pareto_mask`),
 * :func:`hamming_neighbors` — nearest genotypes by one-hot Hamming
-  distance,
-* :func:`describe_rows` — JSON-ready result rows for the CLI / service.
+  distance, counted over the index's layer-major ``layers`` block (one
+  contiguous small-int comparison per layer),
+* :func:`describe_rows` — JSON-ready result rows for the CLI / service,
+  gathered for the whole page at once.
 
 No read sorts the whole archive: :func:`top_k` and
 :func:`hamming_neighbors` select their ``k`` rows with a partition and sort
 only the rows that tie or beat the ``k``-th value, and the Pareto sweep
 first drops the rows a sampled staircase strictly dominates.  Each returns
-exactly what a full stable sort would, ties included.
+exactly what a full stable sort would, ties included.  No read copies the
+archive either: the index it runs on is a set of read-only views that
+later writes leave unchanged (see :class:`~repro.archive.store._LiveIndex`),
+and :func:`describe_rows` touches only the rows of the page it returns.
 
 Budgets reference metric names: the architecture-global ``macs_m`` /
 ``params_m``, or the per-device ``latency_ms`` / ``energy_mj`` /
@@ -119,9 +124,11 @@ def hamming_neighbors(index: ArchiveIndex, op_indices: Sequence[int],
     """The ``k`` archived genotypes nearest to a query architecture.
 
     Distance is the Hamming distance between one-hot encodings divided by
-    two — i.e. the number of layers whose operator differs — computed as
-    one ``(N, L)`` comparison, no per-record loop.  Returns ``(rows,
-    distances)`` sorted by ascending distance (row order breaks ties).
+    two — i.e. the number of layers whose operator differs — counted over
+    the index's layer-major ``layers`` block: one contiguous small-int
+    comparison per layer, no per-record loop.  Returns ``(rows,
+    distances)`` sorted by ascending distance (row order breaks ties),
+    distances as int64.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -130,7 +137,11 @@ def hamming_neighbors(index: ArchiveIndex, op_indices: Sequence[int],
         raise ValueError(
             f"query architecture has {query.size} layers, archive holds "
             f"{index.ops.shape[1]}-layer genotypes")
-    distances = (index.ops != query[None, :]).sum(axis=1)
+    counts = np.zeros(len(index), dtype=np.min_scalar_type(query.size))
+    for layer, op in zip(index.layers, query.tolist()):
+        counts += layer != op
+    # partitioning int64 is several times faster than uint8
+    distances = counts.astype(np.int64)
     order = _smallest(distances, k)
     return order, distances[order]
 
@@ -167,31 +178,41 @@ def paginate(rows: np.ndarray, offset: int = 0,
 
 def describe_rows(index: ArchiveIndex, rows: np.ndarray,
                   device: Optional[str] = None) -> List[dict]:
-    """JSON-ready dicts for selected rows (CLI / service responses)."""
-    columns = range(len(index.devices))
+    """JSON-ready dicts for selected rows (CLI / service responses).
+
+    The page's genotypes, global metrics and cost cells are each gathered
+    with one fancy index and converted with one ``tolist()``; the dicts
+    are then built from Python lists.  Non-finite values are omitted.
+    """
+    columns = list(range(len(index.devices)))
     if device:
         try:
             columns = [index.device_position(device)]
         except ValueError:  # the server's default device may hold no costs
             columns = []
+    rows = np.asarray(rows, dtype=np.int64)
+    names = [index.devices[d] for d in columns]
+    ops = index.ops[rows].tolist()
+    metrics = np.stack([getattr(index, metric)[rows]
+                        for metric in GLOBAL_METRICS], axis=1)
+    cost = index.cost[np.ix_(rows, columns)]
     out: List[dict] = []
-    for row in np.asarray(rows, dtype=np.int64).tolist():
-        entry: Dict[str, object] = {
-            "op_indices": index.ops[row].tolist(),
-            "key": index.keys[row],
-        }
-        for metric in GLOBAL_METRICS:
-            value = float(getattr(index, metric)[row])
-            if np.isfinite(value):
+    for genotype, row, values, finite, cells, cells_finite in zip(
+            ops, rows.tolist(), metrics.tolist(),
+            np.isfinite(metrics).tolist(), cost.tolist(),
+            np.isfinite(cost).tolist()):
+        entry: Dict[str, object] = {"op_indices": genotype,
+                                    "key": index.keys[row]}
+        for metric, value, ok in zip(GLOBAL_METRICS, values, finite):
+            if ok:
                 entry[metric] = value
-        for d in columns:
-            name = index.devices[d]
-            metrics = {
-                metric: float(index.cost[row, d, m])
-                for m, metric in enumerate(DEVICE_COST_METRICS)
-                if np.isfinite(index.cost[row, d, m])
-            }
-            if metrics:
-                entry.setdefault("devices", {})[name] = metrics
+        for name, device_cells, device_finite in zip(names, cells,
+                                                     cells_finite):
+            device_metrics = {
+                metric: value for metric, value, ok in zip(
+                    DEVICE_COST_METRICS, device_cells, device_finite)
+                if ok}
+            if device_metrics:
+                entry.setdefault("devices", {})[name] = device_metrics
         out.append(entry)
     return out

@@ -34,6 +34,7 @@ group over the same memory-mapped segments (see ``repro.cli``).
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -58,6 +59,39 @@ def _is_index(entry) -> bool:
         return True
     return (isinstance(entry, (float, np.floating))
             and float(entry).is_integer())
+
+
+def _integer(value, field: str) -> int:
+    """``value`` of the payload ``field`` as an int (``1.0`` counts as ``1``).
+
+    ``null``, strings, lists, booleans and fractional or non-finite
+    numbers raise ``ValueError`` naming the field (a JSON 400); ``int()``
+    would truncate ``2.7``, accept ``true`` and overflow on ``Infinity``.
+    """
+    if not _is_index(value):
+        raise ValueError(f"{field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _budgets(payload: dict) -> Dict[str, float]:
+    """The ``budgets`` object: metric name → finite number."""
+    budgets = payload.get("budgets")
+    if budgets is None:
+        return {}
+    if not isinstance(budgets, dict):
+        raise ValueError(f"'budgets' must be an object of metric → number, "
+                         f"got {budgets!r}")
+    for metric, limit in budgets.items():
+        try:
+            finite = (isinstance(limit, (int, float))
+                      and not isinstance(limit, bool)
+                      and math.isfinite(limit))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"'budgets' value for {metric!r} must be a "
+                             f"finite number, got {limit!r}")
+    return budgets
 
 
 class _Pending:
@@ -246,16 +280,10 @@ class ArchiveService:
 
     def _page(self, payload: dict, rows: np.ndarray):
         """Apply the request's ``offset``/``limit`` to a ranked row set."""
-        try:
-            offset = int(payload.get("offset", 0))
-        except (TypeError, ValueError):
-            raise ValueError("'offset' must be an integer") from None
+        offset = _integer(payload.get("offset", 0), "offset")
         limit = payload.get("limit", self.default_page_limit)
         if limit is not None:
-            try:
-                limit = int(limit)
-            except (TypeError, ValueError):
-                raise ValueError("'limit' must be an integer") from None
+            limit = _integer(limit, "limit")
         return queries.paginate(rows, offset, limit) + (offset,)
 
     # ------------------------------------------------------------------
@@ -287,6 +315,8 @@ class ArchiveService:
         --write-back`` records them).
         """
         device = payload.get("device")
+        if device is not None and not isinstance(device, str):
+            raise ValueError(f"'device' must be a string, got {device!r}")
         if device:
             index.device_position(device)
 
@@ -298,10 +328,10 @@ class ArchiveService:
         device = payload.get("device") or self.device_name or None
         rows = queries.top_k(
             index,
-            int(payload.get("k", 10)),
+            _integer(payload.get("k", 10), "k"),
             objective=payload.get("objective", "score"),
             device=device,
-            budgets=payload.get("budgets") or {},
+            budgets=_budgets(payload),
         )
         page, next_offset, total, offset = self._page(payload, rows)
         return {"count": len(page), "total": total,
@@ -334,7 +364,7 @@ class ArchiveService:
         if len(arch) != 1:
             raise ValueError("'arch' must be one list of operator indices")
         rows, distances = queries.hamming_neighbors(
-            index, arch[0], int(payload.get("k", 5)))
+            index, arch[0], _integer(payload.get("k", 5), "k"))
         page, next_offset, total, offset = self._page(payload, rows)
         results = queries.describe_rows(index, page,
                                         payload.get("device") or None)

@@ -29,8 +29,11 @@ The stacked index is the archive's one in-memory form, and it is
 stacked arrays in place (O(1) per record) under a lock, and
 :meth:`ArchitectureArchive.index` hands out immutable :class:`ArchiveIndex`
 snapshots — concurrent readers never observe a half-merged record, and a
-post-append query no longer re-stacks the whole archive.  Fields the index
-does not stack (provenance) are kept in the WAL only.
+post-append query no longer re-stacks the whole archive.  A snapshot is a
+set of read-only views of the live arrays, so taking one copies nothing;
+the live arrays are copied only when a merge rewrites a row that a
+snapshot covers (copy-on-write).  Fields the index does not stack
+(provenance) are kept in the WAL only.
 
 Records are keyed by the SHA-1 of the architecture's one-hot encoding (the
 ᾱ matrix of Eq. 4), so the same genotype written by different engines/runs
@@ -184,15 +187,37 @@ class ArchRecord:
 # Stacked numpy index
 # ----------------------------------------------------------------------
 
+def _layer_dtype(num_operators: int) -> np.dtype:
+    """The smallest unsigned dtype holding operator indices ``0..K-1``."""
+    return np.min_scalar_type(max(int(num_operators) - 1, 0))
+
+
+def _layer_block(ops: np.ndarray, dtype=None) -> np.ndarray:
+    """``ops`` transposed to a contiguous ``(L, N)`` block of small ints.
+
+    ``dtype`` defaults to the smallest one holding every value in ``ops``.
+    """
+    ops = np.asarray(ops)
+    if dtype is None:
+        dtype = (np.result_type(np.min_scalar_type(ops.min()),
+                                np.min_scalar_type(ops.max()))
+                 if ops.size else np.uint8)
+    return np.ascontiguousarray(ops.T, dtype=dtype)
+
+
 @dataclass
 class ArchiveIndex:
-    """Immutable stacked numpy view of the archive at one point in time.
+    """Read-only stacked numpy view of the archive at one point in time.
 
-    The query engine operates entirely on these arrays: ``ops`` for Hamming
-    nearest-neighbour search, ``cost``/``score``/``macs_m``/``params_m``
-    for budgeted top-k and Pareto queries.  Missing values are NaN.
-    Snapshots handed out by :meth:`ArchitectureArchive.index` are read-only
-    and never mutated by later appends — concurrent readers are safe.
+    The query engine operates entirely on these arrays: ``ops`` (and its
+    layer-major twin ``layers``) for Hamming nearest-neighbour search,
+    ``cost``/``score``/``macs_m``/``params_m`` for budgeted top-k and
+    Pareto queries.  Missing values are NaN.  Snapshots handed out by
+    :meth:`ArchitectureArchive.index` are read-only views of the live
+    arrays, and later writes never change them: appends only write rows
+    past the snapshot, and a merge into a row a snapshot covers first
+    moves the live arrays to a copy — concurrent readers are safe.  An
+    index constructed directly derives ``layers`` from ``ops``.
     """
 
     ops: np.ndarray                 #: ``(N, L)`` int64 genotypes
@@ -202,6 +227,14 @@ class ArchiveIndex:
     params_m: np.ndarray            #: ``(N,)`` parameters, millions
     devices: Tuple[str, ...]        #: device names, aligned with axis 1
     cost: np.ndarray                #: ``(N, D, M)`` per-device cost matrix
+    #: ``(L, N)`` genotypes, layer-major, in the smallest unsigned dtype
+    #: holding the operator indices (one contiguous row per layer)
+    layers: Optional[np.ndarray] = field(default=None, repr=False,
+                                         compare=False)
+
+    def __post_init__(self) -> None:
+        if self.layers is None:
+            self.layers = _layer_block(self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -252,29 +285,45 @@ class _LiveIndex:
     amortized O(1) (capacity-doubling), merges into an existing genotype
     write only the affected cells, and new device names insert a NaN
     column at their *sorted* position, so a snapshot's device axis is
-    sorted whatever order the devices arrived in.  An archive with no
-    segment starts from an empty one, whose snapshot is the empty index.
-    All access is serialized by the owning archive's lock.
+    sorted whatever order the devices arrived in.  The layer-major
+    ``layers`` block grows with ``ops``, one column per append.  An archive
+    with no segment starts from an empty one, whose snapshot is the empty
+    index.
+
+    Snapshots are copy-on-write: :meth:`snapshot` hands out read-only
+    views of the first ``n`` rows and records that ``shared`` rows are
+    covered.  Appends write only rows past them, and growing the capacity
+    or inserting a device column allocates fresh arrays, so neither
+    touches a view.  Only a merge into a covered row must first move the
+    arrays it writes to a copy (:meth:`_detach`), once until the next
+    snapshot.  All access is serialized by the owning archive's lock.
     """
 
-    def __init__(self, num_layers: int, capacity: int = 64) -> None:
+    def __init__(self, num_layers: int, num_operators: int,
+                 capacity: int = 64) -> None:
         capacity = max(1, capacity)
         self.num_layers = num_layers
         self.n = 0
+        self.shared = 0
         self.devices: List[str] = []
         self.ops = np.zeros((capacity, num_layers), dtype=np.int64)
+        self.layers = np.zeros((num_layers, capacity),
+                               dtype=_layer_dtype(num_operators))
         self.score = np.full(capacity, np.nan)
         self.macs_m = np.full(capacity, np.nan)
         self.params_m = np.full(capacity, np.nan)
         self.cost = np.full((capacity, 0, len(DEVICE_COST_METRICS)), np.nan)
 
     @classmethod
-    def from_segment(cls, segment: Segment) -> "_LiveIndex":
+    def from_segment(cls, segment: Segment,
+                     layers: np.ndarray) -> "_LiveIndex":
         n = len(segment)
-        live = cls(segment.num_layers, capacity=n + 64)
+        live = cls(segment.num_layers, segment.num_operators,
+                   capacity=n + 64)
         live.n = n
         live.devices = list(segment.devices)
         live.ops[:n] = segment.ops
+        live.layers[:, :n] = layers
         live.score[:n] = segment.score
         live.macs_m[:n] = segment.macs_m
         live.params_m[:n] = segment.params_m
@@ -299,10 +348,24 @@ class _LiveIndex:
             return fresh
 
         self.ops = widen(self.ops, 0)
+        layers = np.zeros((self.num_layers, capacity),
+                          dtype=self.layers.dtype)
+        layers[:, :self.n] = self.layers[:, :self.n]
+        self.layers = layers
         self.score = widen(self.score, np.nan)
         self.macs_m = widen(self.macs_m, np.nan)
         self.params_m = widen(self.params_m, np.nan)
         self.cost = widen(self.cost, np.nan)
+        self.shared = 0  # every view is on the old arrays
+
+    def _detach(self) -> None:
+        """Move the arrays a merge writes in place to copies, leaving the
+        outstanding snapshot views on the old ones."""
+        self.score = self.score.copy()
+        self.macs_m = self.macs_m.copy()
+        self.params_m = self.params_m.copy()
+        self.cost = self.cost.copy()
+        self.shared = 0
 
     def ensure_device(self, name: str) -> int:
         pos = bisect_left(self.devices, name)
@@ -317,11 +380,14 @@ class _LiveIndex:
         self._grow_rows(self.n + 1)
         row = self.n
         self.ops[row] = record.op_indices
+        self.layers[:, row] = record.op_indices
         self.n += 1
         self.update(row, record)
         return row
 
     def update(self, row: int, record: ArchRecord) -> None:
+        if row < self.shared:
+            self._detach()
         if record.score is not None:
             self.score[row] = record.score
         if record.macs_m is not None:
@@ -337,18 +403,19 @@ class _LiveIndex:
 
     def snapshot(self, keys: Tuple[str, ...]) -> ArchiveIndex:
         n = self.n
-
-        def freeze(array: np.ndarray) -> np.ndarray:
-            out = array[:n].copy()
-            out.setflags(write=False)
-            return out
-
-        return ArchiveIndex(ops=freeze(self.ops), keys=keys,
-                            score=freeze(self.score),
-                            macs_m=freeze(self.macs_m),
-                            params_m=freeze(self.params_m),
+        self.shared = n
+        return ArchiveIndex(ops=_read_only(self.ops[:n]), keys=keys,
+                            score=_read_only(self.score[:n]),
+                            macs_m=_read_only(self.macs_m[:n]),
+                            params_m=_read_only(self.params_m[:n]),
                             devices=tuple(self.devices),
-                            cost=freeze(self.cost))
+                            cost=_read_only(self.cost[:n]),
+                            layers=_read_only(self.layers[:, :n]))
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.setflags(write=False)
+    return view
 
 
 # ----------------------------------------------------------------------
@@ -440,6 +507,7 @@ class ArchitectureArchive:
         # key → index row, in row (first-seen) order
         self._row_of: Dict[str, int] = {}
         self._segment: Optional[Segment] = None
+        self._segment_layers: Optional[np.ndarray] = None
         self._live: Optional[_LiveIndex] = None
         self._snapshot: Optional[ArchiveIndex] = None
         self.boot: Dict[str, object] = {"mode": "new", "tail_records": 0}
@@ -521,6 +589,8 @@ class ArchitectureArchive:
     def _adopt_segment(self, segment: Segment, raw: bytes) -> None:
         """Boot from the mmap'd segment, replaying only the WAL tail."""
         self._segment = segment
+        self._segment_layers = _read_only(_layer_block(
+            segment.ops, _layer_dtype(self.num_operators)))
         self._row_of = {key: row for row, key in enumerate(segment.keys)}
         tail = raw[segment.wal_offset:]
         tail_lines = tail.decode("utf-8").split("\n")[:-1] if tail else []
@@ -560,9 +630,10 @@ class ArchitectureArchive:
     def _live_index(self) -> _LiveIndex:
         if self._live is None:
             if self._segment is not None:
-                self._live = _LiveIndex.from_segment(self._segment)
+                self._live = _LiveIndex.from_segment(self._segment,
+                                                     self._segment_layers)
             else:
-                self._live = _LiveIndex(self.num_layers)
+                self._live = _LiveIndex(self.num_layers, self.num_operators)
         return self._live
 
     def _merge(self, record: ArchRecord) -> None:
@@ -719,12 +790,15 @@ class ArchitectureArchive:
             return key in self._row_of
 
     def index(self) -> ArchiveIndex:
-        """An immutable stacked snapshot (cached until the next append).
+        """A read-only stacked snapshot (cached until the next write).
 
         When the archive booted from a segment and nothing was appended
         since, the snapshot's arrays are the mmap'd segment arrays — zero
-        copies, shared across worker processes.  After appends it is a
-        frozen copy of the incrementally-extended live arrays.
+        copies, shared across worker processes — plus the layer block the
+        boot built.  After writes it holds read-only views of the first
+        rows of the incrementally-extended live arrays: building it copies
+        no array, and later writes leave it unchanged (see
+        :class:`_LiveIndex`).
         """
         with self._lock:
             if self._snapshot is None:
@@ -737,7 +811,8 @@ class ArchitectureArchive:
             return ArchiveIndex(
                 ops=segment.ops, keys=segment.keys, score=segment.score,
                 macs_m=segment.macs_m, params_m=segment.params_m,
-                devices=segment.devices, cost=segment.cost)
+                devices=segment.devices, cost=segment.cost,
+                layers=self._segment_layers)
         return self._live_index().snapshot(tuple(self._row_of))
 
     def stats(self) -> dict:

@@ -41,8 +41,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .archive import query as archive_query
-from .archive.store import ArchitectureArchive, ArchiveError
 from .core.lightnas import LightNAS, LightNASConfig, METRIC_ALIASES, \
     run_grid
 from .eval.imagenet import ImageNetEvaluator
@@ -470,6 +468,7 @@ def cmd_stability(args) -> int:
 
 def cmd_serve(args) -> int:
     from .archive.service import ArchiveService, make_server
+    from .archive.store import ArchitectureArchive, ArchiveError
 
     space = _space(args)
     device = _device(args)
@@ -563,6 +562,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_compact(args) -> int:
+    from .archive.store import ArchitectureArchive, ArchiveError
+
     try:
         # geometry comes from the archive header; a missing file is an error
         archive = ArchitectureArchive(args.archive)
@@ -601,6 +602,9 @@ def _parse_budgets(pairs) -> dict:
 
 
 def cmd_query(args) -> int:
+    from .archive import query as archive_query
+    from .archive.store import ArchitectureArchive, ArchiveError
+
     try:
         # geometry comes from the archive header; a missing file is an error
         # (creating an empty archive here would just mask a typoed path)
@@ -850,6 +854,7 @@ def cmd_fleet_list(args) -> int:
 
 
 def cmd_fleet_retarget(args) -> int:
+    from .archive.store import ArchitectureArchive, ArchiveError
     from .fleet import retarget_archive
 
     space = _space(args)

@@ -1,5 +1,7 @@
 """Query engine vs brute-force references on randomized archives."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.archive.query import (
 )
 from repro.archive.store import (
     DEVICE_COST_METRICS,
+    GLOBAL_METRICS,
     ArchiveIndex,
     ArchitectureArchive,
 )
@@ -148,7 +151,6 @@ class TestHamming:
 
 class TestDescribe:
     def test_rows_are_json_ready(self, indexed):
-        import json
         rows = top_k(indexed, 3, objective="score")
         described = describe_rows(indexed, rows)
         payload = json.loads(json.dumps(described))
@@ -225,6 +227,48 @@ def test_hamming_neighbors_equal_full_sort_for_every_k(index, query):
         rows, dist = hamming_neighbors(index, query, k)
         assert rows.tolist() == ranked[:k], k
         assert dist.tolist() == [distances[r] for r in ranked[:k]], k
+
+
+def _describe_reference(index, rows, device):
+    """``describe_rows`` one row and one cell at a time."""
+    columns = range(len(index.devices))
+    if device:
+        try:
+            columns = [index.device_position(device)]
+        except ValueError:
+            columns = []
+    out = []
+    for row in np.asarray(rows, dtype=np.int64).tolist():
+        entry = {"op_indices": index.ops[row].tolist(),
+                 "key": index.keys[row]}
+        for metric in GLOBAL_METRICS:
+            value = float(getattr(index, metric)[row])
+            if np.isfinite(value):
+                entry[metric] = value
+        for d in columns:
+            metrics = {
+                metric: float(index.cost[row, d, m])
+                for m, metric in enumerate(DEVICE_COST_METRICS)
+                if np.isfinite(index.cost[row, d, m])
+            }
+            if metrics:
+                entry.setdefault("devices", {})[index.devices[d]] = metrics
+        out.append(entry)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_indexes(), st.data())
+def test_describe_rows_equals_per_row_reference(index, data):
+    rows = (data.draw(st.lists(st.integers(0, len(index) - 1),
+                               max_size=len(index))) if len(index) else [])
+    for device in (None, "xavier", "gpuzilla"):
+        described = describe_rows(index, np.asarray(rows, dtype=np.int64),
+                                  device)
+        # equal as JSON text: same keys in the same order, same floats
+        # (-0.0 included), nothing non-finite
+        assert json.dumps(described) == json.dumps(
+            _describe_reference(index, rows, device)), device
 
 
 class TestServedFrontEqualsRecompute:

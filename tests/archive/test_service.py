@@ -466,6 +466,31 @@ class TestRegressions:
         as_floats = post(base, "/predict", {"archs": [[1.0] * layers]})
         assert as_floats["predictions"] == body["predictions"]
 
+    @pytest.mark.parametrize("path, body, field", [
+        pytest.param("/query", {"k": None}, "'k'", id="query-k-null"),
+        pytest.param("/query", {"k": [3]}, "'k'", id="query-k-list"),
+        pytest.param("/query", {"k": float("inf")}, "'k'",
+                     id="query-k-infinity"),
+        pytest.param("/query", {"budgets": "x"}, "'budgets'",
+                     id="query-budgets-string"),
+        pytest.param("/query", {"budgets": {"latency_ms": None}},
+                     "'budgets'", id="query-budget-null"),
+        pytest.param("/query", {"device": 5}, "'device'",
+                     id="query-device-number"),
+        pytest.param("/nearest", {"k": None}, "'k'", id="nearest-k-null"),
+    ])
+    def test_malformed_query_field_is_400(self, server, path, body, field):
+        """A malformed ``k``, ``budgets`` or ``device`` is a JSON 400
+        naming the field (pre-fix: ``int()``/``float()`` on it raised
+        outside the ValueError path and answered ``500 internal error``)."""
+        base, ops = server
+        if path == "/nearest":
+            body = {"arch": ops[0].tolist(), **body}
+        with pytest.raises(urllib.error.HTTPError) as info:
+            post(base, path, body)
+        assert info.value.code == 400
+        assert field in json.loads(info.value.read())["error"]
+
     def test_timed_out_predict_is_cancelled_at_dispatch(self, tiny_space,
                                                         analytic):
         """A caller that times out while queued must not reach the

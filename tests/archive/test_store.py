@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.archive.query import describe_rows
 from repro.archive.segments import unframe_line
 from repro.archive.store import (
     ArchitectureArchive,
@@ -246,6 +247,92 @@ class TestIndexAndStats:
         index = arc.index()
         assert index.ops[0].tolist() == [0, 1, 2, 3]
         assert index.device_column("dev", "latency_ms").tolist() == [3.0, 2.0]
+        arc.close()
+
+
+_INDEX_ARRAYS = ("ops", "layers", "score", "macs_m", "params_m", "cost")
+
+
+class TestSnapshotIsolation:
+    """A held ``index()`` snapshot never changes after later writes.
+
+    Snapshots are read-only views of the live arrays, not copies: appends
+    write only rows past them, and a merge into a row they cover must first
+    move the live arrays to a copy.  A snapshot that stayed a bare view
+    would show a later merge's values here.  Each kind of write runs right
+    after a fresh snapshot (so that snapshot still shares the live arrays),
+    and every snapshot taken so far is checked after each write.
+    """
+
+    @staticmethod
+    def _hold(index):
+        rows = np.arange(len(index))
+        return (index, {name: np.array(getattr(index, name))
+                        for name in _INDEX_ARRAYS},
+                index.keys, index.devices,
+                [describe_rows(index, rows, device)
+                 for device in (None, "xavier", "nano")])
+
+    @staticmethod
+    def _unchanged(held, write):
+        for index, arrays, keys, devices, described in held:
+            for name, expected in arrays.items():
+                array = getattr(index, name)
+                assert not array.flags.writeable, (write, name)
+                np.testing.assert_array_equal(array, expected,
+                                              err_msg=f"{write}: {name}")
+            assert index.keys == keys and index.devices == devices, write
+            rows = np.arange(len(index))
+            assert [describe_rows(index, rows, device)
+                    for device in (None, "xavier", "nano")] == described, \
+                write
+
+    @pytest.mark.parametrize("boot", ["live", "segment"])
+    def test_held_snapshot_survives_every_kind_of_write(self, tmp_path,
+                                                        boot):
+        rng = np.random.default_rng(5)
+        ops = np.unique(rng.integers(0, K, size=(300, L)), axis=0)
+        rng.shuffle(ops)
+        held_ops, later_ops = ops[:40], ops[40:]
+        arc = make_archive(tmp_path)
+        arc.add_population(held_ops[:30], device="xavier",
+                           latency_ms=rng.uniform(1, 9, 30),
+                           macs_m=rng.uniform(50, 600, 30),
+                           score=rng.uniform(50, 80, 30))
+        if boot == "segment":
+            arc.compact()
+            arc.close()
+            arc = make_archive(tmp_path)
+            assert arc.boot["mode"] == "segment"
+        # a written-to archive: its snapshots view live arrays
+        arc.add_population(held_ops[30:], device="xavier",
+                           latency_ms=rng.uniform(1, 9, 10))
+        held = []
+
+        # a merge into a held row: same genotype, new latency and score
+        held.append(self._hold(arc.index()))
+        arc.add(held_ops[3], device="xavier", latency_ms=99.0, score=1.0)
+        self._unchanged(held, "merge")
+        # a new device column (sorted before the existing one), then a
+        # merge into a held row
+        held.append(self._hold(arc.index()))
+        arc.add(later_ops[0], device="nano", latency_ms=7.0)
+        arc.add(held_ops[5], device="nano", latency_ms=8.0, score=2.0)
+        self._unchanged(held, "new device")
+        # appends past the capacity, then a merge into a held row
+        held.append(self._hold(arc.index()))
+        arc.add_population(later_ops[1:], device="xavier",
+                           latency_ms=rng.uniform(1, 9, len(later_ops) - 1))
+        arc.add(held_ops[7], device="nano", energy_mj=3.0, macs_m=1.0)
+        self._unchanged(held, "appends")
+
+        index = arc.index()
+        assert len(index) == len(ops) and index.devices == ("nano", "xavier")
+        assert index.device_column("xavier", "latency_ms")[3] == 99.0
+        assert index.score[3] == 1.0 and index.score[5] == 2.0
+        assert index.device_column("nano", "latency_ms")[5] == 8.0
+        assert index.device_column("nano", "energy_mj")[7] == 3.0
+        assert index.macs_m[7] == 1.0
         arc.close()
 
 

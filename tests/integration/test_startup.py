@@ -5,8 +5,10 @@ scipy costs ~1.3 s and ~65 MB to import and the HTTP stack (``http.server``,
 campaigns and predictions use neither.  scipy is reached only by energy
 measurement campaigns (``EnergyMeter.measure_many``) and rank-correlation
 reports (``kendall_tau``); the HTTP stack only by ``repro
-serve``.  Each check runs in a fresh interpreter so no other test's imports
-leak into ``sys.modules``.
+serve``.  The archive package (``repro.archive``, ~11 ms) loads only in the
+commands that open an archive: ``serve``, ``query``, ``compact`` and ``fleet
+retarget``.  Each check runs in a fresh interpreter so no other test's
+imports leak into ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
-# Prints the heavy modules the process has loaded, as the last stdout line.
+# Prints the heavy modules the process has loaded, as the last stdout line
+# (the archive package counts: only the archive commands need it).
 _REPORT = textwrap.dedent("""
     import json as _json, sys as _sys
     _heavy = sorted(m for m in _sys.modules
                     if m == "scipy" or m.startswith("scipy.")
-                    or m == "http.server")
+                    or m in ("http.server", "repro.archive"))
     _sys.__stdout__.write(_json.dumps(_heavy) + "\\n")
 """)
 
@@ -71,6 +74,7 @@ COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_loads_no_scipy_and_no_http_server(name):
+    # nor the archive package: none of these commands opens an archive
     assert _run_cli(COMMANDS[name]) == []
 
 
@@ -103,7 +107,7 @@ def test_serve_loads_no_scipy():
         server.join(timeout=30)
         assert not server.is_alive()
     """)
-    assert loaded == ["http.server"]
+    assert loaded == ["http.server", "repro.archive"]
 
 
 def test_energy_measure_many_matches_measure_loop_without_preloaded_scipy():
@@ -159,4 +163,4 @@ def test_archive_service_names_resolve_lazily():
         else:
             raise AssertionError("unknown attribute did not raise")
     """)
-    assert loaded == ["http.server"]
+    assert loaded == ["http.server", "repro.archive"]
