@@ -72,10 +72,11 @@ python -m pytest -x -q tests/core/test_search_batch.py \
     tests/core/test_resume_parity.py::TestGridResumeParity \
     tests/eval/test_cli.py::TestSweep tests/eval/test_cli.py::TestStability
 
-# The conv fast-path contract: gradient checks for every specialized kernel
+# The conv fast-path contract: gradient checks for every specialized kernel,
+# the one-node batch norm bit for bit against the composite it replaced,
 # plus the golden-trajectory test pinning the float64 engine bit-identical.
 python -m pytest -x -q tests/nn/test_conv_fast_paths.py \
-    tests/core/test_engine_bit_parity.py
+    tests/nn/test_batch_norm.py tests/core/test_engine_bit_parity.py
 
 # Tiny-N smoke of the hot-path benchmark: exercises the scalar/vectorized
 # parity assertions and the BENCH_perf.json writer without the full N=10k

@@ -657,13 +657,23 @@ class ArchitectureArchive:
     # Writing
     # ------------------------------------------------------------------
     def add_record(self, record: ArchRecord, flush: bool = True) -> None:
-        """Append one record to the WAL and merge it into the index."""
+        """Append one record to the WAL and merge it into the index.
+
+        The record may come from anywhere, so its key is checked against
+        its op_indices first."""
+        self._check_layers(record)
+        if record.key != arch_key(record.op_indices, self.num_operators):
+            raise ValueError("record key does not match its op_indices")
+        self._append(record, flush)
+
+    def _check_layers(self, record: ArchRecord) -> None:
         if len(record.op_indices) != self.num_layers:
             raise ValueError(
                 f"record has {len(record.op_indices)} layers, archive "
                 f"expects {self.num_layers}")
-        if record.key != arch_key(record.op_indices, self.num_operators):
-            raise ValueError("record key does not match its op_indices")
+
+    def _append(self, record: ArchRecord, flush: bool) -> None:
+        """Write ``record`` to the WAL and merge it; its key is trusted."""
         with self._lock:
             self._require_writable("add_record")
             self._handle.write(_frame(json.dumps(record.to_payload())))
@@ -708,7 +718,9 @@ class ArchitectureArchive:
             score=None if score is None else float(score),
             provenance=provenance,
         )
-        self.add_record(record, flush=flush)
+        # the key was computed from these op_indices just above
+        self._check_layers(record)
+        self._append(record, flush)
         return record
 
     def add_population(self, ops: np.ndarray, *,

@@ -572,13 +572,13 @@ class LightNAS:
             logits = self.supernet.forward_single_path(ts["images"], gates)
             return F.cross_entropy(logits, targets=ts["targets"])
 
+        self.supernet.train(True)
         self.supernet.set_trainable(False)
         try:
             with nn.dtype_scope(cfg.compute_dtype):
                 for _ in range(cfg.steps_per_epoch):
                     alpha_opt.zero_grad()
                     lam.param.zero_grad()
-                    self.supernet.train(True)
                     batch = self.task.sample_batch(self.task.valid,
                                                    cfg.batch_size)
                     inv_tau = 1.0 / sampler.schedule.at(epoch)

@@ -274,20 +274,15 @@ class BatchNorm2d(Module):
                     or ws[1] != x_data.dtype):
                 ws = (x_data.shape, x_data.dtype,
                       np.empty_like(x_data),
-                      np.empty((1, x_data.shape[1], 1, 1),
-                               dtype=x_data.dtype),
                       np.empty(x_data.shape[1], dtype=x_data.dtype),
                       np.empty(x_data.shape[1], dtype=x_data.dtype))
                 object.__setattr__(self, "_stats_ws", ws)
-            _, _, diff, mean_keep, batch_mean, batch_var = ws
+            _, _, diff, batch_mean, batch_var = ws
             count = x_data.dtype.type(
                 x_data.shape[0] * x_data.shape[2] * x_data.shape[3])
             np.add.reduce(x_data, axis=(0, 2, 3), out=batch_mean)
             np.divide(batch_mean, count, out=batch_mean)
-            np.add.reduce(x_data, axis=(0, 2, 3), keepdims=True,
-                          out=mean_keep)
-            np.divide(mean_keep, count, out=mean_keep)
-            np.subtract(x_data, mean_keep, out=diff)
+            np.subtract(x_data, batch_mean.reshape(1, -1, 1, 1), out=diff)
             np.multiply(diff, diff, out=diff)
             np.add.reduce(diff, axis=(0, 2, 3), out=batch_var)
             np.divide(batch_var, count, out=batch_var)
@@ -297,14 +292,10 @@ class BatchNorm2d(Module):
             np.multiply(running_var, 1 - momentum, out=running_var)
             np.multiply(batch_var, momentum, out=batch_var)
             np.add(running_var, batch_var, out=running_var)
-            mean_t = ops.mean(x, axis=(0, 2, 3), keepdims=True)
-            centered = x - mean_t
-            var_t = ops.mean(centered * centered, axis=(0, 2, 3), keepdims=True)
-            normed = centered / ops.sqrt(var_t + Tensor(self.eps))
-        else:
-            mean = self.running_mean.reshape(1, -1, 1, 1)
-            std = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
-            normed = (x - Tensor(mean)) / Tensor(std)
+            return ops.batch_norm_train(x, self.gamma, self.beta, self.eps)
+        mean = self.running_mean.reshape(1, -1, 1, 1)
+        std = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
+        normed = (x - Tensor(mean)) / Tensor(std)
         gamma = ops.reshape(self.gamma, (1, self.num_features, 1, 1))
         beta = ops.reshape(self.beta, (1, self.num_features, 1, 1))
         return normed * gamma + beta

@@ -22,12 +22,19 @@ Engine notes
   the gradient of a constant operand.
 * **Specialized convolution kernels**: ``conv2d`` dispatches depthwise
   (``groups == C_in``) and pointwise (1×1, ``groups == 1``) convolutions to
-  direct strided-window einsum kernels that skip the im2col reshuffle and
-  the col2im scatter of the generic grouped path.  Both fast paths are
-  einsum-reductions with the same accumulation order as the generic path,
+  kernels that skip the im2col reshuffle and the col2im scatter of the
+  generic grouped path.  The pointwise kernel is a channel-contraction
+  einsum; the depthwise kernel builds the window operand that its einsum
+  lowered to and calls ``matmul`` on it directly, and scatters its input
+  gradient tap by tap.  Both keep the generic path's accumulation order,
   so in float64 they are **bit-identical** to it (asserted by
   ``tests/nn/test_conv_fast_paths.py`` and the golden-trajectory test);
   :func:`fast_kernels` toggles them for benchmarking.
+* **Batch norm is one op**: :func:`batch_norm_train` is training-mode
+  batch norm as a single tape node.  Its forward and backward repeat the
+  13 composite ops it replaced, expression by expression and in the same
+  accumulation order, so outputs and gradients are bit-identical to them
+  (``tests/nn/test_batch_norm.py``) at a fraction of the dispatch cost.
 * **Profiling**: when a :func:`repro.nn.profiler.profile` context is open,
   each primitive op records wall time and call count under its op kind
   (backward closures under ``<kind>.bwd`` via ``Tensor.backward``).
@@ -48,13 +55,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import profiler
-from .tensor import Tensor, _GradMode, _unbroadcast
+from .tensor import Tensor, _GradMode, _unbroadcast, get_default_dtype
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "exp", "log", "sqrt",
     "matmul", "sum_", "mean", "amax", "clip", "relu", "relu6", "sigmoid",
-    "reshape", "transpose", "pad2d", "conv2d", "avg_pool_global", "getitem",
-    "dropout_mask", "fast_kernels",
+    "reshape", "transpose", "pad2d", "batch_norm_train", "conv2d",
+    "avg_pool_global", "getitem", "dropout_mask", "fast_kernels",
 ]
 
 #: dispatch depthwise/1×1 convolutions to the specialized kernels
@@ -432,6 +439,62 @@ def pad2d(a: Tensor, padding: int) -> Tensor:
 
 
 # ----------------------------------------------------------------------
+# Normalisation
+# ----------------------------------------------------------------------
+
+@_op("batch_norm")
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor,
+                     eps: float) -> Tensor:
+    """Training-mode batch norm over NCHW, normalising with batch statistics.
+
+    One tape node for what used to be 13 composite ops (``mean``, ``-``,
+    ``*``, ``mean``, ``+ eps``, ``sqrt``, ``/``, two ``reshape``, ``* γ``,
+    ``+ β``).  The forward repeats the composite's numpy expressions in
+    order, ``sum(x)·(1/count)`` included (not ``sum(x)/count``, which rounds
+    differently), with ``1/count`` and ``eps`` in the compute dtype as
+    ``Tensor`` made them.  The backward repeats what ``Tensor.backward``
+    swept over those nodes, accumulation order included: the centred
+    input's gradient is ``(g_n/σ + t) + t`` (the divide's contribution
+    first, then the square's two), and the input's is that plus the
+    broadcast mean gradient.  Outputs and gradients are bit-identical to
+    the composite (``tests/nn/test_batch_norm.py``).
+    """
+    xd = x.data
+    axes = (0, 2, 3)
+    dtype = get_default_dtype()
+    inv_count = np.asarray(1.0 / (xd.shape[0] * xd.shape[2] * xd.shape[3]),
+                           dtype=dtype)
+    centered = xd - xd.sum(axis=axes, keepdims=True) * inv_count
+    std = np.sqrt((centered * centered).sum(axis=axes, keepdims=True)
+                  * inv_count + np.asarray(eps, dtype=dtype))
+    normed = centered / std
+    g = gamma.data.reshape(1, -1, 1, 1)
+    out = normed * g + beta.data.reshape(1, -1, 1, 1)
+    if not _GradMode.enabled or not (x.requires_grad or gamma.requires_grad
+                                     or beta.requires_grad):
+        return Tensor(out)
+    stat_shape = std.shape
+
+    def backward(grad):
+        gx = gg = gb = None
+        if beta.requires_grad:
+            gb = _unbroadcast(grad, stat_shape).reshape(beta.shape)
+        if gamma.requires_grad:
+            gg = _unbroadcast(grad * normed, stat_shape).reshape(gamma.shape)
+        if x.requires_grad:
+            g_n = grad * g
+            g_std = _unbroadcast(-g_n * centered / (std ** 2), stat_shape)
+            g_s2 = g_std * 0.5 / std * inv_count
+            t = np.broadcast_to(g_s2, centered.shape) * centered
+            g_c = g_n / std + t + t
+            g_s1 = _unbroadcast(-g_c, stat_shape) * inv_count
+            gx = g_c + np.broadcast_to(g_s1, xd.shape)
+        return [(x, gx), (gamma, gg), (beta, gb)]
+
+    return Tensor._make(out, (x, gamma, beta), backward)
+
+
+# ----------------------------------------------------------------------
 # Convolution (im2col) and pooling
 # ----------------------------------------------------------------------
 
@@ -495,9 +558,9 @@ def conv2d(
         Number of channel groups; ``groups == C_in`` with ``C_out == C_in``
         gives a depthwise convolution.
 
-    Depthwise and pointwise (1×1, ungrouped) kernels dispatch to direct
-    strided-window fast paths that are bit-identical to the generic grouped
-    path in float64 (see :func:`fast_kernels`).
+    Depthwise and pointwise (1×1, ungrouped) kernels dispatch to fast
+    paths that are bit-identical to the generic grouped path in float64
+    (see :func:`fast_kernels`).
     """
     c_in = x.shape[1]
     c_out, c_in_g, kh, kw = weight.shape
@@ -574,26 +637,90 @@ def _tap_span(offset: int, padding: int, stride: int, out_size: int,
     return lo, hi, offset - padding + stride * lo
 
 
+@functools.lru_cache(maxsize=256)
+def _live_taps(kh: int, kw: int, padding: int, stride: int, oh: int, ow: int,
+               h: int, w: int) -> tuple:
+    """The ``(i, j)`` taps of a depthwise kernel that read real input.
+
+    One ``(i, j, in_rows, in_cols, out_rows, out_cols)`` entry per tap, in
+    ascending ``(i, j)`` order: output ``[out_rows, out_cols]`` of the tap
+    reads unpadded input ``[in_rows, in_cols]``, and every other output of
+    the tap reads padding.  Taps whose every output reads padding are left
+    out.
+    """
+    spans_x = [_tap_span(j, padding, stride, ow, w) for j in range(kw)]
+    taps = []
+    for i in range(kh):
+        span_y = _tap_span(i, padding, stride, oh, h)
+        if span_y is None:
+            continue
+        p0, p1, y0 = span_y
+        for j, span_x in enumerate(spans_x):
+            if span_x is None:
+                continue
+            q0, q1, x0 = span_x
+            taps.append((i, j, slice(y0, y0 + stride * (p1 - p0), stride),
+                         slice(x0, x0 + stride * (q1 - q0), stride),
+                         slice(p0, p1), slice(q0, q1)))
+    return tuple(taps)
+
+
+def _dw_window(xd: np.ndarray, kh: int, kw: int, taps: tuple, oh: int,
+               ow: int) -> np.ndarray:
+    """``(C, kh·kw, N·OH·OW)``: the im2col windows of the zero-padded input
+    in ``(c, i, j, n, p, q)`` order, C-contiguous.
+
+    These are the bytes of the operand einsum's lowering copies out of the
+    padded im2col view and hands ``matmul`` for the depthwise contractions.
+    They are built here from the unpadded input, one live tap at a time,
+    into zeros: outputs that read padding keep their ``+0.0``.
+    """
+    n, c = xd.shape[:2]
+    window = np.zeros((c, kh, kw, n, oh, ow), dtype=xd.dtype)
+    x_cn = xd.transpose(1, 0, 2, 3)
+    for i, j, in_rows, in_cols, out_rows, out_cols in taps:
+        window[:, i, j, :, out_rows, out_cols] = x_cn[:, :, in_rows, in_cols]
+    return window.reshape(c, kh * kw, n * oh * ow)
+
+
 @_op("conv2d_dw")
 def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                       stride: int, padding: int = 0) -> Tensor:
-    """Depthwise convolution: per-channel window reduction on the raw view.
+    """Depthwise convolution: one batched matmul over per-channel windows.
 
-    Works directly on the strided im2col *view* of the zero-padded input
-    (no materialised column copy), so the forward is one einsum and the
-    weight gradient another.  The padding is folded in: the input gradient
-    is scattered straight onto the unpadded input, one tap at a time in
-    ascending ``(i, j)`` order, skipping every tap whose window reads only
-    padding — bit-identical to ``pad2d`` followed by the unpadded kernel.
+    ``einsum("ncijpq,cij->ncpq", optimize=True)`` over the strided im2col
+    view of the padded input lowers to a transpose-copy of the view into
+    ``(C, kh·kw, N·OH·OW)`` and one ``matmul``.  This kernel builds those
+    same bytes (:func:`_dw_window`) and calls ``matmul`` itself: no padded
+    copy of the input, no path search or equation parsing, and not one
+    float changed.  The weight gradient is einsum's ``ncijpq,ncpq->cij``
+    lowering, again called directly, on a window rebuilt in the backward
+    (keeping the forward's alive costs more memory than the copy costs
+    time).  A geometry with a size-1 axis (batch, channels, kernel or
+    output) goes through einsum itself, whose lowering squeezes such axes
+    through a different copy.
+
+    The input gradient is scattered straight onto the unpadded input, one
+    live tap at a time in ascending ``(i, j)`` order — bit-identical to
+    ``pad2d`` followed by the unpadded kernel.
     """
-    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pad) if padding else x.data
+    xd = x.data
+    n, c, h, w = xd.shape
     kh, kw = weight.shape[2:]
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
-    cols = _im2col(xp, kh, kw, stride)  # view, no copy
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    taps = _live_taps(kh, kw, padding, stride, oh, ow, h, w)
     w_sq = weight.data[:, 0]  # (C, kh, kw)
-    out = np.einsum("ncijpq,cij->ncpq", cols, w_sq, optimize=True)
+    direct = min(n, c, kh, kw, oh, ow) > 1
+    if direct:
+        cols = None
+        out = np.matmul(w_sq.reshape(c, 1, kh * kw),
+                        _dw_window(xd, kh, kw, taps, oh, ow))
+        out = out.reshape(c, n, oh, ow).transpose(1, 0, 2, 3)
+    else:
+        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        cols = _im2col(np.pad(xd, pad) if padding else xd, kh, kw, stride)
+        out = np.einsum("ncijpq,cij->ncpq", cols, w_sq, optimize=True)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -603,27 +730,24 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     def backward(grad):
         gx = gw = gb = None
         if x.requires_grad:
-            h, w = x.shape[2:]
-            spans_y = [_tap_span(i, padding, stride, oh, h)
-                       for i in range(kh)]
-            spans_x = [_tap_span(j, padding, stride, ow, w)
-                       for j in range(kw)]
-            gx = np.zeros(x.shape, dtype=x.data.dtype)
-            for i, span_y in enumerate(spans_y):
-                if span_y is None:
-                    continue
-                p0, p1, y0 = span_y
-                for j, span_x in enumerate(spans_x):
-                    if span_x is None:
-                        continue
-                    q0, q1, x0 = span_x
-                    gx[:, :, y0:y0 + stride * (p1 - p0):stride,
-                       x0:x0 + stride * (q1 - q0):stride] += (
-                        grad[:, :, p0:p1, q0:q1]
-                        * w_sq[None, :, i, j, None, None])
+            # scatter in (H, W, N, C) order, so each tap's update runs over
+            # whole channel rows rather than 2-8 wide spatial rows; every
+            # element still sums its taps in ascending (i, j) order
+            grad_t = np.ascontiguousarray(grad.transpose(2, 3, 0, 1))
+            w_t = w_sq.transpose(1, 2, 0)  # (kh, kw, C)
+            gx_t = np.zeros((h, w, n, c), dtype=xd.dtype)
+            for i, j, in_rows, in_cols, out_rows, out_cols in taps:
+                gx_t[in_rows, in_cols] += grad_t[out_rows, out_cols] * w_t[i, j]
+            gx = np.ascontiguousarray(gx_t.transpose(2, 3, 0, 1))
         if weight.requires_grad:
-            gw = np.einsum("ncpq,ncijpq->cij", grad, cols,
-                           optimize=True)[:, None]
+            if direct:
+                gw = np.matmul(
+                    _dw_window(xd, kh, kw, taps, oh, ow),
+                    grad.transpose(1, 0, 2, 3).reshape(c, n * oh * ow, 1),
+                ).reshape(c, kh, kw)[:, None]
+            else:
+                gw = np.einsum("ncpq,ncijpq->cij", grad, cols,
+                               optimize=True)[:, None]
         if bias is not None and bias.requires_grad:
             gb = grad.sum(axis=(0, 2, 3))
         return list(zip(parents, (gx, gw, gb)))

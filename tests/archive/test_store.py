@@ -12,6 +12,7 @@ from repro.archive.segments import unframe_line
 from repro.archive.store import (
     ArchitectureArchive,
     ArchiveError,
+    ArchRecord,
     arch_key,
     repair_archive,
 )
@@ -247,6 +248,34 @@ class TestIndexAndStats:
         index = arc.index()
         assert index.ops[0].tolist() == [0, 1, 2, 3]
         assert index.device_column("dev", "latency_ms").tolist() == [3.0, 2.0]
+        arc.close()
+
+    def test_add_population_hashes_each_row_once(self, tmp_path,
+                                                 monkeypatch):
+        from repro.archive import store
+
+        calls = []
+
+        def counting_key(op_indices, num_operators):
+            calls.append(tuple(op_indices))
+            return arch_key(op_indices, num_operators)
+
+        monkeypatch.setattr(store, "arch_key", counting_key)
+        arc = make_archive(tmp_path)
+        ops = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [0, 1, 2, 3], [6, 6, 6, 6]])
+        arc.add_population(ops, device="dev",
+                           latency_ms=np.array([1.0, 2.0, 3.0, 4.0]))
+        assert len(calls) == len(ops)
+        assert len(arc) == 3
+        arc.close()
+
+    def test_add_record_still_checks_the_key(self, tmp_path):
+        arc = make_archive(tmp_path)
+        record = arc.add((0, 1, 2, 3), macs_m=1.0)
+        forged = ArchRecord(op_indices=(3, 2, 1, 0), key=record.key)
+        with pytest.raises(ValueError, match="key does not match"):
+            arc.add_record(forged)
+        assert len(arc) == 1
         arc.close()
 
 

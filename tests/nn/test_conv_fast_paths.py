@@ -112,6 +112,10 @@ class TestFastMatchesGeneric:
             (16, 144, 24, 4, 1, 1, 1),     # project 1×1
             (16, 48, 48, 8, 3, 1, 48),     # depthwise k3 s1
             (16, 72, 72, 8, 5, 2, 72),     # depthwise k5 s2
+            (16, 72, 72, 2, 7, 1, 72),     # depthwise 2×2 k7 p3
+            (16, 96, 96, 4, 7, 2, 96),     # depthwise 4×4 k7 s2 p3
+            (16, 48, 48, 8, 5, 2, 48),     # depthwise 8×8 k5 s2 p2
+            (16, 144, 144, 2, 3, 1, 144),  # depthwise 2×2 k3 p1
         ]
         for n, c_in, c_out, h, k, stride, groups in cases:
             x = rng.normal(size=(n, c_in, h, h))
