@@ -73,8 +73,11 @@ python -m pytest -x -q tests/core/test_search_batch.py \
     tests/eval/test_cli.py::TestSweep tests/eval/test_cli.py::TestStability
 
 # The conv fast-path contract: gradient checks for every specialized kernel,
-# the one-node batch norm bit for bit against the composite it replaced,
-# plus the golden-trajectory test pinning the float64 engine bit-identical.
+# the direct 1x1 matmul bit for bit (bytes and layout) against the einsum it
+# replaced at every tiny-supernet geometry, the one-node batch norm bit for
+# bit against the composite it replaced, its running statistics (shared with
+# the forward's batch sums) against the separate pass they replaced, plus
+# the golden-trajectory test pinning the float64 engine bit-identical.
 python -m pytest -x -q tests/nn/test_conv_fast_paths.py \
     tests/nn/test_batch_norm.py tests/core/test_engine_bit_parity.py
 

@@ -263,36 +263,9 @@ class BatchNorm2d(Module):
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
         if self.training:
-            # running stats update in place (same pairwise add.reduce that
-            # ndarray.mean()/var() dispatch to, so bit-identical to the
-            # historical fresh-array form)
-            x_data = x.data
-            momentum = self.momentum
-            running_mean, running_var = self.running_mean, self.running_var
-            ws = getattr(self, "_stats_ws", None)
-            if (ws is None or ws[0] != x_data.shape
-                    or ws[1] != x_data.dtype):
-                ws = (x_data.shape, x_data.dtype,
-                      np.empty_like(x_data),
-                      np.empty(x_data.shape[1], dtype=x_data.dtype),
-                      np.empty(x_data.shape[1], dtype=x_data.dtype))
-                object.__setattr__(self, "_stats_ws", ws)
-            _, _, diff, batch_mean, batch_var = ws
-            count = x_data.dtype.type(
-                x_data.shape[0] * x_data.shape[2] * x_data.shape[3])
-            np.add.reduce(x_data, axis=(0, 2, 3), out=batch_mean)
-            np.divide(batch_mean, count, out=batch_mean)
-            np.subtract(x_data, batch_mean.reshape(1, -1, 1, 1), out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add.reduce(diff, axis=(0, 2, 3), out=batch_var)
-            np.divide(batch_var, count, out=batch_var)
-            np.multiply(running_mean, 1 - momentum, out=running_mean)
-            np.multiply(batch_mean, momentum, out=batch_mean)
-            np.add(running_mean, batch_mean, out=running_mean)
-            np.multiply(running_var, 1 - momentum, out=running_var)
-            np.multiply(batch_var, momentum, out=batch_var)
-            np.add(running_var, batch_var, out=running_var)
-            return ops.batch_norm_train(x, self.gamma, self.beta, self.eps)
+            return ops.batch_norm_train(
+                x, self.gamma, self.beta, self.eps,
+                running=(self.running_mean, self.running_var, self.momentum))
         mean = self.running_mean.reshape(1, -1, 1, 1)
         std = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
         normed = (x - Tensor(mean)) / Tensor(std)

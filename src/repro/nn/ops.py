@@ -23,11 +23,12 @@ Engine notes
 * **Specialized convolution kernels**: ``conv2d`` dispatches depthwise
   (``groups == C_in``) and pointwise (1×1, ``groups == 1``) convolutions to
   kernels that skip the im2col reshuffle and the col2im scatter of the
-  generic grouped path.  The pointwise kernel is a channel-contraction
-  einsum; the depthwise kernel builds the window operand that its einsum
-  lowered to and calls ``matmul`` on it directly, and scatters its input
-  gradient tap by tap.  Both keep the generic path's accumulation order,
-  so in float64 they are **bit-identical** to it (asserted by
+  generic grouped path.  Both call ``matmul`` directly on the operands
+  their channel-contraction einsum lowered to: the pointwise kernel on
+  the ``(C, N·H·W)`` view of its input, the depthwise kernel on a window
+  operand it builds (and it scatters its input gradient tap by tap).
+  Both keep the generic path's accumulation order, so in float64 they
+  are **bit-identical** to it (asserted by
   ``tests/nn/test_conv_fast_paths.py`` and the golden-trajectory test);
   :func:`fast_kernels` toggles them for benchmarking.
 * **Batch norm is one op**: :func:`batch_norm_train` is training-mode
@@ -35,6 +36,8 @@ Engine notes
   13 composite ops it replaced, expression by expression and in the same
   accumulation order, so outputs and gradients are bit-identical to them
   (``tests/nn/test_batch_norm.py``) at a fraction of the dispatch cost.
+  It also updates ``BatchNorm2d``'s running statistics from its own batch
+  sums instead of a second pass over the batch.
 * **Profiling**: when a :func:`repro.nn.profiler.profile` context is open,
   each primitive op records wall time and call count under its op kind
   (backward closures under ``<kind>.bwd`` via ``Tensor.backward``).
@@ -443,8 +446,8 @@ def pad2d(a: Tensor, padding: int) -> Tensor:
 # ----------------------------------------------------------------------
 
 @_op("batch_norm")
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor,
-                     eps: float) -> Tensor:
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+                     running: Optional[tuple] = None) -> Tensor:
     """Training-mode batch norm over NCHW, normalising with batch statistics.
 
     One tape node for what used to be 13 composite ops (``mean``, ``-``,
@@ -458,18 +461,25 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor,
     first, then the square's two), and the input's is that plus the
     broadcast mean gradient.  Outputs and gradients are bit-identical to
     the composite (``tests/nn/test_batch_norm.py``).
+
+    ``running``, when given, is ``(running_mean, running_var, momentum)``:
+    both buffers are updated in place from the batch statistics, reusing
+    the forward's sums (:func:`_update_running_stats`).
     """
     xd = x.data
     axes = (0, 2, 3)
     dtype = get_default_dtype()
     inv_count = np.asarray(1.0 / (xd.shape[0] * xd.shape[2] * xd.shape[3]),
                            dtype=dtype)
-    centered = xd - xd.sum(axis=axes, keepdims=True) * inv_count
-    std = np.sqrt((centered * centered).sum(axis=axes, keepdims=True)
-                  * inv_count + np.asarray(eps, dtype=dtype))
+    sum_x = xd.sum(axis=axes, keepdims=True)
+    centered = xd - sum_x * inv_count
+    sum_sq = (centered * centered).sum(axis=axes, keepdims=True)
+    std = np.sqrt(sum_sq * inv_count + np.asarray(eps, dtype=dtype))
     normed = centered / std
     g = gamma.data.reshape(1, -1, 1, 1)
     out = normed * g + beta.data.reshape(1, -1, 1, 1)
+    if running is not None:
+        _update_running_stats(running, xd, sum_x, centered, sum_sq)
     if not _GradMode.enabled or not (x.requires_grad or gamma.requires_grad
                                      or beta.requires_grad):
         return Tensor(out)
@@ -482,16 +492,57 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor,
         if gamma.requires_grad:
             gg = _unbroadcast(grad * normed, stat_shape).reshape(gamma.shape)
         if x.requires_grad:
+            # One C-order copy of `centered`, so the products below run
+            # over one layout, and two buffers reused in place.  Every
+            # value, and the layout of every array a reduction reads (the
+            # gradient's, as the composite's products had), is unchanged;
+            # `grad` has `out`'s dtype or wider, so no in-place op narrows.
+            cen = np.ascontiguousarray(centered)
             g_n = grad * g
-            g_std = _unbroadcast(-g_n * centered / (std ** 2), stat_shape)
-            g_s2 = g_std * 0.5 / std * inv_count
-            t = np.broadcast_to(g_s2, centered.shape) * centered
-            g_c = g_n / std + t + t
-            g_s1 = _unbroadcast(-g_c, stat_shape) * inv_count
-            gx = g_c + np.broadcast_to(g_s1, xd.shape)
+            buf = np.negative(g_n)
+            buf *= cen
+            buf /= std ** 2
+            g_s2 = _unbroadcast(buf, stat_shape) * 0.5 / std * inv_count
+            t = np.multiply(g_s2, cen, out=buf)
+            g_c = np.divide(g_n, std, out=g_n)
+            g_c += t
+            g_c += t
+            g_s1 = _unbroadcast(np.negative(g_c, out=buf),
+                                stat_shape) * inv_count
+            gx = g_c
+            gx += g_s1
         return [(x, gx), (gamma, gg), (beta, gb)]
 
     return Tensor._make(out, (x, gamma, beta), backward)
+
+
+def _update_running_stats(running: tuple, xd: np.ndarray, sum_x: np.ndarray,
+                          centered: np.ndarray, sum_sq: np.ndarray) -> None:
+    """Momentum update of batch norm's running mean and biased variance.
+
+    Bit-identical to the separate pass over ``x`` it replaced
+    (``tests/nn/test_batch_norm.py`` keeps that pass): the batch mean is
+    ``Σx / count`` from the forward's ``Σx``.  When ``count`` is a power of
+    two, ``Σx·(1/count)`` equals ``Σx / count`` exactly, so the forward's
+    ``centered`` is ``x - mean`` and its ``Σ(x−μ)²`` gives the variance
+    too.  Any other count rounds the two means differently, and an ``x``
+    narrower than the compute dtype centres in the wider one, so both keep
+    a separate variance pass.
+    """
+    running_mean, running_var, momentum = running
+    n, c, h, w = xd.shape
+    count = n * h * w
+    batch_mean = sum_x.reshape(c) / xd.dtype.type(count)
+    if count & (count - 1) == 0 and centered.dtype == xd.dtype:
+        batch_var = sum_sq.reshape(c) / xd.dtype.type(count)
+    else:
+        diff = xd - batch_mean.reshape(1, -1, 1, 1)
+        np.multiply(diff, diff, out=diff)
+        batch_var = np.add.reduce(diff, axis=(0, 2, 3)) / xd.dtype.type(count)
+    np.multiply(running_mean, 1 - momentum, out=running_mean)
+    np.add(running_mean, batch_mean * momentum, out=running_mean)
+    np.multiply(running_var, 1 - momentum, out=running_var)
+    np.add(running_var, batch_var * momentum, out=running_var)
 
 
 # ----------------------------------------------------------------------
@@ -584,14 +635,31 @@ def conv2d(
 @_op("conv2d_1x1")
 def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                 stride: int) -> Tensor:
-    """Pointwise convolution: a channel contraction, no im2col at all."""
+    """Pointwise convolution: one channel matmul, no im2col at all.
+
+    ``einsum("nchw,oc->nohw", optimize=True)`` lowers (operands swapped) to
+    ``w @ x_cnhw``, with ``x_cnhw`` the input as a C-order ``(C, N·H·W)``
+    matrix (a free view of the channel-major arrays the supernet hands
+    this kernel), and returns a transposed view of the ``(C_out, N, H, W)``
+    product.  This kernel calls that ``matmul`` itself, without einsum's
+    parsing and path search, and so do both gradients (``oc,nohw->nchw``
+    and ``nchw,nohw->oc``): the same operands and the same output layout,
+    so not one float changes.  The layout is part of that contract: the
+    channel-major output feeds layout-sensitive reductions downstream.  A
+    geometry with a size-1 axis goes through einsum itself, whose lowering
+    squeezes such axes.
+    """
     xd = x.data[:, :, ::stride, ::stride] if stride > 1 else x.data
+    n, c, h, w = xd.shape
     w_mat = weight.data[:, :, 0, 0]  # (C_out, C_in)
-    # NOTE: like the generic path's transpose-reshape view, this einsum may
-    # hand back a channel-major (non-C-contiguous) array; downstream
-    # pairwise reductions are layout-sensitive, so preserving the generic
-    # path's layout here is part of the bit-identity contract.
-    out = np.einsum("nchw,oc->nohw", xd, w_mat, optimize=True)
+    c_out = w_mat.shape[0]
+    direct = min(n, c, c_out, h, w) > 1
+    if direct:
+        out = np.matmul(
+            w_mat, xd.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+        ).reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
+    else:
+        out = np.einsum("nchw,oc->nohw", xd, w_mat, optimize=True)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -601,19 +669,28 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     def backward(grad):
         gx = gw = gb = None
         if x.requires_grad:
+            if direct:
+                g_in = np.matmul(
+                    w_mat.T, grad.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
+                ).reshape(c, n, h, w).transpose(1, 0, 2, 3)
+            else:
+                g_in = np.einsum("nohw,oc->nchw", grad, w_mat, optimize=True)
             # += into zeros (not assignment) matches the generic col2im,
             # which canonicalises -0.0 products to +0.0.  np.zeros (not
             # zeros_like) pins C order even if x.data is a strided view.
             gx = np.zeros(x.shape, dtype=x.data.dtype)
             if stride > 1:
-                gx[:, :, ::stride, ::stride] += np.einsum(
-                    "nohw,oc->nchw", grad, w_mat, optimize=True)
+                gx[:, :, ::stride, ::stride] += g_in
             else:
-                gx += np.einsum("nohw,oc->nchw", grad, w_mat, optimize=True)
+                gx += g_in
         if weight.requires_grad:
-            gw = np.ascontiguousarray(
-                np.einsum("nohw,nchw->oc", grad, xd, optimize=True)
-            )[:, :, None, None]
+            if direct:
+                gw = np.matmul(
+                    xd.transpose(1, 0, 2, 3).reshape(c, n * h * w),
+                    grad.transpose(0, 2, 3, 1).reshape(n * h * w, c_out)).T
+            else:
+                gw = np.einsum("nohw,nchw->oc", grad, xd, optimize=True)
+            gw = np.ascontiguousarray(gw)[:, :, None, None]
         if bias is not None and bias.requires_grad:
             gb = grad.sum(axis=(0, 2, 3))
         return list(zip(parents, (gx, gw, gb)))

@@ -10,6 +10,7 @@ input like the 1×1 conv's output, and float32.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -126,3 +127,106 @@ class TestBatchNormTrain:
         x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
         out = bn(x)
         assert out._parents == (x, bn.gamma, bn.beta)
+
+
+def separate_running_update(x, running_mean, running_var, momentum):
+    """The historical running-statistics update: its own pass over ``x``
+    for the mean (``Σx / count``) and another for the biased variance."""
+    count = x.dtype.type(x.shape[0] * x.shape[2] * x.shape[3])
+    batch_mean = np.empty(x.shape[1], dtype=x.dtype)
+    batch_var = np.empty(x.shape[1], dtype=x.dtype)
+    diff = np.empty_like(x)
+    np.add.reduce(x, axis=(0, 2, 3), out=batch_mean)
+    np.divide(batch_mean, count, out=batch_mean)
+    np.subtract(x, batch_mean.reshape(1, -1, 1, 1), out=diff)
+    np.multiply(diff, diff, out=diff)
+    np.add.reduce(diff, axis=(0, 2, 3), out=batch_var)
+    np.divide(batch_var, count, out=batch_var)
+    np.multiply(running_mean, 1 - momentum, out=running_mean)
+    np.multiply(batch_mean, momentum, out=batch_mean)
+    np.add(running_mean, batch_mean, out=running_mean)
+    np.multiply(running_var, 1 - momentum, out=running_var)
+    np.multiply(batch_var, momentum, out=batch_var)
+    np.add(running_var, batch_var, out=running_var)
+
+
+def reused_variance(x):
+    """``Σ(x−μ)² / count`` with the forward's ``μ = Σx·(1/count)``: what
+    the running variance would be if every count reused the forward's
+    sum of squares."""
+    inv_count = np.asarray(1.0 / (x.shape[0] * x.shape[2] * x.shape[3]),
+                           dtype=x.dtype)
+    centered = x - x.sum(axis=(0, 2, 3), keepdims=True) * inv_count
+    return ((centered * centered).sum(axis=(0, 2, 3))
+            / x.dtype.type(x.shape[0] * x.shape[2] * x.shape[3]))
+
+
+def batch(rng, n, c, h, dtype):
+    """Channel means far from zero next to the spread, so a one-ulp change
+    of the mean moves the centred values and the variance."""
+    return rng.normal(loc=rng.normal(scale=50.0, size=(1, c, 1, 1)),
+                      size=(n, c, h, h)).astype(dtype)
+
+
+class TestRunningStats:
+    """``BatchNorm2d`` updates its running statistics from the forward's
+    sums; they must match the separate pass it replaced to the bit."""
+
+    #: (n, h): power-of-two counts (16·2·2 = 64, 16·4·4 = 256, 16·8·8 =
+    #: 1024, 2·1·1) and other counts (3·3·3 = 27, 5·7·7, 3·2·2, 1·3·3)
+    SHAPES = ((16, 2), (16, 4), (16, 8), (2, 1), (3, 3), (5, 7), (3, 2),
+              (1, 3))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("channel_major", [True, False])
+    @pytest.mark.parametrize("n,h", SHAPES)
+    def test_matches_separate_pass(self, n, h, dtype, channel_major):
+        c = 24
+        rng = np.random.default_rng(10 * n + h)
+        with nn.dtype_scope(dtype):
+            bn = nn.BatchNorm2d(c, momentum=0.25)
+            running_mean = bn.running_mean.copy()
+            running_var = bn.running_var.copy()
+            for step in range(3):
+                x = batch(rng, n, c, h, dtype)
+                if channel_major:
+                    x = np.ascontiguousarray(
+                        x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+                bn(Tensor(x, requires_grad=step != 1))
+                separate_running_update(x, running_mean, running_var, 0.25)
+                assert bn.running_mean.dtype == np.dtype(dtype)
+                assert np.array_equal(bn.running_mean, running_mean), step
+                assert np.array_equal(bn.running_var, running_var), step
+
+    def test_input_narrower_than_compute_dtype(self):
+        """A float32 ``x`` under a float64 compute dtype centres in
+        float64, so even a power-of-two count takes the separate pass."""
+        rng = np.random.default_rng(3)
+        bn = nn.BatchNorm2d(24, momentum=0.25)
+        running_mean = bn.running_mean.copy()
+        running_var = bn.running_var.copy()
+        for n, h in ((16, 4), (3, 3)):
+            with nn.dtype_scope("float32"):
+                x = Tensor(batch(rng, n, 24, h, "float32"))
+            assert x.data.dtype == np.float32
+            bn(x)
+            separate_running_update(x.data, running_mean, running_var, 0.25)
+            assert np.array_equal(bn.running_mean, running_mean), (n, h)
+            assert np.array_equal(bn.running_var, running_var), (n, h)
+
+    def test_other_counts_need_their_own_variance_pass(self):
+        """At a count that is not a power of two, reusing the forward's
+        ``Σ(x−μ)²`` would change the running variance, so the separate
+        pass above really checks that branch."""
+        for dtype in ("float64", "float32"):
+            differs = 0
+            for n, h in self.SHAPES:
+                x = batch(np.random.default_rng(10 * n + h), n, 24, h, dtype)
+                mean, var = np.zeros(24, dtype), np.zeros(24, dtype)
+                separate_running_update(x, mean, var, 1.0)
+                count = n * h * h
+                if count & (count - 1) == 0:
+                    assert np.array_equal(reused_variance(x), var), (n, h)
+                else:
+                    differs += not np.array_equal(reused_variance(x), var)
+            assert differs >= 2, dtype

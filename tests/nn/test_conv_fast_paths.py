@@ -124,6 +124,99 @@ class TestFastMatchesGeneric:
             slow = _run_conv(x, w, None, stride, k // 2, groups, fast=False)
             for name, f, s in zip(("out", "gx", "gw"), fast, slow):
                 assert np.array_equal(f, s), f"{name} not bit-identical"
+        # every 1×1 geometry of a tiny-supernet search, against the einsum
+        # kernel the direct matmul replaced: bytes and layout, for the
+        # channel-major inputs the supernet hands it and for C-order ones
+        for n, c_in, c_out, h, stride in POINTWISE_SUPERNET_SHAPES:
+            for channel_major in (True, False):
+                for grad_channel_major in (False, True):
+                    _assert_1x1_matches_einsum(
+                        rng, n, c_in, c_out, h, stride, channel_major,
+                        grad_channel_major, expect_einsum=False)
+
+    def test_pointwise_size_one_axes_keep_einsum(self):
+        """A 1×1 geometry with a size-1 axis (batch, channels in or out,
+        or a spatial side) still runs einsum, and still matches it."""
+        rng = np.random.default_rng(1)
+        for n, c_in, c_out, h, stride in ((1, 8, 16, 4, 1), (4, 1, 8, 4, 1),
+                                          (4, 8, 1, 4, 1), (4, 8, 16, 1, 1),
+                                          (4, 8, 16, 2, 2), (2, 3, 5, 3, 2)):
+            for channel_major in (True, False):
+                _assert_1x1_matches_einsum(
+                    rng, n, c_in, c_out, h, stride, channel_major, False,
+                    expect_einsum=(n == 1 or 1 in (c_in, c_out)
+                                   or -(-h // stride) == 1))
+
+
+#: (n, c_in, c_out, h, stride) of every 1×1 conv in ``repro search --tiny``
+POINTWISE_SUPERNET_SHAPES = (
+    (16, 8, 8, 8, 1), (16, 8, 16, 8, 2), (16, 8, 24, 8, 1),
+    (16, 8, 48, 8, 1), (16, 16, 24, 4, 2), (16, 16, 48, 4, 1),
+    (16, 16, 96, 4, 1), (16, 24, 32, 2, 1), (16, 24, 72, 2, 1),
+    (16, 24, 144, 2, 1), (16, 24, 16, 4, 1), (16, 48, 24, 2, 1),
+    (16, 48, 16, 4, 1), (16, 72, 24, 2, 1), (16, 96, 24, 2, 1),
+    (16, 96, 16, 4, 1), (16, 144, 24, 2, 1),
+)
+
+
+def _einsum_1x1(xd_full, w, grad, stride):
+    """The einsum pointwise kernel (forward, input and weight gradient)
+    that ``_conv2d_1x1`` calls ``matmul`` in place of."""
+    xd = xd_full[:, :, ::stride, ::stride] if stride > 1 else xd_full
+    w_mat = w[:, :, 0, 0]
+    out = np.einsum("nchw,oc->nohw", xd, w_mat, optimize=True)
+    gx = np.zeros(xd_full.shape)
+    if stride > 1:
+        gx[:, :, ::stride, ::stride] += np.einsum(
+            "nohw,oc->nchw", grad, w_mat, optimize=True)
+    else:
+        gx += np.einsum("nohw,oc->nchw", grad, w_mat, optimize=True)
+    gw = np.ascontiguousarray(
+        np.einsum("nohw,nchw->oc", grad, xd, optimize=True))[:, :, None, None]
+    return out, gx, gw
+
+
+def _layout(a):
+    """Strides of the axes longer than 1 (the others never move a byte)."""
+    return tuple(s for s, d in zip(a.strides, a.shape) if d > 1)
+
+
+def _channel_major(a):
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _assert_1x1_matches_einsum(rng, n, c_in, c_out, h, stride,
+                               channel_major, grad_channel_major,
+                               expect_einsum):
+    x = rng.normal(size=(n, c_in, h, h))
+    if channel_major:
+        x = _channel_major(x)
+    w = rng.normal(size=(c_out, c_in, 1, 1))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    calls = []
+    einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    np.einsum = counting_einsum
+    try:
+        out = ops.conv2d(xt, wt, stride=stride)
+        grad = rng.normal(size=out.shape)
+        if grad_channel_major:
+            grad = _channel_major(grad)
+        (_, gx), (_, gw) = out._backward(grad)
+    finally:
+        np.einsum = einsum
+    assert bool(calls) == expect_einsum, (n, c_in, c_out, h, stride, calls)
+    where = (f"n{n} c{c_in}->{c_out} h{h} s{stride} "
+             f"x{'CM' if channel_major else 'C'}")
+    for name, f, r in zip(("out", "gx", "gw"), (out.data, gx, gw),
+                          _einsum_1x1(x, w, grad, stride)):
+        assert f.shape == r.shape and f.dtype == r.dtype, (name, where)
+        assert f.tobytes() == r.tobytes(), f"{name} differs at {where}"
+        assert _layout(f) == _layout(r), f"{name} layout differs at {where}"
 
 
 def _run_pad_then_depthwise(x, w, b, stride, padding):
