@@ -42,8 +42,6 @@ merges into one record.
 
 from __future__ import annotations
 
-import collections.abc
-import itertools
 import json
 import os
 import tempfile
@@ -223,7 +221,7 @@ class ArchiveIndex:
     """
 
     ops: np.ndarray                 #: ``(N, L)`` int64 genotypes
-    keys: Sequence[str]             #: content addresses, aligned with rows
+    keys: Tuple[str, ...]           #: content addresses, aligned with rows
     score: np.ndarray               #: ``(N,)`` accuracy-proxy score
     macs_m: np.ndarray              #: ``(N,)`` multi-adds, millions
     params_m: np.ndarray            #: ``(N,)`` parameters, millions
@@ -281,15 +279,14 @@ class ArchiveIndex:
 
 
 class _LiveIndex:
-    """Growable stacked arrays and key list, extended in place on every merge.
+    """Growable stacked arrays, extended in place on every merge.
 
     This is the mutable twin of :class:`ArchiveIndex`: appends land in
     amortized O(1) (capacity-doubling), merges into an existing genotype
     write only the affected cells, and new device names insert a NaN
     column at their *sorted* position, so a snapshot's device axis is
     sorted whatever order the devices arrived in.  The layer-major
-    ``layers`` block grows with ``ops``, one column per append, and
-    ``keys`` with both, one key per append.  An archive
+    ``layers`` block grows with ``ops``, one column per append.  An archive
     with no segment starts from an empty one, whose snapshot is the empty
     index.
 
@@ -299,9 +296,7 @@ class _LiveIndex:
     or inserting a device column allocates fresh arrays, so neither
     touches a view.  Only a merge into a covered row must first move the
     arrays it writes to a copy (:meth:`_detach`), once until the next
-    snapshot.  The key list is append-only, so a snapshot's keys are the
-    list itself plus a length (:class:`_KeyView`).  All access is
-    serialized by the owning archive's lock.
+    snapshot.  All access is serialized by the owning archive's lock.
     """
 
     def __init__(self, num_layers: int, num_operators: int,
@@ -311,7 +306,6 @@ class _LiveIndex:
         self.n = 0
         self.shared = 0
         self.devices: List[str] = []
-        self.keys: List[str] = []
         self.ops = np.zeros((capacity, num_layers), dtype=np.int64)
         self.layers = np.zeros((num_layers, capacity),
                                dtype=_layer_dtype(num_operators))
@@ -328,7 +322,6 @@ class _LiveIndex:
                    capacity=n + 64)
         live.n = n
         live.devices = list(segment.devices)
-        live.keys = list(segment.keys)
         live.ops[:n] = segment.ops
         live.layers[:, :n] = layers
         live.score[:n] = segment.score
@@ -388,7 +381,6 @@ class _LiveIndex:
         row = self.n
         self.ops[row] = record.op_indices
         self.layers[:, row] = record.op_indices
-        self.keys.append(record.key)
         self.n += 1
         self.update(row, record)
         return row
@@ -409,51 +401,16 @@ class _LiveIndex:
                 if m is not None:
                     self.cost[row, d, m] = value
 
-    def snapshot(self) -> ArchiveIndex:
+    def snapshot(self, keys: Tuple[str, ...]) -> ArchiveIndex:
         n = self.n
         self.shared = n
-        return ArchiveIndex(ops=_read_only(self.ops[:n]),
-                            keys=_KeyView(self.keys, n),
+        return ArchiveIndex(ops=_read_only(self.ops[:n]), keys=keys,
                             score=_read_only(self.score[:n]),
                             macs_m=_read_only(self.macs_m[:n]),
                             params_m=_read_only(self.params_m[:n]),
                             devices=tuple(self.devices),
                             cost=_read_only(self.cost[:n]),
                             layers=_read_only(self.layers[:, :n]))
-
-
-class _KeyView(collections.abc.Sequence):
-    """The first ``n`` keys of an append-only list, as a read-only sequence.
-
-    Appends only extend the list past ``n``, so the view never changes:
-    handing one out costs O(1) however many rows the archive holds.
-    """
-
-    __slots__ = ("_keys", "_n")
-
-    def __init__(self, keys: List[str], n: int) -> None:
-        self._keys = keys
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self):
-        return itertools.islice(self._keys, self._n)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return tuple(self._keys[i] for i in range(self._n)[item])
-        return self._keys[range(self._n)[item]]
-
-    def __eq__(self, other) -> bool:
-        if (not isinstance(other, collections.abc.Sequence)
-                or isinstance(other, str)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return f"_KeyView({self._n} keys)"
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -868,7 +825,7 @@ class ArchitectureArchive:
                 macs_m=segment.macs_m, params_m=segment.params_m,
                 devices=segment.devices, cost=segment.cost,
                 layers=self._segment_layers)
-        return self._live_index().snapshot()
+        return self._live_index().snapshot(tuple(self._row_of))
 
     def stats(self) -> dict:
         """Summary counters for the ``/stats`` endpoint and ``repro query``."""

@@ -264,8 +264,8 @@ class BatchNorm2d(Module):
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
         if self.training:
             return ops.batch_norm_train(
-                x, self.gamma, self.beta, self.eps,
-                running=(self.running_mean, self.running_var, self.momentum))
+                x, self.gamma, self.beta, self.eps, self.running_mean,
+                self.running_var, self.momentum)
         mean = self.running_mean.reshape(1, -1, 1, 1)
         std = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
         normed = (x - Tensor(mean)) / Tensor(std)

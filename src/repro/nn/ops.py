@@ -447,7 +447,8 @@ def pad2d(a: Tensor, padding: int) -> Tensor:
 
 @_op("batch_norm")
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
-                     running: Optional[tuple] = None) -> Tensor:
+                     running_mean: np.ndarray, running_var: np.ndarray,
+                     momentum: float) -> Tensor:
     """Training-mode batch norm over NCHW, normalising with batch statistics.
 
     One tape node for what used to be 13 composite ops (``mean``, ``-``,
@@ -462,9 +463,9 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     broadcast mean gradient.  Outputs and gradients are bit-identical to
     the composite (``tests/nn/test_batch_norm.py``).
 
-    ``running``, when given, is ``(running_mean, running_var, momentum)``:
-    both buffers are updated in place from the batch statistics, reusing
-    the forward's sums (:func:`_update_running_stats`).
+    ``running_mean`` and ``running_var`` are updated in place with
+    ``momentum`` from the batch statistics, reusing the forward's sums
+    (:func:`_update_running_stats`).
     """
     xd = x.data
     axes = (0, 2, 3)
@@ -478,8 +479,8 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     normed = centered / std
     g = gamma.data.reshape(1, -1, 1, 1)
     out = normed * g + beta.data.reshape(1, -1, 1, 1)
-    if running is not None:
-        _update_running_stats(running, xd, sum_x, centered, sum_sq)
+    _update_running_stats(running_mean, running_var, momentum, xd, sum_x,
+                          centered, sum_sq)
     if not _GradMode.enabled or not (x.requires_grad or gamma.requires_grad
                                      or beta.requires_grad):
         return Tensor(out)
@@ -492,13 +493,18 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
         if gamma.requires_grad:
             gg = _unbroadcast(grad * normed, stat_shape).reshape(gamma.shape)
         if x.requires_grad:
-            # One C-order copy of `centered`, so the products below run
-            # over one layout, and two buffers reused in place.  Every
-            # value, and the layout of every array a reduction reads (the
-            # gradient's, as the composite's products had), is unchanged;
-            # `grad` has `out`'s dtype or wider, so no in-place op narrows.
-            cen = np.ascontiguousarray(centered)
-            g_n = grad * g
+            # The composite's products of the gradient and `centered` took
+            # their shared layout, or C order where the two differed (one
+            # is C-order wherever they differ in a supernet step), and a
+            # reduction's bits follow its input's layout.  Both operands
+            # are brought to that layout once, so the products below run
+            # over one layout, written in place into two buffers.  `grad`
+            # has `out`'s dtype or wider, so no in-place op narrows.
+            if _same_layout(grad, centered):
+                cen, g_n = centered, grad * g
+            else:
+                cen = np.ascontiguousarray(centered)
+                g_n = np.multiply(grad, g, order="C")
             buf = np.negative(g_n)
             buf *= cen
             buf /= std ** 2
@@ -516,7 +522,14 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     return Tensor._make(out, (x, gamma, beta), backward)
 
 
-def _update_running_stats(running: tuple, xd: np.ndarray, sum_x: np.ndarray,
+def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays of one shape order their elements alike in memory."""
+    return ([s // a.itemsize for s in a.strides]
+            == [s // b.itemsize for s in b.strides])
+
+
+def _update_running_stats(running_mean: np.ndarray, running_var: np.ndarray,
+                          momentum: float, xd: np.ndarray, sum_x: np.ndarray,
                           centered: np.ndarray, sum_sq: np.ndarray) -> None:
     """Momentum update of batch norm's running mean and biased variance.
 
@@ -529,7 +542,6 @@ def _update_running_stats(running: tuple, xd: np.ndarray, sum_x: np.ndarray,
     narrower than the compute dtype centres in the wider one, so both keep
     a separate variance pass.
     """
-    running_mean, running_var, momentum = running
     n, c, h, w = xd.shape
     count = n * h * w
     batch_mean = sum_x.reshape(c) / xd.dtype.type(count)

@@ -365,37 +365,6 @@ class TestSnapshotIsolation:
         arc.close()
 
 
-class TestSnapshotKeys:
-    """A snapshot's keys are a view of the append-only key list, not a
-    copy: a held one keeps its length and contents while rows are added,
-    and reads like the tuple it replaced."""
-
-    @pytest.mark.parametrize("boot", ["live", "segment"])
-    def test_held_keys_are_a_fixed_prefix(self, tmp_path, boot):
-        ops = np.unique(np.random.default_rng(2).integers(0, K, (60, L)),
-                        axis=0)[:50]
-        keys = tuple(arch_key(tuple(row), K) for row in ops)
-        arc = make_archive(tmp_path)
-        arc.add_population(ops[:20], device="xavier",
-                           latency_ms=np.ones(20))
-        if boot == "segment":
-            arc.compact()
-            arc.close()
-            arc = make_archive(tmp_path)
-        arc.add_population(ops[20:25], device="xavier", latency_ms=np.ones(5))
-        held = arc.index().keys
-        arc.add_population(ops[25:], device="xavier", latency_ms=np.ones(25))
-        assert len(held) == 25 and tuple(held) == keys[:25]
-        assert held == keys[:25] and held != keys
-        assert held[-1] == keys[24] and held[3:7] == keys[3:7]
-        assert held[::-5] == keys[:25][::-5]
-        assert keys[25] not in held and held.index(keys[5]) == 5
-        with pytest.raises(IndexError):
-            held[25]
-        assert arc.index().keys == keys
-        arc.close()
-
-
 class TestConcurrency:
     def test_concurrent_index_and_merge_race(self, tmp_path):
         """Readers snapshotting index() while writers merge must never see

@@ -6,8 +6,11 @@ included, the output and every gradient of the 13-op composite that
 cover counts that are not powers of two (3×3 and 7×7 maps, where
 ``x / count`` and ``x · (1/count)`` round differently), frozen γ/β, the
 input as a leaf, as an interior node and as a constant, a channel-major
-input like the 1×1 conv's output, and float32.
+input like the 1×1 conv's output, a channel-major cotangent, and
+float32.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -29,6 +32,13 @@ def composite(x, gamma, beta, eps):
             + ops.reshape(beta, (1, c, 1, 1)))
 
 
+def fused(x, gamma, beta, eps):
+    """``ops.batch_norm_train`` with throwaway running-statistics buffers."""
+    c = gamma.shape[0]
+    return ops.batch_norm_train(x, gamma, beta, eps, np.zeros(c), np.ones(c),
+                                0.1)
+
+
 def run(fn, case):
     """Forward + backward of ``fn``; returns (out, gx, gγ, gβ)."""
     (x_data, gamma_data, beta_data, cotangent, dtype, leaf_x, frozen,
@@ -46,29 +56,39 @@ def run(fn, case):
 
 
 def assert_bit_identical(case):
-    fused = run(ops.batch_norm_train, case)
-    reference = run(composite, case)
-    for name, f, r in zip(("out", "gx", "gamma", "beta"), fused, reference):
+    for name, f, r in zip(("out", "gx", "gamma", "beta"), run(fused, case),
+                          run(composite, case)):
         if r is None:
             assert f is None, name
             continue
         assert f.dtype == r.dtype and f.shape == r.shape, name
+        # the input gradient's layout decides the bits of the reductions
+        # that consume it further down the tape
+        assert f.strides == r.strides, f"{name} differs in layout"
         assert np.array_equal(f, r), f"{name} differs"
         assert np.array_equal(np.signbit(f), np.signbit(r)), (
             f"{name} differs in the sign of a zero")
 
 
+def channel_major_copy(a):
+    """``a`` laid out channel-major, the memory order a 1×1 conv hands
+    batch norm."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
 def make_case(seed, n, c, h, dtype, leaf_x, frozen, channel_major,
-              eps=1e-5, const_x=False):
+              eps=1e-5, const_x=False, cotangent_channel_major=False):
     rng = np.random.default_rng(seed)
     x = rng.normal(loc=rng.normal(), scale=3.0, size=(n, c, h, h))
     if channel_major:
-        # the memory order a 1×1 conv hands batch norm
-        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        x = channel_major_copy(x)
     cotangent = rng.normal(size=x.shape)
     cotangent[rng.random(size=x.shape) < 0.1] = -0.0
-    return (x, rng.normal(size=c), rng.normal(size=c),
-            cotangent.astype(dtype), dtype, leaf_x, frozen, const_x, eps)
+    cotangent = cotangent.astype(dtype)
+    if cotangent_channel_major:
+        cotangent = channel_major_copy(cotangent)
+    return (x, rng.normal(size=c), rng.normal(size=c), cotangent, dtype,
+            leaf_x, frozen, const_x, eps)
 
 
 class TestBatchNormTrain:
@@ -78,24 +98,32 @@ class TestBatchNormTrain:
            dtype=st.sampled_from(["float64", "float32"]),
            leaf_x=st.booleans(), frozen=st.booleans(),
            channel_major=st.booleans(), eps=st.sampled_from([1e-5, 1e-3]),
-           const_x=st.booleans())
+           const_x=st.booleans(), cotangent_channel_major=st.booleans())
     @example(seed=0, n=16, c=8, h=7, dtype="float64", leaf_x=False,
-             frozen=False, channel_major=True, eps=1e-5, const_x=False)
+             frozen=False, channel_major=True, eps=1e-5, const_x=False,
+             cotangent_channel_major=False)
     @example(seed=1, n=16, c=8, h=3, dtype="float32", leaf_x=True,
-             frozen=True, channel_major=False, eps=1e-5, const_x=False)
+             frozen=True, channel_major=False, eps=1e-5, const_x=False,
+             cotangent_channel_major=True)
     def test_matches_composite_bit_for_bit(self, seed, n, c, h, dtype,
                                            leaf_x, frozen, channel_major,
-                                           eps, const_x):
+                                           eps, const_x,
+                                           cotangent_channel_major):
         assert_bit_identical(make_case(seed, n, c, h, dtype, leaf_x, frozen,
-                                       channel_major, eps, const_x))
+                                       channel_major, eps, const_x,
+                                       cotangent_channel_major))
 
     def test_supernet_shapes(self):
-        """The tiny supernet's batch-norm inputs, batch 16."""
+        """The tiny supernet's batch-norm inputs, batch 16, with the input
+        and the cotangent each C-order or channel-major."""
         for c, h in ((8, 8), (24, 8), (48, 4), (96, 4), (72, 2), (144, 2)):
             for dtype in ("float64", "float32"):
                 for frozen in (False, True):
-                    assert_bit_identical(make_case(c * h, 16, c, h, dtype,
-                                                   False, frozen, True))
+                    for x_cm, cot_cm in itertools.product((False, True),
+                                                          repeat=2):
+                        assert_bit_identical(make_case(
+                            c * h, 16, c, h, dtype, False, frozen, x_cm,
+                            cotangent_channel_major=cot_cm))
 
     def test_signed_zero_cotangent(self):
         """An all-zero cotangent of mixed signs makes every gradient sum
@@ -112,8 +140,7 @@ class TestBatchNormTrain:
     def test_frozen_affine_and_constant_input(self):
         """A constant input with a frozen γ/β builds no tape at all."""
         x = Tensor(np.ones((2, 3, 2, 2)))
-        out = ops.batch_norm_train(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                                   1e-5)
+        out = fused(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
         assert out._backward is None and not out.requires_grad
 
     def test_no_grad_builds_no_tape(self):
@@ -190,8 +217,7 @@ class TestRunningStats:
             for step in range(3):
                 x = batch(rng, n, c, h, dtype)
                 if channel_major:
-                    x = np.ascontiguousarray(
-                        x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+                    x = channel_major_copy(x)
                 bn(Tensor(x, requires_grad=step != 1))
                 separate_running_update(x, running_mean, running_var, 0.25)
                 assert bn.running_mean.dtype == np.dtype(dtype)
